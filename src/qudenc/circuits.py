@@ -23,6 +23,7 @@ conjugated by CNOTs) to give fault-tolerant-flavoured totals.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -61,6 +62,11 @@ class Gate:
             raise ValueError(f"negative qubit index in {self.qubits}")
         if (self.kind == "Rz") != (self.angle is not None):
             raise ValueError("angle is required for Rz and forbidden otherwise")
+        if self.angle is not None and (
+                isinstance(self.angle, bool)
+                or not isinstance(self.angle, (int, float))
+                or not math.isfinite(self.angle)):
+            raise ValueError(f"Rz angle must be a finite real number, got {self.angle!r}")
 
     def support(self) -> frozenset[int]:
         return frozenset(self.qubits)
@@ -255,8 +261,16 @@ def _circuit_to_dict(c: Circuit) -> dict:
 
 
 def _circuit_from_dict(d: dict) -> Circuit:
-    c = Circuit(int(d["n_qubits"]), [], float(d.get("global_phase", 0.0)))
-    for item in d["gates"]:
+    if not (isinstance(d.get("n_qubits"), int) and isinstance(d.get("gates"), list)):
+        raise ValueError("circuit JSON needs an integer 'n_qubits' and a 'gates' list")
+    c = Circuit(d["n_qubits"], [], float(d.get("global_phase", 0.0)))
+    for pos, item in enumerate(d["gates"]):
+        if not (isinstance(item, dict) and "kind" in item
+                and isinstance(item.get("qubits"), list)
+                and all(isinstance(q, int) and not isinstance(q, bool)
+                        for q in item["qubits"])):
+            raise ValueError(f"gate {pos} of circuit JSON needs a 'kind' and a "
+                             "'qubits' list of integers")
         c.add(item["kind"], *item["qubits"], angle=item.get("angle"))
     return c
 

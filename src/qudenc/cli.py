@@ -179,7 +179,8 @@ def _cmd_trotter(args) -> int:
 def _cmd_optimize(args) -> int:
     with open(args.circuit) as fh:
         circ = import_circuit(fh.read())
-    cfg = PassConfig(max_sweeps=args.max_sweeps) if args.max_sweeps else PassConfig()
+    cfg = PassConfig() if args.max_sweeps is None else \
+        PassConfig(max_sweeps=args.max_sweeps)
     before = count_resources(circ)
     opt = optimize(circ, cfg)
     after = count_resources(opt)

@@ -18,18 +18,33 @@ target, and so on) and False otherwise.  A False merely blocks a
 rewrite; it never produces a wrong one.  Passes repeat in order until a
 full sweep changes nothing (or a sweep cap is hit), so the result never
 has more gates than the input.
+
+Gates on disjoint wires always commute and never cancel or merge, so the
+forward scan from a candidate only needs the gates that share one of its
+wires (the per-wire view of Nam, Ross, Su, Childs & Maslov, npj Quantum
+Inf. 4, 23 (2018)).  optimize() links every gate to its neighbours on
+each wire once, keeps those chains up to date as gates are removed or
+rewired, and scans along them: a one-wire gate walks its wire, a wider
+gate walks its wires merged by position, and the CNOT-triple rewrite
+finds its partners in a few lookups.  Candidates and the gates each scan
+meets come in the same order as in a scan over the whole list, so the
+output is the same; the cost is set by the gates that share wires, not by
+the length of the circuit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 from .circuits import Circuit, Gate
 
 _DIAGONAL_1Q = frozenset(("Rz", "T", "Tdg", "S", "Sdg"))
-_SELF_INVERSE = frozenset(("X", "H", "BasisY", "CNOT", "SWAP", "CSWAP"))
-_INVERSE_PAIRS = {("T", "Tdg"), ("Tdg", "T"), ("S", "Sdg"), ("Sdg", "S")}
+# kind -> kind of its inverse; Rz has none (rotations merge instead)
+_INVERSE_KIND = {"X": "X", "H": "H", "BasisY": "BasisY", "CNOT": "CNOT",
+                 "SWAP": "SWAP", "CSWAP": "CSWAP",
+                 "T": "Tdg", "Tdg": "T", "S": "Sdg", "Sdg": "S"}
 ANGLE_EPS = 1e-12
 TWO_PI = 2.0 * math.pi
 
@@ -52,39 +67,38 @@ class PassConfig:
 
 def commutes(a: Gate, b: Gate) -> bool:
     """Conservative: True only when commutation is provable."""
-    sa, sb = a.support(), b.support()
-    if not (sa & sb):
+    ka, kb, qa, qb = a.kind, b.kind, a.qubits, b.qubits
+    if set(qa).isdisjoint(qb):
         return True
-    if a.kind == b.kind and a.angle == b.angle and _same_action(a, b):
+    if ka == kb and a.angle == b.angle and _same_action(a, b):
         return True
-    # Order-insensitive pairwise cases.
-    for g1, g2 in ((a, b), (b, a)):
-        if g1.kind in _DIAGONAL_1Q and g2.kind in _DIAGONAL_1Q:
+    if ka in _DIAGONAL_1Q:
+        if kb in _DIAGONAL_1Q:
             return True
-        if g1.kind in _DIAGONAL_1Q and g2.kind in ("CNOT", "CSWAP"):
-            if g1.qubits[0] == g2.qubits[0]:
-                return True  # diagonal on the control wire
-            if g2.kind == "CNOT" and g1.qubits[0] == g2.qubits[1]:
-                return False  # on the target: anticommuting case
-            return False
-        if g1.kind == "X" and g2.kind == "CNOT":
-            return g1.qubits[0] == g2.qubits[1]  # X slides over a target
-    if a.kind == "CNOT" and b.kind == "CNOT":
-        shared_control = a.qubits[0] == b.qubits[0]
-        shared_target = a.qubits[1] == b.qubits[1]
+        # diagonal on a control wire; on a CNOT target it anticommutes
+        return (kb == "CNOT" or kb == "CSWAP") and qa[0] == qb[0]
+    if kb in _DIAGONAL_1Q:
+        return (ka == "CNOT" or ka == "CSWAP") and qb[0] == qa[0]
+    if ka == "X":
+        return kb == "CNOT" and qa[0] == qb[1]  # X slides over a target
+    if kb == "X":
+        return ka == "CNOT" and qb[0] == qa[1]
+    if ka == "CNOT" and kb == "CNOT":
+        shared_control = qa[0] == qb[0]
+        shared_target = qa[1] == qb[1]
         if shared_control and not shared_target:
-            return a.qubits[1] != b.qubits[0] and b.qubits[1] != a.qubits[0]
+            return qa[1] != qb[0] and qb[1] != qa[0]
         if shared_target and not shared_control:
             return True
         return shared_control and shared_target
-    if a.kind == "CSWAP" and b.kind == "CSWAP":
-        if a.qubits[0] == b.qubits[0]:
-            return not (set(a.qubits[1:]) & set(b.qubits[1:]))
+    if ka == "CSWAP" and kb == "CSWAP":
+        if qa[0] == qb[0]:
+            return not (set(qa[1:]) & set(qb[1:]))
         return False
-    if {a.kind, b.kind} == {"CNOT", "CSWAP"}:
-        cn, cs = (a, b) if a.kind == "CNOT" else (b, a)
+    if {ka, kb} == {"CNOT", "CSWAP"}:
+        cn, cs = (qa, qb) if ka == "CNOT" else (qb, qa)
         # CNOT controlled by the CSWAP's control, acting off its swap pair.
-        return cn.qubits[0] == cs.qubits[0] and cn.qubits[1] not in cs.qubits[1:]
+        return cn[0] == cs[0] and cn[1] not in cs[1:]
     return False
 
 
@@ -100,11 +114,9 @@ def _same_action(a: Gate, b: Gate) -> bool:
 
 
 def _is_inverse_pair(a: Gate, b: Gate) -> bool:
-    if a.kind in _SELF_INVERSE and _same_action(a, b):
-        return True
-    if (a.kind, b.kind) in _INVERSE_PAIRS and a.qubits == b.qubits:
-        return True
-    return False
+    if _INVERSE_KIND.get(a.kind) != b.kind:
+        return False
+    return _same_action(a, b) if a.kind == b.kind else a.qubits == b.qubits
 
 
 def commute_window(c: Circuit, index: int) -> tuple[int, int]:
@@ -120,27 +132,75 @@ def commute_window(c: Circuit, index: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _pass_cancel(gates: list[Gate | None]) -> bool:
+def _wire_chains(gates: list[Gate]) -> tuple[array, array]:
+    """Doubly linked per-wire chains over fixed gate positions.
+
+    Gate i owns slot 3*i + s for its s-th qubit.  nxt[slot] is the slot of
+    the next live gate on that wire (len(nxt) when there is none) and
+    prv[slot] the previous one (-1 when there is none).  Slots are C ints:
+    a list of 700 million gates would not fit in memory long before 3*i
+    overflows them.
+    """
+    end = 3 * len(gates)
+    nxt = array("i", [end]) * end
+    prv = array("i", [-1]) * end
+    last: dict[int, int] = {}
+    for i, g in enumerate(gates):
+        for s, q in enumerate(g.qubits):
+            slot = 3 * i + s
+            p = last.get(q, -1)
+            if p >= 0:
+                nxt[p] = slot
+                prv[slot] = p
+            last[q] = slot
+    return nxt, prv
+
+
+def _unlink(nxt: array, prv: array, slot: int) -> None:
+    p, x = prv[slot], nxt[slot]
+    if p >= 0:
+        nxt[p] = x
+    if x < len(nxt):
+        prv[x] = p
+
+
+def _drop(gates: list[Gate | None], nxt: array, prv: array, i: int) -> None:
+    for slot in range(3 * i, 3 * i + len(gates[i].qubits)):
+        _unlink(nxt, prv, slot)
+    gates[i] = None
+
+
+def _pass_cancel(gates: list[Gate | None], nxt: array, prv: array) -> bool:
     changed = False
-    n = len(gates)
-    for i in range(n):
-        g = gates[i]
+    end = len(nxt)
+    n = end // 3
+    for i, g in enumerate(gates):
         if g is None or g.kind == "Rz":
             continue
-        j = i + 1
-        while j < n:
+        arity = len(g.qubits)
+        # Walk the gate's wires merged by position; a cursor at end is spent.
+        base = 3 * i
+        x = nxt[base]
+        y = nxt[base + 1] if arity > 1 else end
+        z = nxt[base + 2] if arity > 2 else end
+        while True:
+            j = min(x, y, z) // 3
+            if j == n:
+                break
             h = gates[j]
-            if h is None:
-                j += 1
-                continue
             if _is_inverse_pair(g, h):
-                gates[i] = gates[j] = None
+                _drop(gates, nxt, prv, i)
+                _drop(gates, nxt, prv, j)
                 changed = True
                 break
-            if commutes(g, h):
-                j += 1
-                continue
-            break
+            if not commutes(g, h):
+                break
+            if x // 3 == j:
+                x = nxt[x]
+            if y // 3 == j:
+                y = nxt[y]
+            if z // 3 == j:
+                z = nxt[z]
     return changed
 
 
@@ -149,82 +209,74 @@ def _normalized_angle(angle: float) -> float:
     return angle % (2.0 * TWO_PI)
 
 
-def _pass_merge(gates: list[Gate | None], eps: float) -> tuple[bool, float]:
+def _pass_merge(gates: list[Gate | None], nxt: array, prv: array,
+                eps: float) -> tuple[bool, float]:
     changed = False
     phase = 0.0
-    n = len(gates)
-    for i in range(n):
-        g = gates[i]
+    end = len(nxt)
+    for i, g in enumerate(gates):
         if g is None or g.kind != "Rz":
             continue
-        j = i + 1
-        while j < n:
+        x = nxt[3 * i]
+        while x < end:
+            j = x // 3
             h = gates[j]
-            if h is None:
-                j += 1
-                continue
-            if h.kind == "Rz" and h.qubits == g.qubits:
+            x = nxt[x]
+            if h.kind == "Rz":
                 g = Gate("Rz", g.qubits, g.angle + h.angle)
                 gates[i] = g
-                gates[j] = None
+                _drop(gates, nxt, prv, j)
                 changed = True
-                j += 1
-                continue
-            if commutes(g, h):
-                j += 1
-                continue
-            break
+            elif not commutes(g, h):
+                break
         r = _normalized_angle(g.angle)
         if min(r, 2.0 * TWO_PI - r) < eps:
-            gates[i] = None
+            _drop(gates, nxt, prv, i)
             changed = True
         elif abs(r - TWO_PI) < eps:
-            gates[i] = None
+            _drop(gates, nxt, prv, i)
             phase += math.pi  # Rz(2pi) = -I = e^{i pi} I
             changed = True
     return changed, phase
 
 
-def _pass_cnot_triple(gates: list[Gate | None]) -> bool:
+def _pass_cnot_triple(gates: list[Gate | None], nxt: array, prv: array) -> bool:
     changed = False
-    n = len(gates)
-    for i in range(n):
-        g1 = gates[i]
+    end = len(nxt)
+    for i, g1 in enumerate(gates):
         if g1 is None or g1.kind != "CNOT":
             continue
         a, b = g1.qubits
-        # Find the next gate touching {a, b}; it must be CNOT(b, c).
-        j = i + 1
-        g2 = None
-        while j < n:
-            h = gates[j]
-            if h is None or not (h.support() & {a, b}):
-                j += 1
-                continue
-            g2 = h
-            break
-        if g2 is None or g2.kind != "CNOT" or g2.qubits[0] != b or g2.qubits[1] == a:
+        # The next gate touching {a, b} must be CNOT(b, c).
+        after_a = nxt[3 * i]
+        m = min(after_a, nxt[3 * i + 1])
+        if m >= end:
             continue
-        c = g2.qubits[1]
+        j = m // 3
+        g2 = gates[j]
+        if g2.kind != "CNOT" or g2.qubits[0] != b or g2.qubits[1] == a:
+            continue
         # Separators between g1 and g2 must avoid wire c as well.
-        if any(gates[t] is not None and c in gates[t].support()
-               for t in range(i + 1, j)):
+        c_slot = 3 * j + 1
+        if prv[c_slot] > 3 * i:
             continue
-        # Find the next gate touching {a, b, c}; it must repeat CNOT(a, b).
-        k = j + 1
-        g3 = None
-        while k < n:
-            h = gates[k]
-            if h is None or not (h.support() & {a, b, c}):
-                k += 1
-                continue
-            g3 = h
-            break
-        if g3 is None or g3.kind != "CNOT" or g3.qubits != (a, b):
+        # The next gate touching {a, b, c} must repeat CNOT(a, b).
+        m = min(after_a, nxt[3 * j], nxt[c_slot])
+        if m >= end:
             continue
-        gates[i] = Gate("CNOT", (a, c))
-        gates[j] = Gate("CNOT", (b, c))
-        gates[k] = None
+        k = m // 3
+        if gates[k].kind != "CNOT" or gates[k].qubits != (a, b):
+            continue
+        _drop(gates, nxt, prv, k)
+        gates[i] = Gate("CNOT", (a, g2.qubits[1]))
+        # Gate i's second slot moves from wire b to wire c, just before g2.
+        moved = 3 * i + 1
+        _unlink(nxt, prv, moved)
+        p = prv[c_slot]
+        prv[moved], nxt[moved] = p, c_slot
+        prv[c_slot] = moved
+        if p >= 0:
+            nxt[p] = moved
         changed = True
     return changed
 
@@ -233,19 +285,19 @@ def optimize(c: Circuit, config: PassConfig | None = None) -> Circuit:
     """Run the configured passes to a fixed point; never grows the circuit."""
     cfg = config or PassConfig()
     gates: list[Gate | None] = list(c.gates)
+    nxt, prv = _wire_chains(gates)
     phase = c.global_phase
     for _ in range(cfg.max_sweeps):
         changed = False
         for name in cfg.passes:
             if name == "cancel_inverse_pairs":
-                changed |= _pass_cancel(gates)
+                changed |= _pass_cancel(gates, nxt, prv)
             elif name == "merge_rotations":
-                did, dphase = _pass_merge(gates, cfg.angle_eps)
+                did, dphase = _pass_merge(gates, nxt, prv, cfg.angle_eps)
                 changed |= did
                 phase += dphase
             elif name == "cnot_triple_rewrite":
-                changed |= _pass_cnot_triple(gates)
-            gates = [g for g in gates if g is not None]
+                changed |= _pass_cnot_triple(gates, nxt, prv)
         if not changed:
             break
     return Circuit(c.n_qubits, [g for g in gates if g is not None], phase)

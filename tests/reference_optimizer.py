@@ -1,0 +1,211 @@
+"""The peephole optimizer as it was before the per-wire index: a test oracle.
+
+This is a verbatim copy of the earlier ``qudenc.optimizer`` pass logic: the
+commutation predicate and its helpers, the three passes, and the sweep
+loop.  Each pass scans the whole gate list forward from every candidate
+and the list is compacted after every pass.  ``qudenc.optimizer.optimize``
+must return exactly the same gates and global phase;
+tests/test_optimizer_reference.py checks that.  Do not edit this file to
+follow later optimizer changes: it is the reference they are held to.
+"""
+
+from __future__ import annotations
+
+import math
+
+from qudenc.circuits import Circuit, Gate
+from qudenc.optimizer import PassConfig
+
+_DIAGONAL_1Q = frozenset(("Rz", "T", "Tdg", "S", "Sdg"))
+_SELF_INVERSE = frozenset(("X", "H", "BasisY", "CNOT", "SWAP", "CSWAP"))
+_INVERSE_PAIRS = {("T", "Tdg"), ("Tdg", "T"), ("S", "Sdg"), ("Sdg", "S")}
+ANGLE_EPS = 1e-12
+TWO_PI = 2.0 * math.pi
+
+
+def commutes(a: Gate, b: Gate) -> bool:
+    """Conservative: True only when commutation is provable."""
+    sa, sb = a.support(), b.support()
+    if not (sa & sb):
+        return True
+    if a.kind == b.kind and a.angle == b.angle and _same_action(a, b):
+        return True
+    # Order-insensitive pairwise cases.
+    for g1, g2 in ((a, b), (b, a)):
+        if g1.kind in _DIAGONAL_1Q and g2.kind in _DIAGONAL_1Q:
+            return True
+        if g1.kind in _DIAGONAL_1Q and g2.kind in ("CNOT", "CSWAP"):
+            if g1.qubits[0] == g2.qubits[0]:
+                return True  # diagonal on the control wire
+            if g2.kind == "CNOT" and g1.qubits[0] == g2.qubits[1]:
+                return False  # on the target: anticommuting case
+            return False
+        if g1.kind == "X" and g2.kind == "CNOT":
+            return g1.qubits[0] == g2.qubits[1]  # X slides over a target
+    if a.kind == "CNOT" and b.kind == "CNOT":
+        shared_control = a.qubits[0] == b.qubits[0]
+        shared_target = a.qubits[1] == b.qubits[1]
+        if shared_control and not shared_target:
+            return a.qubits[1] != b.qubits[0] and b.qubits[1] != a.qubits[0]
+        if shared_target and not shared_control:
+            return True
+        return shared_control and shared_target
+    if a.kind == "CSWAP" and b.kind == "CSWAP":
+        if a.qubits[0] == b.qubits[0]:
+            return not (set(a.qubits[1:]) & set(b.qubits[1:]))
+        return False
+    if {a.kind, b.kind} == {"CNOT", "CSWAP"}:
+        cn, cs = (a, b) if a.kind == "CNOT" else (b, a)
+        # CNOT controlled by the CSWAP's control, acting off its swap pair.
+        return cn.qubits[0] == cs.qubits[0] and cn.qubits[1] not in cs.qubits[1:]
+    return False
+
+
+def _same_action(a: Gate, b: Gate) -> bool:
+    """Same gate up to argument-order symmetry (SWAP pair, CSWAP pair)."""
+    if a.kind != b.kind:
+        return False
+    if a.kind == "SWAP":
+        return set(a.qubits) == set(b.qubits)
+    if a.kind == "CSWAP":
+        return a.qubits[0] == b.qubits[0] and set(a.qubits[1:]) == set(b.qubits[1:])
+    return a.qubits == b.qubits
+
+
+def _is_inverse_pair(a: Gate, b: Gate) -> bool:
+    if a.kind in _SELF_INVERSE and _same_action(a, b):
+        return True
+    if (a.kind, b.kind) in _INVERSE_PAIRS and a.qubits == b.qubits:
+        return True
+    return False
+
+
+def _pass_cancel(gates: list[Gate | None]) -> bool:
+    changed = False
+    n = len(gates)
+    for i in range(n):
+        g = gates[i]
+        if g is None or g.kind == "Rz":
+            continue
+        j = i + 1
+        while j < n:
+            h = gates[j]
+            if h is None:
+                j += 1
+                continue
+            if _is_inverse_pair(g, h):
+                gates[i] = gates[j] = None
+                changed = True
+                break
+            if commutes(g, h):
+                j += 1
+                continue
+            break
+    return changed
+
+
+def _normalized_angle(angle: float) -> float:
+    """Reduce modulo 4pi (the period of Rz) into [0, 4pi)."""
+    return angle % (2.0 * TWO_PI)
+
+
+def _pass_merge(gates: list[Gate | None], eps: float) -> tuple[bool, float]:
+    changed = False
+    phase = 0.0
+    n = len(gates)
+    for i in range(n):
+        g = gates[i]
+        if g is None or g.kind != "Rz":
+            continue
+        j = i + 1
+        while j < n:
+            h = gates[j]
+            if h is None:
+                j += 1
+                continue
+            if h.kind == "Rz" and h.qubits == g.qubits:
+                g = Gate("Rz", g.qubits, g.angle + h.angle)
+                gates[i] = g
+                gates[j] = None
+                changed = True
+                j += 1
+                continue
+            if commutes(g, h):
+                j += 1
+                continue
+            break
+        r = _normalized_angle(g.angle)
+        if min(r, 2.0 * TWO_PI - r) < eps:
+            gates[i] = None
+            changed = True
+        elif abs(r - TWO_PI) < eps:
+            gates[i] = None
+            phase += math.pi  # Rz(2pi) = -I = e^{i pi} I
+            changed = True
+    return changed, phase
+
+
+def _pass_cnot_triple(gates: list[Gate | None]) -> bool:
+    changed = False
+    n = len(gates)
+    for i in range(n):
+        g1 = gates[i]
+        if g1 is None or g1.kind != "CNOT":
+            continue
+        a, b = g1.qubits
+        # Find the next gate touching {a, b}; it must be CNOT(b, c).
+        j = i + 1
+        g2 = None
+        while j < n:
+            h = gates[j]
+            if h is None or not (h.support() & {a, b}):
+                j += 1
+                continue
+            g2 = h
+            break
+        if g2 is None or g2.kind != "CNOT" or g2.qubits[0] != b or g2.qubits[1] == a:
+            continue
+        c = g2.qubits[1]
+        # Separators between g1 and g2 must avoid wire c as well.
+        if any(gates[t] is not None and c in gates[t].support()
+               for t in range(i + 1, j)):
+            continue
+        # Find the next gate touching {a, b, c}; it must repeat CNOT(a, b).
+        k = j + 1
+        g3 = None
+        while k < n:
+            h = gates[k]
+            if h is None or not (h.support() & {a, b, c}):
+                k += 1
+                continue
+            g3 = h
+            break
+        if g3 is None or g3.kind != "CNOT" or g3.qubits != (a, b):
+            continue
+        gates[i] = Gate("CNOT", (a, c))
+        gates[j] = Gate("CNOT", (b, c))
+        gates[k] = None
+        changed = True
+    return changed
+
+
+def optimize(c: Circuit, config: PassConfig | None = None) -> Circuit:
+    """Run the configured passes to a fixed point; never grows the circuit."""
+    cfg = config or PassConfig()
+    gates: list[Gate | None] = list(c.gates)
+    phase = c.global_phase
+    for _ in range(cfg.max_sweeps):
+        changed = False
+        for name in cfg.passes:
+            if name == "cancel_inverse_pairs":
+                changed |= _pass_cancel(gates)
+            elif name == "merge_rotations":
+                did, dphase = _pass_merge(gates, cfg.angle_eps)
+                changed |= did
+                phase += dphase
+            elif name == "cnot_triple_rewrite":
+                changed |= _pass_cnot_triple(gates)
+            gates = [g for g in gates if g is not None]
+        if not changed:
+            break
+    return Circuit(c.n_qubits, [g for g in gates if g is not None], phase)

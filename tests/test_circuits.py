@@ -25,6 +25,10 @@ def test_gate_validation():
         Gate("Q", (0,))
     with pytest.raises(ValueError):
         Circuit(2).add("X", 5)
+    for angle in ("abc", float("nan"), float("inf"), True):
+        with pytest.raises(ValueError):
+            Gate("Rz", (0,), angle=angle)
+    assert Gate("Rz", (0,), angle=2).angle == 2
 
 
 def test_staircase_structure_weight_three():

@@ -176,6 +176,41 @@ def test_missing_circuit_file_is_usage_error(capsys):
     assert code == 2
 
 
+_GOOD_RZ = {"kind": "Rz", "qubits": [0], "angle": 0.5}
+
+
+@pytest.mark.parametrize("circuit", [
+    {"n_qubits": 1, "gates": [{"kind": "Rz", "qubits": [0], "angle": "abc"}]},
+    {"n_qubits": 1, "gates": [{"kind": "Rz", "qubits": [0], "angle": float("nan")}]},
+    {"n_qubits": 1, "gates": [_GOOD_RZ, {"kind": "Rz", "angle": 0.5}]},
+    {"n_qubits": 1, "gates": [{"qubits": [0]}]},
+    {"n_qubits": 1, "gates": [{"kind": "X", "qubits": ["0"]}]},
+    {"n_qubits": 1, "gates": [["X", 0]]},
+    {"n_qubits": 1},
+    {"gates": [_GOOD_RZ]},
+], ids=["string-angle", "nan-angle", "no-qubits", "no-kind", "string-qubit",
+        "gate-not-object", "no-gates", "no-n_qubits"])
+def test_bad_circuit_json_is_usage_error(tmp_path, capsys, circuit):
+    circ_path, out_path = tmp_path / "bad.json", tmp_path / "out.json"
+    circ_path.write_text(json.dumps(circuit))  # NaN is written as the JSON token NaN
+    code, out, err = run(capsys, "optimize", "--circuit", str(circ_path),
+                         "--out", str(out_path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out_path.exists()
+
+
+def test_optimize_max_sweeps(tmp_path, capsys):
+    circ_path = tmp_path / "c.json"
+    circ_path.write_text(json.dumps({"n_qubits": 1, "gates": [_GOOD_RZ, _GOOD_RZ]}))
+    code, _, err = run(capsys, "optimize", "--circuit", str(circ_path),
+                       "--max-sweeps", "0")
+    assert code == 2 and "max_sweeps" in err
+    code, out, _ = run(capsys, "optimize", "--circuit", str(circ_path),
+                       "--max-sweeps", "1")
+    assert code == 0 and "2 -> 1 gates" in out
+
+
 def test_seed_resolution(tmp_path, capsys, monkeypatch):
     def dense_json(argv_extra):
         path = tmp_path / "d.json"

@@ -1,0 +1,167 @@
+"""Differential tests: the per-wire optimizer against the whole-list reference.
+
+reference_optimizer.py keeps the earlier optimizer, which scans the whole
+gate list from every candidate.  The per-wire chains must change only how
+fast the scans run, never what they find: gates and global phase have to
+come out exactly equal, float for float.
+"""
+
+import itertools
+import math
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_optimizer as ref
+from qudenc import models
+from qudenc.circuits import Circuit, Gate, trotter_step
+from qudenc.encoding import BLOCK_UNARY, GRAY, SB, UNARY
+from qudenc.optimizer import PassConfig, commutes, optimize
+from qudenc.qudit_ops import BOSONIC
+
+_KINDS_1Q = ("X", "H", "BasisY", "S", "Sdg", "T", "Tdg")
+_INVERSE_1Q = {"T": "Tdg", "Tdg": "T", "S": "Sdg", "Sdg": "S"}
+# Angles at the edges of the merge rule: Rz(pi) + Rz(pi) = -I, Rz(2pi),
+# and 4pi +- 1e-13, which lands within eps of the period from either side.
+_EDGE_ANGLES = (math.pi, -math.pi, 2 * math.pi, -2 * math.pi,
+                4 * math.pi + 1e-13, 4 * math.pi - 1e-13)
+_CONFIGS = (PassConfig(),
+            PassConfig(passes=("cancel_inverse_pairs",)),
+            PassConfig(passes=("merge_rotations",)),
+            PassConfig(passes=("cnot_triple_rewrite",)),
+            PassConfig(passes=("cnot_triple_rewrite", "merge_rotations",
+                               "cancel_inverse_pairs")),
+            PassConfig(max_sweeps=1))
+
+
+def _assert_same(c: Circuit, config: PassConfig | None = None) -> Circuit:
+    got, want = optimize(c, config), ref.optimize(c, config)
+    assert got.gates == want.gates
+    assert got.global_phase == want.global_phase
+    assert got.n_qubits == want.n_qubits
+    return got
+
+
+def _angle(rng: random.Random) -> float:
+    return rng.choice(_EDGE_ANGLES) if rng.random() < 0.5 else rng.uniform(-7, 7)
+
+
+def _random_circuit(rng: random.Random) -> Circuit:
+    """Random gates plus the shapes the passes look for: SWAP / CSWAP chains,
+    CNOT triples with separators, and mirrored runs that cancel."""
+    n = rng.randint(2, 7)
+    c = Circuit(n)
+
+    def wires(k):
+        return tuple(rng.sample(range(n), k))
+
+    size = rng.randint(4, 40)
+    while len(c.gates) < size:
+        shape = rng.random()
+        if shape < 0.45:
+            kind = rng.choice(_KINDS_1Q + ("Rz", "Rz", "CNOT", "CNOT", "SWAP")
+                              + (("CSWAP",) if n >= 3 else ()))
+            if kind == "Rz":
+                c.gates.append(Gate("Rz", wires(1), _angle(rng)))
+            else:
+                arity = {"CNOT": 2, "SWAP": 2, "CSWAP": 3}.get(kind, 1)
+                c.gates.append(Gate(kind, wires(arity)))
+        elif shape < 0.6:
+            pair = list(wires(2))
+            for _ in range(rng.randint(2, 4)):
+                rng.shuffle(pair)
+                if n >= 3 and rng.random() < 0.5:
+                    ctrl = rng.choice([q for q in range(n) if q not in pair])
+                    c.gates.append(Gate("CSWAP", (ctrl, *pair)))
+                else:
+                    c.gates.append(Gate("SWAP", tuple(pair)))
+        elif shape < 0.75 and n >= 3:
+            a, b, cc = wires(3)
+            c.gates.append(Gate("CNOT", (a, b)))
+            if rng.random() < 0.5:
+                c.gates.append(Gate("Rz", (rng.choice((a, cc)),), _angle(rng)))
+            c.gates.append(Gate("CNOT", (b, cc)))
+            c.gates.append(Gate("CNOT", (a, b)))
+        elif c.gates:
+            for g in reversed(c.gates[-rng.randint(1, 5):]):
+                if g.kind == "Rz":
+                    g = Gate("Rz", g.qubits, -g.angle)
+                c.gates.append(Gate(_INVERSE_1Q.get(g.kind, g.kind), g.qubits, g.angle))
+    return c
+
+
+def test_random_circuits_match_reference():
+    removed = {}
+    for seed in range(600):
+        c = _random_circuit(random.Random(seed))
+        for config in _CONFIGS:
+            out = _assert_same(c, config)
+            removed[config.passes] = removed.get(config.passes, 0) + len(c) - len(out)
+    # every pass fired somewhere, so the comparison is not vacuous
+    assert all(removed[(name,)] > 0 for name in PassConfig().passes)
+
+
+def test_commutes_matches_reference_on_every_gate_pair():
+    # Five wires cover every way two gates of up to three qubits can overlap.
+    n = 5
+    gates = [Gate(k, (q,)) for k in _KINDS_1Q for q in range(n)]
+    gates += [Gate("Rz", (q,), angle) for q in range(n) for angle in (0.3, -0.3)]
+    gates += [Gate(k, p) for k in ("CNOT", "SWAP")
+              for p in itertools.permutations(range(n), 2)]
+    gates += [Gate("CSWAP", p) for p in itertools.permutations(range(n), 3)]
+    for a in gates:
+        for b in gates:
+            assert commutes(a, b) == ref.commutes(a, b), (a, b)
+
+
+_PRICED_MODELS = (
+    [models.ModelSpec(models.BOSE_HUBBARD, N=2, d=d) for d in (6, 8, 12)]
+    + [models.ModelSpec(models.HEISENBERG, N=2, s=s) for s in (1.5, 3.5)]
+    + [models.ModelSpec(models.SHIFTED_QHO, d=16)])
+
+
+def _pricing_circuits(spec: models.ModelSpec):
+    """The Trotter circuit pricing builds for each distinct term, under all
+    four codes, plus the augmented cutoff that pricing tries for SB / Gray."""
+    d = spec.site_dim
+    seen = set()
+    for term in models.build_model(spec):
+        if abs(term.coefficient) < models.COEFF_ZERO_TOL:
+            continue  # priced at 0 without building a circuit
+        for kind in (SB, GRAY, UNARY, BLOCK_UNARY):
+            augments = (False, True) if (kind in (SB, GRAY) and spec.family == BOSONIC
+                                         and d & (d - 1)) else (False,)
+            for augment in augments:
+                key = models._term_cache_key(term, kind, 3, augment)
+                if key not in seen:
+                    seen.add(key)
+                    h = models.encode_term(term, kind, augment=augment)
+                    yield trotter_step(h, models.PRICING_THETA)
+
+
+@pytest.mark.parametrize("spec", _PRICED_MODELS,
+                         ids=lambda s: f"{s.model}-{s.site_dim}")
+def test_pricing_circuits_match_reference(spec):
+    circuits = list(_pricing_circuits(spec))
+    assert circuits
+    for c in circuits:
+        _assert_same(c)
+
+
+_qubit_lists = st.lists(st.integers(0, 5), min_size=3, max_size=3, unique=True)
+_gates = st.one_of(
+    st.builds(lambda k, q: Gate(k, tuple(q[:1])), st.sampled_from(_KINDS_1Q), _qubit_lists),
+    st.builds(lambda a, q: Gate("Rz", tuple(q[:1]), a),
+              st.one_of(st.sampled_from(_EDGE_ANGLES),
+                        st.floats(-20, 20, allow_nan=False)), _qubit_lists),
+    st.builds(lambda k, q: Gate(k, tuple(q[:2])), st.sampled_from(("CNOT", "SWAP")),
+              _qubit_lists),
+    st.builds(lambda q: Gate("CSWAP", tuple(q)), _qubit_lists))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_gates, max_size=30))
+def test_property_optimize_matches_reference(gates):
+    _assert_same(Circuit(6, gates))
