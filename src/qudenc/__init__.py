@@ -20,7 +20,7 @@ from .encoder import (DBDFit, EncodedOperator, augment_truncation, detect_dbd,
 from .circuits import (Circuit, Gate, ResourceReport, count_resources,
                        export_circuit, import_circuit, trotter_step,
                        trotter_term)
-from .optimizer import PassConfig, commute_window, commutes, optimize
+from .optimizer import PassConfig, commutes, optimize
 from .converters import (conversion_circuit, conversion_cost,
                          gray_to_sb_circuit, sb_to_bu_circuit,
                          sb_to_gray_circuit, sb_to_unary_circuit,

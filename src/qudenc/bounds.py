@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .encoding import BLOCK_UNARY, GRAY, SB, UNARY, EncodingSpec
+from .encoding import BLOCK_UNARY, GRAY, SB, UNARY, EncodingSpec, ceil_log2
 from .paulis import PauliSum, weight
 
 SPARSITY_PATTERNS = ("pair", "tridiagonal", "dense")
@@ -100,7 +100,7 @@ def dense_cnot_upper_bound(d: int) -> int:
     """String-population bound for a dense Hermitian operator, d = 2^K."""
     if d < 2 or d & (d - 1):
         raise ValueError("the dense bound assumes d is a power of two")
-    K = d.bit_length() - 1
+    K = ceil_log2(d)
     return ((1 << (2 * K)) * (3 * K - 4)) // 2 + 2
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .paulis import PauliString, PauliSum, string_key
 
@@ -36,6 +36,11 @@ GATE_ARITY = {
 }
 ENTANGLING_KINDS = ("CNOT", "SWAP", "CSWAP")
 REAL_COEFF_TOL = 1e-12
+
+
+def _is_finite_real(x) -> bool:
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
 
 
 @dataclass(frozen=True)
@@ -62,10 +67,7 @@ class Gate:
             raise ValueError(f"negative qubit index in {self.qubits}")
         if (self.kind == "Rz") != (self.angle is not None):
             raise ValueError("angle is required for Rz and forbidden otherwise")
-        if self.angle is not None and (
-                isinstance(self.angle, bool)
-                or not isinstance(self.angle, (int, float))
-                or not math.isfinite(self.angle)):
+        if self.angle is not None and not _is_finite_real(self.angle):
             raise ValueError(f"Rz angle must be a finite real number, got {self.angle!r}")
 
     def support(self) -> frozenset[int]:
@@ -210,12 +212,7 @@ class ResourceReport:
     total_gates: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_qubits": self.n_qubits,
-            "counts": dict(self.counts),
-            "entangling_total": self.entangling_total,
-            "total_gates": self.total_gates,
-        }
+        return asdict(self)
 
 
 def _expand_clifford_t(gates: list[Gate]) -> list[Gate]:
@@ -263,7 +260,10 @@ def _circuit_to_dict(c: Circuit) -> dict:
 def _circuit_from_dict(d: dict) -> Circuit:
     if not (isinstance(d.get("n_qubits"), int) and isinstance(d.get("gates"), list)):
         raise ValueError("circuit JSON needs an integer 'n_qubits' and a 'gates' list")
-    c = Circuit(d["n_qubits"], [], float(d.get("global_phase", 0.0)))
+    phase = d.get("global_phase", 0.0)
+    if not _is_finite_real(phase):
+        raise ValueError(f"circuit JSON 'global_phase' must be a finite number, got {phase!r}")
+    c = Circuit(d["n_qubits"], [], float(phase))
     for pos, item in enumerate(d["gates"]):
         if not (isinstance(item, dict) and "kind" in item
                 and isinstance(item.get("qubits"), list)
@@ -344,7 +344,9 @@ def import_qasm(text: str) -> Circuit:
             raise ValueError("gate before qreg declaration")
         qubits = [int(x) for x in _QASM_ARG.findall(args)]
         if name == "rz":
-            circ.add("Rz", qubits[0], angle=float(param))
+            if param is None:
+                raise ValueError(f"rz needs an angle: {line!r}")
+            circ.add("Rz", *qubits, angle=float(param))
         elif name in _QASM_KINDS:
             circ.add(_QASM_KINDS[name], *qubits)
         else:

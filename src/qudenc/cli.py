@@ -31,16 +31,15 @@ from .optimizer import PassConfig, optimize
 from .paulis import PauliSum, string_to_text, weight
 from .qudit_ops import BOSONIC_NAMES, bosonic, dense_hermitian_test_matrix, \
     spin, tridiag_test_matrix
-from .simulator import circuit_to_unitary, matrix_exponential, pauli_to_matrix, \
-    unitary_distance
+from .simulator import circuit_to_unitary, unitary_distance
 
 _ENC_CHOICES = {"sb": SB, "gray": GRAY, "unary": UNARY, "bu": BLOCK_UNARY,
                 "block_unary": BLOCK_UNARY}
 _OP_CHOICES = tuple(BOSONIC_NAMES) + ("sx", "sy", "sz", "dense", "tridiag")
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """Bad command-line input; exits 2 like every other ValueError."""
 
 
 def fmt(x) -> str:
@@ -103,7 +102,10 @@ def _parse_value_list(text: str, cast=int) -> list:
     """'4..16' inclusive range, '4,8,16' list, or a single value."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        values = list(range(int(lo), int(hi) + 1))
+        if not values:
+            raise UsageError(f"empty range {text!r}")
+        return values
     if "," in text:
         return [cast(v) for v in text.split(",")]
     return [cast(text)]
@@ -264,6 +266,8 @@ def _cmd_report(args) -> int:
     if args.config:
         with open(args.config) as fh:
             config = json.load(fh)
+        if not isinstance(config, dict):
+            raise UsageError(f"--config {args.config} must hold a JSON object")
     seed = _resolve_seed(args, config)
     params = {k: v for k, v in config.items() if k != "seed"}
     if model == models.HEISENBERG:
@@ -435,9 +439,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

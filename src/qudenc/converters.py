@@ -35,7 +35,7 @@ address, uncomputed through an OR).  Wire layout: 8 code wires (blocks at
 from __future__ import annotations
 
 from .circuits import Circuit, Gate, ResourceReport, count_resources, toffoli_via_cswap
-from .encoding import BLOCK_UNARY, GRAY, SB, UNARY, EncodingSpec, encode
+from .encoding import MAX_D, ceil_log2
 
 SB_TO_GRAY = "sb2gray"
 GRAY_TO_SB = "gray2sb"
@@ -45,15 +45,11 @@ SB_TO_BU = "sb2bu"
 CONVERSION_KINDS = (SB_TO_GRAY, GRAY_TO_SB, SB_TO_UNARY, UNARY_TO_SB, SB_TO_BU)
 
 
-def _ceil_log2(d: int) -> int:
-    return (d - 1).bit_length()
-
-
 # ---------------------------------------------------------------------------
 # SB <-> Gray
 
 def sb_to_gray_circuit(d: int) -> Circuit:
-    K = max(1, _ceil_log2(d))
+    K = max(1, ceil_log2(d))
     c = Circuit(K)
     for i in range(K - 1):
         c.add("CNOT", i + 1, i)
@@ -61,7 +57,7 @@ def sb_to_gray_circuit(d: int) -> Circuit:
 
 
 def gray_to_sb_circuit(d: int) -> Circuit:
-    K = max(1, _ceil_log2(d))
+    K = max(1, ceil_log2(d))
     c = Circuit(K)
     for i in range(K - 2, -1, -1):
         c.add("CNOT", i + 1, i)
@@ -80,7 +76,7 @@ def sb_to_unary_circuit(d: int, include_layout: bool = True) -> Circuit:
     """
     if d < 2:
         raise ValueError("need d >= 2")
-    K = _ceil_log2(d)
+    K = ceil_log2(d)
     c = Circuit(d)
     if include_layout:
         for b in range(K - 1, -1, -1):
@@ -258,32 +254,30 @@ def sb_to_bu_circuit() -> Circuit:
 # ---------------------------------------------------------------------------
 # cost summaries
 
-def conversion_cost(kind: str, d: int, decompose: str = "none") -> ResourceReport:
-    """Closed-form (layout-free) gate counts for a conversion circuit."""
-    if kind in (SB_TO_GRAY, GRAY_TO_SB):
-        circ = sb_to_gray_circuit(d)
-        return count_resources(circ, decompose)
-    if kind in (SB_TO_UNARY, UNARY_TO_SB):
-        circ = sb_to_unary_circuit(d, include_layout=False)
-        return count_resources(circ, decompose)
-    if kind == SB_TO_BU:
-        if d != BU_SHOWCASE_D:
-            raise ValueError(f"the block-unary conversion is built for d = {BU_SHOWCASE_D}")
-        return count_resources(sb_to_bu_circuit(), decompose)
-    raise ValueError(f"unknown conversion kind {kind!r}; choose from {CONVERSION_KINDS}")
-
-
-def conversion_circuit(kind: str, d: int) -> Circuit:
+def _build(kind: str, d: int, include_layout: bool) -> Circuit:
+    """The one kind -> circuit dispatch behind conversion_cost and
+    conversion_circuit; checks d once for every kind."""
+    if kind not in CONVERSION_KINDS:
+        raise ValueError(f"unknown conversion kind {kind!r}; choose from {CONVERSION_KINDS}")
+    if not 2 <= d <= MAX_D:
+        raise ValueError(f"d must be in [2, {MAX_D}], got {d}")
     if kind == SB_TO_GRAY:
         return sb_to_gray_circuit(d)
     if kind == GRAY_TO_SB:
         return gray_to_sb_circuit(d)
     if kind == SB_TO_UNARY:
-        return sb_to_unary_circuit(d)
+        return sb_to_unary_circuit(d, include_layout)
     if kind == UNARY_TO_SB:
-        return unary_to_sb_circuit(d)
-    if kind == SB_TO_BU:
-        if d != BU_SHOWCASE_D:
-            raise ValueError(f"the block-unary conversion is built for d = {BU_SHOWCASE_D}")
-        return sb_to_bu_circuit()
-    raise ValueError(f"unknown conversion kind {kind!r}; choose from {CONVERSION_KINDS}")
+        return unary_to_sb_circuit(d, include_layout)
+    if d != BU_SHOWCASE_D:
+        raise ValueError(f"the block-unary conversion is built for d = {BU_SHOWCASE_D}")
+    return sb_to_bu_circuit()
+
+
+def conversion_cost(kind: str, d: int, decompose: str = "none") -> ResourceReport:
+    """Closed-form (layout-free) gate counts for a conversion circuit."""
+    return count_resources(_build(kind, d, include_layout=False), decompose)
+
+
+def conversion_circuit(kind: str, d: int) -> Circuit:
+    return _build(kind, d, include_layout=True)

@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import EncodingSpec, bitmask_subset, encode
+from .encoding import EncodingSpec, bitmask_subset, ceil_log2, encode
 from .paulis import PauliSum
-from .qudit_ops import BOSONIC, SPIN, QuditMatrix, as_matrix, bosonic
+from .qudit_ops import BOSONIC, BOSONIC_NAMES, SPIN, QuditMatrix, as_matrix, bosonic
 from . import encoding as enc_mod
 
 ZERO_ENTRY_TOL = 1e-14
@@ -84,11 +84,7 @@ def encode_element(spec: EncodingSpec, l: int, lp: int, coeff: complex = 1.0) ->
 
 def encode_hermitian_pair(spec: EncodingSpec, l: int, lp: int, coeff: complex = 1.0) -> PauliSum:
     """Pauli sum for coeff * |l><l'| + h.c."""
-    s = encode_element(spec, l, lp, coeff)
-    if l != lp:
-        s = s + encode_element(spec, lp, l, np.conj(coeff))
-    else:
-        s = s + encode_element(spec, l, l, np.conj(coeff))
+    s = encode_element(spec, l, lp, coeff) + encode_element(spec, lp, l, np.conj(coeff))
     return s.simplify()
 
 
@@ -144,7 +140,7 @@ def detect_dbd(A, tol: float = DBD_FIT_TOL) -> DBDFit | None:
     if np.max(np.abs(diag.imag)) > ZERO_ENTRY_TOL:
         return None
     diag = diag.real
-    K = (d - 1).bit_length()
+    K = ceil_log2(d)
     design = np.array([[1.0] + [(l >> i) & 1 for i in range(K)] for l in range(d)])
     coeffs, *_ = np.linalg.lstsq(design, diag, rcond=None)
     residual = design @ coeffs - diag
@@ -153,22 +149,27 @@ def detect_dbd(A, tol: float = DBD_FIT_TOL) -> DBDFit | None:
     return DBDFit(offset=float(coeffs[0]), k=tuple(float(c) for c in coeffs[1:]))
 
 
-def augment_truncation(A: QuditMatrix, kind: str | None = None) -> QuditMatrix:
+def can_augment(A) -> bool:
+    """Whether augment_truncation can rebuild A: a QuditMatrix of the bosonic
+    family whose name is one of the named bosonic operators."""
+    return (isinstance(A, QuditMatrix) and A.family == BOSONIC
+            and A.name in BOSONIC_NAMES)
+
+
+def augment_truncation(A: QuditMatrix) -> QuditMatrix:
     """Rebuild a named bosonic operator at the next power-of-two cutoff.
 
-    ``kind`` overrides the matrix's own family tag; spin operators are
-    refused because their level count is physical, not a truncation choice.
+    Spin operators are refused because their level count is physical, not
+    a truncation choice.
     """
     if not isinstance(A, QuditMatrix):
         raise TypeError("augment_truncation needs a QuditMatrix with provenance")
-    family = kind if kind is not None else A.family
-    if family == SPIN:
+    if A.family == SPIN:
         raise ValueError("cannot augment a spin operator: d = 2s+1 is physical "
                          "and extra levels would leak")
-    if family != BOSONIC:
-        raise ValueError(f"cannot rebuild operator of family {family!r} at a new cutoff")
-    d = A.d
-    d_aug = 1 << (d - 1).bit_length()
-    if d_aug == d:
+    if A.family != BOSONIC:
+        raise ValueError(f"cannot rebuild operator of family {A.family!r} at a new cutoff")
+    d_aug = 1 << ceil_log2(A.d)
+    if d_aug == A.d:
         return A
     return bosonic(d_aug, A.name)

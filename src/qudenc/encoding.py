@@ -79,7 +79,8 @@ class EncodingSpec:
         return f"{self.kind}(d={self.d})"
 
 
-def _ceil_log2(d: int) -> int:
+def ceil_log2(d: int) -> int:
+    """ceil(log2 d) for d >= 1: the register width K of a compact code."""
     return (d - 1).bit_length()
 
 
@@ -87,7 +88,7 @@ def num_qubits(spec: EncodingSpec) -> int:
     """Qubit count N_q of the code: ceil(log2 d) for SB/Gray, d for unary,
     ceil(d/g) * ceil(log2(g+1)) for block unary."""
     if spec.kind in (SB, GRAY):
-        return _ceil_log2(spec.d)
+        return ceil_log2(spec.d)
     if spec.kind == UNARY:
         return spec.d
     blocks = -(-spec.d // spec.g)

@@ -22,9 +22,15 @@ Five composite schemes are compared:
 
 Bosonic matrices may be rebuilt at the next power-of-two cutoff before
 compact encoding when that lowers the count (diagonals then become
-affine in the bits and lose all entangling gates); spins are never
-augmented.  Ties prefer the lower-qubit, conversion-free choice
-(SB, then Gray, then unary).
+affine in the bits and lose all entangling gates).  A term is tried
+augmented only when every matrix in it passes ``encoder.can_augment``
+(a named bosonic operator); spins and unnamed matrices such as the
+identity are priced as they are.  Ties prefer the lower-qubit,
+conversion-free choice (SB, then Gray, then unary).
+
+The boson-sampling circuit layer reuses the same path: each gate is one
+model term, encoded by ``encode_term`` and synthesized by
+``trotter_step``.
 
 Scenario labels follow the classification: A when a single compact code is
 optimal, B when mixing SB and Gray wins, C when unary wins and compacting
@@ -34,15 +40,15 @@ compacting is not worthwhile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .circuits import count_resources, trotter_step
+from .circuits import Circuit, count_resources, trotter_step
 from .converters import SB_TO_UNARY, conversion_cost
 from .encoding import GRAY, SB, UNARY, EncodingSpec, num_qubits
-from .encoder import augment_truncation, encode_matrix, matrix_digest
-from .optimizer import PassConfig, optimize
+from .encoder import augment_truncation, can_augment, encode_matrix, matrix_digest
+from .optimizer import optimize
 from .paulis import PauliSum
 from .qudit_ops import BOSONIC, SPIN, QuditMatrix, bosonic, spin
 
@@ -351,15 +357,15 @@ def term_entangling_cost(term: LocalTerm, kind: str, g: int = 3,
     return cost
 
 
-def _priced(term: LocalTerm, kind: str, family: str, d: int) -> int:
-    """Best cost under one encoding, trying bosonic augmentation for
-    compact codes when the cutoff is not a power of two."""
+def _priced(term: LocalTerm, kind: str, d: int) -> int:
+    """Best cost under one encoding.  For compact codes at a cutoff that is
+    not a power of two, the augmented term is priced too when every matrix
+    in it passes can_augment (named bosonic operators; spins and the
+    shifted-oscillator identity, for two, do not)."""
     base = term_entangling_cost(term, kind)
-    if (kind in (SB, GRAY) and family == BOSONIC and d & (d - 1)):
-        try:
-            base = min(base, term_entangling_cost(term, kind, augment=True))
-        except (ValueError, TypeError):
-            pass  # unnamed matrices cannot be rebuilt at a new cutoff
+    if (kind in (SB, GRAY) and d & (d - 1)
+            and all(can_augment(m) for product in term.factors for m in product)):
+        base = min(base, term_entangling_cost(term, kind, augment=True))
     return base
 
 
@@ -379,17 +385,7 @@ class SchemeReport:
     scenario: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "d_or_s": self.d_or_s,
-            "N": self.N,
-            "counts": dict(self.counts),
-            "ratios": dict(self.ratios),
-            "conversions": dict(self.conversions),
-            "qubits_per_particle": dict(self.qubits_per_particle),
-            "improvements": dict(self.improvements),
-            "scenario": self.scenario,
-        }
+        return asdict(self)
 
 
 _SCENARIO_PRIORITY = ("sb_only", "gray_only", "sb_and_gray", "unary_only",
@@ -416,15 +412,13 @@ def classify_scenario(counts: dict) -> str:
 
 def compute_scheme_report(spec: ModelSpec) -> SchemeReport:
     terms = build_model(spec)
-    family = spec.family
     d = spec.site_dim
-    K = max(1, (d - 1).bit_length())
-    sb_gray_conv = 2 * max(0, K - 1)
+    K = num_qubits(EncodingSpec(SB, d))
+    sb_gray_conv = 2 * (K - 1)
     unary_conv = 2 * conversion_cost(SB_TO_UNARY, d, "clifford_t").counts.get("CNOT", 0)
 
-    cost = {kind: [ _priced(t, kind, family, d) if kind != UNARY
-                    else term_entangling_cost(t, UNARY)
-                    for t in terms] for kind in (SB, GRAY, UNARY)}
+    cost = {kind: [_priced(t, kind, d) for t in terms]
+            for kind in (SB, GRAY, UNARY)}
 
     def particle_families(choice: list[str]) -> dict[int, set]:
         used: dict[int, set] = {}
@@ -474,9 +468,10 @@ def compute_scheme_report(spec: ModelSpec) -> SchemeReport:
     conversions = {"sb_only": 0, "gray_only": 0, "unary_only": 0,
                    "sb_and_gray": conv_iv, "all_with_compacting": conv_v}
     any_unary_v = any(UNARY in fams for fams in fams_v.values())
-    qubits = {"sb_only": K, "gray_only": K, "unary_only": d,
+    unary_width = num_qubits(EncodingSpec(UNARY, d))
+    qubits = {"sb_only": K, "gray_only": K, "unary_only": unary_width,
               "sb_and_gray": K,
-              "all_with_compacting": d if any_unary_v else K}
+              "all_with_compacting": unary_width if any_unary_v else K}
     improvements = {
         "sb_and_gray": counts["sb_and_gray"] < min(counts["sb_only"],
                                                    counts["gray_only"]),
@@ -499,30 +494,23 @@ def compute_scheme_report(spec: ModelSpec) -> SchemeReport:
 # ---------------------------------------------------------------------------
 # boson-sampling circuit layer
 
-def boson_sampling_circuit(spec: ModelSpec, kind: str, g: int = 3):
-    """Concatenated single-Trotter-factor circuits, one per listed gate."""
+def boson_sampling_circuit(spec: ModelSpec, kind: str, g: int = 3) -> Circuit:
+    """Concatenated single-Trotter-factor circuits, one per listed gate.
+
+    Each gate's term is encoded by encode_term with unit coefficient and
+    synthesized at theta = the gate angle, so a zero-angle gate keeps its
+    gates; local qubit q of the term then sits on mode sites[q // nq].
+    """
     if spec.model != BOSON_SAMPLING:
         raise ValueError("needs a boson_sampling ModelSpec")
-    from .circuits import Circuit
-    terms = build_model(spec)
-    enc = EncodingSpec(kind, spec.d, g=g)
-    nq = num_qubits(enc)
-    total = spec.N * nq
-    circ = Circuit(total)
-    a_sum = encode_matrix(enc, bosonic(spec.d, "a")).sum
-    adag_sum = encode_matrix(enc, bosonic(spec.d, "adag")).sum
-    n_sum = encode_matrix(enc, bosonic(spec.d, "n")).sum
-    for term in terms:
-        theta = term.coefficient
-        if term.label.startswith("phase_shifter"):
-            h = n_sum.tensor_shift(term.sites[0] * nq, total)
-        else:
-            i, j = term.sites
-            h = (adag_sum.tensor_shift(i * nq, total)
-                 .multiply(a_sum.tensor_shift(j * nq, total))
-                 + a_sum.tensor_shift(i * nq, total)
-                 .multiply(adag_sum.tensor_shift(j * nq, total))).simplify()
-        step = trotter_step(h, theta)
+    nq = num_qubits(EncodingSpec(kind, spec.d, g=g))
+    circ = Circuit(spec.N * nq)
+    for term in build_model(spec):
+        local = encode_term(replace(term, coefficient=1.0), kind, g=g)
+        h = PauliSum(circ.n_qubits, {
+            tuple(sorted((term.sites[q // nq] * nq + q % nq, p) for q, p in s)): c
+            for s, c in local.terms.items()})
+        step = trotter_step(h, term.coefficient)
         circ.gates.extend(step.gates)
         circ.global_phase += step.global_phase
     return circ

@@ -119,19 +119,6 @@ def _is_inverse_pair(a: Gate, b: Gate) -> bool:
     return _same_action(a, b) if a.kind == b.kind else a.qubits == b.qubits
 
 
-def commute_window(c: Circuit, index: int) -> tuple[int, int]:
-    """[lo, hi] span of positions gate `index` can be moved to by swapping
-    with provably commuting neighbours."""
-    g = c.gates[index]
-    lo = index
-    while lo > 0 and commutes(g, c.gates[lo - 1]):
-        lo -= 1
-    hi = index
-    while hi + 1 < len(c.gates) and commutes(g, c.gates[hi + 1]):
-        hi += 1
-    return lo, hi
-
-
 def _wire_chains(gates: list[Gate]) -> tuple[array, array]:
     """Doubly linked per-wire chains over fixed gate positions.
 

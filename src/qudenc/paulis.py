@@ -142,10 +142,6 @@ class PauliSum:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def zero(cls, n_qubits: int) -> "PauliSum":
-        return cls(n_qubits)
-
-    @classmethod
     def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "PauliSum":
         return cls(n_qubits, {(): coeff})
 
@@ -263,24 +259,17 @@ class PauliSum:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "PauliSum":
-        out = cls(int(data["n_qubits"]))
-        for entry in data["terms"]:
-            s = text_to_string(entry["pauli"])
-            out._accumulate(s, complex(entry.get("re", 0.0), entry.get("im", 0.0)))
+        if not (isinstance(data, Mapping) and isinstance(data.get("n_qubits"), int)
+                and isinstance(data.get("terms"), list)):
+            raise ValueError("Pauli-sum JSON needs an integer 'n_qubits' and a 'terms' list")
+        out = cls(data["n_qubits"])
+        for pos, entry in enumerate(data["terms"]):
+            if not (isinstance(entry, Mapping) and isinstance(entry.get("pauli"), str)
+                    and all(isinstance(entry.get(k, 0.0), (int, float))
+                            for k in ("re", "im"))):
+                raise ValueError(f"term {pos} of Pauli-sum JSON needs a 'pauli' "
+                                 "string and numeric 're' / 'im'")
+            out._accumulate(text_to_string(entry["pauli"]),
+                            complex(entry.get("re", 0.0), entry.get("im", 0.0)))
         return out
 
-
-def simplify(s: PauliSum, eps: float = PRUNE_EPS) -> PauliSum:
-    return s.simplify(eps)
-
-
-def multiply(a: PauliSum, b: PauliSum) -> PauliSum:
-    return a.multiply(b)
-
-
-def tensor_shift(s: PauliSum, offset: int, total: int) -> PauliSum:
-    return s.tensor_shift(offset, total)
-
-
-def is_hermitian(s: PauliSum, eps: float = PRUNE_EPS) -> bool:
-    return s.is_hermitian(eps)

@@ -143,17 +143,6 @@ def matrix_exponential(H, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # verification oracles
 
-def encoded_matrix_element(s: PauliSum, bra_bits, ket_bits) -> complex:
-    """<bra|M|ket> for computational-basis bit tuples, matrix-free."""
-    target = tuple(bra_bits)
-    total = 0.0 + 0.0j
-    for pstring, coeff in s.terms.items():
-        phase, out_bits = act_on_bits(pstring, tuple(ket_bits))
-        if out_bits == target:
-            total += coeff * phase
-    return total
-
-
 def verify_encoding(spec: EncodingSpec, A, s: PauliSum | None = None) -> float:
     """Max abs error of <R(l)|M|R(l')> against A[l, l'], over all l, l'.
 
@@ -195,17 +184,13 @@ def verify_circuit_equivalence(c1: Circuit, c2: Circuit,
                                tol: float = 1e-9) -> bool:
     if c1.n_qubits != c2.n_qubits:
         return False
-    u1 = circuit_to_unitary(c1)
-    u2 = circuit_to_unitary(c2)
-    if up_to_phase:
-        aligned = align_phase(u1, u2)
-        if aligned is None:
-            return False
-        u2 = aligned
-    return bool(np.max(np.abs(u1 - u2)) <= tol)
+    return unitary_distance(circuit_to_unitary(c1), circuit_to_unitary(c2),
+                            up_to_phase) <= tol
 
 
 def unitary_distance(u1: np.ndarray, u2: np.ndarray, up_to_phase: bool = False) -> float:
+    """Max entry-wise distance (inf when no phase aligns them); works on
+    states as well as unitaries."""
     if up_to_phase:
         aligned = align_phase(u1, u2)
         if aligned is None:
@@ -216,9 +201,4 @@ def unitary_distance(u1: np.ndarray, u2: np.ndarray, up_to_phase: bool = False) 
 
 def states_equal(a: np.ndarray, b: np.ndarray,
                  up_to_phase: bool = True, tol: float = 1e-9) -> bool:
-    if up_to_phase:
-        aligned = align_phase(a, b)
-        if aligned is None:
-            return False
-        b = aligned
-    return bool(np.max(np.abs(a - b)) <= tol)
+    return unitary_distance(a, b, up_to_phase) <= tol

@@ -228,3 +228,52 @@ def test_seed_resolution(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SEED", "6")
     assert dense_json(["--seed", "5"]) == explicit5
     assert dense_json([]) != explicit5
+
+
+def _assert_one_line_error(code, err):
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_RZ_CIRCUIT = json.dumps({"n_qubits": 1, "gates": [_GOOD_RZ]})
+
+
+@pytest.mark.parametrize("files, argv", [
+    ({"h.json": json.dumps({"n_qubits": 1}), "c.json": _RZ_CIRCUIT},
+     ["simulate-check", "--pauli", "h.json", "--circuit", "c.json"]),
+    ({"c.json": json.dumps({"n_qubits": 1, "global_phase": None, "gates": []})},
+     ["optimize", "--circuit", "c.json"]),
+    ({"c.qasm": 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nrz q[0];\n'},
+     ["optimize", "--circuit", "c.qasm"]),
+], ids=["pauli-without-terms", "null-global-phase", "qasm-rz-without-angle"])
+def test_malformed_input_file_is_usage_error(tmp_path, capsys, monkeypatch,
+                                             files, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, _, err = run(capsys, *argv)
+    _assert_one_line_error(code, err)
+
+
+def test_report_config_must_be_an_object(tmp_path, capsys):
+    config = tmp_path / "list.json"
+    config.write_text("[1, 2]")
+    code, _, err = run(capsys, "report", "--model", "bose-hubbard", "--d", "4",
+                       "--N", "1", "--config", str(config))
+    _assert_one_line_error(code, err)
+
+
+def test_report_empty_range_is_usage_error(capsys):
+    code, out, err = run(capsys, "report", "--model", "bose-hubbard",
+                         "--d", "8..4", "--N", "1")
+    _assert_one_line_error(code, err)
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["conversion-cost", "convert-circuit"])
+@pytest.mark.parametrize("kind, d", [("sb2gray", "1"), ("gray2sb", "0"),
+                                     ("sb2gray", "-5"), ("gray2sb", "-5")])
+def test_conversion_rejects_d_below_two(capsys, command, kind, d):
+    code, out, err = run(capsys, command, "--kind", kind, "--d", d)
+    _assert_one_line_error(code, err)
+    assert out == ""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qudenc.circuits import Circuit, Gate, count_resources
-from qudenc.optimizer import (PassConfig, commute_window, commutes, optimize)
+from qudenc.optimizer import (PassConfig, commutes, optimize)
 from qudenc.simulator import circuit_to_unitary, verify_circuit_equivalence
 
 _KINDS_1Q = ["X", "H", "BasisY", "S", "Sdg", "T", "Tdg", "Rz"]
@@ -148,15 +148,6 @@ def test_optimize_reaches_fixed_point():
         once = optimize(c)
         twice = optimize(once)
         assert [g for g in twice.gates] == [g for g in once.gates]
-
-
-def test_commute_window():
-    c = Circuit(3)
-    c.add("CNOT", 0, 1)
-    c.add("Rz", 0, angle=0.2)  # commutes with previous
-    c.add("X", 0)              # does not
-    assert commute_window(c, 2) == (2, 2)  # X is pinned in place
-    assert commute_window(c, 1) == (0, 1)  # Rz can move to the front
 
 
 def test_pass_config_validation():
