@@ -318,6 +318,7 @@ def export_circuit(c: Circuit, fmt: str = "json") -> str:
 _QASM_KINDS = {v: k for k, v in _QASM_FIXED.items()}
 _QASM_LINE = re.compile(r"^(\w+)\s*(?:\(([^)]*)\))?\s*(.*);$")
 _QASM_ARG = re.compile(r"q\[(\d+)\]")
+_QASM_DECIMAL = re.compile(r"\s*[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\s*")
 
 
 def import_qasm(text: str) -> Circuit:
@@ -344,8 +345,9 @@ def import_qasm(text: str) -> Circuit:
             raise ValueError("gate before qreg declaration")
         qubits = [int(x) for x in _QASM_ARG.findall(args)]
         if name == "rz":
-            if param is None:
-                raise ValueError(f"rz needs an angle: {line!r}")
+            if param is None or not _QASM_DECIMAL.fullmatch(param):
+                raise ValueError("rz angle must be a decimal number such as 0.785398, "
+                                 f"not an expression like pi/4: {line!r}")
             circ.add("Rz", *qubits, angle=float(param))
         elif name in _QASM_KINDS:
             circ.add(_QASM_KINDS[name], *qubits)

@@ -61,7 +61,10 @@ def _resolve_seed(args, config: dict | None = None) -> int:
     if env is not None:
         return int(env)
     if config and "seed" in config:
-        return int(config["seed"])
+        seed = config["seed"]
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise UsageError(f"--config seed must be an integer, got {seed!r}")
+        return seed
     return 0
 
 

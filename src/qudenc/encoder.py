@@ -11,11 +11,25 @@ then expanding the product.  Qubits outside the union are untouched, which
 is what makes sparse codes (unary, block unary) cheap: a transition only
 ever involves the few qubits that distinguish its two codewords.
 
-A whole matrix is encoded element by element and simplified; Hermitian
-input yields real coefficients.  Squares and products should be formed at
-the matrix level *before* encoding — encoding first and multiplying the
-Pauli sums afterwards is algebraically equal on the code subspace but can
-leave superfluous terms that act only outside it.
+A whole matrix is the sum of its element expansions, accumulated into one
+coefficient dict and simplified once; Hermitian input yields real
+coefficients.  Every coefficient is summed in row-major element order, as
+if each element were encoded on its own and added in turn, so the result
+does not depend on which of the two paths below computed it:
+
+* unary and block unary expand each element over C(l) | C(l') as above;
+* standard binary and Gray, where C(l) is the whole register, use a numpy
+  kernel.  With K qubits, xor mask f = x(l) ^ x(l') and Z mask s, element
+  c * |l><l'| adds c * 2^-K * (-1)^|s & x(l)| * i^|s & f| to the string
+  whose qubit q is I, Z, X or Y for (f_q, s_q) = (0,0), (0,1), (1,0), (1,1).
+  Elements are grouped by f and each group is summed over its rows in
+  row-major order.  A fast Walsh-Hadamard (butterfly) transform would
+  add the same terms in another order and change last bits.
+
+Squares and products should be formed at the matrix level *before*
+encoding — encoding first and multiplying the Pauli sums afterwards is
+algebraically equal on the code subspace but can leave superfluous terms
+that act only outside it.
 
 Also here: detection of diagonal binary-decomposable (DBD) operators,
 whose diagonal is an affine function of the standard-binary bits of the
@@ -31,11 +45,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .encoding import EncodingSpec, bitmask_subset, ceil_log2, encode
-from .paulis import PauliSum
+from .encoding import GRAY, SB, EncodingSpec, bitmask_subset, ceil_log2, codeword
+from .paulis import PRUNE_EPS, PauliString, PauliSum
 from .qudit_ops import BOSONIC, BOSONIC_NAMES, SPIN, QuditMatrix, as_matrix, bosonic
 from . import encoding as enc_mod
 
@@ -62,22 +77,25 @@ class EncodedOperator:
     source_digest: str
 
 
-def encode_element(spec: EncodingSpec, l: int, lp: int, coeff: complex = 1.0) -> PauliSum:
-    """Pauli sum for coeff * |l><l'|."""
-    bits_l = encode(spec, l)
-    bits_lp = encode(spec, lp)
-    union = sorted(bitmask_subset(spec, l) | bitmask_subset(spec, lp))
-    n = enc_mod.num_qubits(spec)
-    expansion: list[tuple[tuple[tuple[int, str], ...], complex]] = [((), complex(coeff))]
+def _expand(x_l: int, x_lp: int, union, coeff) -> list[tuple[PauliString, complex]]:
+    """Product of the per-qubit rules over the sorted union, for codewords
+    x_l and x_lp: (string, coefficient) pairs, all strings distinct."""
+    expansion: list[tuple[PauliString, complex]] = [((), complex(coeff))]
     for q in union:
-        rule = _RULES[(bits_l[q], bits_lp[q])]
+        rule = _RULES[((x_l >> q) & 1, (x_lp >> q) & 1)]
         expansion = [
             (ops if letter is None else ops + ((q, letter),), c * rc)
             for ops, c in expansion
             for letter, rc in rule
         ]
-    out = PauliSum(n)
-    for ops, c in expansion:
+    return expansion
+
+
+def encode_element(spec: EncodingSpec, l: int, lp: int, coeff: complex = 1.0) -> PauliSum:
+    """Pauli sum for coeff * |l><l'|."""
+    union = sorted(bitmask_subset(spec, l) | bitmask_subset(spec, lp))
+    out = PauliSum(enc_mod.num_qubits(spec))
+    for ops, c in _expand(codeword(spec, l), codeword(spec, lp), union, coeff):
         out._accumulate(ops, c)
     return out.simplify()
 
@@ -100,20 +118,110 @@ def encode_matrix(spec: EncodingSpec, A) -> EncodedOperator:
     """Encode a whole d x d matrix: sum of element encodings, simplified.
 
     Entries below ``ZERO_ENTRY_TOL`` are treated as structural zeros so
-    that analytically sparse operators keep their sparsity pattern.
+    that analytically sparse operators keep their sparsity pattern.  Each
+    element's own terms below ``PRUNE_EPS`` are dropped before the sum, and
+    the sum's terms below it after.
     """
     m = as_matrix(A)
-    if m.shape[0] != spec.d:
-        raise ValueError(f"matrix dimension {m.shape[0]} != spec.d {spec.d}")
-    n = enc_mod.num_qubits(spec)
-    total = PauliSum(n)
-    for l in range(spec.d):
-        for lp in range(spec.d):
-            c = m[l, lp]
-            if abs(c) < ZERO_ENTRY_TOL:
-                continue
-            total = total + encode_element(spec, l, lp, c)
-    return EncodedOperator(total.simplify(), spec, matrix_digest(m))
+    if m.shape != (spec.d, spec.d):
+        raise ValueError(f"matrix shape {m.shape} != ({spec.d}, {spec.d})")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
+    # np.hypot is the C library's hypot, which abs(complex) also calls; np.abs
+    # of a complex array may round the last bit differently.
+    rows, cols = np.nonzero(np.hypot(m.real, m.imag) >= ZERO_ENTRY_TOL)
+    if spec.kind in (SB, GRAY):
+        terms = _compact_terms(spec, m, rows, cols)
+    else:
+        terms = _local_terms(spec, m, rows, cols)
+    out = PauliSum(enc_mod.num_qubits(spec))
+    out.terms = terms
+    return EncodedOperator(out.simplify(), spec, matrix_digest(m))
+
+
+def _local_terms(spec: EncodingSpec, m: np.ndarray, rows, cols) -> dict:
+    """Element by element over C(l) | C(l'), in the order given (row-major)."""
+    rows, cols = rows.tolist(), cols.tolist()
+    levels = {l: (codeword(spec, l), bitmask_subset(spec, l)) for l in {*rows, *cols}}
+    terms: dict[PauliString, complex] = {}
+    for l, lp, coeff in zip(rows, cols, m[rows, cols].tolist()):
+        (x_l, c_l), (x_lp, c_lp) = levels[l], levels[lp]
+        for ops, c in _expand(x_l, x_lp, sorted(c_l | c_lp), coeff):
+            if abs(c) >= PRUNE_EPS:
+                terms[ops] = terms.get(ops, 0) + c
+    return terms
+
+
+_LETTERS = (None, "Z", "X", "Y")  # indexed by 2 * f_q + s_q
+
+
+@lru_cache(maxsize=64)
+def _compact_codes(spec: EncodingSpec) -> np.ndarray:
+    """Codeword of every level of an SB or Gray code."""
+    codes = np.array([codeword(spec, l) for l in range(spec.d)], dtype=np.int64)
+    codes.setflags(write=False)
+    return codes
+
+
+@lru_cache(maxsize=16)
+def _register(K: int):
+    """Tables over the 2^K masks t of a K-qubit register: the masks, whether
+    popcount(t) is odd, i^popcount(t), and the Pauli strings of the low
+    k_lo = K // 2 qubits and of the rest, so that string (f, s) is
+    low[(f_lo << k_lo) | s_lo] + high[(f_hi << (K - k_lo)) | s_hi]."""
+    pop = np.zeros(1 << K, dtype=np.int64)
+    for q in range(K):
+        pop[1 << q: 2 << q] = pop[: 1 << q] + 1
+    k_lo = K // 2
+
+    def half(lo: int, width: int) -> tuple[PauliString, ...]:
+        return tuple(tuple((lo + q, _LETTERS[2 * ((f >> q) & 1) + ((s >> q) & 1)])
+                           for q in range(width) if ((f | s) >> q) & 1)
+                     for f in range(1 << width) for s in range(1 << width))
+
+    tables = (np.arange(1 << K), pop % 2 == 1, np.array([1, 1j, -1, -1j])[pop % 4])
+    for t in tables:
+        t.setflags(write=False)
+    return (*tables, k_lo, half(0, k_lo), half(k_lo, K - k_lo))
+
+
+def _compact_terms(spec: EncodingSpec, m: np.ndarray, rows, cols) -> dict:
+    """The SB / Gray kernel: elements grouped by xor mask f, each group
+    summed over its rows in row-major order.  Memory per group is
+    O(rows * 2^K); no 4^K array is formed."""
+    K = enc_mod.num_qubits(spec)
+    masks, odd, phase, k_lo, low, high = _register(K)
+    codes = _compact_codes(spec)
+    v = m[rows, cols]
+    for _ in range(K):  # one halving per qubit, as in the element expansion
+        v = v * 0.5
+    kept = np.hypot(v.real, v.imag) >= PRUNE_EPS
+    x = codes[rows[kept]]
+    f = x ^ codes[cols[kept]]
+    if not len(f):
+        return {}
+    order = np.argsort(f, kind="stable")  # row-major within each f
+    x, f, v = x[order], f[order], v[kept][order]
+    bounds = (np.flatnonzero(f[1:] != f[:-1]) + 1).tolist()
+    starts, stops = [0] + bounds, bounds + [len(f)]
+    sums = np.empty((len(starts), 1 << K), dtype=complex)
+    for g, (a, b) in enumerate(zip(starts, stops)):
+        col = v[a:b, None]
+        # Axis 0 of a C-contiguous array is added row after row; numpy's
+        # pairwise summation applies only along the contiguous axis.
+        sums[g] = np.add.reduce(np.where(odd[x[a:b, None] & masks], -col, col),
+                                axis=0)
+    fg = f[starts]
+    # The phase is exact (a sign and a swap of parts); + 0.0 turns a
+    # negative zero into the +0.0 that a sum started from 0 gives.
+    sums = sums * phase[fg[:, None] & masks] + 0.0
+    g, s = np.nonzero(np.hypot(sums.real, sums.imag) >= PRUNE_EPS)
+    f_sel, k_hi = fg[g], K - k_lo
+    lo_mask = (1 << k_lo) - 1
+    lo_idx = (((f_sel & lo_mask) << k_lo) | (s & lo_mask)).tolist()
+    hi_idx = (((f_sel >> k_lo) << k_hi) | (s >> k_lo)).tolist()
+    keys = [low[a] + high[b] for a, b in zip(lo_idx, hi_idx)]
+    return dict(zip(keys, sums[g, s].tolist()))
 
 
 @dataclass(frozen=True)

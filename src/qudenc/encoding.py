@@ -96,7 +96,12 @@ def num_qubits(spec: EncodingSpec) -> int:
 
 
 def _int_to_bits(x: int, n: int) -> BitString:
-    return tuple((x >> i) & 1 for i in range(n))
+    bits = [0] * n
+    while x:  # one step per set bit, so a unary codeword costs O(n)
+        low = x & -x
+        bits[low.bit_length() - 1] = 1
+        x ^= low
+    return tuple(bits)
 
 
 def _bits_to_int(bits: BitString) -> int:
@@ -115,29 +120,25 @@ def _gray_inverse(x: int) -> int:
     return x
 
 
-def _local_value_bits(spec: EncodingSpec, v: int) -> BitString:
-    """In-block code of local value v on block_width bits."""
-    code = v if spec.local_kind == SB else _gray(v)
-    return _int_to_bits(code, spec.block_width)
+def codeword(spec: EncodingSpec, l: int) -> int:
+    """Codeword R(l) as an integer: bit q is the value of qubit q."""
+    if not 0 <= l < spec.d:
+        raise ValueError(f"level {l} out of range [0, {spec.d})")
+    if spec.kind == SB:
+        return l
+    if spec.kind == GRAY:
+        return _gray(l)
+    if spec.kind == UNARY:
+        return 1 << l
+    # Block unary: one occupied block, local value (l mod g) + 1 inside it.
+    block, local = divmod(l, spec.g)
+    code = local + 1 if spec.local_kind == SB else _gray(local + 1)
+    return code << (block * spec.block_width)
 
 
 def encode(spec: EncodingSpec, l: int) -> BitString:
     """Codeword R(l), index 0 = least significant bit / lowest qubit."""
-    if not 0 <= l < spec.d:
-        raise ValueError(f"level {l} out of range [0, {spec.d})")
-    n = num_qubits(spec)
-    if spec.kind == SB:
-        return _int_to_bits(l, n)
-    if spec.kind == GRAY:
-        return _int_to_bits(_gray(l), n)
-    if spec.kind == UNARY:
-        return tuple(1 if i == l else 0 for i in range(n))
-    # Block unary: one occupied block, local value (l mod g) + 1 inside it.
-    block, local = divmod(l, spec.g)
-    w = spec.block_width
-    bits = [0] * n
-    bits[block * w : (block + 1) * w] = _local_value_bits(spec, local + 1)
-    return tuple(bits)
+    return _int_to_bits(codeword(spec, l), num_qubits(spec))
 
 
 def decode(spec: EncodingSpec, bits: BitString) -> int:

@@ -40,6 +40,7 @@ compacting is not worthwhile.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -277,7 +278,50 @@ class ModelSpec:
         return SPIN if self.model == HEISENBERG else BOSONIC
 
 
+def _is_real(v) -> bool:
+    """A finite number that converts to a float (NaN fails the comparison)."""
+    return (isinstance(v, (int, float, np.integer, np.floating))
+            and not isinstance(v, bool) and abs(v) <= sys.float_info.max)
+
+
+def _is_gate(v) -> bool:
+    return (isinstance(v, dict) and isinstance(v.get("kind"), str)
+            and isinstance(v.get("modes"), (list, tuple))
+            and all(isinstance(m, int) and not isinstance(m, bool) for m in v["modes"])
+            and _is_real(v.get("theta")))
+
+
+_REAL = (_is_real, "a finite real number")
+_REALS = (lambda v: isinstance(v, (list, tuple, np.ndarray)) and all(map(_is_real, v)),
+          "a list of finite real numbers")
+# The parameters each model reads from ModelSpec.params, with their checks.
+_MODEL_PARAMS = {
+    BOSE_HUBBARD: {"t": _REAL, "U": _REAL, "mu": _REAL,
+                   "periodic": (lambda v: isinstance(v, bool), "true or false")},
+    SHIFTED_QHO: {"omega": _REAL, "delta": _REAL},
+    FRANCK_CONDON: {"omega_A": _REALS, "omega_B": _REALS, "delta": _REALS,
+                    "k": (lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool),
+                          "an integer")},
+    HEISENBERG: {"J": _REAL, "g_field": _REAL},
+    BOSON_SAMPLING: {"gates": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_gate, v)),
+                               'a list of {"kind": str, "modes": [int, ...], "theta": number}')},
+}
+
+
+def _check_params(spec: ModelSpec) -> None:
+    """Every parameter must be one the model reads, of the type it needs."""
+    accepted = _MODEL_PARAMS[spec.model]
+    for key, value in spec.params.items():
+        if key not in accepted:
+            raise ValueError(f"{spec.model} has no parameter {key!r}; "
+                             f"it accepts {', '.join(accepted)}")
+        ok, what = accepted[key]
+        if not ok(value):
+            raise ValueError(f"{spec.model} parameter {key!r} must be {what}, got {value!r}")
+
+
 def build_model(spec: ModelSpec) -> list[LocalTerm]:
+    _check_params(spec)
     p = spec.params
     if spec.model == BOSE_HUBBARD:
         return _bose_hubbard_terms(spec.N, spec.d, p.get("t", 1.0),
@@ -323,7 +367,8 @@ def encode_term(term: LocalTerm, kind: str, g: int = 3,
         for j, m in enumerate(product):
             part = encode_matrix(specs[j], m).sum.tensor_shift(offsets[j], total)
             acc = part if acc is None else acc.multiply(part)
-        out = out + acc
+        for s, c in acc.terms.items():
+            out.terms[s] = out.terms.get(s, 0) + c
     return (term.coefficient * out).simplify()
 
 

@@ -62,8 +62,9 @@ def weight(s: PauliString) -> int:
 
 def string_key(s: PauliString):
     """Pseudo-alphabetical sort key (identity first, then by lowest qubit,
-    letters ranked X < Y < Z)."""
-    return tuple((q, _RANK[p]) for q, p in s)
+    letters ranked X < Y < Z).  The letters compare alphabetically in rank
+    order, so the sorted tuple of (qubit, letter) pairs is its own key."""
+    return s
 
 
 def multiply_strings(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:

@@ -263,6 +263,58 @@ def test_report_config_must_be_an_object(tmp_path, capsys):
     _assert_one_line_error(code, err)
 
 
+@pytest.mark.parametrize("model, config, needle", [
+    ("boson-sampling", {"gates": [{"kind": "beamsplitter", "modes": [0, 1]}]}, "'gates'"),
+    ("boson-sampling", {"gates": [{"kind": "beamsplitter", "modes": [0, "1"],
+                                   "theta": 0.3}]}, "'gates'"),
+    ("boson-sampling", {"gates": "abc"}, "'gates'"),
+    ("bose-hubbard", {"t": "abc"}, "'t'"),
+    ("bose-hubbard", {"U": None}, "'U'"),
+    ("bose-hubbard", {"periodic": "yes"}, "'periodic'"),
+    ("bose-hubbard", {"t": float("nan")}, "'t'"),
+    ("bose-hubbard", {"mu": 10 ** 400}, "'mu'"),
+    ("franck-condon", {"omega_A": {"a": 1}}, "'omega_A'"),
+    ("franck-condon", {"k": 1.5}, "'k'"),
+    ("bose-hubbard", {"seed": [1]}, "seed"),
+], ids=["gate-without-theta", "gate-with-string-mode", "gates-not-a-list",
+        "string-t", "null-U", "string-periodic", "nan-t", "huge-integer-mu",
+        "omega-A-object", "float-k", "list-seed"])
+def test_report_malformed_parameter_is_usage_error(tmp_path, capsys, model, config,
+                                                   needle):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "report", "--model", model, "--d", "3", "--N", "2",
+                         "--config", str(path))
+    _assert_one_line_error(code, err)
+    assert needle in err and out == ""
+
+
+def test_report_unknown_parameter_names_key_and_accepted_keys(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"t": "abc"}))
+    code, out, err = run(capsys, "report", "--model", "franck-condon", "--d", "3",
+                         "--N", "2", "--config", str(path))
+    _assert_one_line_error(code, err)
+    assert "'t'" in err
+    assert all(key in err for key in ("omega_A", "omega_B", "delta", "k"))
+
+
+def test_report_config_seed_and_model_keys_are_accepted(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"seed": 3, "omega": 2.0, "delta": 0.25}))
+    code, out, err = run(capsys, "report", "--model", "shifted-qho", "--d", "4",
+                         "--N", "1", "--config", str(path))
+    assert code == 0 and err == "" and "shifted_qho d=4" in out
+
+
+def test_qasm_rz_expression_names_the_accepted_subset(tmp_path, capsys):
+    path = tmp_path / "c.qasm"
+    path.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nrz(pi/4) q[0];\n')
+    code, _, err = run(capsys, "optimize", "--circuit", str(path))
+    _assert_one_line_error(code, err)
+    assert "rz angle must be a decimal number" in err
+
+
 def test_report_empty_range_is_usage_error(capsys):
     code, out, err = run(capsys, "report", "--model", "bose-hubbard",
                          "--d", "8..4", "--N", "1")

@@ -62,6 +62,17 @@ def test_block_unary_transition_stays_inside_blocks():
 def test_encode_matrix_dimension_check():
     with pytest.raises(ValueError):
         encode_matrix(EncodingSpec(SB, 4), np.eye(5))
+    with pytest.raises(ValueError):
+        encode_matrix(EncodingSpec(SB, 4), np.ones((4, 5)))
+
+
+@pytest.mark.parametrize("kind", [SB, UNARY])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_encode_matrix_rejects_non_finite_entries(kind, bad):
+    m = np.eye(4, dtype=complex)
+    m[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        encode_matrix(EncodingSpec(kind, 4), m)
 
 
 def test_encode_matrix_skips_structural_zeros():

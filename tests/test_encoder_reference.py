@@ -1,0 +1,196 @@
+"""Differential tests: the one-dict encoder and SB/Gray kernel against the
+element-by-element reference.
+
+reference_encoder.py keeps the earlier encoder, which builds one simplified
+PauliSum per matrix element and adds it to a running total.  The new code
+must only be faster: the same strings in the same order, and coefficients
+whose ``repr`` is equal, signed zeros included.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_encoder as ref
+from qudenc import models
+from qudenc.encoder import ZERO_ENTRY_TOL, can_augment, encode_element, encode_matrix
+from qudenc.encoding import BLOCK_UNARY, GRAY, SB, UNARY, EncodingSpec, num_qubits
+from qudenc.paulis import PRUNE_EPS
+from qudenc.qudit_ops import (BOSONIC_NAMES, bosonic, dense_hermitian_test_matrix, spin,
+                              tridiag_test_matrix)
+
+_SPECS_AT = (
+    lambda d: EncodingSpec(SB, d),
+    lambda d: EncodingSpec(GRAY, d),
+    lambda d: EncodingSpec(UNARY, d),
+    *(lambda d, g=g, local=local: EncodingSpec(BLOCK_UNARY, d, local_kind=local, g=g)
+      for g in (1, 2, 3, 4) for local in (SB, GRAY)),
+)
+
+
+def _parent_order(s):
+    """The parent's sort key: (qubit, letter rank) pairs."""
+    return tuple((q, "XYZ".index(p)) for q, p in s)
+
+
+def _assert_same(got, want):
+    assert got.n_qubits == want.n_qubits
+    assert list(got.terms) == list(want.terms)
+    assert list(got.terms) == sorted(got.terms, key=_parent_order)
+    assert [repr(c) for c in got.terms.values()] == [repr(c) for c in want.terms.values()]
+
+
+def _check(spec, m):
+    got, want = encode_matrix(spec, m), ref.encode_matrix(spec, m)
+    _assert_same(got.sum, want.sum)
+    assert got.source_digest == want.source_digest
+
+
+def _random(d, seed, hermitian, complex_):
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(-1, 1, (d, d))
+    if complex_:
+        m = m + 1j * rng.uniform(-1, 1, (d, d))
+    return (m + m.conj().T) / 2 if hermitian else m
+
+
+@pytest.mark.parametrize("d", range(2, 18))
+def test_dense_compact_codes_small_d(d):
+    for spec in (EncodingSpec(SB, d), EncodingSpec(GRAY, d)):
+        _check(spec, _random(d, d, hermitian=False, complex_=True))
+        _check(spec, _random(d, d + 1, hermitian=True, complex_=False))
+
+
+@pytest.mark.parametrize("spec, matrix", [
+    (EncodingSpec(SB, 64), dense_hermitian_test_matrix(64, 3)),
+    (EncodingSpec(GRAY, 48), _random(48, 4, hermitian=False, complex_=True)),
+], ids=["sb-64", "gray-48"])
+def test_dense_compact_codes_large_d(spec, matrix):
+    _check(spec, matrix)
+
+
+@pytest.mark.parametrize("make", _SPECS_AT)
+def test_every_code_on_real_complex_and_non_hermitian(make):
+    for d in (3, 5, 11):
+        spec = make(d)
+        _check(spec, dense_hermitian_test_matrix(d, 7))
+        _check(spec, tridiag_test_matrix(d, 8))
+        _check(spec, _random(d, 9, hermitian=False, complex_=True))
+        _check(spec, _random(d, 10, hermitian=False, complex_=False))
+
+
+@pytest.mark.parametrize("make", _SPECS_AT)
+def test_named_bosonic_and_spin_operators(make):
+    for d in (2, 3, 4, 6, 9, 16):
+        for name in BOSONIC_NAMES:
+            _check(make(d), bosonic(d, name))
+    for s in (0.5, 1, 1.5, 2.5, 3.5, 7.5):
+        for axis in "xyz":
+            op = spin(s, axis)
+            _check(make(op.d), op)
+
+
+def _threshold_matrix(d, K, seed):
+    """Entries one ulp either side of ZERO_ENTRY_TOL and of the element prune
+    PRUNE_EPS * 2^K, real, imaginary and at angles, with signed zeros."""
+    rng = np.random.default_rng(seed)
+    values = []
+    for t in (ZERO_ENTRY_TOL, PRUNE_EPS * 2.0 ** K):
+        for v in (t, np.nextafter(t, 0), np.nextafter(t, 1), 2 * t):
+            values += [v, -v, complex(-0.0, v), complex(0.0, -v)]
+        # Magnitudes within an ulp or so of t: a magnitude rounded otherwise
+        # than by the C library's hypot (as abs(complex) does) flips some.
+        values += [t * complex(np.cos(a), np.sin(a)) for a in rng.uniform(0, 2 * np.pi, 12)]
+    # 5 subnormal ulps: three halvings (the expansion) give 0, one multiply
+    # by 1/8 gives 1 ulp.
+    values += [complex(1.0, 5 * 5e-324), complex(-5 * 5e-324, 0.5),
+               complex(-0.0, 1.0), complex(1.0, -0.0), complex(-1.0, -0.0), -0.0]
+    m = np.zeros((d, d), dtype=complex)
+    flat = m.reshape(-1)
+    picks = rng.choice(d * d, size=min(d * d, len(values)), replace=False)
+    flat[picks] = rng.permutation(np.array(values, dtype=complex))[: len(picks)]
+    return m
+
+
+@pytest.mark.parametrize("make", _SPECS_AT)
+def test_entries_at_the_zero_and_prune_thresholds(make):
+    for d in (2, 5, 8, 12):
+        spec = make(d)
+        K = num_qubits(spec) if spec.kind in (SB, GRAY) else 2 * spec.block_width
+        for seed in range(3):
+            _check(spec, _threshold_matrix(d, K, seed))
+
+
+@pytest.mark.parametrize("kind", [SB, GRAY])
+def test_element_magnitudes_within_an_ulp_of_the_prune_edge(kind):
+    # Every entry has magnitude PRUNE_EPS * 2^K up to rounding, so each
+    # element's terms sit within an ulp of PRUNE_EPS.  Some of these are
+    # decided otherwise by np.abs on a complex array than by abs(complex).
+    spec = EncodingSpec(kind, 16)
+    t = PRUNE_EPS * 2.0 ** num_qubits(spec)
+    angles = np.random.default_rng(11).uniform(0, 2 * np.pi, (16, 16))
+    _check(spec, t * np.exp(1j * angles))
+    _check(spec, t * np.exp(1j * angles) + np.eye(16))
+
+
+def test_sums_that_cancel_near_the_prune_threshold():
+    # diag(1, 1 - e) under SB d=2 gives Z0 with coefficient e / 2.
+    for e in (2e-12, np.nextafter(2e-12, 0), np.nextafter(2e-12, 1), 1e-12, 4e-12):
+        for spec in (EncodingSpec(SB, 2), EncodingSpec(GRAY, 4), EncodingSpec(UNARY, 2)):
+            m = np.eye(spec.d, dtype=complex)
+            m[1, 1] = 1 - e
+            m[0, 1] = 1e-3 * (1 + 1j)
+            m[1, 0] = -1e-3 * (1 + 1j) + e * 1j
+            _check(spec, m)
+
+
+def test_encode_element_matches():
+    for make in _SPECS_AT:
+        spec = make(7)
+        for l, lp, c in ((0, 6, 1.0), (3, 3, -0.5j), (5, 2, 0.3 - 0.1j), (1, 4, -0.0)):
+            _assert_same(encode_element(spec, l, lp, c), ref.encode_element(spec, l, lp, c))
+
+
+_MODELS = (
+    models.ModelSpec("bose_hubbard", N=2, d=5),
+    models.ModelSpec("shifted_qho", d=6),
+    models.ModelSpec("franck_condon", N=2, d=3, seed=3),
+    models.ModelSpec("heisenberg", N=2, s=1.5),
+    models.ModelSpec("boson_sampling", N=2, d=3,
+                     params={"gates": [{"kind": "beamsplitter", "modes": [1, 0],
+                                        "theta": 0.4},
+                                       {"kind": "phase_shifter", "modes": [0],
+                                        "theta": 1.1}]}),
+)
+
+
+@pytest.mark.parametrize("spec", _MODELS, ids=lambda s: s.model)
+def test_encode_term_matches(spec):
+    for term in models.build_model(spec):
+        for kind in (SB, GRAY, UNARY, BLOCK_UNARY):
+            for g in ((2, 3) if kind == BLOCK_UNARY else (3,)):
+                augment = (kind in (SB, GRAY) and all(
+                    can_augment(m) for product in term.factors for m in product))
+                for aug in {False, augment}:
+                    _assert_same(models.encode_term(term, kind, g=g, augment=aug),
+                                 ref.encode_term(term, kind, g=g, augment=aug))
+
+
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, ZERO_ENTRY_TOL,
+                     np.nextafter(ZERO_ENTRY_TOL, 0), PRUNE_EPS, 4 * PRUNE_EPS,
+                     np.nextafter(8 * PRUNE_EPS, 0), 1e-300, 5e-324]),
+    st.floats(-2, 2, allow_nan=False),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(2, 12), which=st.integers(0, len(_SPECS_AT) - 1),
+       entries=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11), _VALUES, _VALUES),
+                        max_size=30))
+def test_random_sparse_matrices(d, which, entries):
+    m = np.zeros((d, d), dtype=complex)
+    for l, lp, re, im in entries:
+        m[l % d, lp % d] = complex(re, im)
+    _check(_SPECS_AT[which](d), m)
