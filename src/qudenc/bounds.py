@@ -49,6 +49,7 @@ from .encoding import BLOCK_UNARY, GRAY, SB, UNARY, EncodingSpec, ceil_log2
 from .paulis import PauliSum, weight
 
 SPARSITY_PATTERNS = ("pair", "tridiagonal", "dense")
+MAX_CLOSED_FORM_DH = 2  # closed forms exist for d_H = 0 (diagonal), 1 and 2
 
 
 @dataclass(frozen=True)
@@ -87,13 +88,13 @@ def cnot_upper_bound(q: BoundQuery) -> int:
 def closed_form_cnot_upper_bound(q: BoundQuery) -> int:
     """Closed forms for d_H in {0 (diagonal), 1, 2}."""
     K = q.K
+    if q.d_H > MAX_CLOSED_FORM_DH:
+        raise ValueError(f"no closed form implemented for d_H = {q.d_H}")
     if q.diagonal:
         return K * (1 << K) - (1 << (K + 1)) + 2
     if q.d_H == 1:
         return (K - 1) * (1 << (K - 1))
-    if q.d_H == 2:
-        return K * (1 << (K - 1))
-    raise ValueError(f"no closed form implemented for d_H = {q.d_H}")
+    return K * (1 << (K - 1))
 
 
 def dense_cnot_upper_bound(d: int) -> int:

@@ -97,9 +97,6 @@ class Circuit:
             self.gates.append(g)
         return self
 
-    def copy(self) -> "Circuit":
-        return Circuit(self.n_qubits, list(self.gates), self.global_phase)
-
     def __len__(self) -> int:
         return len(self.gates)
 

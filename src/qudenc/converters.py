@@ -57,11 +57,9 @@ def sb_to_gray_circuit(d: int) -> Circuit:
 
 
 def gray_to_sb_circuit(d: int) -> Circuit:
-    K = max(1, ceil_log2(d))
-    c = Circuit(K)
-    for i in range(K - 2, -1, -1):
-        c.add("CNOT", i + 1, i)
-    return c
+    """Inverse circuit: reversed gate list (every CNOT is self-inverse)."""
+    fwd = sb_to_gray_circuit(d)
+    return Circuit(fwd.n_qubits, fwd.gates[::-1])
 
 
 # ---------------------------------------------------------------------------

@@ -60,8 +60,11 @@ HEISENBERG = "heisenberg"
 BOSON_SAMPLING = "boson_sampling"
 MODEL_NAMES = (BOSE_HUBBARD, SHIFTED_QHO, FRANCK_CONDON, HEISENBERG, BOSON_SAMPLING)
 
-SCHEME_NAMES = ("sb_only", "gray_only", "unary_only", "sb_and_gray",
-                "all_with_compacting")
+# Each scheme's codes in tie-break order: a term takes the cheapest, ties
+# going to the earlier code (fewer qubits, no conversions).
+_SCHEME_CODES = {"sb_only": (SB,), "gray_only": (GRAY,), "unary_only": (UNARY,),
+                 "sb_and_gray": (SB, GRAY), "all_with_compacting": (SB, GRAY, UNARY)}
+SCHEME_NAMES = tuple(_SCHEME_CODES)
 PRICING_THETA = 0.37  # arbitrary fixed nonzero angle; counts are angle-blind
 COEFF_ZERO_TOL = 1e-12
 
@@ -464,43 +467,29 @@ def compute_scheme_report(spec: ModelSpec) -> SchemeReport:
 
     cost = {kind: [_priced(t, kind, d) for t in terms]
             for kind in (SB, GRAY, UNARY)}
+    unary_width = num_qubits(EncodingSpec(UNARY, d))
 
-    def particle_families(choice: list[str]) -> dict[int, set]:
-        used: dict[int, set] = {}
+    counts, conversions, qubits, improvements = {}, {}, {}, {}
+    for name, codes in _SCHEME_CODES.items():
+        choice = [min(codes, key=lambda k: cost[k][i]) for i in range(len(terms))]
+        used: dict[int, set] = {}  # codes of each particle's nonzero terms
         for t, kind in zip(terms, choice):
-            if abs(t.coefficient) < COEFF_ZERO_TOL:
-                continue
-            for site in t.sites:
-                used.setdefault(site, set()).add(kind)
-        return used
-
-    counts: dict = {}
-    counts["sb_only"] = sum(cost[SB])
-    counts["gray_only"] = sum(cost[GRAY])
-    counts["unary_only"] = sum(cost[UNARY])
-
-    # scheme (iv): per-term best of SB/Gray, ties to SB
-    choice_iv = [SB if cost[SB][i] <= cost[GRAY][i] else GRAY
-                 for i in range(len(terms))]
-    conv_iv = sum(sb_gray_conv for fams in particle_families(choice_iv).values()
-                  if len(fams) > 1)
-    counts["sb_and_gray"] = sum(cost[choice_iv[i]][i] for i in range(len(terms))) + conv_iv
-
-    # scheme (v): per-term best of all three, ties to SB then Gray
-    choice_v = []
-    for i in range(len(terms)):
-        options = [(cost[SB][i], 0, SB), (cost[GRAY][i], 1, GRAY),
-                   (cost[UNARY][i], 2, UNARY)]
-        choice_v.append(min(options)[2])
-    fams_v = particle_families(choice_v)
-    conv_v = 0
-    for fams in fams_v.values():
-        if UNARY in fams:
-            conv_v += unary_conv
-        if GRAY in fams and fams != {GRAY}:
-            conv_v += sb_gray_conv
-    counts["all_with_compacting"] = (
-        sum(cost[choice_v[i]][i] for i in range(len(terms))) + conv_v)
+            if abs(t.coefficient) >= COEFF_ZERO_TOL:
+                for site in t.sites:
+                    used.setdefault(site, set()).add(kind)
+        mixed = len(codes) > 1
+        # A mixed scheme converts a particle into unary and back when it has a
+        # unary-priced term, and between SB and Gray when Gray shares it.
+        conv = sum(unary_conv * (UNARY in f) + sb_gray_conv * (GRAY in f and len(f) > 1)
+                   for f in used.values()) if mixed else 0
+        counts[name] = sum(cost[kind][i] for i, kind in enumerate(choice)) + conv
+        conversions[name] = conv
+        # A single-code scheme keeps every particle in its code; a mixed one
+        # needs the unary width once any particle uses unary.
+        on_unary = any(UNARY in f for f in used.values()) if mixed else codes == (UNARY,)
+        qubits[name] = unary_width if on_unary else K
+        if mixed:
+            improvements[name] = counts[name] < min(sum(cost[k]) for k in codes)
 
     sb_total = counts["sb_only"]
 
@@ -510,19 +499,6 @@ def compute_scheme_report(spec: ModelSpec) -> SchemeReport:
         return 1.0 if v == 0 else float("inf")
 
     ratios = {k: ratio(v) for k, v in counts.items()}
-    conversions = {"sb_only": 0, "gray_only": 0, "unary_only": 0,
-                   "sb_and_gray": conv_iv, "all_with_compacting": conv_v}
-    any_unary_v = any(UNARY in fams for fams in fams_v.values())
-    unary_width = num_qubits(EncodingSpec(UNARY, d))
-    qubits = {"sb_only": K, "gray_only": K, "unary_only": unary_width,
-              "sb_and_gray": K,
-              "all_with_compacting": unary_width if any_unary_v else K}
-    improvements = {
-        "sb_and_gray": counts["sb_and_gray"] < min(counts["sb_only"],
-                                                   counts["gray_only"]),
-        "all_with_compacting": counts["all_with_compacting"] < min(
-            counts["sb_only"], counts["gray_only"], counts["unary_only"]),
-    }
     return SchemeReport(
         model=spec.model,
         d_or_s=(spec.s if spec.model == HEISENBERG else spec.d),

@@ -1,9 +1,13 @@
 """Command-line interface driven in-process: exit codes, formats, determinism."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from qudenc import cli, models
 from qudenc.cli import fmt, main
 
 
@@ -329,3 +333,54 @@ def test_conversion_rejects_d_below_two(capsys, command, kind, d):
     code, out, err = run(capsys, command, "--kind", kind, "--d", d)
     _assert_one_line_error(code, err)
     assert out == ""
+
+
+_TWO_QUBIT_CIRCUIT = json.dumps({"n_qubits": 2, "gates": [
+    {"kind": "CNOT", "qubits": [0, 1]}, {"kind": "Rz", "qubits": [1], "angle": 0.5}]})
+
+
+@pytest.mark.parametrize("pauli_sum", [
+    {"n_qubits": 0, "terms": []},
+    {"n_qubits": 1, "terms": [{"pauli": "Z0", "re": 0.5}]},
+], ids=["zero-qubit-sum", "one-qubit-sum"])
+def test_simulate_check_width_mismatch_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                      pauli_sum):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "h.json").write_text(json.dumps(pauli_sum))
+    (tmp_path / "c.json").write_text(_TWO_QUBIT_CIRCUIT)
+    code, out, err = run(capsys, "simulate-check", "--pauli", "h.json",
+                         "--circuit", "c.json")
+    _assert_one_line_error(code, err)
+    assert f"{pauli_sum['n_qubits']} qubits" in err and "circuit on 2" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["--model", "bose-hubbard", "--d", "4", "--s", "9"], "--s applies only to heisenberg"),
+    (["--model", "heisenberg", "--s", "1.5", "--d", "4"], "--d applies only to"),
+], ids=["s-for-bose-hubbard", "d-for-heisenberg"])
+def test_report_rejects_the_axis_flag_the_model_does_not_read(capsys, argv, needle):
+    code, out, err = run(capsys, "report", *argv, "--N", "2")
+    _assert_one_line_error(code, err)
+    assert needle in err and out == ""
+
+
+@pytest.mark.parametrize("spelling", ["underscore", "hyphen"])
+@pytest.mark.parametrize("model", models.MODEL_NAMES)
+def test_report_accepts_every_model_name_in_both_spellings(capsys, model, spelling):
+    name = model.replace("_", "-") if spelling == "hyphen" else model
+    axis = ["--s", "0.5"] if model == models.HEISENBERG else ["--d", "2"]
+    code, out, err = run(capsys, "report", "--model", name, *axis, "--N", "1")
+    assert code == 0 and err == ""
+    assert out.startswith(f"{model} ")
+
+
+def test_parser_registers_the_documented_subcommands():
+    documented = re.search(r"Subcommands: (.*?)\.", cli.__doc__, re.S).group(1)
+    names = [n.strip() for n in documented.split("|")]
+    assert len(names) == 11
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(names)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert set(re.findall(r"^qudenc ([a-z-]+)", readme, re.M)) == set(names)
