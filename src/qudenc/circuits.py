@@ -13,7 +13,10 @@ CNOT ladder onto the highest active qubit, Rz(2 theta c) there, then the
 mirror.  Our Rz convention is Rz(phi) = exp(-i phi Z / 2), so a weight-p
 string costs 2(p-1) CNOTs and identity strings contribute only a global
 phase.  A first-order Trotter step is the concatenation of term circuits
-in a deterministic term order.
+in a deterministic term order.  Gate is immutable, so the staircase's H,
+BasisY and CNOT gates are validated once per (kind, qubits) and shared by
+every position and term that repeats them; only the Rz, which carries the
+term's angle, is built and checked per term.
 
 Resource counting can expand SWAP into 3 CNOTs and CSWAP into the
 textbook Clifford+T network (8 CNOTs, 2 H, 4 T, 3 Tdg via a Toffoli
@@ -22,6 +25,7 @@ conjugated by CNOTs) to give fault-tolerant-flavoured totals.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -107,6 +111,15 @@ class Circuit:
 # ---------------------------------------------------------------------------
 # staircase synthesis
 
+_BASIS_KIND = {"X": "H", "Y": "BasisY"}
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _staircase_gate(kind: str, qubits: tuple[int, ...]) -> Gate:
+    """The one validated Gate shared by every staircase position of (kind, qubits)."""
+    return Gate(kind, qubits)
+
+
 def trotter_term(p: PauliString, coeff: complex, theta: float, n_qubits: int) -> Circuit:
     """Circuit for exp(-i theta coeff P); coeff must be real (Hermitian term)."""
     c = complex(coeff)
@@ -121,21 +134,11 @@ def trotter_term(p: PauliString, coeff: complex, theta: float, n_qubits: int) ->
     if not active:
         circ.global_phase += -theta * c_r
         return circ
-
-    def basis_layer():
-        for q, letter in p:
-            if letter == "X":
-                circ.add("H", q)
-            elif letter == "Y":
-                circ.add("BasisY", q)
-
-    basis_layer()
-    for a, b in zip(active, active[1:]):
-        circ.add("CNOT", a, b)
-    circ.add("Rz", active[-1], angle=2.0 * theta * c_r)
-    for a, b in reversed(list(zip(active, active[1:]))):
-        circ.add("CNOT", a, b)
-    basis_layer()
+    basis = [_staircase_gate(_BASIS_KIND[letter], (q,)) for q, letter in p
+             if letter != "Z"]
+    ladder = [_staircase_gate("CNOT", pair) for pair in zip(active, active[1:])]
+    circ.gates = [*basis, *ladder, Gate("Rz", (active[-1],), 2.0 * theta * c_r),
+                  *reversed(ladder), *basis]
     return circ
 
 

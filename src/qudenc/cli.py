@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from itertools import islice
@@ -104,11 +105,30 @@ def _read_circuit(path: str) -> Circuit:
         return import_circuit(fh.read())
 
 
-def _parse_value_list(text: str, cast=int) -> list:
-    """'4..16' inclusive range, '4,8,16' list, or a single value."""
+def _twice_spin_end(end: str, text: str) -> int:
+    """2s for one end of an --s range; both ends must be multiples of 1/2."""
+    try:
+        twice = 2 * float(end)
+    except ValueError:
+        twice = math.nan
+    if not twice.is_integer():  # also rejects nan and inf
+        raise UsageError(f"--s range {text!r} needs ends that are multiples of 1/2; "
+                         "--s takes a spin such as 1.5, a list such as 0.5,1.5 "
+                         "or a range such as 0.5..2.5")
+    return int(twice)
+
+
+def _parse_value_list(text: str, axis: str) -> list:
+    """'4..16' inclusive range, '4,8,16' list, or a single value.  The spin
+    axis s reads floats, and its ranges step by 1/2."""
+    cast = float if axis == "s" else int
     if ".." in text:
         lo, hi = text.split("..", 1)
-        values = list(range(int(lo), int(hi) + 1))
+        if axis == "s":
+            values = [k / 2 for k in range(_twice_spin_end(lo, text),
+                                           _twice_spin_end(hi, text) + 1)]
+        else:
+            values = list(range(int(lo), int(hi) + 1))
         if not values:
             raise UsageError(f"empty range {text!r}")
         return values
@@ -176,6 +196,11 @@ def _cmd_optimize(args) -> int:
     after = count_resources(opt)
     print(f"optimize: {before.total_gates} -> {after.total_gates} gates, "
           f"entangling {before.entangling_total} -> {after.entangling_total}")
+    # A fixed point survives one more sweep unchanged; anything else hit the cap.
+    again = optimize(opt, PassConfig(max_sweeps=1))
+    if again.gates != opt.gates or again.global_phase != opt.global_phase:
+        print(f"warning: optimize stopped at --max-sweeps {cfg.max_sweeps} "
+              "before a fixed point", file=sys.stderr)
     _write(args, opt)
     return 0
 
@@ -244,7 +269,7 @@ def _cmd_report(args) -> int:
     if getattr(args, other) is not None:
         raise UsageError(f"--{other} applies only to "
                          f"{'heisenberg' if other == 's' else 'the bosonic models'}")
-    values = _parse_value_list(getattr(args, axis), float if axis == "s" else int)
+    values = _parse_value_list(getattr(args, axis), axis)
     wanted = models.SCHEME_NAMES if args.schemes == "all" else (args.schemes,)
 
     rows = [["model", "d_or_s", "N", "scheme", "entangling_count", "relative_to_sb",
@@ -327,7 +352,7 @@ _COMMANDS = {
     "report": (_cmd_report, "per-scheme entangling counts and scenarios", [
         ("--model", dict(required=True)),
         ("--d", dict(help="cutoff, range '4..16', or list '4,8'")),
-        ("--s", dict(help="spin, single or list '1.5,3.5'")),
+        ("--s", dict(help="spin, list '1.5,3.5', or range '0.5..2.5' in steps of 1/2")),
         ("--N", dict(type=int, default=3)),
         ("--schemes", dict(default="all", choices=["all"] + list(models.SCHEME_NAMES))),
         ("--config", dict(help="JSON model parameters"))]

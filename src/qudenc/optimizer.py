@@ -30,6 +30,10 @@ finds its partners in a few lookups.  Candidates and the gates each scan
 meets come in the same order as in a scan over the whole list, so the
 output is the same; the cost is set by the gates that share wires, not by
 the length of the circuit.
+
+A walk's answer for a gate pair (pass, stop or cancel) reads only kinds
+and qubits, so optimize() asks the predicates once per pair of distinct
+(kind, qubits): a narrow register meets a few hundred pairs a million times.
 """
 
 from __future__ import annotations
@@ -119,18 +123,21 @@ def _is_inverse_pair(a: Gate, b: Gate) -> bool:
     return _same_action(a, b) if a.kind == b.kind else a.qubits == b.qubits
 
 
-def _wire_chains(gates: list[Gate]) -> tuple[array, array]:
-    """Doubly linked per-wire chains over fixed gate positions.
+def _wire_chains(gates: list[Gate]) -> tuple[array, array, array, dict]:
+    """Doubly linked per-wire chains over fixed gate positions, and gate ids.
 
     Gate i owns slot 3*i + s for its s-th qubit.  nxt[slot] is the slot of
     the next live gate on that wire (len(nxt) when there is none) and
     prv[slot] the previous one (-1 when there is none).  Slots are C ints:
     a list of 700 million gates would not fit in memory long before 3*i
-    overflows them.
+    overflows them.  gid[i] numbers gate i's (kind, qubits) in ids, the
+    only fields the walks' answers read.
     """
     end = 3 * len(gates)
     nxt = array("i", [end]) * end
     prv = array("i", [-1]) * end
+    ids: dict[tuple, int] = {}
+    gid = array("i", [ids.setdefault((g.kind, g.qubits), len(ids)) for g in gates])
     last: dict[int, int] = {}
     for i, g in enumerate(gates):
         for s, q in enumerate(g.qubits):
@@ -140,7 +147,7 @@ def _wire_chains(gates: list[Gate]) -> tuple[array, array]:
                 nxt[p] = slot
                 prv[slot] = p
             last[q] = slot
-    return nxt, prv
+    return nxt, prv, gid, ids
 
 
 def _unlink(nxt: array, prv: array, slot: int) -> None:
@@ -157,13 +164,26 @@ def _drop(gates: list[Gate | None], nxt: array, prv: array, i: int) -> None:
     gates[i] = None
 
 
-def _pass_cancel(gates: list[Gate | None], nxt: array, prv: array) -> bool:
+_PASS, _BLOCK, _CANCEL = 0, 1, 2
+
+
+def _answer(g: Gate, h: Gate) -> int:
+    """What a cancel or merge walk from g does on meeting h.  Reads only kind
+    and qubits: Rz commutes with Rz at any angles and has no inverse kind."""
+    if _is_inverse_pair(g, h):
+        return _CANCEL
+    return _PASS if commutes(g, h) else _BLOCK
+
+
+def _pass_cancel(gates: list[Gate | None], nxt: array, prv: array, gid: array,
+                 memo: dict) -> bool:
     changed = False
     end = len(nxt)
     n = end // 3
     for i, g in enumerate(gates):
         if g is None or g.kind == "Rz":
             continue
+        row = gid[i] << 32
         arity = len(g.qubits)
         # Walk the gate's wires merged by position; a cursor at end is spent.
         base = 3 * i
@@ -171,16 +191,19 @@ def _pass_cancel(gates: list[Gate | None], nxt: array, prv: array) -> bool:
         y = nxt[base + 1] if arity > 1 else end
         z = nxt[base + 2] if arity > 2 else end
         while True:
-            j = min(x, y, z) // 3
+            j = x if x < y else y  # min(x, y, z) without the call
+            j = (j if j < z else z) // 3
             if j == n:
                 break
-            h = gates[j]
-            if _is_inverse_pair(g, h):
-                _drop(gates, nxt, prv, i)
-                _drop(gates, nxt, prv, j)
-                changed = True
-                break
-            if not commutes(g, h):
+            key = row | gid[j]
+            r = memo.get(key)
+            if r is None:
+                r = memo[key] = _answer(g, gates[j])
+            if r:
+                if r == _CANCEL:
+                    _drop(gates, nxt, prv, i)
+                    _drop(gates, nxt, prv, j)
+                    changed = True
                 break
             if x // 3 == j:
                 x = nxt[x]
@@ -196,14 +219,15 @@ def _normalized_angle(angle: float) -> float:
     return angle % (2.0 * TWO_PI)
 
 
-def _pass_merge(gates: list[Gate | None], nxt: array, prv: array,
-                eps: float) -> tuple[bool, float]:
+def _pass_merge(gates: list[Gate | None], nxt: array, prv: array, gid: array,
+                memo: dict, eps: float) -> tuple[bool, float]:
     changed = False
     phase = 0.0
     end = len(nxt)
     for i, g in enumerate(gates):
         if g is None or g.kind != "Rz":
             continue
+        row = gid[i] << 32
         x = nxt[3 * i]
         while x < end:
             j = x // 3
@@ -214,8 +238,13 @@ def _pass_merge(gates: list[Gate | None], nxt: array, prv: array,
                 gates[i] = g
                 _drop(gates, nxt, prv, j)
                 changed = True
-            elif not commutes(g, h):
-                break
+            else:
+                key = row | gid[j]
+                r = memo.get(key)
+                if r is None:
+                    r = memo[key] = _answer(g, h)
+                if r:
+                    break
         r = _normalized_angle(g.angle)
         if min(r, 2.0 * TWO_PI - r) < eps:
             _drop(gates, nxt, prv, i)
@@ -227,7 +256,8 @@ def _pass_merge(gates: list[Gate | None], nxt: array, prv: array,
     return changed, phase
 
 
-def _pass_cnot_triple(gates: list[Gate | None], nxt: array, prv: array) -> bool:
+def _pass_cnot_triple(gates: list[Gate | None], nxt: array, prv: array, gid: array,
+                      ids: dict) -> bool:
     changed = False
     end = len(nxt)
     for i, g1 in enumerate(gates):
@@ -256,6 +286,7 @@ def _pass_cnot_triple(gates: list[Gate | None], nxt: array, prv: array) -> bool:
             continue
         _drop(gates, nxt, prv, k)
         gates[i] = Gate("CNOT", (a, g2.qubits[1]))
+        gid[i] = ids.setdefault(("CNOT", gates[i].qubits), len(ids))
         # Gate i's second slot moves from wire b to wire c, just before g2.
         moved = 3 * i + 1
         _unlink(nxt, prv, moved)
@@ -272,19 +303,20 @@ def optimize(c: Circuit, config: PassConfig | None = None) -> Circuit:
     """Run the configured passes to a fixed point; never grows the circuit."""
     cfg = config or PassConfig()
     gates: list[Gate | None] = list(c.gates)
-    nxt, prv = _wire_chains(gates)
+    nxt, prv, gid, ids = _wire_chains(gates)
+    memo: dict[int, int] = {}
     phase = c.global_phase
     for _ in range(cfg.max_sweeps):
         changed = False
         for name in cfg.passes:
             if name == "cancel_inverse_pairs":
-                changed |= _pass_cancel(gates, nxt, prv)
+                changed |= _pass_cancel(gates, nxt, prv, gid, memo)
             elif name == "merge_rotations":
-                did, dphase = _pass_merge(gates, nxt, prv, cfg.angle_eps)
+                did, dphase = _pass_merge(gates, nxt, prv, gid, memo, cfg.angle_eps)
                 changed |= did
                 phase += dphase
             elif name == "cnot_triple_rewrite":
-                changed |= _pass_cnot_triple(gates, nxt, prv)
+                changed |= _pass_cnot_triple(gates, nxt, prv, gid, ids)
         if not changed:
             break
     return Circuit(c.n_qubits, [g for g in gates if g is not None], phase)

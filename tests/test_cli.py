@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from qudenc import cli, models
+from qudenc.circuits import export_circuit, import_circuit
 from qudenc.cli import fmt, main
+from qudenc.optimizer import PassConfig, optimize
 
 
 def run(capsys, *argv):
@@ -384,3 +386,41 @@ def test_parser_registers_the_documented_subcommands():
     assert sorted(sub.choices) == sorted(names)
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     assert set(re.findall(r"^qudenc ([a-z-]+)", readme, re.M)) == set(names)
+
+
+@pytest.mark.parametrize("spins, swept", [
+    ("0.5..1.5", ["0.5", "1", "1.5"]),
+    ("1..2", ["1", "1.5", "2"]),
+], ids=["half-integer-ends", "integer-ends"])
+def test_report_spin_range_steps_by_half(tmp_path, capsys, spins, swept):
+    path = tmp_path / "rep.csv"
+    code, out, err = run(capsys, "report", "--model", "heisenberg", "--s", spins,
+                         "--N", "2", "--schemes", "sb_only", "--out", str(path))
+    assert code == 0 and err == ""
+    assert re.findall(r"^heisenberg s=(\S+) N=2:", out, re.M) == swept
+    assert [line.split(",")[1] for line in path.read_text().splitlines()[1:]] == swept
+
+
+@pytest.mark.parametrize("spins", ["0.7..2", "x..2", "1..nan", "0.5..inf", "1.25..2"])
+def test_report_spin_range_ends_must_be_multiples_of_half(capsys, spins):
+    code, out, err = run(capsys, "report", "--model", "heisenberg", "--s", spins,
+                         "--N", "2")
+    _assert_one_line_error(code, err)
+    assert f"--s range {spins!r}" in err and "0.5..2.5" in err and out == ""
+
+
+def test_optimize_reports_the_sweep_cap(tmp_path, capsys):
+    # The inner X pair cancels in sweep 1; the H pair around it only in sweep 2.
+    gates = [{"kind": k, "qubits": [0]} for k in ("H", "X", "X", "H")]
+    circ_path, out_path = tmp_path / "c.json", tmp_path / "out.json"
+    circ_path.write_text(json.dumps({"n_qubits": 1, "gates": gates}))
+    code, out, err = run(capsys, "optimize", "--circuit", str(circ_path),
+                         "--max-sweeps", "1", "--out", str(out_path))
+    assert code == 0 and out == "optimize: 4 -> 2 gates, entangling 0 -> 0\n"
+    assert err == "warning: optimize stopped at --max-sweeps 1 before a fixed point\n"
+    capped = optimize(import_circuit(circ_path.read_text()), PassConfig(max_sweeps=1))
+    assert out_path.read_text() == export_circuit(capped, "json")
+    for sweeps in (["--max-sweeps", "2"], []):
+        code, out, err = run(capsys, "optimize", "--circuit", str(circ_path), *sweeps)
+        assert code == 0 and out == "optimize: 4 -> 0 gates, entangling 0 -> 0\n"
+        assert err == ""
