@@ -315,20 +315,28 @@ def export_circuit(c: Circuit, fmt: str = "json") -> str:
     return "\n".join(lines) + "\n"
 
 
-_QASM_KINDS = {v: k for k, v in _QASM_FIXED.items()}
+_QASM_KINDS = {**{v: k for k, v in _QASM_FIXED.items()}, "rz": "Rz"}
 _QASM_LINE = re.compile(r"^(\w+)\s*(?:\(([^)]*)\))?\s*(.*);$")
 _QASM_ARG = re.compile(r"q\[(\d+)\]")
 _QASM_DECIMAL = re.compile(r"\s*[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\s*")
 
 
+def _qasm_decimal(text: str, what: str, line: str) -> float:
+    if not _QASM_DECIMAL.fullmatch(text):
+        raise ValueError(f"{what} must be a decimal number such as 0.785398, "
+                         f"not an expression like pi/4: {line!r}")
+    return float(text)
+
+
 def import_qasm(text: str) -> Circuit:
-    """Parse the OpenQASM 2 subset emitted by export_circuit."""
-    circ: Circuit | None = None
-    phase = 0.0
+    """Parse the OpenQASM 2 subset emitted by export_circuit: one qreg and a
+    decimal ``// global phase:``.  The result is the dict that circuit JSON
+    holds, checked by the same rule (_circuit_from_dict)."""
+    n_qubits, phase, gates = None, 0.0, []
     for raw in text.splitlines():
         line = raw.strip()
         if line.startswith("// global phase:"):
-            phase = float(line.split(":", 1)[1])
+            phase = _qasm_decimal(line.split(":", 1)[1], "global phase", line)
         if not line or line.startswith("//"):
             continue
         if line.startswith("OPENQASM") or line.startswith("include"):
@@ -338,25 +346,21 @@ def import_qasm(text: str) -> Circuit:
             raise ValueError(f"cannot parse QASM line {line!r}")
         name, param, args = m.groups()
         if name == "qreg":
-            size = int(re.search(r"\[(\d+)\]", args if args else line).group(1))
-            circ = Circuit(size, [], phase)
+            if n_qubits is not None:
+                raise ValueError(f"QASM input takes one qreg; a second one is {line!r}")
+            n_qubits = int(re.search(r"\[(\d+)\]", args if args else line).group(1))
             continue
-        if circ is None:
+        if n_qubits is None:
             raise ValueError("gate before qreg declaration")
-        qubits = [int(x) for x in _QASM_ARG.findall(args)]
-        if name == "rz":
-            if param is None or not _QASM_DECIMAL.fullmatch(param):
-                raise ValueError("rz angle must be a decimal number such as 0.785398, "
-                                 f"not an expression like pi/4: {line!r}")
-            circ.add("Rz", *qubits, angle=float(param))
-        elif name in _QASM_KINDS:
-            circ.add(_QASM_KINDS[name], *qubits)
-        else:
+        if name not in _QASM_KINDS:
             raise ValueError(f"unsupported QASM gate {name!r}")
-    if circ is None:
+        item = {"kind": _QASM_KINDS[name], "qubits": [int(x) for x in _QASM_ARG.findall(args)]}
+        if name == "rz" or param is not None:  # the gate rule rejects an angle off Rz
+            item["angle"] = _qasm_decimal(param or "", f"{name} angle", line)
+        gates.append(item)
+    if n_qubits is None:
         raise ValueError("no qreg declaration found")
-    circ.global_phase = phase
-    return circ
+    return _circuit_from_dict({"n_qubits": n_qubits, "global_phase": phase, "gates": gates})
 
 
 def import_circuit(text: str) -> Circuit:

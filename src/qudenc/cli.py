@@ -34,7 +34,7 @@ from .encoding import (BLOCK_UNARY, GRAY, SB, UNARY, EncodingSpec,
 from .optimizer import PassConfig, optimize
 from .paulis import PauliSum, string_to_text
 from .qudit_ops import BOSONIC_NAMES, bosonic, dense_hermitian_test_matrix, \
-    spin, tridiag_test_matrix
+    spin, tridiag_test_matrix, twice_spin
 from .simulator import circuit_to_unitary, unitary_distance
 
 _ENC_CHOICES = {"sb": SB, "gray": GRAY, "unary": UNARY, "bu": BLOCK_UNARY,
@@ -69,7 +69,11 @@ def _resolve_seed(args, config: dict | None = None) -> int:
     if args.seed is not None:
         return args.seed
     if "SEED" in os.environ:
-        return int(os.environ["SEED"])
+        try:
+            return int(os.environ["SEED"])
+        except ValueError:
+            raise UsageError("the SEED environment variable must be an integer, "
+                             f"got {os.environ['SEED']!r}") from None
     seed = (config or {}).get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise UsageError(f"--config seed must be an integer, got {seed!r}")
@@ -105,36 +109,31 @@ def _read_circuit(path: str) -> Circuit:
         return import_circuit(fh.read())
 
 
-def _twice_spin_end(end: str, text: str) -> int:
-    """2s for one end of an --s range; both ends must be multiples of 1/2."""
-    try:
-        twice = 2 * float(end)
-    except ValueError:
-        twice = math.nan
-    if not twice.is_integer():  # also rejects nan and inf
-        raise UsageError(f"--s range {text!r} needs ends that are multiples of 1/2; "
-                         "--s takes a spin such as 1.5, a list such as 0.5,1.5 "
-                         "or a range such as 0.5..2.5")
-    return int(twice)
+# What each report axis reads, and the forms its flag takes.
+_AXIS_RULES = {
+    "d": ("integers", "--d takes a cutoff such as 4, a list such as 4,8 "
+                      "or a range such as 4..16"),
+    "s": ("positive multiples of 1/2", "--s takes a spin such as 1.5, a list such as "
+                                       "0.5,1.5 or a range such as 0.5..2.5"),
+}
 
 
 def _parse_value_list(text: str, axis: str) -> list:
     """'4..16' inclusive range, '4,8,16' list, or a single value.  The spin
-    axis s reads floats, and its ranges step by 1/2."""
-    cast = float if axis == "s" else int
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        if axis == "s":
-            values = [k / 2 for k in range(_twice_spin_end(lo, text),
-                                           _twice_spin_end(hi, text) + 1)]
-        else:
-            values = list(range(int(lo), int(hi) + 1))
-        if not values:
+    axis s takes what qudit_ops.twice_spin accepts, and its ranges step by 1/2."""
+    is_range = ".." in text
+    try:  # each cutoff d, or twice each spin s
+        ints = [int(v) if axis == "d" else twice_spin(v)
+                for v in (text.split("..", 1) if is_range else text.split(","))]
+    except ValueError:
+        what, forms = _AXIS_RULES[axis]
+        raise UsageError(f"--{axis} {'range ' if is_range else ''}{text!r} needs "
+                         f"{'ends' if is_range else 'values'} that are {what}; {forms}") from None
+    if is_range:
+        ints = list(range(ints[0], ints[1] + 1))
+        if not ints:
             raise UsageError(f"empty range {text!r}")
-        return values
-    if "," in text:
-        return [cast(v) for v in text.split(",")]
-    return [cast(text)]
+    return ints if axis == "d" else [k / 2 for k in ints]
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +291,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_simulate_check(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise UsageError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     with open(args.pauli) as fh:
         h = PauliSum.from_json_dict(json.load(fh))
     circ = _read_circuit(args.circuit)

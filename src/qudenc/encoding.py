@@ -142,40 +142,28 @@ def encode(spec: EncodingSpec, l: int) -> BitString:
 
 
 def decode(spec: EncodingSpec, bits: BitString) -> int:
-    """Inverse of :func:`encode`; rejects strings outside the code image."""
+    """Inverse of :func:`codeword`: read the one candidate level l off the
+    bits and accept it only if 0 <= l < d and codeword(spec, l) is exactly
+    these bits; every other string raises InvalidCodeword."""
     n = num_qubits(spec)
     if len(bits) != n:
         raise ValueError(f"expected {n} bits, got {len(bits)}")
     if any(b not in (0, 1) for b in bits):
         raise ValueError("bits must be 0 or 1")
-    if spec.kind in (SB, GRAY):
-        x = _bits_to_int(bits)
-        l = x if spec.kind == SB else _gray_inverse(x)
-        if l >= spec.d:
-            raise InvalidCodeword(f"{format_bits(spec, bits)} is not a level < d={spec.d}")
-        return l
-    if spec.kind == UNARY:
-        set_bits = [i for i, b in enumerate(bits) if b]
-        if len(set_bits) != 1:
-            raise InvalidCodeword(f"unary codeword needs exactly one set bit, got {len(set_bits)}")
-        return set_bits[0]
-    # Block unary.
-    w = spec.block_width
-    occupied = []
-    for block in range(n // w):
-        chunk = bits[block * w : (block + 1) * w]
-        if any(chunk):
-            occupied.append((block, chunk))
-    if len(occupied) != 1:
-        raise InvalidCodeword(f"block-unary codeword needs exactly one occupied block, got {len(occupied)}")
-    block, chunk = occupied[0]
-    x = _bits_to_int(chunk)
-    v = x if spec.local_kind == SB else _gray_inverse(x)
-    if not 1 <= v <= spec.g:
-        raise InvalidCodeword(f"local pattern {x:0{w}b} is not a local value in [1, g={spec.g}]")
-    l = block * spec.g + (v - 1)
-    if l >= spec.d:
-        raise InvalidCodeword(f"block {block} local value {v} names level {l} >= d={spec.d}")
+    x = _bits_to_int(bits)
+    top = x.bit_length() - 1  # highest set bit; -1 when no bit is set
+    if spec.kind == SB:
+        l = x
+    elif spec.kind == GRAY:
+        l = _gray_inverse(x)
+    elif spec.kind == UNARY:
+        l = top
+    else:  # block unary: the highest occupied block and its local value
+        block = max(top, 0) // spec.block_width
+        local = x >> (block * spec.block_width)
+        l = block * spec.g + (local if spec.local_kind == SB else _gray_inverse(local)) - 1
+    if not (0 <= l < spec.d and codeword(spec, l) == x):
+        raise InvalidCodeword(f"{format_bits(spec, bits)} is not a codeword of {spec.describe()}")
     return l
 
 

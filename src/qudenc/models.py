@@ -51,14 +51,13 @@ from .encoding import GRAY, SB, UNARY, EncodingSpec, num_qubits
 from .encoder import augment_truncation, can_augment, encode_matrix, matrix_digest
 from .optimizer import optimize
 from .paulis import PauliSum
-from .qudit_ops import BOSONIC, SPIN, QuditMatrix, bosonic, spin
+from .qudit_ops import BOSONIC, SPIN, QuditMatrix, bosonic, spin, twice_spin
 
 BOSE_HUBBARD = "bose_hubbard"
 SHIFTED_QHO = "shifted_qho"
 FRANCK_CONDON = "franck_condon"
 HEISENBERG = "heisenberg"
 BOSON_SAMPLING = "boson_sampling"
-MODEL_NAMES = (BOSE_HUBBARD, SHIFTED_QHO, FRANCK_CONDON, HEISENBERG, BOSON_SAMPLING)
 
 # Each scheme's codes in tie-break order: a term takes the cheapest, ties
 # going to the earlier code (fewer qubits, no conversions).
@@ -112,10 +111,10 @@ def term_matrix(term: LocalTerm) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# model builders
+# model builders: each takes the ModelSpec and its parameters, with defaults
 
-def _bose_hubbard_terms(N: int, d: int, t: float, U: float, mu: float,
-                        periodic: bool = True) -> list[LocalTerm]:
+def _bose_hubbard_terms(spec, t=1.0, U=1.0, mu=0.0, periodic=True) -> list[LocalTerm]:
+    N, d = spec.N, spec.d
     a = bosonic(d, "a")
     adag = bosonic(d, "adag")
     n = bosonic(d, "n")
@@ -135,7 +134,10 @@ def _identity_matrix(d: int) -> QuditMatrix:
     return QuditMatrix(np.eye(d), name="identity", family=BOSONIC)
 
 
-def _shifted_qho_terms(d: int, omega: float, delta: float) -> list[LocalTerm]:
+def _shifted_qho_terms(spec, omega=1.0, delta=0.5) -> list[LocalTerm]:
+    if spec.N != 1:
+        raise ValueError("the shifted oscillator is a single-mode model")
+    d = spec.d
     q2 = bosonic(d, "q2")
     p2 = bosonic(d, "p2")
     q = bosonic(d, "q")
@@ -167,16 +169,18 @@ def duschinsky_matrix(M: int, k: int, seed: int) -> np.ndarray:
     return S
 
 
-def _franck_condon_terms(M: int, d: int, omega_A, omega_B, k: int,
-                         delta, seed: int) -> list[LocalTerm]:
-    wA = np.asarray(omega_A, dtype=float)
-    wB = np.asarray(omega_B, dtype=float)
-    dvec = np.asarray(delta, dtype=float)
+def _franck_condon_terms(spec, omega_A=None, omega_B=None, k=None,
+                         delta=None) -> list[LocalTerm]:
+    """M = N modes; the defaults depend on M."""
+    M, d = spec.N, spec.d
+    wA = np.asarray(np.ones(M) if omega_A is None else omega_A, dtype=float)
+    wB = np.asarray(np.full(M, 1.1) if omega_B is None else omega_B, dtype=float)
+    dvec = np.asarray(np.full(M, 0.2) if delta is None else delta, dtype=float)
     if wA.shape != (M,) or wB.shape != (M,) or dvec.shape != (M,):
         raise ValueError("omega_A, omega_B, delta must each have length M")
     if np.any(wA <= 0) or np.any(wB <= 0):
         raise ValueError("mode frequencies must be positive")
-    S = duschinsky_matrix(M, k, seed)
+    S = duschinsky_matrix(M, min(4, M) if k is None else k, spec.seed)
     J = np.diag(np.sqrt(wB)) @ S @ np.diag(1.0 / np.sqrt(wA))
 
     quad = np.zeros(M)            # coefficient of q_m^2 (and p_m^2)
@@ -213,25 +217,25 @@ def _franck_condon_terms(M: int, d: int, omega_A, omega_B, k: int,
     return terms
 
 
-def _heisenberg_terms(N: int, s: float, J: float, g_field: float) -> list[LocalTerm]:
-    sz = spin(s, "z")
-    sx = spin(s, "x")
+def _heisenberg_terms(spec, J=1.0, g_field=1.0) -> list[LocalTerm]:
+    sz = spin(spec.s, "z")
+    sx = spin(spec.s, "x")
     terms: list[LocalTerm] = []
-    for i in range(N - 1):
+    for i in range(spec.N - 1):
         terms.append(LocalTerm((i, i + 1), ((sz, sz),), -J, "zz"))
-    for i in range(N):
+    for i in range(spec.N):
         terms.append(LocalTerm((i,), ((sx,),), -g_field, "field"))
     return terms
 
 
-def _boson_sampling_terms(N: int, d: int, gates) -> list[LocalTerm]:
-    a = bosonic(d, "a")
-    adag = bosonic(d, "adag")
-    n = bosonic(d, "n")
+def _boson_sampling_terms(spec, gates=()) -> list[LocalTerm]:
+    a = bosonic(spec.d, "a")
+    adag = bosonic(spec.d, "adag")
+    n = bosonic(spec.d, "n")
     terms: list[LocalTerm] = []
     for r, gate in enumerate(gates):
         kind, modes, theta = gate["kind"], tuple(gate["modes"]), float(gate["theta"])
-        if any(not 0 <= m < N for m in modes):
+        if any(not 0 <= m < spec.N for m in modes):
             raise ValueError(f"mode index out of range in gate {r}")
         if kind == "phase_shifter":
             if len(modes) != 1:
@@ -245,6 +249,41 @@ def _boson_sampling_terms(N: int, d: int, gates) -> list[LocalTerm]:
         else:
             raise ValueError(f"unknown boson-sampling gate kind {kind!r}")
     return terms
+
+
+def _is_real(v) -> bool:
+    """A finite number that converts to a float (NaN fails the comparison)."""
+    return (isinstance(v, (int, float, np.integer, np.floating))
+            and not isinstance(v, bool) and abs(v) <= sys.float_info.max)
+
+
+def _is_gate(v) -> bool:
+    return (isinstance(v, dict) and isinstance(v.get("kind"), str)
+            and isinstance(v.get("modes"), (list, tuple))
+            and all(isinstance(m, int) and not isinstance(m, bool) for m in v["modes"])
+            and _is_real(v.get("theta")))
+
+
+_REAL = (_is_real, "a finite real number")
+_REALS = (lambda v: isinstance(v, (list, tuple, np.ndarray)) and all(map(_is_real, v)),
+          "a list of finite real numbers")
+# Each model's builder and the parameters it reads from ModelSpec.params,
+# with their checks; the builder's keyword defaults fill in the rest.
+_MODELS = {
+    BOSE_HUBBARD: (_bose_hubbard_terms, {
+        "t": _REAL, "U": _REAL, "mu": _REAL,
+        "periodic": (lambda v: isinstance(v, bool), "true or false")}),
+    SHIFTED_QHO: (_shifted_qho_terms, {"omega": _REAL, "delta": _REAL}),
+    FRANCK_CONDON: (_franck_condon_terms, {
+        "omega_A": _REALS, "omega_B": _REALS, "delta": _REALS,
+        "k": (lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool),
+              "an integer")}),
+    HEISENBERG: (_heisenberg_terms, {"J": _REAL, "g_field": _REAL}),
+    BOSON_SAMPLING: (_boson_sampling_terms, {
+        "gates": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_gate, v)),
+                  'a list of {"kind": str, "modes": [int, ...], "theta": number}')}),
+}
+MODEL_NAMES = tuple(_MODELS)
 
 
 @dataclass(frozen=True)
@@ -264,8 +303,7 @@ class ModelSpec:
         if self.model == HEISENBERG:
             if self.s is None:
                 raise ValueError("Heisenberg needs a spin s")
-            if abs(2 * self.s - round(2 * self.s)) > 1e-12 or self.s <= 0:
-                raise ValueError("s must be a positive half-integer")
+            twice_spin(self.s)
         else:
             if self.d is None or self.d < 2:
                 raise ValueError("bosonic models need a cutoff d >= 2")
@@ -273,7 +311,7 @@ class ModelSpec:
     @property
     def site_dim(self) -> int:
         if self.model == HEISENBERG:
-            return int(round(2 * self.s)) + 1
+            return twice_spin(self.s) + 1
         return self.d
 
     @property
@@ -281,39 +319,11 @@ class ModelSpec:
         return SPIN if self.model == HEISENBERG else BOSONIC
 
 
-def _is_real(v) -> bool:
-    """A finite number that converts to a float (NaN fails the comparison)."""
-    return (isinstance(v, (int, float, np.integer, np.floating))
-            and not isinstance(v, bool) and abs(v) <= sys.float_info.max)
-
-
-def _is_gate(v) -> bool:
-    return (isinstance(v, dict) and isinstance(v.get("kind"), str)
-            and isinstance(v.get("modes"), (list, tuple))
-            and all(isinstance(m, int) and not isinstance(m, bool) for m in v["modes"])
-            and _is_real(v.get("theta")))
-
-
-_REAL = (_is_real, "a finite real number")
-_REALS = (lambda v: isinstance(v, (list, tuple, np.ndarray)) and all(map(_is_real, v)),
-          "a list of finite real numbers")
-# The parameters each model reads from ModelSpec.params, with their checks.
-_MODEL_PARAMS = {
-    BOSE_HUBBARD: {"t": _REAL, "U": _REAL, "mu": _REAL,
-                   "periodic": (lambda v: isinstance(v, bool), "true or false")},
-    SHIFTED_QHO: {"omega": _REAL, "delta": _REAL},
-    FRANCK_CONDON: {"omega_A": _REALS, "omega_B": _REALS, "delta": _REALS,
-                    "k": (lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool),
-                          "an integer")},
-    HEISENBERG: {"J": _REAL, "g_field": _REAL},
-    BOSON_SAMPLING: {"gates": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_gate, v)),
-                               'a list of {"kind": str, "modes": [int, ...], "theta": number}')},
-}
-
-
-def _check_params(spec: ModelSpec) -> None:
-    """Every parameter must be one the model reads, of the type it needs."""
-    accepted = _MODEL_PARAMS[spec.model]
+def build_model(spec: ModelSpec) -> list[LocalTerm]:
+    """The model's local terms, from its row of the model table ``_MODELS``:
+    every parameter must be one the builder reads, of the type it needs,
+    and the builder supplies the defaults."""
+    builder, accepted = _MODELS[spec.model]
     for key, value in spec.params.items():
         if key not in accepted:
             raise ValueError(f"{spec.model} has no parameter {key!r}; "
@@ -321,31 +331,7 @@ def _check_params(spec: ModelSpec) -> None:
         ok, what = accepted[key]
         if not ok(value):
             raise ValueError(f"{spec.model} parameter {key!r} must be {what}, got {value!r}")
-
-
-def build_model(spec: ModelSpec) -> list[LocalTerm]:
-    _check_params(spec)
-    p = spec.params
-    if spec.model == BOSE_HUBBARD:
-        return _bose_hubbard_terms(spec.N, spec.d, p.get("t", 1.0),
-                                   p.get("U", 1.0), p.get("mu", 0.0),
-                                   p.get("periodic", True))
-    if spec.model == SHIFTED_QHO:
-        if spec.N != 1:
-            raise ValueError("the shifted oscillator is a single-mode model")
-        return _shifted_qho_terms(spec.d, p.get("omega", 1.0), p.get("delta", 0.5))
-    if spec.model == FRANCK_CONDON:
-        M = spec.N
-        return _franck_condon_terms(
-            M, spec.d,
-            p.get("omega_A", np.ones(M)), p.get("omega_B", np.full(M, 1.1)),
-            p.get("k", min(4, M)), p.get("delta", np.full(M, 0.2)), spec.seed)
-    if spec.model == HEISENBERG:
-        return _heisenberg_terms(spec.N, spec.s, p.get("J", 1.0),
-                                 p.get("g_field", 1.0))
-    if spec.model == BOSON_SAMPLING:
-        return _boson_sampling_terms(spec.N, spec.d, p.get("gates", ()))
-    raise AssertionError("unreachable")
+    return builder(spec, **spec.params)
 
 
 # ---------------------------------------------------------------------------
@@ -436,26 +422,17 @@ class SchemeReport:
         return asdict(self)
 
 
-_SCENARIO_PRIORITY = ("sb_only", "gray_only", "sb_and_gray", "unary_only",
-                      "all_with_compacting")
-
-
 def classify_scenario(counts: dict) -> str:
     """A/B/C/D from the five scheme counts; ties break toward fewer qubits
-    and fewer conversions (SB, Gray, SB&Gray, unary, compacting)."""
+    and fewer conversions (SB, Gray, SB&Gray, then the unary schemes)."""
     best = min(counts.values())
     compact_best = min(counts["sb_only"], counts["gray_only"])
-    for name in _SCENARIO_PRIORITY:
-        if counts[name] != best:
-            continue
-        if name in ("sb_only", "gray_only"):
-            return "A"
-        if name == "sb_and_gray":
-            return "B"
-        if name == "unary_only":
-            return "C" if counts["all_with_compacting"] < compact_best else "D"
-        return "C"  # all_with_compacting strictly best: compacting pays off
-    raise AssertionError("unreachable")
+    if compact_best == best:
+        return "A"
+    if counts["sb_and_gray"] == best:
+        return "B"
+    # A unary scheme wins: C when compacting in and out beats staying compact.
+    return "C" if counts["all_with_compacting"] < compact_best else "D"
 
 
 def compute_scheme_report(spec: ModelSpec) -> SchemeReport:

@@ -17,6 +17,7 @@ x_i = (i - Nx/2) * Delta, and seeded random Hermitian test matrices
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,11 +103,18 @@ def bosonic(d: int, name: str) -> QuditMatrix:
     return QuditMatrix(m, name=name, family=BOSONIC)
 
 
+def twice_spin(s) -> int:
+    """The integer 2s of a spin s, which must be a finite, positive multiple
+    of 1/2 (to within 1e-12); anything else raises ValueError."""
+    twice = 2 * float(s)
+    if not (math.isfinite(twice) and abs(twice - round(twice)) <= 1e-12 and round(twice) >= 1):
+        raise ValueError(f"s must be a finite, positive multiple of 1/2, got {s}")
+    return round(twice)
+
+
 def spin(s: float, axis: str) -> QuditMatrix:
     """Spin-s operator S_axis on d = 2s+1 levels, highest magnetization first."""
-    two_s = round(2 * s)
-    if abs(2 * s - two_s) > 1e-12 or two_s < 1:
-        raise ValueError(f"s must be a positive half-integer, got {s}")
+    two_s = twice_spin(s)
     s = two_s / 2
     d = two_s + 1
     if axis not in ("x", "y", "z"):

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qudenc.circuits import (Circuit, Gate, count_resources, cswap_clifford_t,
+from qudenc.circuits import (GATE_ARITY, Circuit, Gate, count_resources, cswap_clifford_t,
                              export_circuit, import_circuit, swap_as_cnots,
                              toffoli_gates, toffoli_via_cswap, trotter_step,
                              trotter_term)
@@ -172,3 +174,43 @@ def test_qasm_basis_y_becomes_sdg_h_s():
 def test_qasm_import_rejects_unknown_gate():
     with pytest.raises(ValueError):
         import_circuit('OPENQASM 2.0;\nqreg q[1];\nfoo q[0];')
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _circuits(draw):
+    """Random circuits over the whole gate alphabet, with random angles and phase."""
+    n = draw(st.integers(3, 5))
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(sorted(GATE_ARITY)))
+        qubits = tuple(draw(st.permutations(range(n)))[:GATE_ARITY[kind]])
+        gates.append(Gate(kind, qubits, draw(_FINITE) if kind == "Rz" else None))
+    return Circuit(n, gates, draw(_FINITE))
+
+
+def _qasm_expansion(gates):
+    """The gates QASM carries: BasisY as sdg, h, s and CSWAP as its Clifford+T network."""
+    out = []
+    for g in gates:
+        if g.kind == "BasisY":
+            out += [Gate("Sdg", g.qubits), Gate("H", g.qubits), Gate("S", g.qubits)]
+        elif g.kind == "CSWAP":
+            out += cswap_clifford_t(*g.qubits)
+        else:
+            out.append(g)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(_circuits())
+def test_json_and_qasm_round_trips_keep_gates_angles_and_phase(c):
+    for text, gates in ((export_circuit(c, "json"), c.gates),
+                        (export_circuit(c, "qasm2"), _qasm_expansion(c.gates))):
+        back = import_circuit(text)
+        assert back.n_qubits == c.n_qubits
+        assert back.gates == gates
+        assert [repr(g.angle) for g in back.gates] == [repr(g.angle) for g in gates]
+        assert back.global_phase == c.global_phase

@@ -11,6 +11,7 @@ from qudenc import cli, models
 from qudenc.circuits import export_circuit, import_circuit
 from qudenc.cli import fmt, main
 from qudenc.optimizer import PassConfig, optimize
+from qudenc.qudit_ops import spin
 
 
 def run(capsys, *argv):
@@ -242,23 +243,49 @@ def _assert_one_line_error(code, err):
 
 
 _RZ_CIRCUIT = json.dumps({"n_qubits": 1, "gates": [_GOOD_RZ]})
+# exp(-i 0.1 * 0.5 Z0) is exactly Rz(0.1): a circuit at distance 0 from its sum.
+_ZERO_DISTANCE = {"h.json": json.dumps({"n_qubits": 1, "terms": [{"pauli": "Z0", "re": 0.5}]}),
+                  "c.json": json.dumps({"n_qubits": 1, "gates": [
+                      {"kind": "Rz", "qubits": [0], "angle": 0.1}]})}
+_QASM_HEAD = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
 
-@pytest.mark.parametrize("files, argv", [
+@pytest.mark.parametrize("files, argv, needle", [
     ({"h.json": json.dumps({"n_qubits": 1}), "c.json": _RZ_CIRCUIT},
-     ["simulate-check", "--pauli", "h.json", "--circuit", "c.json"]),
+     ["simulate-check", "--pauli", "h.json", "--circuit", "c.json"], "'terms'"),
     ({"c.json": json.dumps({"n_qubits": 1, "global_phase": None, "gates": []})},
-     ["optimize", "--circuit", "c.json"]),
-    ({"c.qasm": 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nrz q[0];\n'},
-     ["optimize", "--circuit", "c.qasm"]),
-], ids=["pauli-without-terms", "null-global-phase", "qasm-rz-without-angle"])
+     ["optimize", "--circuit", "c.json"], "'global_phase'"),
+    ({"c.qasm": _QASM_HEAD + "qreg q[1];\nrz q[0];\n"},
+     ["optimize", "--circuit", "c.qasm"], "rz angle"),
+    ({"c.qasm": _QASM_HEAD + "// global phase: nan\nqreg q[1];\nh q[0];\n"},
+     ["optimize", "--circuit", "c.qasm", "--out", "out.json"], "global phase"),
+    ({"c.qasm": _QASM_HEAD + "qreg q[1];\nh q[0];\nqreg q[2];\nx q[1];\n"},
+     ["export-qasm", "--circuit", "c.qasm"], "one qreg"),
+    ({"c.qasm": _QASM_HEAD + "qreg q[1];\nx(0.5) q[0];\n"},
+     ["export-qasm", "--circuit", "c.qasm"], "forbidden"),
+    (_ZERO_DISTANCE, ["simulate-check", "--pauli", "h.json", "--circuit", "c.json",
+                      "--tol", "nan"], "--tol"),
+    (_ZERO_DISTANCE, ["simulate-check", "--pauli", "h.json", "--circuit", "c.json",
+                      "--tol", "-1"], "--tol"),
+    ({}, ["SEED=abc", "map-op", "--enc", "sb", "--d", "4", "--op", "q"], "SEED"),
+    ({}, ["SEED=1.5", "report", "--model", "bose-hubbard", "--d", "2", "--N", "1"], "SEED"),
+], ids=["pauli-without-terms", "null-global-phase", "qasm-rz-without-angle",
+        "qasm-nan-global-phase", "qasm-second-qreg", "qasm-x-with-angle", "nan-tol", "negative-tol",
+        "non-integer-SEED-map-op", "fractional-SEED-report"])
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, monkeypatch,
-                                             files, argv):
+                                             files, argv, needle):
+    """Input files, flags and NAME=value environment settings (written before
+    the subcommand, as in a shell) that the command cannot use."""
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    code, _, err = run(capsys, *argv)
+    while "=" in argv[0]:
+        monkeypatch.setenv(*argv[0].split("=", 1))
+        argv = argv[1:]
+    code, out, err = run(capsys, *argv)
     _assert_one_line_error(code, err)
+    assert needle in err and out == ""
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_report_config_must_be_an_object(tmp_path, capsys):
@@ -360,8 +387,15 @@ def test_simulate_check_width_mismatch_is_usage_error(tmp_path, capsys, monkeypa
 @pytest.mark.parametrize("argv, needle", [
     (["--model", "bose-hubbard", "--d", "4", "--s", "9"], "--s applies only to heisenberg"),
     (["--model", "heisenberg", "--s", "1.5", "--d", "4"], "--d applies only to"),
-], ids=["s-for-bose-hubbard", "d-for-heisenberg"])
+    (["--model", "bose-hubbard", "--d", "2.5..4"], "--d range '2.5..4' needs ends that are "
+                                                   "integers; --d takes a cutoff such as 4"),
+    (["--model", "bose-hubbard", "--d", "1e3"], "--d '1e3' needs values that are integers"),
+    (["--model", "heisenberg", "--s", "x"], "--s 'x' needs values that are positive "
+                                            "multiples of 1/2; --s takes a spin"),
+], ids=["s-for-bose-hubbard", "d-for-heisenberg", "fractional-d-range", "float-d",
+        "non-number-s"])
 def test_report_rejects_the_axis_flag_the_model_does_not_read(capsys, argv, needle):
+    """An axis flag the model does not sweep, or an axis value it cannot read."""
     code, out, err = run(capsys, "report", *argv, "--N", "2")
     _assert_one_line_error(code, err)
     assert needle in err and out == ""
@@ -424,3 +458,65 @@ def test_optimize_reports_the_sweep_cap(tmp_path, capsys):
         code, out, err = run(capsys, "optimize", "--circuit", str(circ_path), *sweeps)
         assert code == 0 and out == "optimize: 4 -> 0 gates, entangling 0 -> 0\n"
         assert err == ""
+
+
+@pytest.mark.parametrize("text", ["0.5", "1", "7.5", "0", "-0.5", "0.7", "1e-13",
+                                  "inf", "nan", "1e400"])
+def test_spin_rule_is_one_rule(capsys, text):
+    """spin, ModelSpec and report --s accept exactly the same spins, and none
+    of them raises anything but ValueError for the others."""
+    outcomes = []
+    for make in (lambda: spin(float(text), "z"),
+                 lambda: models.ModelSpec(models.HEISENBERG, N=1, s=float(text))):
+        try:
+            make()
+            outcomes.append(True)
+        except ValueError:
+            outcomes.append(False)
+    code = run(capsys, "report", "--model", "heisenberg", "--s", text,
+               "--N", "1", "--schemes", "sb_only")[0]
+    assert code in (0, 2)
+    outcomes.append(code == 0)
+    assert outcomes == [float(text) in (0.5, 1, 7.5)] * 3
+
+
+# Valid flags for each subcommand; c.json and h.json are written by the test.
+_WALK_BASE = {
+    "encode": ["--enc", "sb", "--d", "4"],
+    "map-op": ["--enc", "sb", "--d", "4", "--op", "q"],
+    "trotter": ["--enc", "sb", "--d", "4", "--op", "q"],
+    "optimize": ["--circuit", "c.json"],
+    "convert-circuit": ["--kind", "sb2gray", "--d", "4"],
+    "conversion-cost": ["--kind", "sb2gray", "--d", "4"],
+    "bounds": ["--dH", "1", "--K", "2"],
+    "bounds-op": ["--enc", "sb", "--d", "4", "--op", "q"],
+    "report": ["--model", "bose-hubbard", "--d", "2", "--N", "1"],
+    "simulate-check": ["--pauli", "h.json", "--circuit", "c.json"],
+    "export-qasm": ["--circuit", "c.json"],
+}
+_NUMBER_FLAGS = [(name, flag) for name, (_, _, flags) in cli._COMMANDS.items()
+                 for flag, kwargs in flags
+                 if kwargs.get("type") in (int, float) or flag in ("--d", "--s")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400", "x"])
+@pytest.mark.parametrize("command, flag", _NUMBER_FLAGS)
+def test_no_number_flag_value_raises_a_traceback(tmp_path, capsys, monkeypatch,
+                                                 command, flag, value):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SEED", raising=False)
+    for name, text in _ZERO_DISTANCE.items():
+        (tmp_path / name).write_text(text)
+    base = (["--model", "heisenberg", "--s", "0.5", "--N", "1"] if flag == "--s"
+            else _WALK_BASE[command])
+    argv = list(base)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    try:
+        code = main([command, *argv])
+    except SystemExit as exc:  # argparse rejects the value
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 2) and "Traceback" not in err

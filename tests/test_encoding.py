@@ -135,3 +135,27 @@ def test_bitmask_subset_compact_is_full_register():
     spec = EncodingSpec(GRAY, 6)
     for l in range(6):
         assert bitmask_subset(spec, l) == {0, 1, 2}
+
+
+@pytest.mark.parametrize("make", [
+    lambda d: EncodingSpec(SB, d),
+    lambda d: EncodingSpec(GRAY, d),
+    lambda d: EncodingSpec(UNARY, d),
+    *(lambda d, g=g, local=local: EncodingSpec(BLOCK_UNARY, d, local_kind=local, g=g)
+      for g in (1, 2, 3, 4) for local in (SB, GRAY)),
+], ids=["sb", "gray", "unary", *(f"bu-{local}-g{g}" for g in (1, 2, 3, 4)
+                                 for local in ("sb", "gray"))])
+def test_decode_is_exactly_the_inverse_of_encode(make):
+    """Every bitstring of every register up to 12 qubits (d = 2..12): the
+    codewords decode to their levels and everything else is InvalidCodeword."""
+    for d in range(2, 13):
+        spec = make(d)
+        n = num_qubits(spec)
+        levels = {encode(spec, l): l for l in range(d)}
+        for x in range(1 << n):
+            bits = tuple((x >> q) & 1 for q in range(n))
+            if bits in levels:
+                assert decode(spec, bits) == levels[bits]
+            else:
+                with pytest.raises(InvalidCodeword):
+                    decode(spec, bits)
