@@ -142,21 +142,13 @@ def trotter_term(p: PauliString, coeff: complex, theta: float, n_qubits: int) ->
     return circ
 
 
-def trotter_step(h: PauliSum, theta: float, ordering: str = "canonical") -> Circuit:
-    """First-order product formula: one term circuit per Pauli string.
-
-    ordering="canonical" sorts terms in the pseudo-alphabetical string
-    order (deterministic); "given" keeps the sum's storage order.
-    """
+def trotter_step(h: PauliSum, theta: float) -> Circuit:
+    """First-order product formula: one term circuit per Pauli string, in
+    the pseudo-alphabetical string order (deterministic)."""
     if not h.is_hermitian():
         raise ValueError("trotter_step needs a Hermitian Pauli sum")
-    items = list(h.terms.items())
-    if ordering == "canonical":
-        items.sort(key=lambda kv: string_key(kv[0]))
-    elif ordering != "given":
-        raise ValueError(f"unknown ordering {ordering!r}")
     circ = Circuit(h.n_qubits)
-    for p, c in items:
+    for p, c in sorted(h.terms.items(), key=lambda kv: string_key(kv[0])):
         part = trotter_term(p, c, theta, h.n_qubits)
         circ.gates.extend(part.gates)
         circ.global_phase += part.global_phase
@@ -317,7 +309,7 @@ def export_circuit(c: Circuit, fmt: str = "json") -> str:
 
 _QASM_KINDS = {**{v: k for k, v in _QASM_FIXED.items()}, "rz": "Rz"}
 _QASM_LINE = re.compile(r"^(\w+)\s*(?:\(([^)]*)\))?\s*(.*);$")
-_QASM_ARG = re.compile(r"q\[(\d+)\]")
+_QASM_QUBIT = re.compile(r"(\w+)\[(\d+)\]")
 _QASM_DECIMAL = re.compile(r"\s*[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\s*")
 
 
@@ -329,10 +321,10 @@ def _qasm_decimal(text: str, what: str, line: str) -> float:
 
 
 def import_qasm(text: str) -> Circuit:
-    """Parse the OpenQASM 2 subset emitted by export_circuit: one qreg and a
-    decimal ``// global phase:``.  The result is the dict that circuit JSON
-    holds, checked by the same rule (_circuit_from_dict)."""
-    n_qubits, phase, gates = None, 0.0, []
+    """Parse the OpenQASM 2 subset emitted by export_circuit: one qreg of any name,
+    gate arguments ``<name>[<int>]`` and a decimal ``// global phase:``.  The
+    result is the dict that circuit JSON holds, checked by the same rule."""
+    reg, n_qubits, phase, gates = None, None, 0.0, []
     for raw in text.splitlines():
         line = raw.strip()
         if line.startswith("// global phase:"):
@@ -346,19 +338,25 @@ def import_qasm(text: str) -> Circuit:
             raise ValueError(f"cannot parse QASM line {line!r}")
         name, param, args = m.groups()
         if name == "qreg":
-            if n_qubits is not None:
+            if reg is not None:
                 raise ValueError(f"QASM input takes one qreg; a second one is {line!r}")
-            n_qubits = int(re.search(r"\[(\d+)\]", args if args else line).group(1))
+            m = _QASM_QUBIT.fullmatch(args)
+            if not m:
+                raise ValueError(f"cannot parse QASM qreg declaration {line!r}")
+            reg, n_qubits = m.group(1), int(m.group(2))
             continue
-        if n_qubits is None:
+        if reg is None:
             raise ValueError("gate before qreg declaration")
         if name not in _QASM_KINDS:
             raise ValueError(f"unsupported QASM gate {name!r}")
-        item = {"kind": _QASM_KINDS[name], "qubits": [int(x) for x in _QASM_ARG.findall(args)]}
+        qubits = [_QASM_QUBIT.fullmatch(arg.strip()) for arg in args.split(",")]
+        if not all(q and q.group(1) == reg for q in qubits):
+            raise ValueError(f"QASM gate arguments must be {reg}[<int>] on qreg {reg}: {line!r}")
+        item = {"kind": _QASM_KINDS[name], "qubits": [int(q.group(2)) for q in qubits]}
         if name == "rz" or param is not None:  # the gate rule rejects an angle off Rz
             item["angle"] = _qasm_decimal(param or "", f"{name} angle", line)
         gates.append(item)
-    if n_qubits is None:
+    if reg is None:
         raise ValueError("no qreg declaration found")
     return _circuit_from_dict({"n_qubits": n_qubits, "global_phase": phase, "gates": gates})
 

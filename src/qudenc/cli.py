@@ -175,8 +175,7 @@ def _cmd_map_op(args) -> int:
 
 def _cmd_trotter(args) -> int:
     spec, op = _spec_and_operator(args)
-    circ = trotter_step(encode_matrix(spec, op).sum, args.theta,
-                        ordering=args.ordering)
+    circ = trotter_step(encode_matrix(spec, op).sum, args.theta)
     rep = count_resources(circ)
     print(f"trotter step for {args.op} (d={args.d}, {spec.describe()}, "
           f"theta={fmt(args.theta)})")
@@ -336,9 +335,8 @@ _COMMANDS = {
     "encode": (_cmd_encode, "show codewords of an encoding",
                _ENC + [("--level", dict(type=int))] + _OUT),
     "map-op": (_cmd_map_op, "encode an operator as a Pauli sum", _ENC + _OP + _SEED + _OUT),
-    "trotter": (_cmd_trotter, "synthesize one Trotter step", _ENC + _OP + _THETA + [
-        ("--ordering", dict(choices=["canonical", "given"], default="canonical"))]
-        + _SEED + _OUT),
+    "trotter": (_cmd_trotter, "synthesize one Trotter step",
+                _ENC + _OP + _THETA + _SEED + _OUT),
     "optimize": (_cmd_optimize, "run the peephole optimizer",
                  _CIRCUIT + [("--max-sweeps", dict(type=int))] + _OUT),
     "convert-circuit": (_cmd_convert_circuit, "emit an encoding conversion circuit",

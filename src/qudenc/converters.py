@@ -35,7 +35,7 @@ address, uncomputed through an OR).  Wire layout: 8 code wires (blocks at
 from __future__ import annotations
 
 from .circuits import Circuit, Gate, ResourceReport, count_resources, toffoli_via_cswap
-from .encoding import MAX_D, ceil_log2
+from .encoding import ceil_log2, check_level_count
 
 SB_TO_GRAY = "sb2gray"
 GRAY_TO_SB = "gray2sb"
@@ -257,8 +257,7 @@ def _build(kind: str, d: int, include_layout: bool) -> Circuit:
     conversion_circuit; checks d once for every kind."""
     if kind not in CONVERSION_KINDS:
         raise ValueError(f"unknown conversion kind {kind!r}; choose from {CONVERSION_KINDS}")
-    if not 2 <= d <= MAX_D:
-        raise ValueError(f"d must be in [2, {MAX_D}], got {d}")
+    check_level_count(d)
     if kind == SB_TO_GRAY:
         return sb_to_gray_circuit(d)
     if kind == GRAY_TO_SB:

@@ -232,12 +232,12 @@ class DBDFit:
     k: tuple[float, ...]
 
 
-def detect_dbd(A, tol: float = DBD_FIT_TOL) -> DBDFit | None:
+def detect_dbd(A) -> DBDFit | None:
     """Fit the diagonal to an affine function of the standard-binary bits.
 
     The fit runs over the d realized bit patterns only (a truncation like
     d=3 uses 3 of the 4 two-bit patterns, and a fit on those is accepted).
-    Returns None for non-diagonal matrices or imperfect fits.
+    Returns None for non-diagonal matrices or fits worse than DBD_FIT_TOL.
     """
     m = as_matrix(A)
     d = m.shape[0]
@@ -252,7 +252,7 @@ def detect_dbd(A, tol: float = DBD_FIT_TOL) -> DBDFit | None:
     design = np.array([[1.0] + [(l >> i) & 1 for i in range(K)] for l in range(d)])
     coeffs, *_ = np.linalg.lstsq(design, diag, rcond=None)
     residual = design @ coeffs - diag
-    if np.max(np.abs(residual)) > tol:
+    if np.max(np.abs(residual)) > DBD_FIT_TOL:
         return None
     return DBDFit(offset=float(coeffs[0]), k=tuple(float(c) for c in coeffs[1:]))
 

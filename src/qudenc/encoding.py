@@ -26,8 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-MAX_D = 2**16
-
 SB = "sb"
 GRAY = "gray"
 UNARY = "unary"
@@ -37,6 +35,13 @@ _KINDS = (SB, GRAY, UNARY, BLOCK_UNARY)
 _LOCAL_KINDS = (SB, GRAY)
 
 BitString = tuple[int, ...]
+MAX_D = 2**16
+
+
+def check_level_count(d: int, name: str = "d") -> None:
+    """The one level-count rule, checked before any d x d matrix is built."""
+    if not 2 <= d <= MAX_D:
+        raise ValueError(f"{name} must be in [2, {MAX_D}], got {d}")
 
 
 class InvalidCodeword(ValueError):
@@ -60,8 +65,7 @@ class EncodingSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown encoding kind {self.kind!r}")
-        if not 2 <= self.d <= MAX_D:
-            raise ValueError(f"d must be in [2, {MAX_D}], got {self.d}")
+        check_level_count(self.d)
         if self.kind == BLOCK_UNARY:
             if self.local_kind not in _LOCAL_KINDS:
                 raise ValueError(f"unknown local code {self.local_kind!r}")

@@ -46,12 +46,12 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .circuits import Circuit, count_resources, trotter_step
-from .converters import SB_TO_UNARY, conversion_cost
-from .encoding import GRAY, SB, UNARY, EncodingSpec, num_qubits
+from .converters import SB_TO_GRAY, SB_TO_UNARY, conversion_cost
+from .encoding import GRAY, SB, UNARY, EncodingSpec, check_level_count, num_qubits
 from .encoder import augment_truncation, can_augment, encode_matrix, matrix_digest
 from .optimizer import optimize
 from .paulis import PauliSum
-from .qudit_ops import BOSONIC, SPIN, QuditMatrix, bosonic, spin, twice_spin
+from .qudit_ops import BOSONIC, SPIN, QuditMatrix, bosonic, spin, spin_levels
 
 BOSE_HUBBARD = "bose_hubbard"
 SHIFTED_QHO = "shifted_qho"
@@ -303,15 +303,16 @@ class ModelSpec:
         if self.model == HEISENBERG:
             if self.s is None:
                 raise ValueError("Heisenberg needs a spin s")
-            twice_spin(self.s)
+            spin_levels(self.s)
+        elif self.d is None:
+            raise ValueError("bosonic models need a cutoff d")
         else:
-            if self.d is None or self.d < 2:
-                raise ValueError("bosonic models need a cutoff d >= 2")
+            check_level_count(self.d)
 
     @property
     def site_dim(self) -> int:
         if self.model == HEISENBERG:
-            return twice_spin(self.s) + 1
+            return spin_levels(self.s)
         return self.d
 
     @property
@@ -368,23 +369,22 @@ def clear_price_cache() -> None:
     _PRICE_CACHE.clear()
 
 
-def _term_cache_key(term: LocalTerm, kind: str, g: int, augment: bool):
+def _term_cache_key(term: LocalTerm, kind: str, augment: bool):
     digests = tuple(tuple(matrix_digest(m) for m in product)
                     for product in term.factors)
     zero = abs(term.coefficient) < COEFF_ZERO_TOL
-    return (kind, g, augment, zero, digests)
+    return (kind, augment, zero, digests)
 
 
-def term_entangling_cost(term: LocalTerm, kind: str, g: int = 3,
-                         augment: bool = False) -> int:
-    """Entangling gates of one optimized Trotter-step factor for this term."""
-    key = _term_cache_key(term, kind, g, augment)
+def term_entangling_cost(term: LocalTerm, kind: str, augment: bool = False) -> int:
+    """Entangling gates of one optimized Trotter-step factor under SB, Gray or unary."""
+    key = _term_cache_key(term, kind, augment)
     if key in _PRICE_CACHE:
         return _PRICE_CACHE[key]
     if abs(term.coefficient) < COEFF_ZERO_TOL:
         cost = 0
     else:
-        encoded = encode_term(term, kind, g=g, augment=augment)
+        encoded = encode_term(term, kind, augment=augment)
         circ = trotter_step(encoded, PRICING_THETA)
         cost = count_resources(optimize(circ)).entangling_total
     _PRICE_CACHE[key] = cost
@@ -439,8 +439,9 @@ def compute_scheme_report(spec: ModelSpec) -> SchemeReport:
     terms = build_model(spec)
     d = spec.site_dim
     K = num_qubits(EncodingSpec(SB, d))
-    sb_gray_conv = 2 * (K - 1)
-    unary_conv = 2 * conversion_cost(SB_TO_UNARY, d, "clifford_t").counts.get("CNOT", 0)
+    # Two conversions per Trotter step, each at its Clifford+T circuit's CNOTs.
+    sb_gray_conv, unary_conv = (2 * conversion_cost(kind, d, "clifford_t").counts.get("CNOT", 0)
+                                for kind in (SB_TO_GRAY, SB_TO_UNARY))
 
     cost = {kind: [_priced(t, kind, d) for t in terms]
             for kind in (SB, GRAY, UNARY)}

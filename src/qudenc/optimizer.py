@@ -51,19 +51,18 @@ _INVERSE_KIND = {"X": "X", "H": "H", "BasisY": "BasisY", "CNOT": "CNOT",
                  "T": "Tdg", "Tdg": "T", "S": "Sdg", "Sdg": "S"}
 ANGLE_EPS = 1e-12
 TWO_PI = 2.0 * math.pi
+PASS_NAMES = ("cancel_inverse_pairs", "merge_rotations", "cnot_triple_rewrite")
 
 
 @dataclass(frozen=True)
 class PassConfig:
-    passes: tuple[str, ...] = ("cancel_inverse_pairs", "merge_rotations",
-                               "cnot_triple_rewrite")
+    passes: tuple[str, ...] = PASS_NAMES
     max_sweeps: int = 50
     angle_eps: float = ANGLE_EPS
 
     def __post_init__(self):
-        known = {"cancel_inverse_pairs", "merge_rotations", "cnot_triple_rewrite"}
         for p in self.passes:
-            if p not in known:
+            if p not in PASS_NAMES:
                 raise ValueError(f"unknown pass {p!r}")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")

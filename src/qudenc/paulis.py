@@ -7,14 +7,14 @@ coefficients over an explicit qubit count.
 
 Multiplication uses the single-qubit algebra (XY = iZ and cyclic, P^2 = I)
 and distributes over terms.  Simplification collects coefficients, prunes
-magnitudes below an epsilon, and orders terms pseudo-alphabetically: sort
+magnitudes below PRUNE_EPS, and orders terms pseudo-alphabetically: sort
 by acting qubits (lowest first), breaking ties X < Y < Z, with the identity
 first — so e.g. every term containing X0 precedes every term whose lowest
-qubit is 1.  That ordering doubles as the default Trotter term order.
+qubit is 1.  That ordering is also the Trotter term order.
 
 Coefficients are complex doubles; the operators this package encodes have
 dyadic-rational coefficients, so arithmetic here is exact and anything
-below the default prune epsilon of 1e-12 is noise.
+below the prune epsilon PRUNE_EPS = 1e-12 is noise.
 """
 
 from __future__ import annotations
@@ -143,8 +143,8 @@ class PauliSum:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "PauliSum":
-        return cls(n_qubits, {(): coeff})
+    def identity(cls, n_qubits: int) -> "PauliSum":
+        return cls(n_qubits, {(): 1.0})
 
     def copy(self) -> "PauliSum":
         out = PauliSum(self.n_qubits)
@@ -191,11 +191,9 @@ class PauliSum:
                 out._accumulate(s, phase * ca * cb)
         return out.simplify()
 
-    def simplify(self, eps: float = PRUNE_EPS) -> "PauliSum":
-        """Collect, prune |coeff| < eps, and order terms canonically."""
-        if eps < 0:
-            raise ValueError("eps must be non-negative")
-        kept = {s: c for s, c in self.terms.items() if abs(c) >= eps}
+    def simplify(self) -> "PauliSum":
+        """Collect, prune |coeff| < PRUNE_EPS, and order terms canonically."""
+        kept = {s: c for s, c in self.terms.items() if abs(c) >= PRUNE_EPS}
         out = PauliSum(self.n_qubits)
         out.terms = {s: kept[s] for s in sorted(kept, key=string_key)}
         return out
@@ -210,9 +208,9 @@ class PauliSum:
         }
         return out
 
-    def is_hermitian(self, eps: float = PRUNE_EPS) -> bool:
+    def is_hermitian(self) -> bool:
         """Pauli strings are Hermitian, so hermiticity = real coefficients."""
-        return all(abs(c.imag) < eps for c in self.terms.values())
+        return all(abs(c.imag) < PRUNE_EPS for c in self.terms.values())
 
     # -- inspection -----------------------------------------------------------
 

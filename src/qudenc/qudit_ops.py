@@ -18,9 +18,11 @@ x_i = (i - Nx/2) * Delta, and seeded random Hermitian test matrices
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .encoding import check_level_count
 
 BOSONIC = "bosonic"
 SPIN = "spin"
@@ -37,7 +39,6 @@ class QuditMatrix:
     mat: np.ndarray
     name: str = "custom"
     family: str = GENERIC
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         m = np.asarray(self.mat, dtype=complex)
@@ -52,8 +53,8 @@ class QuditMatrix:
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.mat, dtype=dtype)
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return bool(np.max(np.abs(self.mat - self.mat.conj().T)) < tol)
+    def is_hermitian(self) -> bool:
+        return bool(np.max(np.abs(self.mat - self.mat.conj().T)) < 1e-10)
 
 
 def as_matrix(A) -> np.ndarray:
@@ -73,8 +74,7 @@ def _annihilation(d: int) -> np.ndarray:
 def bosonic(d: int, name: str) -> QuditMatrix:
     """Truncated bosonic operator by name; see module docstring for the
     truncation convention on squares."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    check_level_count(d)
     if name not in BOSONIC_NAMES:
         raise ValueError(f"unknown bosonic operator {name!r}; choose from {BOSONIC_NAMES}")
     a = _annihilation(d)
@@ -112,18 +112,22 @@ def twice_spin(s) -> int:
     return round(twice)
 
 
+def spin_levels(s) -> int:
+    """d = 2s + 1 for a spin s, checked by twice_spin and check_level_count."""
+    d = twice_spin(s) + 1
+    check_level_count(d, f"2s + 1 for s = {s}")
+    return d
+
+
 def spin(s: float, axis: str) -> QuditMatrix:
     """Spin-s operator S_axis on d = 2s+1 levels, highest magnetization first."""
-    two_s = twice_spin(s)
-    s = two_s / 2
-    d = two_s + 1
+    d = spin_levels(s)
+    s = (d - 1) / 2
     if axis not in ("x", "y", "z"):
         raise ValueError(f"axis must be x, y or z, got {axis!r}")
     if axis == "z":
-        return QuditMatrix(
-            np.diag([s - l for l in range(d)]).astype(complex),
-            name="sz", family=SPIN, params={"s": s},
-        )
+        return QuditMatrix(np.diag([s - l for l in range(d)]).astype(complex),
+                           name="sz", family=SPIN)
     # Ladder element between |l> and |l+1>: sqrt((l+1)(2s-l)).
     m = np.zeros((d, d), dtype=complex)
     for l in range(d - 1):
@@ -134,40 +138,36 @@ def spin(s: float, axis: str) -> QuditMatrix:
         else:
             m[l, l + 1] = -1j * c
             m[l + 1, l] = 1j * c
-    return QuditMatrix(m, name=f"s{axis}", family=SPIN, params={"s": s})
+    return QuditMatrix(m, name=f"s{axis}", family=SPIN)
 
 
 def first_quantized_x(Nx: int, delta: float) -> QuditMatrix:
     """Diagonal position grid x_i = (i - Nx/2) * delta on Nx points."""
-    if Nx < 2:
-        raise ValueError("Nx must be >= 2")
+    check_level_count(Nx, "Nx")
     if delta <= 0:
         raise ValueError("delta must be positive")
     xs = [(i - Nx / 2) * delta for i in range(Nx)]
-    return QuditMatrix(np.diag(xs).astype(complex), name="x_grid", family=GENERIC,
-                       params={"Nx": Nx, "delta": delta})
+    return QuditMatrix(np.diag(xs).astype(complex), name="x_grid", family=GENERIC)
 
 
 def dense_hermitian_test_matrix(d: int, seed: int) -> QuditMatrix:
     """Seeded random Hermitian matrix with entries drawn uniform in [-1, 1]
     (real and imaginary parts), then Hermitized."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    check_level_count(d)
     rng = np.random.default_rng(seed)
     raw = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
     m = (raw + raw.conj().T) / 2
-    return QuditMatrix(m, name="dense", family=GENERIC, params={"seed": seed})
+    return QuditMatrix(m, name="dense", family=GENERIC)
 
 
 def tridiag_test_matrix(d: int, seed: int) -> QuditMatrix:
     """Seeded random real symmetric tridiagonal matrix with a zero diagonal
     (nonzeros only where |i - j| = 1)."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    check_level_count(d)
     rng = np.random.default_rng(seed)
     m = np.zeros((d, d), dtype=complex)
     for l in range(d - 1):
         v = rng.uniform(-1, 1)
         m[l, l + 1] = v
         m[l + 1, l] = v
-    return QuditMatrix(m, name="bmat", family=GENERIC, params={"seed": seed})
+    return QuditMatrix(m, name="bmat", family=GENERIC)

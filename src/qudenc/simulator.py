@@ -199,6 +199,6 @@ def unitary_distance(u1: np.ndarray, u2: np.ndarray, up_to_phase: bool = False) 
     return float(np.max(np.abs(u1 - u2)))
 
 
-def states_equal(a: np.ndarray, b: np.ndarray,
-                 up_to_phase: bool = True, tol: float = 1e-9) -> bool:
-    return unitary_distance(a, b, up_to_phase) <= tol
+def states_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal up to a global phase, entry by entry within 1e-9."""
+    return unitary_distance(a, b, up_to_phase=True) <= 1e-9

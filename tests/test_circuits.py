@@ -171,6 +171,12 @@ def test_qasm_basis_y_becomes_sdg_h_s():
     assert lines == ["sdg q[0];", "h q[0];", "s q[0];"]
 
 
+def test_qasm_register_of_any_name_reads_back_as_q():
+    c = import_circuit('OPENQASM 2.0;\nqreg r[2];\nx r[0];\ncx r[1], r[0];\n')
+    assert c.n_qubits == 2
+    assert export_circuit(c, "qasm2").splitlines()[-2:] == ["x q[0];", "cx q[1],q[0];"]
+
+
 def test_qasm_import_rejects_unknown_gate():
     with pytest.raises(ValueError):
         import_circuit('OPENQASM 2.0;\nqreg q[1];\nfoo q[0];')

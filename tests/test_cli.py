@@ -269,9 +269,19 @@ _QASM_HEAD = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
                       "--tol", "-1"], "--tol"),
     ({}, ["SEED=abc", "map-op", "--enc", "sb", "--d", "4", "--op", "q"], "SEED"),
     ({}, ["SEED=1.5", "report", "--model", "bose-hubbard", "--d", "2", "--N", "1"], "SEED"),
+    ({}, ["report", "--model", "bose-hubbard", "--d", "100000", "--N", "1"], "got 100000"),
+    ({}, ["report", "--model", "heisenberg", "--s", "1e9", "--N", "1"], "s = 1000000000.0"),
+    ({"c.qasm": _QASM_HEAD + "qreg q[2];\nx qq[1];\n"},
+     ["export-qasm", "--circuit", "c.qasm"], "q[<int>] on qreg q"),
+    ({"c.qasm": _QASM_HEAD + "qreg q[2];\ncx q[0], r[1];\n"},
+     ["export-qasm", "--circuit", "c.qasm"], "q[<int>] on qreg q"),
+    ({"c.qasm": _QASM_HEAD + "qreg q;\nx q[0];\n"},
+     ["export-qasm", "--circuit", "c.qasm"], "qreg declaration"),
 ], ids=["pauli-without-terms", "null-global-phase", "qasm-rz-without-angle",
         "qasm-nan-global-phase", "qasm-second-qreg", "qasm-x-with-angle", "nan-tol", "negative-tol",
-        "non-integer-SEED-map-op", "fractional-SEED-report"])
+        "non-integer-SEED-map-op", "fractional-SEED-report", "report-d-above-cap",
+        "report-s-above-cap", "qasm-other-register-name", "qasm-second-register-argument",
+        "qasm-qreg-without-size"])
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, monkeypatch,
                                              files, argv, needle):
     """Input files, flags and NAME=value environment settings (written before

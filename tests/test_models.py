@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qudenc.encoding import (BLOCK_UNARY, GRAY, SB, UNARY, EncodingSpec,
+from qudenc.encoding import (BLOCK_UNARY, GRAY, MAX_D, SB, UNARY, EncodingSpec,
                              encode, num_qubits)
 from qudenc.models import (BOSE_HUBBARD, BOSON_SAMPLING, FRANCK_CONDON,
                            HEISENBERG, SHIFTED_QHO, LocalTerm, ModelSpec,
@@ -165,6 +165,13 @@ def test_model_spec_validation():
         ModelSpec(BOSE_HUBBARD, N=0, d=4)
     assert ModelSpec(HEISENBERG, N=2, s=1.5).site_dim == 4
     assert ModelSpec(BOSE_HUBBARD, N=2, d=5).site_dim == 5
+    # The level cap applies when the spec is made, before any matrix exists.
+    with pytest.raises(ValueError, match=rf"\[2, {MAX_D}\], got 100000"):
+        ModelSpec(BOSE_HUBBARD, N=1, d=100000)
+    with pytest.raises(ValueError, match=r"s = 1000000000\.0 must be in"):
+        ModelSpec(HEISENBERG, N=1, s=1e9)
+    assert ModelSpec(BOSE_HUBBARD, N=1, d=MAX_D).site_dim == MAX_D
+    assert ModelSpec(HEISENBERG, N=1, s=(MAX_D - 1) / 2).site_dim == MAX_D
 
 
 # ---------------------------------------------------------------------------

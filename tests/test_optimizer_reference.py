@@ -137,7 +137,7 @@ def _pricing_circuits(spec: models.ModelSpec):
             augments = (False, True) if (kind in (SB, GRAY) and spec.family == BOSONIC
                                          and d & (d - 1)) else (False,)
             for augment in augments:
-                key = models._term_cache_key(term, kind, 3, augment)
+                key = models._term_cache_key(term, kind, augment)
                 if key not in seen:
                     seen.add(key)
                     h = models.encode_term(term, kind, augment=augment)

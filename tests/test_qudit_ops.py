@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qudenc.encoding import MAX_D
 from qudenc.qudit_ops import (QuditMatrix, as_matrix, bosonic,
                               dense_hermitian_test_matrix, first_quantized_x,
                               spin, tridiag_test_matrix)
@@ -68,6 +69,19 @@ def test_spin_validation():
         spin(0.7, "z")
     with pytest.raises(ValueError):
         spin(1.0, "w")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: bosonic(MAX_D + 1, "a"),
+    lambda: spin(MAX_D / 2, "z"),
+    lambda: first_quantized_x(MAX_D + 1, 0.1),
+    lambda: dense_hermitian_test_matrix(MAX_D + 1, 0),
+    lambda: tridiag_test_matrix(MAX_D + 1, 0),
+], ids=["bosonic", "spin", "position-grid", "dense", "tridiag"])
+def test_builders_reject_more_than_max_d_levels(build):
+    """Each builder checks the level count before allocating its d x d matrix."""
+    with pytest.raises(ValueError, match=f"must be in \\[2, {MAX_D}\\], got {MAX_D + 1}"):
+        build()
 
 
 def test_first_quantized_x():
