@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import re
 from dataclasses import asdict, dataclass, field
 
-from .paulis import PauliString, PauliSum, string_key
+from .paulis import PauliString, PauliSum, _is_finite_real, _is_nonneg_int, string_key
 
 GATE_ARITY = {
     "X": 1, "H": 1, "BasisY": 1, "Rz": 1, "T": 1, "Tdg": 1,
@@ -40,11 +39,6 @@ GATE_ARITY = {
 }
 ENTANGLING_KINDS = ("CNOT", "SWAP", "CSWAP")
 REAL_COEFF_TOL = 1e-12
-
-
-def _is_finite_real(x) -> bool:
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and math.isfinite(x))
 
 
 @dataclass(frozen=True)
@@ -250,8 +244,8 @@ def _circuit_to_dict(c: Circuit) -> dict:
 
 
 def _circuit_from_dict(d: dict) -> Circuit:
-    if not (isinstance(d.get("n_qubits"), int) and isinstance(d.get("gates"), list)):
-        raise ValueError("circuit JSON needs an integer 'n_qubits' and a 'gates' list")
+    if not (_is_nonneg_int(d.get("n_qubits")) and isinstance(d.get("gates"), list)):
+        raise ValueError("circuit JSON needs an integer 'n_qubits' >= 0 and a 'gates' list")
     phase = d.get("global_phase", 0.0)
     if not _is_finite_real(phase):
         raise ValueError(f"circuit JSON 'global_phase' must be a finite number, got {phase!r}")
@@ -259,10 +253,9 @@ def _circuit_from_dict(d: dict) -> Circuit:
     for pos, item in enumerate(d["gates"]):
         if not (isinstance(item, dict) and "kind" in item
                 and isinstance(item.get("qubits"), list)
-                and all(isinstance(q, int) and not isinstance(q, bool)
-                        for q in item["qubits"])):
+                and all(map(_is_nonneg_int, item["qubits"]))):
             raise ValueError(f"gate {pos} of circuit JSON needs a 'kind' and a "
-                             "'qubits' list of integers")
+                             "'qubits' list of integers >= 0")
         c.add(item["kind"], *item["qubits"], angle=item.get("angle"))
     return c
 

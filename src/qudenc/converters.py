@@ -49,7 +49,8 @@ CONVERSION_KINDS = (SB_TO_GRAY, GRAY_TO_SB, SB_TO_UNARY, UNARY_TO_SB, SB_TO_BU)
 # SB <-> Gray
 
 def sb_to_gray_circuit(d: int) -> Circuit:
-    K = max(1, ceil_log2(d))
+    check_level_count(d)
+    K = ceil_log2(d)
     c = Circuit(K)
     for i in range(K - 1):
         c.add("CNOT", i + 1, i)
@@ -72,8 +73,7 @@ def sb_to_unary_circuit(d: int, include_layout: bool = True) -> Circuit:
     on wires 2^(b+1)-1 (capped at d-1); the layout SWAPs are bookkeeping,
     not arithmetic, and are reported separately.
     """
-    if d < 2:
-        raise ValueError("need d >= 2")
+    check_level_count(d)
     K = ceil_log2(d)
     c = Circuit(d)
     if include_layout:
@@ -254,10 +254,9 @@ def sb_to_bu_circuit() -> Circuit:
 
 def _build(kind: str, d: int, include_layout: bool) -> Circuit:
     """The one kind -> circuit dispatch behind conversion_cost and
-    conversion_circuit; checks d once for every kind."""
+    conversion_circuit; the builders check d themselves."""
     if kind not in CONVERSION_KINDS:
         raise ValueError(f"unknown conversion kind {kind!r}; choose from {CONVERSION_KINDS}")
-    check_level_count(d)
     if kind == SB_TO_GRAY:
         return sb_to_gray_circuit(d)
     if kind == GRAY_TO_SB:
@@ -272,7 +271,7 @@ def _build(kind: str, d: int, include_layout: bool) -> Circuit:
 
 
 def conversion_cost(kind: str, d: int, decompose: str = "none") -> ResourceReport:
-    """Closed-form (layout-free) gate counts for a conversion circuit."""
+    """Counts of the built layout-free circuit; they equal the closed forms above."""
     return count_resources(_build(kind, d, include_layout=False), decompose)
 
 

@@ -26,10 +26,10 @@ does not depend on which of the two paths below computed it:
   row-major order.  A fast Walsh-Hadamard (butterfly) transform would
   add the same terms in another order and change last bits.
 
-Squares and products should be formed at the matrix level *before*
-encoding — encoding first and multiplying the Pauli sums afterwards is
-algebraically equal on the code subspace but can leave superfluous terms
-that act only outside it.
+Products across sites are exact tensor products of the sites' sums, on
+disjoint qubits.  Squares and other same-site products must be formed at
+the matrix level *before* encoding: multiplying the encoded sums is equal
+on the code subspace but can leave terms that act only outside it.
 
 Also here: detection of diagonal binary-decomposable (DBD) operators,
 whose diagonal is an affine function of the standard-binary bits of the

@@ -28,9 +28,9 @@ augmented only when every matrix in it passes ``encoder.can_augment``
 identity are priced as they are.  Ties prefer the lower-qubit,
 conversion-free choice (SB, then Gray, then unary).
 
-The boson-sampling circuit layer reuses the same path: each gate is one
-model term, encoded by ``encode_term`` and synthesized by
-``trotter_step``.
+The boson-sampling circuit layer reuses the same site product: each gate
+is one model term, tensored straight onto its modes' qubits (mode m owns
+[m * nq, (m + 1) * nq)) and synthesized by ``trotter_step``.
 
 Scenario labels follow the classification: A when a single compact code is
 optimal, B when mixing SB and Gray wins, C when unary wins and compacting
@@ -41,7 +41,8 @@ compacting is not worthwhile.
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from .converters import SB_TO_GRAY, SB_TO_UNARY, conversion_cost
 from .encoding import GRAY, SB, UNARY, EncodingSpec, check_level_count, num_qubits
 from .encoder import augment_truncation, can_augment, encode_matrix, matrix_digest
 from .optimizer import optimize
-from .paulis import PauliSum
+from .paulis import PRUNE_EPS, PauliSum
 from .qudit_ops import BOSONIC, SPIN, QuditMatrix, bosonic, spin, spin_levels
 
 BOSE_HUBBARD = "bose_hubbard"
@@ -338,28 +339,33 @@ def build_model(spec: ModelSpec) -> list[LocalTerm]:
 # ---------------------------------------------------------------------------
 # pricing
 
+def _site_product(products, specs, offsets, n_qubits: int) -> PauliSum:
+    """Sum of the products' tensor products, site j encoded under specs[j] from
+    qubit offsets[j] up.  Sites own disjoint qubits, so strings concatenate and
+    coefficients multiply; partial products below PRUNE_EPS drop as in multiply."""
+    ascending = offsets == sorted(offsets)
+    out = PauliSum(n_qubits)
+    for product in products:
+        acc = [((), 1.0)]
+        for spec, offset, m in zip(specs, offsets, product):
+            part = encode_matrix(spec, m).sum.tensor_shift(offset, n_qubits).terms.items()
+            acc = [(sa + sb, c) for sa, ca in acc for sb, cb in part
+                   if abs(c := ca * cb) >= PRUNE_EPS]
+        for s, c in acc:
+            s = s if ascending else tuple(sorted(s))
+            out.terms[s] = out.terms.get(s, 0) + c
+    return out
+
+
 def encode_term(term: LocalTerm, kind: str, g: int = 3,
                 augment: bool = False) -> PauliSum:
     """Pauli sum of the whole term on a register laid out site by site
     (first site in the lowest qubits)."""
-    matrices = term.factors
-    if augment:
-        matrices = tuple(tuple(augment_truncation(m) for m in product)
-                         for product in matrices)
-    dims = tuple(matrices[0][j].d for j in range(len(term.sites)))
-    specs = [EncodingSpec(kind, dj, g=g) for dj in dims]
-    widths = [num_qubits(sp) for sp in specs]
-    offsets = [sum(widths[:j]) for j in range(len(widths))]
-    total = sum(widths)
-    out = PauliSum(total)
-    for product in matrices:
-        acc: PauliSum | None = None
-        for j, m in enumerate(product):
-            part = encode_matrix(specs[j], m).sum.tensor_shift(offsets[j], total)
-            acc = part if acc is None else acc.multiply(part)
-        for s, c in acc.terms.items():
-            out.terms[s] = out.terms.get(s, 0) + c
-    return (term.coefficient * out).simplify()
+    products = (tuple(tuple(map(augment_truncation, product)) for product in term.factors)
+                if augment else term.factors)
+    specs = [EncodingSpec(kind, m.d, g=g) for m in products[0]]
+    offsets = list(accumulate((num_qubits(sp) for sp in specs), initial=0))
+    return (term.coefficient * _site_product(products, specs, offsets, offsets[-1])).simplify()
 
 
 _PRICE_CACHE: dict = {}
@@ -494,22 +500,19 @@ def compute_scheme_report(spec: ModelSpec) -> SchemeReport:
 # boson-sampling circuit layer
 
 def boson_sampling_circuit(spec: ModelSpec, kind: str, g: int = 3) -> Circuit:
-    """Concatenated single-Trotter-factor circuits, one per listed gate.
-
-    Each gate's term is encoded by encode_term with unit coefficient and
-    synthesized at theta = the gate angle, so a zero-angle gate keeps its
-    gates; local qubit q of the term then sits on mode sites[q // nq].
-    """
+    """Concatenated single-Trotter-factor circuits, one per listed gate.  Mode m
+    owns qubits [m * nq, (m + 1) * nq); each gate's term, encoded there with unit
+    coefficient, is synthesized at theta = the gate angle, so a zero-angle gate
+    keeps its gates."""
     if spec.model != BOSON_SAMPLING:
         raise ValueError("needs a boson_sampling ModelSpec")
-    nq = num_qubits(EncodingSpec(kind, spec.d, g=g))
+    enc = EncodingSpec(kind, spec.d, g=g)
+    nq = num_qubits(enc)
     circ = Circuit(spec.N * nq)
     for term in build_model(spec):
-        local = encode_term(replace(term, coefficient=1.0), kind, g=g)
-        h = PauliSum(circ.n_qubits, {
-            tuple(sorted((term.sites[q // nq] * nq + q % nq, p) for q, p in s)): c
-            for s, c in local.terms.items()})
-        step = trotter_step(h, term.coefficient)
+        h = _site_product(term.factors, [enc] * len(term.sites),
+                          [site * nq for site in term.sites], circ.n_qubits)
+        step = trotter_step(h.simplify(), term.coefficient)
         circ.gates.extend(step.gates)
         circ.global_phase += step.global_phase
     return circ

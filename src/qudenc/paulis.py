@@ -19,6 +19,7 @@ below the prune epsilon PRUNE_EPS = 1e-12 is noise.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Mapping
 
 PRUNE_EPS = 1e-12
@@ -53,6 +54,16 @@ def string(*factors: tuple[int, str]) -> PauliString:
             raise ValueError(f"negative qubit index {q}")
         seen[q] = p
     return tuple(sorted(seen.items()))
+
+
+# Input rules shared with circuits.py: widths and qubit indices, finite reals.
+def _is_nonneg_int(n) -> bool:
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
+
+
+def _is_finite_real(x) -> bool:
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
 
 
 def weight(s: PauliString) -> int:
@@ -258,16 +269,15 @@ class PauliSum:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "PauliSum":
-        if not (isinstance(data, Mapping) and isinstance(data.get("n_qubits"), int)
+        if not (isinstance(data, Mapping) and _is_nonneg_int(data.get("n_qubits"))
                 and isinstance(data.get("terms"), list)):
-            raise ValueError("Pauli-sum JSON needs an integer 'n_qubits' and a 'terms' list")
+            raise ValueError("Pauli-sum JSON needs an integer 'n_qubits' >= 0 and a 'terms' list")
         out = cls(data["n_qubits"])
         for pos, entry in enumerate(data["terms"]):
             if not (isinstance(entry, Mapping) and isinstance(entry.get("pauli"), str)
-                    and all(isinstance(entry.get(k, 0.0), (int, float))
-                            for k in ("re", "im"))):
+                    and all(_is_finite_real(entry.get(k, 0.0)) for k in ("re", "im"))):
                 raise ValueError(f"term {pos} of Pauli-sum JSON needs a 'pauli' "
-                                 "string and numeric 're' / 'im'")
+                                 "string and finite numeric 're' / 'im'")
             out._accumulate(text_to_string(entry["pauli"]),
                             complex(entry.get("re", 0.0), entry.get("im", 0.0)))
         return out

@@ -80,18 +80,19 @@ def _apply_gate(tensor: np.ndarray, g: Gate, n: int) -> np.ndarray:
     return np.moveaxis(moved, range(k), axes)
 
 
+def _run(c: Circuit, tensor: np.ndarray) -> np.ndarray:
+    """Apply the gates and the global phase to a tensor laid out as in _apply_gate."""
+    for g in c.gates:
+        tensor = _apply_gate(tensor, g, c.n_qubits)
+    return np.exp(1j * c.global_phase) * tensor if c.global_phase else tensor
+
+
 def apply_circuit(c: Circuit, state: np.ndarray) -> np.ndarray:
     """Apply the circuit (including its global phase) to a statevector."""
     n = c.n_qubits
     if state.shape != (2 ** n,):
         raise ValueError(f"state has shape {state.shape}, expected ({2**n},)")
-    tensor = np.asarray(state, dtype=complex).reshape((2,) * n)
-    for g in c.gates:
-        tensor = _apply_gate(tensor, g, n)
-    out = tensor.reshape(2 ** n)
-    if c.global_phase:
-        out = np.exp(1j * c.global_phase) * out
-    return out
+    return _run(c, np.asarray(state, dtype=complex).reshape((2,) * n)).reshape(2 ** n)
 
 
 def basis_state(n_qubits: int, index: int) -> np.ndarray:
@@ -106,13 +107,7 @@ def circuit_to_unitary(c: Circuit) -> np.ndarray:
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"{n} qubits exceeds the dense cap of {MAX_DENSE_QUBITS}")
     dim = 2 ** n
-    tensor = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
-    for g in c.gates:
-        tensor = _apply_gate(tensor, g, n)
-    u = tensor.reshape(dim, dim)
-    if c.global_phase:
-        u = np.exp(1j * c.global_phase) * u
-    return u
+    return _run(c, np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))).reshape(dim, dim)
 
 
 def pauli_to_matrix(s: PauliSum) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 reference_boson_sampling.py keeps the earlier circuit layer, which builds
 each gate's Pauli sum from per-mode a, a^dag and n sums.  The current layer
-goes through encode_term; both must give the same circuit down to the repr
-of every angle and of the global phase.
+tensors each gate's sites straight onto their modes' qubits, with the site
+product that encode_term also uses; both must give the same circuit down to
+the repr of every angle and of the global phase.
 """
 
 import math

@@ -277,11 +277,31 @@ _QASM_HEAD = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
      ["export-qasm", "--circuit", "c.qasm"], "q[<int>] on qreg q"),
     ({"c.qasm": _QASM_HEAD + "qreg q;\nx q[0];\n"},
      ["export-qasm", "--circuit", "c.qasm"], "qreg declaration"),
+    ({"c.json": json.dumps({"n_qubits": -2, "gates": []})},
+     ["export-qasm", "--circuit", "c.json"], "'n_qubits'"),
+    ({"c.json": json.dumps({"n_qubits": True, "gates": []})},
+     ["optimize", "--circuit", "c.json", "--out", "out.json"], "'n_qubits'"),
+    ({"h.json": json.dumps({"n_qubits": True, "terms": [{"pauli": "Z0", "re": 0.5}]}),
+      "c.json": _ZERO_DISTANCE["c.json"]},
+     ["simulate-check", "--pauli", "h.json", "--circuit", "c.json"], "'n_qubits'"),
+    ({"h.json": json.dumps({"n_qubits": 1, "terms": [{"pauli": "Z0", "re": True}]}),
+      "c.json": _ZERO_DISTANCE["c.json"]},
+     ["simulate-check", "--pauli", "h.json", "--circuit", "c.json"], "'re'"),
+    ({"h.json": json.dumps({"n_qubits": 1, "terms": [{"pauli": "Z0", "re": 10 ** 400}]}),
+      "c.json": _ZERO_DISTANCE["c.json"]},
+     ["simulate-check", "--pauli", "h.json", "--circuit", "c.json"], "'re'"),
+    ({"c.json": json.dumps({"n_qubits": 1, "global_phase": 10 ** 400, "gates": []})},
+     ["optimize", "--circuit", "c.json"], "'global_phase'"),
+    ({"c.json": json.dumps({"n_qubits": 1, "gates": [
+        {"kind": "Rz", "qubits": [0], "angle": 10 ** 400}]})},
+     ["optimize", "--circuit", "c.json"], "Rz angle"),
 ], ids=["pauli-without-terms", "null-global-phase", "qasm-rz-without-angle",
         "qasm-nan-global-phase", "qasm-second-qreg", "qasm-x-with-angle", "nan-tol", "negative-tol",
         "non-integer-SEED-map-op", "fractional-SEED-report", "report-d-above-cap",
         "report-s-above-cap", "qasm-other-register-name", "qasm-second-register-argument",
-        "qasm-qreg-without-size"])
+        "qasm-qreg-without-size", "negative-circuit-width", "bool-circuit-width",
+        "bool-pauli-width", "bool-pauli-coefficient", "huge-integer-pauli-coefficient",
+        "huge-integer-global-phase", "huge-integer-rz-angle"])
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, monkeypatch,
                                              files, argv, needle):
     """Input files, flags and NAME=value environment settings (written before

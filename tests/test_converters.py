@@ -10,7 +10,7 @@ from qudenc.converters import (BU_SHOWCASE_D, BU_SHOWCASE_G, CONVERSION_KINDS,
                                gray_to_sb_circuit, mcx_gates, sb_to_bu_circuit,
                                sb_to_gray_circuit, sb_to_unary_circuit,
                                synthesize_permutation, unary_to_sb_circuit)
-from qudenc.encoding import (BLOCK_UNARY, GRAY, SB, EncodingSpec, encode,
+from qudenc.encoding import (BLOCK_UNARY, GRAY, MAX_D, SB, EncodingSpec, encode,
                              num_qubits)
 from qudenc.simulator import apply_circuit, basis_state, circuit_to_unitary
 
@@ -172,3 +172,13 @@ def test_conversion_cost_and_circuit_dispatch():
         conversion_circuit(SB_TO_BU, 10)
     with pytest.raises(ValueError):
         sb_to_unary_circuit(1)
+
+
+@pytest.mark.parametrize("build", [sb_to_gray_circuit, gray_to_sb_circuit,
+                                   sb_to_unary_circuit, unary_to_sb_circuit],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("d", [-5, 1, MAX_D + 1])
+def test_builders_apply_the_level_count_rule(build, d):
+    # The check comes before any wire is allocated, so MAX_D + 1 is cheap.
+    with pytest.raises(ValueError, match=rf"d must be in \[2, {MAX_D}\], got {d}$"):
+        build(d)

@@ -17,8 +17,8 @@ from qudenc import models
 from qudenc.encoder import ZERO_ENTRY_TOL, can_augment, encode_element, encode_matrix
 from qudenc.encoding import BLOCK_UNARY, GRAY, SB, UNARY, EncodingSpec, num_qubits
 from qudenc.paulis import PRUNE_EPS
-from qudenc.qudit_ops import (BOSONIC_NAMES, bosonic, dense_hermitian_test_matrix, spin,
-                              tridiag_test_matrix)
+from qudenc.qudit_ops import (BOSONIC_NAMES, QuditMatrix, bosonic, dense_hermitian_test_matrix,
+                              spin, tridiag_test_matrix)
 
 _SPECS_AT = (
     lambda d: EncodingSpec(SB, d),
@@ -165,16 +165,40 @@ _MODELS = (
 )
 
 
+def _check_term(term):
+    for kind in (SB, GRAY, UNARY, BLOCK_UNARY):
+        for g in ((2, 3) if kind == BLOCK_UNARY else (3,)):
+            augment = (kind in (SB, GRAY) and all(
+                can_augment(m) for product in term.factors for m in product))
+            for aug in {False, augment}:
+                _assert_same(models.encode_term(term, kind, g=g, augment=aug),
+                             ref.encode_term(term, kind, g=g, augment=aug))
+
+
 @pytest.mark.parametrize("spec", _MODELS, ids=lambda s: s.model)
 def test_encode_term_matches(spec):
     for term in models.build_model(spec):
-        for kind in (SB, GRAY, UNARY, BLOCK_UNARY):
-            for g in ((2, 3) if kind == BLOCK_UNARY else (3,)):
-                augment = (kind in (SB, GRAY) and all(
-                    can_augment(m) for product in term.factors for m in product))
-                for aug in {False, augment}:
-                    _assert_same(models.encode_term(term, kind, g=g, augment=aug),
-                                 ref.encode_term(term, kind, g=g, augment=aug))
+        _check_term(term)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_encode_term_matches_on_three_sites(d):
+    a, adag, n = bosonic(d, "a"), bosonic(d, "adag"), bosonic(d, "n")
+    _check_term(models.LocalTerm((0, 1, 2), ((adag, n, a), (a, n, adag)), -0.7, "hop"))
+    sz, sx = spin((d - 1) / 2, "z"), spin((d - 1) / 2, "x")
+    _check_term(models.LocalTerm((2, 0, 1), ((sz, sx, sz), (sx, sz, sx)), 0.3, "spins"))
+
+
+def test_encode_term_prunes_between_factors():
+    # The first two factors' terms multiply to ~1e-14 < PRUNE_EPS, so every
+    # product is dropped before the 1e6 factor could lift it back above.
+    for d in (2, 3, 4):
+        small = QuditMatrix(1e-7 * np.asarray(bosonic(d, "q")))
+        big = QuditMatrix(1e6 * np.asarray(bosonic(d, "p")))
+        term = models.LocalTerm((0, 1, 2), ((small, small, big),), 1.0, "tiny")
+        for kind in (SB, GRAY, UNARY):
+            assert len(models.encode_term(term, kind)) == 0
+        _check_term(term)
 
 
 _VALUES = st.one_of(
