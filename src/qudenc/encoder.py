@@ -17,7 +17,6 @@ coefficients.  Every coefficient is summed in row-major element order, as
 if each element were encoded on its own and added in turn, so the result
 does not depend on which of the two paths below computed it:
 
-* unary and block unary expand each element over C(l) | C(l') as above;
 * standard binary and Gray, where C(l) is the whole register, use a numpy
   kernel.  With K qubits, xor mask f = x(l) ^ x(l') and Z mask s, element
   c * |l><l'| adds c * 2^-K * (-1)^|s & x(l)| * i^|s & f| to the string
@@ -25,6 +24,14 @@ does not depend on which of the two paths below computed it:
   Elements are grouped by f and each group is summed over its rows in
   row-major order.  A fast Walsh-Hadamard (butterfly) transform would
   add the same terms in another order and change last bits.
+* unary and block unary use the same rule over C(l) | C(l'): the one or
+  two blocks of w qubits holding the local codes of l and l' (unary is
+  block unary with w = 1 and local code 1), so u = w or 2w replaces K.
+  An element within one block shares its strings with the other elements
+  of that block with the same f; an element across two blocks shares them
+  only with its transpose; the identity is shared by every diagonal
+  element.  Each group is summed in row-major order, one rank at a time,
+  and the kept strings come out in canonical order.
 
 Products across sites are exact tensor products of the sites' sums, on
 disjoint qubits.  Squares and other same-site products must be formed at
@@ -46,10 +53,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
+from operator import add
 
 import numpy as np
 
-from .encoding import GRAY, SB, EncodingSpec, bitmask_subset, ceil_log2, codeword
+from .encoding import BLOCK_UNARY, GRAY, SB, EncodingSpec, bitmask_subset, ceil_log2, codeword
 from .paulis import PRUNE_EPS, PauliString, PauliSum
 from .qudit_ops import BOSONIC, BOSONIC_NAMES, SPIN, QuditMatrix, as_matrix, bosonic
 from . import encoding as enc_mod
@@ -139,20 +148,155 @@ def encode_matrix(spec: EncodingSpec, A) -> EncodedOperator:
     return EncodedOperator(out.simplify(), spec, matrix_digest(m))
 
 
-def _local_terms(spec: EncodingSpec, m: np.ndarray, rows, cols) -> dict:
-    """Element by element over C(l) | C(l'), in the order given (row-major)."""
-    rows, cols = rows.tolist(), cols.tolist()
-    levels = {l: (codeword(spec, l), bitmask_subset(spec, l)) for l in {*rows, *cols}}
-    terms: dict[PauliString, complex] = {}
-    for l, lp, coeff in zip(rows, cols, m[rows, cols].tolist()):
-        (x_l, c_l), (x_lp, c_lp) = levels[l], levels[lp]
-        for ops, c in _expand(x_l, x_lp, sorted(c_l | c_lp), coeff):
-            if abs(c) >= PRUNE_EPS:
-                terms[ops] = terms.get(ops, 0) + c
-    return terms
-
-
 _LETTERS = (None, "Z", "X", "Y")  # indexed by 2 * f_q + s_q
+_PHASE = np.array([1, 1j, -1, -1j])  # i^k
+_TRUE = np.ones(1, dtype=bool)
+
+
+def _local_terms(spec: EncodingSpec, m: np.ndarray, rows, cols) -> dict:
+    """The unary / block-unary kernel; unary is block unary with blocks of
+    one qubit and local code 1.  An element within block b adds to the 2^w
+    strings of that block with xor mask f = x ^ x', an element across
+    blocks to the 4^w strings over both, which only it and its transpose
+    share.  The kept strings are emitted in canonical order, so the sort in
+    ``simplify`` is linear."""
+    g, w = _block_shape(spec)
+    codes, bits = _local_codes(spec)
+    pairs = _pairs(enc_mod.num_qubits(spec))
+    v, same = m[rows, cols], rows // g == cols // g
+    one, two = same.nonzero()[0], (~same).nonzero()[0]
+    singles, one_sums = _one_block(v[one], rows[one], cols[one], codes, g, w, bits, pairs)
+    table, ends, lo, hi, two_sums = _two_blocks(v[two], rows[two], cols[two], codes, g, w, bits,
+                                                pairs)
+    # Each string is a lower part and an upper part, () within one block.
+    # As the lower part of a longer string, a part sorts as if it ended in
+    # a qubit past its block.
+    n1, nt = len(singles), len(table)
+    parts = [(), *singles, *table, *table]
+    keys = [(), *singles, *[p + (e,) for p, e in zip(table, ends)], *table]
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+    lo = np.concatenate([np.arange(1, n1 + 1), lo + n1 + 1])
+    hi = np.concatenate([np.zeros(n1, dtype=np.int64), hi + n1 + nt + 1])
+    order = (rank[lo] * len(keys) + rank[hi]).argsort()
+    return dict(zip(map(add, map(parts.__getitem__, lo[order].tolist()),
+                        map(parts.__getitem__, hi[order].tolist())),
+                    np.concatenate([one_sums, two_sums])[order].tolist()))
+
+
+def _block_shape(spec: EncodingSpec) -> tuple[int, int]:
+    """Levels per block (at most d) and qubits per block."""
+    return (min(spec.g, spec.d), spec.block_width) if spec.kind == BLOCK_UNARY else (1, 1)
+
+
+@lru_cache(maxsize=64)
+def _local_codes(spec: EncodingSpec) -> tuple[np.ndarray, int]:
+    """Each level's code within its own block (unary: 1 in a one-qubit
+    block), and the bit length of the largest."""
+    g, w = _block_shape(spec)
+    codes = np.array([codeword(spec, l) >> (l // g * w) for l in range(spec.d)], dtype=np.int64)
+    codes.setflags(write=False)
+    return codes, int(codes.max()).bit_length()
+
+
+def _one_block(h, rows, cols, codes, g: int, w: int, bits: int, pairs):
+    """Elements within one block, grouped by block and xor mask f: the kept
+    strings, in no particular order, and their sums.  The identity, which
+    every diagonal element adds to, is summed apart over all of them."""
+    h, rows, cols = _halved(h, rows, cols, w)
+    if not len(h):
+        return [], h
+    b, x, s = rows // g, codes[rows], np.arange(1 << w)
+    f = x ^ codes[cols]
+    first, sums = _rank_sums((b << w) | f, h[:, None] * _PHASE[
+        (2 * _popcount(s & x[:, None], bits) + _popcount(s & f[:, None], bits)) & 3])
+    # Each diagonal group summed only its own block's share of the identity
+    # (s = 0); the first one takes the sum over every diagonal element.
+    diagonal = (f[first] == 0).nonzero()[0]
+    sums[diagonal, 0] = 0.0
+    sums[diagonal[:1], 0] = np.add.accumulate(h[f == 0])[-1:] + 0.0
+    k, s = _kept(sums).nonzero()
+    return _strings(b[first][k], f[first][k], s, w, pairs), sums[k, s]
+
+
+def _two_blocks(h, rows, cols, codes, g: int, w: int, bits: int, pairs):
+    """Elements across blocks, grouped with their transposes: the strings of
+    each level that they use, with the position just past its block, and the
+    kept strings as (lower, upper) indices into that table, with their sums."""
+    h, rows, cols = _halved(h, rows, cols, 2 * w)
+    if not len(h):
+        return [], [], rows, rows, h
+    lo, hi, s = np.minimum(rows, cols), np.maximum(rows, cols), np.arange(1 << w)
+    # i^(|s_hi & x_hi| - |s_lo & x_lo|), negated when the row is the upper level.
+    p = (_popcount(s & codes[hi][:, None], bits)[:, None, :]
+         - _popcount(s & codes[lo][:, None], bits)[:, :, None])
+    p[rows > cols] *= -1
+    first, sums = _rank_sums(lo * len(codes) + hi, h[:, None, None] * _PHASE[p & 3])
+    k, s_lo, s_hi = _kept(sums).nonzero()
+    used = np.zeros(len(codes), dtype=bool)
+    used[lo[first]] = used[hi[first]] = True
+    levels, index = used.nonzero()[0].repeat(1 << w), used.cumsum() - 1
+    table = _strings(levels // g, codes[levels], np.resize(s, len(levels)), w, pairs)
+    ends = [((b + 1) * w,) for b in (levels // g).tolist()]
+    return (table, ends, (index[lo[first]][k] << w) | s_lo, (index[hi[first]][k] << w) | s_hi,
+            sums[k, s_lo, s_hi])
+
+
+def _kept(v: np.ndarray) -> np.ndarray:
+    """Which coefficients are not below PRUNE_EPS, by abs(complex)'s hypot."""
+    return np.hypot(v.real, v.imag) >= PRUNE_EPS
+
+
+def _halved(v, rows, cols, u: int):
+    """The elements' values halved once per qubit of their u-qubit union, as
+    in the element expansion, and the elements whose terms are then not
+    below PRUNE_EPS."""
+    for _ in range(u):
+        v = v * 0.5
+    kept = _kept(v)
+    return v[kept], rows[kept], cols[kept]
+
+
+def _popcount(a: np.ndarray, bits: int) -> np.ndarray:
+    """Set bits of a, each value below 2^bits, folded one bit at a time."""
+    count = a & 1
+    for q in range(1, bits):
+        count += (a >> q) & 1
+    return count
+
+
+def _rank_sums(keys: np.ndarray, contributions: np.ndarray):
+    """Sum the contributions (one row per element, elements in row-major
+    order) over each group of equal keys.  Rank r of every group is added at
+    once, so each sum is (c_0 + c_1) + c_2 ..., as adding the elements one
+    by one gives.  Returns each group's first element and its sums."""
+    order = keys.argsort(kind="stable")
+    k = keys[order]
+    bounds = np.concatenate((_TRUE, k[1:] != k[:-1], _TRUE)).nonzero()[0]
+    starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
+    sums = contributions[order[starts]]
+    for r in range(1, np.maximum.reduce(sizes)):
+        grow = (sizes > r).nonzero()[0]
+        sums[grow] += contributions[order[starts[grow] + r]]
+    # + 0.0 turns a negative zero into the +0.0 that a sum started from 0 gives.
+    return order[starts], sums + 0.0
+
+
+@lru_cache(maxsize=16)
+def _pairs(n: int) -> tuple:
+    """The (qubit, letter) pairs of an n-qubit register at 4 * qubit + 2 * f + s,
+    for letters I (None), Z, X and Y, shared by the strings built from them."""
+    return tuple(letter and (q, letter) for q in range(n) for letter in _LETTERS)
+
+
+def _strings(blocks, f, s, w: int, pairs) -> list[PauliString]:
+    """The string of each block b whose qubit q carries letter (f_q, s_q):
+    I, Z, X or Y for (0,0), (0,1), (1,0), (1,1)."""
+    q = np.arange(w)
+    letters = 2 * ((f[:, None] >> q) & 1) + ((s[:, None] >> q) & 1)
+    i, q = letters.nonzero()
+    it = iter(map(pairs.__getitem__, (4 * (blocks[i] * w + q) + letters[i, q]).tolist()))
+    return [tuple(islice(it, k)) for k in np.bincount(i, minlength=len(blocks)).tolist()]
 
 
 @lru_cache(maxsize=64)
@@ -179,7 +323,7 @@ def _register(K: int):
                            for q in range(width) if ((f | s) >> q) & 1)
                      for f in range(1 << width) for s in range(1 << width))
 
-    tables = (np.arange(1 << K), pop % 2 == 1, np.array([1, 1j, -1, -1j])[pop % 4])
+    tables = (np.arange(1 << K), pop % 2 == 1, _PHASE[pop % 4])
     for t in tables:
         t.setflags(write=False)
     return (*tables, k_lo, half(0, k_lo), half(k_lo, K - k_lo))
@@ -195,7 +339,7 @@ def _compact_terms(spec: EncodingSpec, m: np.ndarray, rows, cols) -> dict:
     v = m[rows, cols]
     for _ in range(K):  # one halving per qubit, as in the element expansion
         v = v * 0.5
-    kept = np.hypot(v.real, v.imag) >= PRUNE_EPS
+    kept = _kept(v)
     x = codes[rows[kept]]
     f = x ^ codes[cols[kept]]
     if not len(f):
@@ -215,7 +359,7 @@ def _compact_terms(spec: EncodingSpec, m: np.ndarray, rows, cols) -> dict:
     # The phase is exact (a sign and a swap of parts); + 0.0 turns a
     # negative zero into the +0.0 that a sum started from 0 gives.
     sums = sums * phase[fg[:, None] & masks] + 0.0
-    g, s = np.nonzero(np.hypot(sums.real, sums.imag) >= PRUNE_EPS)
+    g, s = np.nonzero(_kept(sums))
     f_sel, k_hi = fg[g], K - k_lo
     lo_mask = (1 << k_lo) - 1
     lo_idx = (((f_sel & lo_mask) << k_lo) | (s & lo_mask)).tolist()

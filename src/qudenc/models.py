@@ -342,13 +342,17 @@ def build_model(spec: ModelSpec) -> list[LocalTerm]:
 def _site_product(products, specs, offsets, n_qubits: int) -> PauliSum:
     """Sum of the products' tensor products, site j encoded under specs[j] from
     qubit offsets[j] up.  Sites own disjoint qubits, so strings concatenate and
-    coefficients multiply; partial products below PRUNE_EPS drop as in multiply."""
+    coefficients multiply; partial products below PRUNE_EPS drop as in multiply.
+    A matrix object met again under the same spec is encoded once."""
     ascending = offsets == sorted(offsets)
     out = PauliSum(n_qubits)
+    encoded: dict = {}
     for product in products:
         acc = [((), 1.0)]
         for spec, offset, m in zip(specs, offsets, product):
-            part = encode_matrix(spec, m).sum.tensor_shift(offset, n_qubits).terms.items()
+            if (spec, id(m)) not in encoded:
+                encoded[spec, id(m)] = encode_matrix(spec, m).sum
+            part = encoded[spec, id(m)].tensor_shift(offset, n_qubits).terms.items()
             acc = [(sa + sb, c) for sa, ca in acc for sb, cb in part
                    if abs(c := ca * cb) >= PRUNE_EPS]
         for s, c in acc:

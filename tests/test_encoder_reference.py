@@ -1,5 +1,5 @@
-"""Differential tests: the one-dict encoder and SB/Gray kernel against the
-element-by-element reference.
+"""Differential tests: the SB/Gray and unary/block-unary kernels of the
+one-dict encoder against the element-by-element reference.
 
 reference_encoder.py keeps the earlier encoder, which builds one simplified
 PauliSum per matrix element and adds it to a running total.  The new code
@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import reference_encoder as ref
 from qudenc import models
-from qudenc.encoder import ZERO_ENTRY_TOL, can_augment, encode_element, encode_matrix
+from qudenc.encoder import (ZERO_ENTRY_TOL, _local_terms, can_augment, encode_element,
+                            encode_matrix)
 from qudenc.encoding import BLOCK_UNARY, GRAY, SB, UNARY, EncodingSpec, num_qubits
 from qudenc.paulis import PRUNE_EPS
 from qudenc.qudit_ops import (BOSONIC_NAMES, QuditMatrix, bosonic, dense_hermitian_test_matrix,
@@ -68,6 +69,54 @@ def test_dense_compact_codes_small_d(d):
 ], ids=["sb-64", "gray-48"])
 def test_dense_compact_codes_large_d(spec, matrix):
     _check(spec, matrix)
+
+
+_LOCAL_64 = (EncodingSpec(UNARY, 64), EncodingSpec(BLOCK_UNARY, 64, local_kind=SB, g=3),
+             EncodingSpec(BLOCK_UNARY, 64, local_kind=GRAY, g=3))
+
+
+@pytest.mark.parametrize("spec", _LOCAL_64, ids=["unary-64", "bu-sb-64", "bu-gray-64"])
+def test_dense_local_codes_large_d(spec):
+    _check(spec, dense_hermitian_test_matrix(64, 3))
+
+
+@pytest.mark.parametrize("spec", [*_LOCAL_64, EncodingSpec(BLOCK_UNARY, 64, g=1),
+                                  EncodingSpec(BLOCK_UNARY, 64, local_kind=GRAY, g=4)],
+                         ids=["unary", "bu-sb-3", "bu-gray-3", "bu-sb-1", "bu-gray-4"])
+def test_identity_summed_in_row_order(spec):
+    # The identity adds every diagonal entry.  Added in turn, 1, 1e16, -1e16,
+    # 1, ... give other bits than a pairwise or compensated sum does.
+    _check(spec, np.diag(np.resize([1.0, 1e16, -1e16], 64)))
+
+
+@pytest.mark.parametrize("d, g", [(12, 100), (2, 4096)])
+def test_blocks_wider_than_the_levels(d, g):
+    for local in (SB, GRAY):
+        spec = EncodingSpec(BLOCK_UNARY, d, local_kind=local, g=g)
+        _check(spec, dense_hermitian_test_matrix(d, 5))
+        _check(spec, _random(d, 6, hermitian=False, complex_=True))
+
+
+def test_contributions_all_below_the_prune_edge():
+    # Each element's terms are 0.9 * PRUNE_EPS and drop before the sum, so
+    # the sum is empty, though the identity's would reach 3.6 * PRUNE_EPS.
+    for spec in (EncodingSpec(UNARY, 4), EncodingSpec(BLOCK_UNARY, 4, g=2),
+                 EncodingSpec(BLOCK_UNARY, 4, local_kind=GRAY, g=1)):
+        g, w = (1, 1) if spec.kind == UNARY else (spec.g, spec.block_width)
+        block = np.arange(4) // g
+        qubits = np.where(np.equal.outer(block, block), w, 2 * w)  # of each element
+        m = 0.9 * PRUNE_EPS * 2.0 ** qubits + 0j
+        assert len(encode_matrix(spec, m).sum) == 0
+        _check(spec, m)
+
+
+@pytest.mark.parametrize("spec", _LOCAL_64[:2], ids=["unary", "bu"])
+def test_local_kernel_emits_canonical_order(spec):
+    # simplify sorts in linear time only when the kernel's output is sorted.
+    for m in (dense_hermitian_test_matrix(64, 4), tridiag_test_matrix(64, 5)):
+        rows, cols = np.nonzero(np.asarray(m))
+        terms = list(_local_terms(spec, np.asarray(m), rows, cols))
+        assert terms == sorted(terms, key=_parent_order)
 
 
 @pytest.mark.parametrize("make", _SPECS_AT)
