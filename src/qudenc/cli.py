@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from itertools import islice
 
 import numpy as np
@@ -83,8 +84,13 @@ def _resolve_seed(args, config: dict | None = None) -> int:
 def _encoding_from_args(args) -> EncodingSpec:
     kind = _ENC_CHOICES[args.enc]
     if kind == BLOCK_UNARY:
-        return EncodingSpec(kind, args.d, g=3 if args.g is None else args.g,
+        spec = EncodingSpec(kind, args.d, g=3 if args.g is None else args.g,
                             local_kind=_ENC_CHOICES[args.local or "sb"])
+        if spec.g > spec.d:  # accepted, but the one block is wider than d needs
+            print(f"note: --g {spec.g} exceeds --d {spec.d}, so the one block is "
+                  f"{num_qubits(spec)} qubits wide (--g {spec.d} needs "
+                  f"{num_qubits(replace(spec, g=spec.d))})", file=sys.stderr)
+        return spec
     for flag in ("g", "local"):
         if getattr(args, flag) is not None:
             raise UsageError(f"--{flag} applies only to --enc bu")

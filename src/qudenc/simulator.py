@@ -1,9 +1,14 @@
 """Dense reference simulation and verification oracles.
 
-Everything here is a cross-check, not a performance path.  Dense unitaries
-are capped at 14 qubits; statevector application works beyond that (it is
-used for unary conversion circuits on up to 16 + ancilla wires, where the
-state has 2^n amplitudes but a dense unitary would not fit).
+Everything here is a cross-check, so its bits must not depend on how a gate
+is applied.  X, CNOT, SWAP and CSWAP only permute basis states: they swap two
+slices of the tensor in place.  Every other gate takes np.tensordot's own
+steps (axes to the front, one np.dot with gate_matrix, axes back), so the
+results are tensordot's to the last bit.  Elementwise slice kernels for the
+other gates were tried and dropped: they changed last bits by up to 1e-15.
+Dense unitaries are capped at 14 qubits; statevector application works
+beyond that (it is used for unary conversion circuits on up to 16 + ancilla
+wires, where the state has 2^n amplitudes but a dense unitary would not fit).
 
 Conventions, fixed once and used everywhere:
   * qubit 0 is the least significant bit of a basis-state index,
@@ -70,29 +75,53 @@ def gate_matrix(g: Gate) -> np.ndarray:
     raise ValueError(f"no matrix for gate kind {g.kind!r}")
 
 
+# Gates that only permute basis states: kind -> (control values, the two
+# bit patterns of the remaining qubits whose slices trade places).
+_PERMUTATIONS = {
+    "X": ((), ((0,), (1,))),
+    "CNOT": ((1,), ((0,), (1,))),
+    "SWAP": ((), ((0, 1), (1, 0))),
+    "CSWAP": ((1,), ((0, 1), (1, 0))),
+}
+
+
 def _apply_gate(tensor: np.ndarray, g: Gate, n: int) -> np.ndarray:
     """Apply g to a tensor whose first n axes are qubit axes (axis n-1-q
-    holds qubit q); any trailing axes ride along."""
-    k = len(g.qubits)
-    mat = gate_matrix(g).reshape((2,) * (2 * k))
+    holds qubit q); any trailing axes ride along.  Permutation gates swap
+    two slices in place; every other gate takes the steps of np.tensordot
+    with gate_matrix(g), so both give tensordot's bits."""
     axes = [n - 1 - q for q in g.qubits]
-    moved = np.tensordot(mat, tensor, axes=(range(k, 2 * k), axes))
-    return np.moveaxis(moved, range(k), axes)
+    if g.kind in _PERMUTATIONS:
+        controls, (a, b) = _PERMUTATIONS[g.kind]
+        ia, ib = [slice(None)] * tensor.ndim, [slice(None)] * tensor.ndim
+        for ax, bit_a, bit_b in zip(axes, controls + a, controls + b):
+            ia[ax], ib[ax] = bit_a, bit_b
+        ia, ib = tuple(ia), tuple(ib)
+        held = tensor[ia].copy()
+        tensor[ia] = tensor[ib]
+        tensor[ib] = held
+        return tensor
+    order = axes + [ax for ax in range(tensor.ndim) if ax not in axes]
+    moved = tensor.transpose(order)
+    out = np.dot(gate_matrix(g), moved.reshape(2 ** len(axes), -1))
+    return out.reshape(moved.shape).transpose(np.argsort(order))
 
 
 def _run(c: Circuit, tensor: np.ndarray) -> np.ndarray:
-    """Apply the gates and the global phase to a tensor laid out as in _apply_gate."""
+    """Apply the gates and the global phase to a tensor laid out as in
+    _apply_gate; the tensor is overwritten, so pass one the caller owns."""
     for g in c.gates:
         tensor = _apply_gate(tensor, g, c.n_qubits)
     return np.exp(1j * c.global_phase) * tensor if c.global_phase else tensor
 
 
 def apply_circuit(c: Circuit, state: np.ndarray) -> np.ndarray:
-    """Apply the circuit (including its global phase) to a statevector."""
+    """Apply the circuit (including its global phase) to a statevector;
+    the input is left unchanged."""
     n = c.n_qubits
     if state.shape != (2 ** n,):
         raise ValueError(f"state has shape {state.shape}, expected ({2**n},)")
-    return _run(c, np.asarray(state, dtype=complex).reshape((2,) * n)).reshape(2 ** n)
+    return _run(c, np.array(state, dtype=complex).reshape((2,) * n)).reshape(2 ** n)
 
 
 def basis_state(n_qubits: int, index: int) -> np.ndarray:

@@ -10,8 +10,10 @@ import pytest
 from qudenc import cli, models
 from qudenc.circuits import export_circuit, import_circuit
 from qudenc.cli import fmt, main
+from qudenc.encoder import encode_matrix
+from qudenc.encoding import BLOCK_UNARY, EncodingSpec
 from qudenc.optimizer import PassConfig, optimize
-from qudenc.qudit_ops import spin
+from qudenc.qudit_ops import bosonic, spin
 
 
 def run(capsys, *argv):
@@ -176,6 +178,25 @@ def test_report_heisenberg_requires_s(capsys):
 def test_g_flag_rejected_outside_block_unary(capsys):
     code, _, err = run(capsys, "encode", "--enc", "sb", "--d", "8", "--g", "3")
     assert code == 2 and "--enc bu" in err
+
+
+def test_block_size_above_level_count_is_noted_on_stderr(capsys, tmp_path):
+    spec = EncodingSpec(BLOCK_UNARY, 3, g=5)
+    out_file = tmp_path / "n.json"
+    code, out, err = run(capsys, "map-op", "--enc", "bu", "--d", "3", "--g", "5",
+                         "--op", "n", "--out", str(out_file))
+    assert code == 0
+    assert err == "note: --g 5 exceeds --d 3, so the one block is 3 qubits wide " \
+                  "(--g 3 needs 2)\n"
+    assert out.startswith(f"n at d=3 under {spec.describe()}\n") and "note" not in out
+    written = json.loads(out_file.read_text())
+    assert written == {**encode_matrix(spec, bosonic(3, "n")).sum.to_json_dict(),
+                       "encoding": spec.describe(), "operator": "n",
+                       "source_digest": written["source_digest"]}
+    for g in ("1", "3"):
+        code, _, err = run(capsys, "map-op", "--enc", "bu", "--d", "3", "--g", g,
+                           "--op", "n")
+        assert code == 0 and err == ""
 
 
 def test_missing_circuit_file_is_usage_error(capsys):

@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 
+from qudenc import models
+from qudenc.circuits import trotter_step
+from qudenc.encoder import can_augment
 from qudenc.encoding import (BLOCK_UNARY, GRAY, MAX_D, SB, UNARY, EncodingSpec,
                              encode, num_qubits)
 from qudenc.models import (BOSE_HUBBARD, BOSON_SAMPLING, FRANCK_CONDON,
-                           HEISENBERG, SHIFTED_QHO, LocalTerm, ModelSpec,
+                           HEISENBERG, MODEL_NAMES, SHIFTED_QHO, LocalTerm, ModelSpec,
                            SCHEME_NAMES, boson_sampling_circuit, build_model,
                            classify_scenario, clear_price_cache,
                            compute_scheme_report, duschinsky_matrix,
                            encode_term, term_entangling_cost, term_matrix)
 from qudenc.qudit_ops import bosonic, spin
-from qudenc.simulator import pauli_to_matrix
+from qudenc.optimizer import optimize
+from qudenc.simulator import pauli_to_matrix, verify_circuit_equivalence
 
 
 def _bits_index(spec, l):
@@ -313,3 +317,48 @@ def test_boson_sampling_circuit_empty_program():
     assert len(circ.gates) == 0 and circ.n_qubits == 2
     with pytest.raises(ValueError):
         boson_sampling_circuit(ModelSpec(BOSE_HUBBARD, N=2, d=2), SB)
+
+
+# Every model at sizes whose priced circuits stay within 8 qubits: two-site
+# unary terms at d = 4 are the widest.  Cutoffs 3, 5 and 6 also price the
+# augmented term under SB and Gray.
+_BEAM = [{"kind": "beamsplitter", "modes": [0, 1], "theta": 0.7},
+         {"kind": "phase_shifter", "modes": [1], "theta": 0.4}]
+_SMALL_MODELS = (
+    [ModelSpec(BOSE_HUBBARD, N=2, d=d) for d in (3, 4)]
+    + [ModelSpec(SHIFTED_QHO, d=d) for d in (3, 5, 6)]
+    + [ModelSpec(FRANCK_CONDON, N=2, d=3)]
+    + [ModelSpec(HEISENBERG, N=2, s=s) for s in (0.5, 1.0)]
+    + [ModelSpec(BOSON_SAMPLING, N=2, d=3, params={"gates": _BEAM})])
+
+
+def test_small_models_cover_every_model():
+    assert {spec.model for spec in _SMALL_MODELS} == set(MODEL_NAMES)
+
+
+@pytest.mark.parametrize("spec", _SMALL_MODELS,
+                         ids=lambda spec: f"{spec.model}-{spec.site_dim}")
+def test_priced_circuits_keep_their_unitary(spec):
+    """Every circuit that pricing optimizes equals its unoptimized Trotter
+    step, up to global phase: each nonzero term under SB, Gray and unary,
+    and the augmented term wherever _priced prices it."""
+    d = spec.site_dim
+    seen = set()
+    for term in build_model(spec):
+        if abs(term.coefficient) < models.COEFF_ZERO_TOL:
+            continue  # priced at 0 without building a circuit
+        augmentable = all(can_augment(m) for product in term.factors for m in product)
+        for kind in (SB, GRAY, UNARY):
+            augments = (False, True) if kind != UNARY and d & (d - 1) and augmentable \
+                else (False,)
+            for augment in augments:
+                key = models._term_cache_key(term, kind, augment)
+                if key in seen:
+                    continue
+                seen.add(key)
+                step = trotter_step(encode_term(term, kind, augment=augment),
+                                    models.PRICING_THETA)
+                assert step.n_qubits <= 8
+                assert verify_circuit_equivalence(optimize(step), step, up_to_phase=True), \
+                    (term.label, kind, augment)
+    assert seen

@@ -5,12 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
-from qudenc.circuits import Circuit, Gate, export_circuit, import_circuit
+from qudenc.circuits import (GATE_ARITY, Circuit, Gate, export_circuit,
+                             import_circuit)
 from qudenc.encoding import SB, EncodingSpec
 from qudenc.paulis import PauliSum, text_to_string
 from qudenc.qudit_ops import bosonic
-from qudenc.simulator import (MAX_DENSE_QUBITS, apply_circuit, basis_state,
-                              circuit_to_unitary, gate_matrix,
+from qudenc.simulator import (MAX_DENSE_QUBITS, _apply_gate, apply_circuit,
+                              basis_state, circuit_to_unitary, gate_matrix,
                               matrix_exponential, pauli_to_matrix, states_equal,
                               unitary_distance, verify_circuit_equivalence,
                               verify_encoding)
@@ -162,3 +163,47 @@ def test_statevector_works_past_dense_cap():
     c.add("X", 15)
     out = apply_circuit(c, basis_state(16, 0))
     assert abs(out[1 << 15] - 1) < 1e-15
+
+
+def _tensordot_reference(tensor, g, n):
+    """g applied as one tensordot of gate_matrix(g) over the gate's axes."""
+    k = len(g.qubits)
+    mat = gate_matrix(g).reshape((2,) * (2 * k))
+    axes = [n - 1 - q for q in g.qubits]
+    return np.moveaxis(np.tensordot(mat, tensor, axes=(range(k, 2 * k), axes)),
+                       range(k), axes)
+
+
+def _every_gate(n):
+    """Every gate kind, on every ordered qubit tuple of n qubits."""
+    for kind, arity in GATE_ARITY.items():
+        for qs in itertools.permutations(range(n), arity):
+            yield Gate(kind, qs, angle=0.83 if kind == "Rz" else None)
+
+
+def test_gate_step_is_bitwise_tensordot_of_gate_matrix():
+    n = 4
+    rng = np.random.default_rng(11)
+    state = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    tensor = (rng.normal(size=(2,) * n + (3,))
+              + 1j * rng.normal(size=(2,) * n + (3,)))
+    for g in _every_gate(n):
+        expect = _tensordot_reference(state.reshape((2,) * n), g, n).reshape(2 ** n)
+        assert np.array_equal(apply_circuit(Circuit(n, [g]), state), expect), g
+        expect = _tensordot_reference(tensor, g, n)
+        assert np.array_equal(_apply_gate(tensor.copy(), g, n), expect), g
+
+
+def test_apply_circuit_leaves_its_input_unchanged():
+    rng = np.random.default_rng(5)
+    state = rng.normal(size=8) + 1j * rng.normal(size=8)
+    kept = state.copy()
+    c = Circuit(3)
+    c.add("X", 0)
+    c.add("CSWAP", 2, 0, 1)
+    c.add("H", 1)
+    for circuit in (c, Circuit(3), Circuit(3, global_phase=0.4)):
+        out = apply_circuit(circuit, state)
+        assert not np.shares_memory(out, state)
+        assert np.array_equal(state, kept)
+    assert np.array_equal(apply_circuit(Circuit(3), state), kept)
