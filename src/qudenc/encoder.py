@@ -12,26 +12,24 @@ is what makes sparse codes (unary, block unary) cheap: a transition only
 ever involves the few qubits that distinguish its two codewords.
 
 A whole matrix is the sum of its element expansions, accumulated into one
-coefficient dict and simplified once; Hermitian input yields real
-coefficients.  Every coefficient is summed in row-major element order, as
-if each element were encoded on its own and added in turn, so the result
-does not depend on which of the two paths below computed it:
+coefficient dict; Hermitian input yields real coefficients.  Every
+coefficient is summed in row-major element order, as if each element were
+encoded on its own and added in turn.
 
-* standard binary and Gray, where C(l) is the whole register, use a numpy
-  kernel.  With K qubits, xor mask f = x(l) ^ x(l') and Z mask s, element
-  c * |l><l'| adds c * 2^-K * (-1)^|s & x(l)| * i^|s & f| to the string
-  whose qubit q is I, Z, X or Y for (f_q, s_q) = (0,0), (0,1), (1,0), (1,1).
-  Elements are grouped by f and each group is summed over its rows in
-  row-major order.  A fast Walsh-Hadamard (butterfly) transform would
-  add the same terms in another order and change last bits.
-* unary and block unary use the same rule over C(l) | C(l'): the one or
-  two blocks of w qubits holding the local codes of l and l' (unary is
-  block unary with w = 1 and local code 1), so u = w or 2w replaces K.
-  An element within one block shares its strings with the other elements
-  of that block with the same f; an element across two blocks shares them
-  only with its transpose; the identity is shared by every diagonal
-  element.  Each group is summed in row-major order, one rank at a time,
-  and the kept strings come out in canonical order.
+One numpy kernel serves every code.  Standard binary and Gray are block
+unary with one block of K qubits whose local code is the codeword; unary is
+block unary with blocks of one qubit and local code 1.  An element touches
+the u = w or 2w qubits of the one or two blocks holding its levels.  With
+its codes x, x' over those qubits, xor mask f = x ^ x' and Z mask s, it adds
+c * 2^-u * (-1)^|s & x| * i^|s & f| to the string whose qubit q is I, Z, X
+or Y for (f_q, s_q) = (0,0), (0,1), (1,0), (1,1).  An element within one
+block shares its strings with the elements of that block with the same f,
+an element across two blocks only with its transpose, and every diagonal
+element adds to the identity.  Each group adds its elements' signed values
+rank by rank, row after row, then multiplies by i^|s & f|, which is exact.
+The kept strings come out in canonical order by a numeric key, with no sort
+of the strings themselves.  A fast Walsh-Hadamard (butterfly) transform
+would add the same terms in another order and change last bits.
 
 Products across sites are exact tensor products of the sites' sums, on
 disjoint qubits.  Squares and other same-site products must be formed at
@@ -53,7 +51,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from operator import add
 
 import numpy as np
@@ -124,7 +121,8 @@ def matrix_digest(A) -> str:
 
 
 def encode_matrix(spec: EncodingSpec, A) -> EncodedOperator:
-    """Encode a whole d x d matrix: sum of element encodings, simplified.
+    """Encode a whole d x d matrix: the sum of its element encodings,
+    pruned and in canonical order.
 
     Entries below ``ZERO_ENTRY_TOL`` are treated as structural zeros so
     that analytically sparse operators keep their sparsity pattern.  Each
@@ -139,107 +137,166 @@ def encode_matrix(spec: EncodingSpec, A) -> EncodedOperator:
     # np.hypot is the C library's hypot, which abs(complex) also calls; np.abs
     # of a complex array may round the last bit differently.
     rows, cols = np.nonzero(np.hypot(m.real, m.imag) >= ZERO_ENTRY_TOL)
-    if spec.kind in (SB, GRAY):
-        terms = _compact_terms(spec, m, rows, cols)
-    else:
-        terms = _local_terms(spec, m, rows, cols)
     out = PauliSum(enc_mod.num_qubits(spec))
-    out.terms = terms
-    return EncodedOperator(out.simplify(), spec, matrix_digest(m))
+    out.terms = _terms(spec, m, rows, cols)
+    return EncodedOperator(out, spec, matrix_digest(m))
 
 
 _LETTERS = (None, "Z", "X", "Y")  # indexed by 2 * f_q + s_q
-_PHASE = np.array([1, 1j, -1, -1j])  # i^k
-_TRUE = np.ones(1, dtype=bool)
+_PAIR_OF_DIGIT = (None, 2, 3, 1)  # X, Y, Z at 2 * f_q + s_q
+_EDGE = np.array([-1])
+_CHUNK = 1 << 16  # contributions added at once, which bounds the kernel's memory
 
 
-def _local_terms(spec: EncodingSpec, m: np.ndarray, rows, cols) -> dict:
-    """The unary / block-unary kernel; unary is block unary with blocks of
-    one qubit and local code 1.  An element within block b adds to the 2^w
-    strings of that block with xor mask f = x ^ x', an element across
-    blocks to the 4^w strings over both, which only it and its transpose
-    share.  The kept strings are emitted in canonical order, so the sort in
-    ``simplify`` is linear."""
+def _terms(spec: EncodingSpec, m: np.ndarray, rows, cols) -> dict:
+    """The kernel: the pruned terms of the entries at (rows, cols), in
+    canonical order.  An element within block b adds to the 2^w strings of
+    that block with xor mask f = x ^ x', an element across blocks to the
+    4^w strings over both, which only it and its transpose share."""
     g, w = _block_shape(spec)
-    codes, bits = _local_codes(spec)
-    pairs = _pairs(enc_mod.num_qubits(spec))
-    v, same = m[rows, cols], rows // g == cols // g
-    one, two = same.nonzero()[0], (~same).nonzero()[0]
-    singles, one_sums = _one_block(v[one], rows[one], cols[one], codes, g, w, bits, pairs)
-    table, ends, lo, hi, two_sums = _two_blocks(v[two], rows[two], cols[two], codes, g, w, bits,
-                                                pairs)
-    # Each string is a lower part and an upper part, () within one block.
-    # As the lower part of a longer string, a part sorts as if it ended in
-    # a qubit past its block.
-    n1, nt = len(singles), len(table)
-    parts = [(), *singles, *table, *table]
-    keys = [(), *singles, *[p + (e,) for p, e in zip(table, ends)], *table]
-    rank = np.empty(len(keys), dtype=np.int64)
-    rank[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
-    lo = np.concatenate([np.arange(1, n1 + 1), lo + n1 + 1])
-    hi = np.concatenate([np.zeros(n1, dtype=np.int64), hi + n1 + nt + 1])
-    order = (rank[lo] * len(keys) + rank[hi]).argsort()
-    return dict(zip(map(add, map(parts.__getitem__, lo[order].tolist()),
-                        map(parts.__getitem__, hi[order].tolist())),
-                    np.concatenate([one_sums, two_sums])[order].tolist()))
+    sums, lo, hi, f, u = _group_sums(*_elements(spec, m, rows, cols, g, w))
+    if u > w:
+        sums[lo == hi, 1 << w:] = 0.0  # past a one-block group's union
+    k, s = _kept(sums).nonzero()
+    # A string is built from two parts, each made once: split in the middle
+    # of a block that spans the register, else at the end of the lower block.
+    lower, upper, values = _ordered(sums[k, s], lo[k] * w, hi[k] * w, f[k], s, w, u,
+                                    w // 2 if g == spec.d else w, enc_mod.num_qubits(spec))
+    return dict(zip(map(add, lower, upper), values))
+
+
+def _elements(spec: EncodingSpec, m: np.ndarray, rows, cols, g: int, w: int):
+    """The elements in row-major order: their values, halved once per qubit
+    of their union and zero where that drops them, their groups' keys, and
+    their codes and xor masks over the union (the lower block's w qubits,
+    then the upper's); their lower and upper blocks, and the union's width."""
+    codes = _local_codes(spec)
+    v, x, f, lo, hi, u = m[rows, cols], codes[rows], codes[cols], rows // g, cols // g, w
+    for _ in range(w):  # one halving per qubit, so subnormal parts round as in the expansion
+        v = v * 0.5
+    two = lo != hi
+    if two.any():
+        u = 2 * w
+        for _ in range(w):
+            v = np.where(two, v * 0.5, v)
+        x, f = x << w * (lo > hi), f << w * (hi > lo)
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    f = x ^ f
+    v = np.where(_kept(v), v, 0.0)  # a dropped element adds zeros
+    return v, ((lo * -(-spec.d // g) + hi) << 2 * w) | f, x, f, lo, hi, u
+
+
+def _ordered(values, lower, upper, f, s, w: int, u: int, k: int, n: int):
+    """The strings with union masks (f, s), as lower and upper parts, and
+    their values, in canonical order.  The union's first w qubits start at
+    qubit ``lower``, the rest at qubit ``upper``.  The lower part holds the
+    union's first k qubits.  A part's id is its first qubit, then the
+    base-5 digits of its qubits: X, Y, Z are 1, 2, 3 and I is 4 if a letter
+    follows it in the union, else 0.  Strings sort by their parts' ids."""
+    _, _, _, head, b5 = _masks(u)
+    digits = head[f | s] + b5[f & s] - 2 * b5[f]
+    left, right = np.divmod(digits, 5 ** (u - k))
+    down = lower * 5 ** k + left
+    up = (lower + k if k < w else upper) * 5 ** (u - k) + right
+    # The identity (digits 0) has no block; it comes first.
+    order = np.lexsort((up, down * (digits != 0)))
+    return (_parts(down[order].tolist(), k, n), _parts(up[order].tolist(), u - k, n),
+            values[order].tolist())
+
+
+def _parts(ids: list, width: int, n: int):
+    """The parts with these ids, each made once."""
+    parts = {i: _part(i, width, n) for i in set(ids)}
+    return map(parts.__getitem__, ids)
+
+
+@lru_cache(maxsize=1 << 14)
+def _part(i: int, width: int, n: int) -> PauliString:
+    """The part with id i: the letters of the base-5 digits i % 5^width
+    (X, Y, Z for 1, 2, 3; the first digit the most significant) on the
+    qubits from i // 5^width on."""
+    first, digits = divmod(i, 5 ** width)
+    pairs, part = _pairs(n), []
+    for q in range(first + width - 1, first - 1, -1):
+        digits, letter = divmod(digits, 5)
+        if 0 < letter < 4:
+            part.append(pairs[4 * q + _PAIR_OF_DIGIT[letter]])
+    return tuple(reversed(part))
 
 
 def _block_shape(spec: EncodingSpec) -> tuple[int, int]:
-    """Levels per block (at most d) and qubits per block."""
+    """Levels per block (at most d) and qubits per block.  SB and Gray are
+    one block of K qubits, unary is blocks of one qubit."""
+    if spec.kind in (SB, GRAY):
+        return spec.d, enc_mod.num_qubits(spec)
     return (min(spec.g, spec.d), spec.block_width) if spec.kind == BLOCK_UNARY else (1, 1)
 
 
 @lru_cache(maxsize=64)
-def _local_codes(spec: EncodingSpec) -> tuple[np.ndarray, int]:
-    """Each level's code within its own block (unary: 1 in a one-qubit
-    block), and the bit length of the largest."""
+def _local_codes(spec: EncodingSpec) -> np.ndarray:
+    """Each level's code within its own block: the codeword for SB and Gray,
+    1 in a one-qubit block for unary."""
     g, w = _block_shape(spec)
     codes = np.array([codeword(spec, l) >> (l // g * w) for l in range(spec.d)], dtype=np.int64)
     codes.setflags(write=False)
-    return codes, int(codes.max()).bit_length()
+    return codes
 
 
-def _one_block(h, rows, cols, codes, g: int, w: int, bits: int, pairs):
-    """Elements within one block, grouped by block and xor mask f: the kept
-    strings, in no particular order, and their sums.  The identity, which
-    every diagonal element adds to, is summed apart over all of them."""
-    h, rows, cols = _halved(h, rows, cols, w)
-    if not len(h):
-        return [], h
-    b, x, s = rows // g, codes[rows], np.arange(1 << w)
-    f = x ^ codes[cols]
-    first, sums = _rank_sums((b << w) | f, h[:, None] * _PHASE[
-        (2 * _popcount(s & x[:, None], bits) + _popcount(s & f[:, None], bits)) & 3])
+@lru_cache(maxsize=16)
+def _masks(u: int):
+    """Tables over the 2^u masks t of a u-qubit union: the masks, whether
+    popcount(t) is odd, i^popcount(t), 5^u - 5^(u-1-top) - b(t) with top
+    the highest set bit (the first term 0 for t = 0), and b(t), the sum over
+    set bits q of 5^(u-1-q)."""
+    t = np.arange(1 << u)
+    pop, b5, top = np.zeros((3, 1 << u), dtype=np.int64)
+    for q in range(u):
+        pop[1 << q: 2 << q] = pop[: 1 << q] + 1
+        b5[1 << q: 2 << q] = b5[: 1 << q] + 5 ** (u - 1 - q)
+        top[1 << q: 2 << q] = 5 ** u - 5 ** (u - 1 - q)
+    tables = (t, pop % 2 == 1, np.array([1, 1j, -1, -1j])[pop % 4], top - b5, b5)
+    for a in tables:
+        a.setflags(write=False)
+    return tables
+
+
+def _group_sums(h, keys, x, f, lo, hi, u: int):
+    """Sum each group of equal keys, over its elements in row-major order:
+    element h adds h * (-1)^|s & x| to each of the 2^u strings s, and the
+    group's sum of string s is then multiplied by i^|s & f|, which is exact.
+    The groups' r-th elements are added at once, along axis 0 of a block of
+    ranks, row after row onto the sums so far; padding adds zeros.  Returns
+    the sums and each group's lower and upper block and xor mask, and u."""
+    s, odd, phase = _masks(u)[:3]
+    order = keys.argsort(kind="stable")
+    k = np.concatenate((_EDGE, keys[order], _EDGE))  # keys are >= 0
+    bounds = (k[1:] != k[:-1]).nonzero()[0]
+    starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
+    big = (-sizes).argsort(kind="stable")  # so that the groups of each rank come first
+    starts, sizes = starts[big], sizes[big]
+    sums = np.zeros((len(starts), 1 << u), dtype=complex)
+    r, top = 0, sizes[0] if len(sizes) else 0
+    while r < top:
+        a = int(np.count_nonzero(sizes > r)) if r else len(sizes)
+        ranks = np.arange(r, min(top, r + max(1, _CHUNK // (a << u))))[:, None]
+        valid = ranks < sizes[:a]
+        e = order[np.where(valid, starts[:a] + ranks, 0)]
+        c = np.where(valid, h[e], 0.0)[..., None]
+        c = np.where(odd[s & x[e][..., None]], -c, c)
+        c[0] += sums[:a]
+        sums[:a] = np.add.reduce(c, axis=0)
+        r += len(ranks)
+    first = order[starts]
+    fg = f[first]
+    # + 0.0 turns a negative zero into the +0.0 that a sum started from 0 gives.
+    sums = sums * phase[fg[:, None] & s] + 0.0
     # Each diagonal group summed only its own block's share of the identity
     # (s = 0); the first one takes the sum over every diagonal element.
-    diagonal = (f[first] == 0).nonzero()[0]
-    sums[diagonal, 0] = 0.0
-    sums[diagonal[:1], 0] = np.add.accumulate(h[f == 0])[-1:] + 0.0
-    k, s = _kept(sums).nonzero()
-    return _strings(b[first][k], f[first][k], s, w, pairs), sums[k, s]
-
-
-def _two_blocks(h, rows, cols, codes, g: int, w: int, bits: int, pairs):
-    """Elements across blocks, grouped with their transposes: the strings of
-    each level that they use, with the position just past its block, and the
-    kept strings as (lower, upper) indices into that table, with their sums."""
-    h, rows, cols = _halved(h, rows, cols, 2 * w)
-    if not len(h):
-        return [], [], rows, rows, h
-    lo, hi, s = np.minimum(rows, cols), np.maximum(rows, cols), np.arange(1 << w)
-    # i^(|s_hi & x_hi| - |s_lo & x_lo|), negated when the row is the upper level.
-    p = (_popcount(s & codes[hi][:, None], bits)[:, None, :]
-         - _popcount(s & codes[lo][:, None], bits)[:, :, None])
-    p[rows > cols] *= -1
-    first, sums = _rank_sums(lo * len(codes) + hi, h[:, None, None] * _PHASE[p & 3])
-    k, s_lo, s_hi = _kept(sums).nonzero()
-    used = np.zeros(len(codes), dtype=bool)
-    used[lo[first]] = used[hi[first]] = True
-    levels, index = used.nonzero()[0].repeat(1 << w), used.cumsum() - 1
-    table = _strings(levels // g, codes[levels], np.resize(s, len(levels)), w, pairs)
-    ends = [((b + 1) * w,) for b in (levels // g).tolist()]
-    return (table, ends, (index[lo[first]][k] << w) | s_lo, (index[hi[first]][k] << w) | s_hi,
-            sums[k, s_lo, s_hi])
+    diagonal = (fg == 0).nonzero()[0]
+    if len(diagonal) > 1:
+        sums[diagonal, 0] = 0.0
+        sums[diagonal[0], 0] = np.add.accumulate(h[f == 0])[-1] + 0.0
+    return sums, lo[first], hi[first], fg, u
 
 
 def _kept(v: np.ndarray) -> np.ndarray:
@@ -247,125 +304,11 @@ def _kept(v: np.ndarray) -> np.ndarray:
     return np.hypot(v.real, v.imag) >= PRUNE_EPS
 
 
-def _halved(v, rows, cols, u: int):
-    """The elements' values halved once per qubit of their u-qubit union, as
-    in the element expansion, and the elements whose terms are then not
-    below PRUNE_EPS."""
-    for _ in range(u):
-        v = v * 0.5
-    kept = _kept(v)
-    return v[kept], rows[kept], cols[kept]
-
-
-def _popcount(a: np.ndarray, bits: int) -> np.ndarray:
-    """Set bits of a, each value below 2^bits, folded one bit at a time."""
-    count = a & 1
-    for q in range(1, bits):
-        count += (a >> q) & 1
-    return count
-
-
-def _rank_sums(keys: np.ndarray, contributions: np.ndarray):
-    """Sum the contributions (one row per element, elements in row-major
-    order) over each group of equal keys.  Rank r of every group is added at
-    once, so each sum is (c_0 + c_1) + c_2 ..., as adding the elements one
-    by one gives.  Returns each group's first element and its sums."""
-    order = keys.argsort(kind="stable")
-    k = keys[order]
-    bounds = np.concatenate((_TRUE, k[1:] != k[:-1], _TRUE)).nonzero()[0]
-    starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
-    sums = contributions[order[starts]]
-    for r in range(1, np.maximum.reduce(sizes)):
-        grow = (sizes > r).nonzero()[0]
-        sums[grow] += contributions[order[starts[grow] + r]]
-    # + 0.0 turns a negative zero into the +0.0 that a sum started from 0 gives.
-    return order[starts], sums + 0.0
-
-
 @lru_cache(maxsize=16)
 def _pairs(n: int) -> tuple:
     """The (qubit, letter) pairs of an n-qubit register at 4 * qubit + 2 * f + s,
     for letters I (None), Z, X and Y, shared by the strings built from them."""
     return tuple(letter and (q, letter) for q in range(n) for letter in _LETTERS)
-
-
-def _strings(blocks, f, s, w: int, pairs) -> list[PauliString]:
-    """The string of each block b whose qubit q carries letter (f_q, s_q):
-    I, Z, X or Y for (0,0), (0,1), (1,0), (1,1)."""
-    q = np.arange(w)
-    letters = 2 * ((f[:, None] >> q) & 1) + ((s[:, None] >> q) & 1)
-    i, q = letters.nonzero()
-    it = iter(map(pairs.__getitem__, (4 * (blocks[i] * w + q) + letters[i, q]).tolist()))
-    return [tuple(islice(it, k)) for k in np.bincount(i, minlength=len(blocks)).tolist()]
-
-
-@lru_cache(maxsize=64)
-def _compact_codes(spec: EncodingSpec) -> np.ndarray:
-    """Codeword of every level of an SB or Gray code."""
-    codes = np.array([codeword(spec, l) for l in range(spec.d)], dtype=np.int64)
-    codes.setflags(write=False)
-    return codes
-
-
-@lru_cache(maxsize=16)
-def _register(K: int):
-    """Tables over the 2^K masks t of a K-qubit register: the masks, whether
-    popcount(t) is odd, i^popcount(t), and the Pauli strings of the low
-    k_lo = K // 2 qubits and of the rest, so that string (f, s) is
-    low[(f_lo << k_lo) | s_lo] + high[(f_hi << (K - k_lo)) | s_hi]."""
-    pop = np.zeros(1 << K, dtype=np.int64)
-    for q in range(K):
-        pop[1 << q: 2 << q] = pop[: 1 << q] + 1
-    k_lo = K // 2
-
-    def half(lo: int, width: int) -> tuple[PauliString, ...]:
-        return tuple(tuple((lo + q, _LETTERS[2 * ((f >> q) & 1) + ((s >> q) & 1)])
-                           for q in range(width) if ((f | s) >> q) & 1)
-                     for f in range(1 << width) for s in range(1 << width))
-
-    tables = (np.arange(1 << K), pop % 2 == 1, _PHASE[pop % 4])
-    for t in tables:
-        t.setflags(write=False)
-    return (*tables, k_lo, half(0, k_lo), half(k_lo, K - k_lo))
-
-
-def _compact_terms(spec: EncodingSpec, m: np.ndarray, rows, cols) -> dict:
-    """The SB / Gray kernel: elements grouped by xor mask f, each group
-    summed over its rows in row-major order.  Memory per group is
-    O(rows * 2^K); no 4^K array is formed."""
-    K = enc_mod.num_qubits(spec)
-    masks, odd, phase, k_lo, low, high = _register(K)
-    codes = _compact_codes(spec)
-    v = m[rows, cols]
-    for _ in range(K):  # one halving per qubit, as in the element expansion
-        v = v * 0.5
-    kept = _kept(v)
-    x = codes[rows[kept]]
-    f = x ^ codes[cols[kept]]
-    if not len(f):
-        return {}
-    order = np.argsort(f, kind="stable")  # row-major within each f
-    x, f, v = x[order], f[order], v[kept][order]
-    bounds = (np.flatnonzero(f[1:] != f[:-1]) + 1).tolist()
-    starts, stops = [0] + bounds, bounds + [len(f)]
-    sums = np.empty((len(starts), 1 << K), dtype=complex)
-    for g, (a, b) in enumerate(zip(starts, stops)):
-        col = v[a:b, None]
-        # Axis 0 of a C-contiguous array is added row after row; numpy's
-        # pairwise summation applies only along the contiguous axis.
-        sums[g] = np.add.reduce(np.where(odd[x[a:b, None] & masks], -col, col),
-                                axis=0)
-    fg = f[starts]
-    # The phase is exact (a sign and a swap of parts); + 0.0 turns a
-    # negative zero into the +0.0 that a sum started from 0 gives.
-    sums = sums * phase[fg[:, None] & masks] + 0.0
-    g, s = np.nonzero(_kept(sums))
-    f_sel, k_hi = fg[g], K - k_lo
-    lo_mask = (1 << k_lo) - 1
-    lo_idx = (((f_sel & lo_mask) << k_lo) | (s & lo_mask)).tolist()
-    hi_idx = (((f_sel >> k_lo) << k_hi) | (s >> k_lo)).tolist()
-    keys = [low[a] + high[b] for a, b in zip(lo_idx, hi_idx)]
-    return dict(zip(keys, sums[g, s].tolist()))
 
 
 @dataclass(frozen=True)

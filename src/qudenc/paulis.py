@@ -20,6 +20,7 @@ below the prune epsilon PRUNE_EPS = 1e-12 is noise.
 from __future__ import annotations
 
 import sys
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 PRUNE_EPS = 1e-12
@@ -204,9 +205,10 @@ class PauliSum:
 
     def simplify(self) -> "PauliSum":
         """Collect, prune |coeff| < PRUNE_EPS, and order terms canonically."""
-        kept = {s: c for s, c in self.terms.items() if abs(c) >= PRUNE_EPS}
         out = PauliSum(self.n_qubits)
-        out.terms = {s: kept[s] for s in sorted(kept, key=string_key)}
+        # Strings are unique and are their own sort key, so no value is compared.
+        out.terms = {s: c for s, c in sorted(self.terms.items(), key=itemgetter(0))
+                     if abs(c) >= PRUNE_EPS}
         return out
 
     def tensor_shift(self, offset: int, total: int) -> "PauliSum":

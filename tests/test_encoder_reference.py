@@ -1,11 +1,13 @@
-"""Differential tests: the SB/Gray and unary/block-unary kernels of the
-one-dict encoder against the element-by-element reference.
+"""Differential tests: the encoder's one kernel, for all four codes,
+against the element-by-element reference.
 
 reference_encoder.py keeps the earlier encoder, which builds one simplified
 PauliSum per matrix element and adds it to a running total.  The new code
 must only be faster: the same strings in the same order, and coefficients
 whose ``repr`` is equal, signed zeros included.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -14,12 +16,13 @@ from hypothesis import strategies as st
 
 import reference_encoder as ref
 from qudenc import models
-from qudenc.encoder import (ZERO_ENTRY_TOL, _local_terms, can_augment, encode_element,
+from qudenc.encoder import (ZERO_ENTRY_TOL, _terms, can_augment, encode_element,
                             encode_matrix)
 from qudenc.encoding import BLOCK_UNARY, GRAY, SB, UNARY, EncodingSpec, num_qubits
 from qudenc.paulis import PRUNE_EPS
 from qudenc.qudit_ops import (BOSONIC_NAMES, QuditMatrix, bosonic, dense_hermitian_test_matrix,
                               spin, tridiag_test_matrix)
+from qudenc.simulator import verify_encoding
 
 _SPECS_AT = (
     lambda d: EncodingSpec(SB, d),
@@ -75,6 +78,24 @@ _LOCAL_64 = (EncodingSpec(UNARY, 64), EncodingSpec(BLOCK_UNARY, 64, local_kind=S
              EncodingSpec(BLOCK_UNARY, 64, local_kind=GRAY, g=3))
 
 
+# The reference takes about 14 s at d=128 and far longer at d=256, so these
+# digests of repr(list(terms.items())) were recorded once from the earlier
+# SB/Gray kernel, which matched the reference at every size tested here.
+_RECORDED = {
+    ("sb", 128): "23d46e398f0cf299c54fff636303e956280b429f026231a09a09cabef4a55132",
+    ("sb", 256): "fa41e92a242b6099b8daf669c8335e48a28dc2a4a164ed2b1f349722e93f5669",
+    ("gray", 128): "50c2912efe708daf61de3a25fbac8796160e43075f342dff27749fc5f27f10f7",
+    ("gray", 256): "870979af1c6b1cf995e11282a36c1346266e3a579b7dc9df6c1ac7d2eeec035a",
+}
+
+
+@pytest.mark.parametrize("kind, d", sorted(_RECORDED), ids=lambda v: str(v))
+def test_dense_compact_codes_recorded_digests(kind, d):
+    s = encode_matrix(EncodingSpec(kind, d), dense_hermitian_test_matrix(d, 3)).sum
+    assert len(s) == d * d
+    assert hashlib.sha256(repr(list(s.terms.items())).encode()).hexdigest() == _RECORDED[kind, d]
+
+
 @pytest.mark.parametrize("spec", _LOCAL_64, ids=["unary-64", "bu-sb-64", "bu-gray-64"])
 def test_dense_local_codes_large_d(spec):
     _check(spec, dense_hermitian_test_matrix(64, 3))
@@ -110,12 +131,14 @@ def test_contributions_all_below_the_prune_edge():
         _check(spec, m)
 
 
-@pytest.mark.parametrize("spec", _LOCAL_64[:2], ids=["unary", "bu"])
-def test_local_kernel_emits_canonical_order(spec):
-    # simplify sorts in linear time only when the kernel's output is sorted.
+@pytest.mark.parametrize("spec", [*_LOCAL_64[:2], EncodingSpec(SB, 64), EncodingSpec(GRAY, 64),
+                                  EncodingSpec(BLOCK_UNARY, 64, local_kind=GRAY, g=100)],
+                         ids=["unary", "bu", "sb", "gray", "bu-wide"])
+def test_kernel_emits_canonical_order(spec):
+    # encode_matrix keeps the kernel's dict as it is, with no re-sort.
     for m in (dense_hermitian_test_matrix(64, 4), tridiag_test_matrix(64, 5)):
         rows, cols = np.nonzero(np.asarray(m))
-        terms = list(_local_terms(spec, np.asarray(m), rows, cols))
+        terms = list(_terms(spec, np.asarray(m), rows, cols))
         assert terms == sorted(terms, key=_parent_order)
 
 
@@ -258,12 +281,46 @@ _VALUES = st.one_of(
 )
 
 
-@settings(max_examples=100, deadline=None)
-@given(d=st.integers(2, 12), which=st.integers(0, len(_SPECS_AT) - 1),
-       entries=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11), _VALUES, _VALUES),
-                        max_size=30))
-def test_random_sparse_matrices(d, which, entries):
+@st.composite
+def _sparse_cases(draw):
+    """A code (block unary with g from 1 to past d, either local code) and a
+    sparse matrix, Hermitian or not, whose entries are drawn from _VALUES or
+    sit near ZERO_ENTRY_TOL or PRUNE_EPS * 2^u for a union of u qubits."""
+    d = draw(st.integers(2, 12))
+    kind = draw(st.sampled_from((SB, GRAY, UNARY, BLOCK_UNARY)))
+    if kind == BLOCK_UNARY:
+        spec = EncodingSpec(kind, d, local_kind=draw(st.sampled_from((SB, GRAY))),
+                            g=draw(st.integers(1, d + 3)))
+        unions = (spec.block_width, 2 * spec.block_width)
+    else:
+        spec = EncodingSpec(kind, d)
+        unions = (1, 2) if kind == UNARY else (num_qubits(spec),)
+    edges = [ZERO_ENTRY_TOL, *(PRUNE_EPS * 2.0 ** u for u in unions)]
+    value = st.one_of(
+        st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)),
+        st.builds(complex, _VALUES, _VALUES),
+        st.builds(lambda t, ulps, a: t * (1 + ulps * 2.0 ** -52) * complex(np.cos(a), np.sin(a)),
+                  st.sampled_from(edges), st.integers(-2, 2),
+                  st.sampled_from((0.0, np.pi / 2, np.pi, -np.pi / 2, 0.3, 2.0))))
+    hermitian = draw(st.booleans())
     m = np.zeros((d, d), dtype=complex)
-    for l, lp, re, im in entries:
-        m[l % d, lp % d] = complex(re, im)
-    _check(_SPECS_AT[which](d), m)
+    # The diagonal is drawn on its own, so that several blocks share the identity.
+    m[np.diag_indices(d)] = draw(st.lists(value, min_size=d, max_size=d))
+    if hermitian:
+        m = m.real + 0j
+    for l, lp, c in draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1), value),
+                                  max_size=30)):
+        m[l, lp] = c.real if hermitian and l == lp else c
+        if hermitian and l != lp:
+            m[lp, l] = c.conjugate()
+    return spec, m, max(unions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_cases())
+def test_random_sparse_matrices(case):
+    spec, m, u = case
+    _check(spec, m)
+    # Each entry loses at most what falls below the two prune edges.
+    bound = ZERO_ENTRY_TOL + 2 * spec.d ** 2 * PRUNE_EPS * 2.0 ** u
+    assert verify_encoding(spec, m) <= bound
