@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from qudenc import models
-from qudenc.circuits import trotter_step
+from qudenc.bounds import BoundQuery, cnot_upper_bound, staircase_cnots
+from qudenc.circuits import count_resources, trotter_step
 from qudenc.encoder import can_augment
 from qudenc.encoding import (BLOCK_UNARY, GRAY, MAX_D, SB, UNARY, EncodingSpec,
-                             encode, num_qubits)
+                             codeword, encode, num_qubits)
 from qudenc.models import (BOSE_HUBBARD, BOSON_SAMPLING, FRANCK_CONDON,
                            HEISENBERG, MODEL_NAMES, SHIFTED_QHO, LocalTerm, ModelSpec,
                            SCHEME_NAMES, boson_sampling_circuit, build_model,
@@ -362,3 +363,28 @@ def test_priced_circuits_keep_their_unitary(spec):
                 assert verify_circuit_equivalence(optimize(step), step, up_to_phase=True), \
                     (term.label, kind, augment)
     assert seen
+
+
+@pytest.mark.parametrize("spec", _SMALL_MODELS + [
+    ModelSpec(BOSE_HUBBARD, N=2, d=8), ModelSpec(SHIFTED_QHO, d=8),
+    ModelSpec(FRANCK_CONDON, N=2, d=4), ModelSpec(HEISENBERG, N=2, s=3.5)],
+    ids=lambda spec: f"{spec.model}-{spec.site_dim}")
+def test_single_site_costs_within_bounds(spec):
+    """Optimized CNOTs <= staircase CNOTs <= the per-element bounds summed
+    over the term's nonzero elements, for every single-site term under SB
+    and Gray.  Each element l <= l' of the Hermitian term is counted once,
+    with d_H the Hamming distance of its two codewords."""
+    terms = [term for term in build_model(spec) if len(term.sites) == 1]
+    assert terms
+    for term in terms:
+        matrix = term_matrix(term)
+        for kind in (SB, GRAY):
+            enc = EncodingSpec(kind, spec.site_dim)
+            bound = sum(cnot_upper_bound(BoundQuery(
+                            (codeword(enc, l) ^ codeword(enc, lp)).bit_count(),
+                            num_qubits(enc), diagonal=l == lp))
+                        for l, lp in np.argwhere(matrix).tolist() if l <= lp)
+            h = encode_term(term, kind)
+            optimized = count_resources(
+                optimize(trotter_step(h, models.PRICING_THETA))).entangling_total
+            assert optimized <= staircase_cnots(h) <= bound, (term.label, kind)

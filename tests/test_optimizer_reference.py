@@ -21,7 +21,7 @@ import reference_optimizer as ref
 from qudenc import models
 from qudenc.circuits import Circuit, Gate, trotter_step
 from qudenc.encoding import BLOCK_UNARY, GRAY, SB, UNARY
-from qudenc.optimizer import PassConfig, commutes, optimize
+from qudenc.optimizer import PASS_NAMES, PassConfig, commutes, optimize
 from qudenc.qudit_ops import BOSONIC
 
 _KINDS_1Q = ("X", "H", "BasisY", "S", "Sdg", "T", "Tdg")
@@ -104,6 +104,85 @@ def test_random_circuits_match_reference():
             removed[config.passes] = removed.get(config.passes, 0) + len(c) - len(out)
     # every pass fired somewhere, so the comparison is not vacuous
     assert all(removed[(name,)] > 0 for name in PassConfig().passes)
+
+
+# Default, capped and reordered configs, for circuits whose passes fire late.
+_LATE_CONFIGS = (PassConfig(), PassConfig(max_sweeps=1), PassConfig(max_sweeps=2),
+                 PassConfig(max_sweeps=3),
+                 PassConfig(passes=("cnot_triple_rewrite", "merge_rotations",
+                                    "cancel_inverse_pairs")),
+                 PassConfig(passes=("merge_rotations", "cnot_triple_rewrite",
+                                    "cancel_inverse_pairs"), max_sweeps=2))
+_LADDER_KINDS = ("X", "H", "BasisY", "S", "T", "CNOT")
+
+
+def _nested_circuit(rng: random.Random) -> Circuit:
+    """Rz pairs and CNOT triples with a mirrored ladder of blocking gates in
+    a gap.  The cancel pass peels one rung of a ladder per sweep, so merge,
+    the triple and the outer rungs fire sweeps after the first.  Some
+    triples are followed by CNOT(a, c), which cancels only against the gate
+    the rewrite made."""
+    n = rng.randint(3, 6)
+    gates: list[Gate] = []
+
+    def ladder(w: int) -> list[Gate]:
+        rungs = []
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.choice(_LADDER_KINDS)
+            if kind == "CNOT":
+                other = rng.choice([q for q in range(n) if q != w])
+                rungs.append(Gate(kind, rng.choice(((w, other), (other, w)))))
+            else:
+                rungs.append(Gate(kind, (w,)))
+        undo = [Gate(_INVERSE_1Q.get(g.kind, g.kind), g.qubits) for g in reversed(rungs)]
+        return rungs + undo
+
+    for _ in range(rng.randint(1, 4)):
+        a, b, c = rng.sample(range(n), 3)
+        if rng.random() < 0.6:
+            gap = rng.randrange(2)
+            steps = [Gate("CNOT", (a, b)), Gate("CNOT", (b, c)), Gate("CNOT", (a, b))]
+            gates += steps[:gap + 1] + ladder(rng.choice((a, b, c))) + steps[gap + 1:]
+            if rng.random() < 0.5:
+                gates.append(Gate("CNOT", (a, c)))
+        else:
+            gates += [Gate("Rz", (a,), _angle(rng)), *ladder(a), Gate("Rz", (a,), _angle(rng))]
+        if rng.random() < 0.3:
+            gates.append(Gate(rng.choice(_KINDS_1Q), (rng.randrange(n),)))
+    return Circuit(n, gates)
+
+
+def test_late_sweep_rewrites_match_reference(monkeypatch):
+    # Note each pass of the reference that changes the circuit in a run after
+    # its first, so the comparison is known to cover late rewrites.
+    runs, late = {}, set()
+
+    def noted(name, run):
+        def wrapper(*args):
+            out = run(*args)
+            runs[name] = runs.get(name, 0) + 1
+            if runs[name] > 1 and (out[0] if isinstance(out, tuple) else out):
+                late.add((config, name))
+            return out
+        return wrapper
+
+    for name, attr in zip(PASS_NAMES, ("_pass_cancel", "_pass_merge", "_pass_cnot_triple")):
+        monkeypatch.setattr(ref, attr, noted(name, getattr(ref, attr)))
+    for seed in range(400):
+        c = _nested_circuit(random.Random(seed))
+        for config in _LATE_CONFIGS:
+            runs.clear()
+            _assert_same(c, config)
+    for config in (cfg for cfg in _LATE_CONFIGS if cfg.max_sweeps > 1):
+        assert {name for fired, name in late if fired == config} == set(PASS_NAMES)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_property_late_sweep_rewrites_match_reference(rng):
+    c = _nested_circuit(rng)
+    for config in _LATE_CONFIGS:
+        _assert_same(c, config)
 
 
 def test_commutes_matches_reference_on_every_gate_pair():
