@@ -11,7 +11,7 @@ from .encoding import (BLOCK_UNARY, GRAY, SB, UNARY, EncodingSpec,
                        InvalidCodeword, bitmask_subset, decode, encode,
                        format_bits, hamming_distance, num_qubits, parse_bits)
 from .paulis import (PauliSum, act_on_bits, multiply_strings, string,
-                     string_key, string_to_text, text_to_string, weight)
+                     string_to_text, text_to_string, weight)
 from .qudit_ops import (QuditMatrix, as_matrix, bosonic,
                         dense_hermitian_test_matrix, first_quantized_x, spin,
                         tridiag_test_matrix)
@@ -20,7 +20,7 @@ from .encoder import (DBDFit, EncodedOperator, augment_truncation, detect_dbd,
 from .circuits import (Circuit, Gate, ResourceReport, count_resources,
                        export_circuit, import_circuit, trotter_step,
                        trotter_term)
-from .optimizer import PassConfig, commutes, optimize
+from .optimizer import commutes, optimize
 from .converters import (conversion_circuit, conversion_cost,
                          gray_to_sb_circuit, sb_to_bu_circuit,
                          sb_to_gray_circuit, sb_to_unary_circuit,
@@ -31,8 +31,7 @@ from .bounds import (BoundQuery, asymptotic_class, closed_form_cnot_upper_bound,
 from .models import (LocalTerm, ModelSpec, SchemeReport, boson_sampling_circuit,
                      build_model, classify_scenario, compute_scheme_report,
                      encode_term, term_entangling_cost, term_matrix)
-from .simulator import (apply_circuit, circuit_to_unitary, matrix_exponential,
-                        pauli_to_matrix, verify_circuit_equivalence,
-                        verify_encoding)
+from .simulator import (apply_circuit, circuit_to_unitary, pauli_to_matrix,
+                        verify_circuit_equivalence, verify_encoding)
 
 __version__ = "0.1.0"

@@ -45,11 +45,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .encoding import BLOCK_UNARY, GRAY, SB, UNARY, EncodingSpec, ceil_log2
+from .encoding import BLOCK_UNARY, GRAY, MAX_D, SB, UNARY, EncodingSpec, ceil_log2
 from .paulis import PauliSum, weight
 
 SPARSITY_PATTERNS = ("pair", "tridiagonal", "dense")
 MAX_CLOSED_FORM_DH = 2  # closed forms exist for d_H = 0 (diagonal), 1 and 2
+MAX_K = ceil_log2(MAX_D)  # the widest compact register a level count allows
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,8 @@ class BoundQuery:
     diagonal: bool = False
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
+        if not 1 <= self.K <= MAX_K:
+            raise ValueError(f"K must be in [1, {MAX_K}], got {self.K}")
         if self.diagonal:
             if self.d_H != 0:
                 raise ValueError("a diagonal element has d_H = 0")

@@ -29,8 +29,9 @@ import functools
 import json
 import re
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 
-from .paulis import PauliString, PauliSum, _is_finite_real, _is_nonneg_int, string_key
+from .paulis import PauliString, PauliSum, _is_finite_real, _is_nonneg_int
 
 GATE_ARITY = {
     "X": 1, "H": 1, "BasisY": 1, "Rz": 1, "T": 1, "Tdg": 1,
@@ -142,7 +143,7 @@ def trotter_step(h: PauliSum, theta: float) -> Circuit:
     if not h.is_hermitian():
         raise ValueError("trotter_step needs a Hermitian Pauli sum")
     circ = Circuit(h.n_qubits)
-    for p, c in sorted(h.terms.items(), key=lambda kv: string_key(kv[0])):
+    for p, c in sorted(h.terms.items(), key=itemgetter(0)):
         part = trotter_term(p, c, theta, h.n_qubits)
         circ.gates.extend(part.gates)
         circ.global_phase += part.global_phase

@@ -32,7 +32,7 @@ from .circuits import (Circuit, count_resources, export_circuit, import_circuit,
 from .encoder import encode_matrix
 from .encoding import (BLOCK_UNARY, GRAY, SB, UNARY, EncodingSpec,
                        bitmask_subset, encode, format_bits, num_qubits)
-from .optimizer import PassConfig, optimize
+from .optimizer import MAX_SWEEPS, optimize
 from .paulis import PauliSum, string_to_text
 from .qudit_ops import BOSONIC_NAMES, bosonic, dense_hermitian_test_matrix, \
     spin, tridiag_test_matrix, twice_spin
@@ -193,17 +193,15 @@ def _cmd_trotter(args) -> int:
 
 def _cmd_optimize(args) -> int:
     circ = _read_circuit(args.circuit)
-    cfg = PassConfig() if args.max_sweeps is None else \
-        PassConfig(max_sweeps=args.max_sweeps)
     before = count_resources(circ)
-    opt = optimize(circ, cfg)
+    opt = optimize(circ, args.max_sweeps)
     after = count_resources(opt)
     print(f"optimize: {before.total_gates} -> {after.total_gates} gates, "
           f"entangling {before.entangling_total} -> {after.entangling_total}")
     # A fixed point survives one more sweep unchanged; anything else hit the cap.
-    again = optimize(opt, PassConfig(max_sweeps=1))
+    again = optimize(opt, 1)
     if again.gates != opt.gates or again.global_phase != opt.global_phase:
-        print(f"warning: optimize stopped at --max-sweeps {cfg.max_sweeps} "
+        print(f"warning: optimize stopped at --max-sweeps {args.max_sweeps} "
               "before a fixed point", file=sys.stderr)
     _write(args, opt)
     return 0
@@ -344,7 +342,7 @@ _COMMANDS = {
     "trotter": (_cmd_trotter, "synthesize one Trotter step",
                 _ENC + _OP + _THETA + _SEED + _OUT),
     "optimize": (_cmd_optimize, "run the peephole optimizer",
-                 _CIRCUIT + [("--max-sweeps", dict(type=int))] + _OUT),
+                 _CIRCUIT + [("--max-sweeps", dict(type=int, default=MAX_SWEEPS))] + _OUT),
     "convert-circuit": (_cmd_convert_circuit, "emit an encoding conversion circuit",
                         _KIND + _OUT),
     "conversion-cost": (_cmd_conversion_cost, "closed-form conversion gate counts", _KIND + [

@@ -55,23 +55,13 @@ from operator import add
 
 import numpy as np
 
-from .encoding import BLOCK_UNARY, GRAY, SB, EncodingSpec, bitmask_subset, ceil_log2, codeword
+from .encoding import BLOCK_UNARY, GRAY, SB, EncodingSpec, ceil_log2, codeword
 from .paulis import PRUNE_EPS, PauliString, PauliSum
 from .qudit_ops import BOSONIC, BOSONIC_NAMES, SPIN, QuditMatrix, as_matrix, bosonic
 from . import encoding as enc_mod
 
 ZERO_ENTRY_TOL = 1e-14
 DBD_FIT_TOL = 1e-10
-
-# Per-qubit substitution rules keyed by (bit of l, bit of l'):
-# list of (letter or None, coefficient) factors.
-_RULES = {
-    (0, 0): ((None, 0.5), ("Z", 0.5)),
-    (1, 1): ((None, 0.5), ("Z", -0.5)),
-    (0, 1): (("X", 0.5), ("Y", 0.5j)),
-    (1, 0): (("X", 0.5), ("Y", -0.5j)),
-}
-
 
 @dataclass(frozen=True)
 class EncodedOperator:
@@ -83,27 +73,17 @@ class EncodedOperator:
     source_digest: str
 
 
-def _expand(x_l: int, x_lp: int, union, coeff) -> list[tuple[PauliString, complex]]:
-    """Product of the per-qubit rules over the sorted union, for codewords
-    x_l and x_lp: (string, coefficient) pairs, all strings distinct."""
-    expansion: list[tuple[PauliString, complex]] = [((), complex(coeff))]
-    for q in union:
-        rule = _RULES[((x_l >> q) & 1, (x_lp >> q) & 1)]
-        expansion = [
-            (ops if letter is None else ops + ((q, letter),), c * rc)
-            for ops, c in expansion
-            for letter, rc in rule
-        ]
-    return expansion
-
-
 def encode_element(spec: EncodingSpec, l: int, lp: int, coeff: complex = 1.0) -> PauliSum:
     """Pauli sum for coeff * |l><l'|."""
-    union = sorted(bitmask_subset(spec, l) | bitmask_subset(spec, lp))
+    for level in (l, lp):
+        if not 0 <= level < spec.d:
+            raise ValueError(f"level {level} out of range [0, {spec.d})")
+    value = np.array([complex(coeff)])
+    if not np.isfinite(value).all():
+        raise ValueError(f"non-finite coefficient {coeff}")
     out = PauliSum(enc_mod.num_qubits(spec))
-    for ops, c in _expand(codeword(spec, l), codeword(spec, lp), union, coeff):
-        out._accumulate(ops, c)
-    return out.simplify()
+    out.terms = _terms(spec, value, np.array([l]), np.array([lp]))
+    return out
 
 
 def encode_hermitian_pair(spec: EncodingSpec, l: int, lp: int, coeff: complex = 1.0) -> PauliSum:
@@ -138,7 +118,7 @@ def encode_matrix(spec: EncodingSpec, A) -> EncodedOperator:
     # of a complex array may round the last bit differently.
     rows, cols = np.nonzero(np.hypot(m.real, m.imag) >= ZERO_ENTRY_TOL)
     out = PauliSum(enc_mod.num_qubits(spec))
-    out.terms = _terms(spec, m, rows, cols)
+    out.terms = _terms(spec, m[rows, cols], rows, cols)
     return EncodedOperator(out, spec, matrix_digest(m))
 
 
@@ -148,13 +128,14 @@ _EDGE = np.array([-1])
 _CHUNK = 1 << 16  # contributions added at once, which bounds the kernel's memory
 
 
-def _terms(spec: EncodingSpec, m: np.ndarray, rows, cols) -> dict:
-    """The kernel: the pruned terms of the entries at (rows, cols), in
-    canonical order.  An element within block b adds to the 2^w strings of
-    that block with xor mask f = x ^ x', an element across blocks to the
-    4^w strings over both, which only it and its transpose share."""
+def _terms(spec: EncodingSpec, values: np.ndarray, rows, cols) -> dict:
+    """The kernel: the pruned terms of the entries with these values at
+    (rows, cols), in canonical order.  An element within block b adds to
+    the 2^w strings of that block with xor mask f = x ^ x', an element
+    across blocks to the 4^w strings over both, which only it and its
+    transpose share."""
     g, w = _block_shape(spec)
-    sums, lo, hi, f, u = _group_sums(*_elements(spec, m, rows, cols, g, w))
+    sums, lo, hi, f, u = _group_sums(*_elements(spec, values, rows, cols, g, w))
     if u > w:
         sums[lo == hi, 1 << w:] = 0.0  # past a one-block group's union
     k, s = _kept(sums).nonzero()
@@ -165,13 +146,13 @@ def _terms(spec: EncodingSpec, m: np.ndarray, rows, cols) -> dict:
     return dict(zip(map(add, lower, upper), values))
 
 
-def _elements(spec: EncodingSpec, m: np.ndarray, rows, cols, g: int, w: int):
+def _elements(spec: EncodingSpec, v: np.ndarray, rows, cols, g: int, w: int):
     """The elements in row-major order: their values, halved once per qubit
     of their union and zero where that drops them, their groups' keys, and
     their codes and xor masks over the union (the lower block's w qubits,
     then the upper's); their lower and upper blocks, and the union's width."""
     codes = _local_codes(spec)
-    v, x, f, lo, hi, u = m[rows, cols], codes[rows], codes[cols], rows // g, cols // g, w
+    x, f, lo, hi, u = codes[rows], codes[cols], rows // g, cols // g, w
     for _ in range(w):  # one halving per qubit, so subnormal parts round as in the expansion
         v = v * 0.5
     two = lo != hi

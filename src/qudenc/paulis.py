@@ -72,13 +72,6 @@ def weight(s: PauliString) -> int:
     return len(s)
 
 
-def string_key(s: PauliString):
-    """Pseudo-alphabetical sort key (identity first, then by lowest qubit,
-    letters ranked X < Y < Z).  The letters compare alphabetically in rank
-    order, so the sorted tuple of (qubit, letter) pairs is its own key."""
-    return s
-
-
 def multiply_strings(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
     """Matrix product a.b as (phase, string)."""
     da, db = dict(a), dict(b)
@@ -260,7 +253,7 @@ class PauliSum:
     # -- serialization --------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        ordered = sorted(self.terms, key=string_key)
+        ordered = sorted(self.terms)
         return {
             "n_qubits": self.n_qubits,
             "terms": [

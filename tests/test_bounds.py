@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from qudenc.bounds import (BoundQuery, SPARSITY_PATTERNS, asymptotic_class,
+from qudenc.bounds import (MAX_K, SPARSITY_PATTERNS, BoundQuery, asymptotic_class,
                            closed_form_cnot_upper_bound, cnot_upper_bound,
                            dense_cnot_upper_bound, operator_upper_bound,
                            pauli_length_distribution, staircase_cnots)
@@ -113,6 +113,9 @@ def test_query_validation():
         BoundQuery(1, 3, diagonal=True)
     with pytest.raises(ValueError):
         BoundQuery(1, 0)
+    with pytest.raises(ValueError):
+        BoundQuery(1, MAX_K + 1)  # wider than any compact register
+    assert BoundQuery(1, MAX_K).K == MAX_K
 
 
 def test_asymptotic_classes():

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_exponential import matrix_exponential
 from qudenc.circuits import (GATE_ARITY, Circuit, Gate, count_resources, cswap_clifford_t,
                              export_circuit, import_circuit, swap_as_cnots,
                              toffoli_gates, toffoli_via_cswap, trotter_step,
                              trotter_term)
 from qudenc.paulis import PauliSum, text_to_string
-from qudenc.simulator import (circuit_to_unitary, matrix_exponential,
-                              pauli_to_matrix, unitary_distance)
+from qudenc.simulator import circuit_to_unitary, pauli_to_matrix, unitary_distance
 
 
 def test_gate_validation():

@@ -12,7 +12,7 @@ from qudenc.circuits import export_circuit, import_circuit
 from qudenc.cli import fmt, main
 from qudenc.encoder import encode_matrix
 from qudenc.encoding import BLOCK_UNARY, EncodingSpec
-from qudenc.optimizer import PassConfig, optimize
+from qudenc.optimizer import optimize
 from qudenc.qudit_ops import bosonic, spin
 
 
@@ -81,6 +81,12 @@ def test_bounds_invalid_query_is_usage_error(capsys):
     code, _, err = run(capsys, "bounds", "--dH", "0", "--K", "3")
     assert code == 2
     assert "error" in err
+    # K = 16 is the compact register of d = 2^16, the largest level count.
+    code, out, _ = run(capsys, "bounds", "--dH", "1", "--K", "16")
+    assert code == 0 and "closed form 491520" in out  # (K - 1) 2^(K - 1)
+    code, out, err = run(capsys, "bounds", "--dH", "1", "--K", "17")
+    assert code == 2 and out == ""
+    assert err == "error: K must be in [1, 16], got 17\n"
 
 
 def test_trotter_and_optimize_and_qasm_pipeline(tmp_path, capsys):
@@ -503,7 +509,7 @@ def test_optimize_reports_the_sweep_cap(tmp_path, capsys):
                          "--max-sweeps", "1", "--out", str(out_path))
     assert code == 0 and out == "optimize: 4 -> 2 gates, entangling 0 -> 0\n"
     assert err == "warning: optimize stopped at --max-sweeps 1 before a fixed point\n"
-    capped = optimize(import_circuit(circ_path.read_text()), PassConfig(max_sweeps=1))
+    capped = optimize(import_circuit(circ_path.read_text()), 1)
     assert out_path.read_text() == export_circuit(capped, "json")
     for sweeps in (["--max-sweeps", "2"], []):
         code, out, err = run(capsys, "optimize", "--circuit", str(circ_path), *sweeps)

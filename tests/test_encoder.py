@@ -21,6 +21,10 @@ def test_single_qubit_substitution_rules():
     assert as_text_dict(encode_element(spec, 1, 0)) == {"X0": 0.5, "Y0": -0.5j}
     assert as_text_dict(encode_element(spec, 0, 0)) == {"I": 0.5, "Z0": 0.5}
     assert as_text_dict(encode_element(spec, 1, 1)) == {"I": 0.5, "Z0": -0.5}
+    # a level outside [0, d) is refused, not wrapped around to another level
+    for l, lp in ((-1, 0), (0, 2)):
+        with pytest.raises(ValueError, match="out of range"):
+            encode_element(spec, l, lp)
 
 
 def test_element_reconstruction_every_encoding():
@@ -73,6 +77,8 @@ def test_encode_matrix_rejects_non_finite_entries(kind, bad):
     m[1, 2] = bad
     with pytest.raises(ValueError, match="non-finite"):
         encode_matrix(EncodingSpec(kind, 4), m)
+    with pytest.raises(ValueError, match="non-finite"):
+        encode_element(EncodingSpec(kind, 4), 1, 2, bad)
 
 
 def test_encode_matrix_skips_structural_zeros():

@@ -138,7 +138,7 @@ def test_kernel_emits_canonical_order(spec):
     # encode_matrix keeps the kernel's dict as it is, with no re-sort.
     for m in (dense_hermitian_test_matrix(64, 4), tridiag_test_matrix(64, 5)):
         rows, cols = np.nonzero(np.asarray(m))
-        terms = list(_terms(spec, np.asarray(m), rows, cols))
+        terms = list(_terms(spec, np.asarray(m)[rows, cols], rows, cols))
         assert terms == sorted(terms, key=_parent_order)
 
 

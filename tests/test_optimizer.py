@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qudenc.circuits import Circuit, Gate, count_resources
-from qudenc.optimizer import (PassConfig, commutes, optimize)
+from qudenc.optimizer import commutes, optimize
 from qudenc.simulator import circuit_to_unitary, verify_circuit_equivalence
 
 _KINDS_1Q = ["X", "H", "BasisY", "S", "Sdg", "T", "Tdg", "Rz"]
@@ -151,16 +151,13 @@ def test_optimize_reaches_fixed_point():
 
 
 def test_pass_config_validation():
-    with pytest.raises(ValueError):
-        PassConfig(passes=("no_such_pass",))
-    with pytest.raises(ValueError):
-        PassConfig(max_sweeps=0)
-    cfg = PassConfig(passes=("cancel_inverse_pairs",))
     c = Circuit(1)
     c.add("Rz", 0, angle=0.2)
     c.add("Rz", 0, angle=0.2)
-    # merge pass disabled: rotations stay separate
-    assert len(optimize(c, cfg).gates) == 2
+    for max_sweeps in (0, -1):
+        with pytest.raises(ValueError, match="max_sweeps must be >= 1"):
+            optimize(c, max_sweeps)
+    assert len(optimize(c, 1).gates) == 1
 
 
 def test_optimizer_reduces_entangling_on_structured_input():

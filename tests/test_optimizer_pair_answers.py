@@ -18,8 +18,8 @@ import pytest
 from qudenc import models
 from qudenc.circuits import Circuit, Gate, trotter_step, trotter_term
 from qudenc.encoding import BLOCK_UNARY, GRAY, SB, UNARY
-from qudenc.optimizer import PassConfig, _is_inverse_pair, commutes, optimize
-from qudenc.paulis import string, string_key
+from qudenc.optimizer import _is_inverse_pair, commutes, optimize
+from qudenc.paulis import string
 from test_optimizer_reference import (_KINDS_1Q, _assert_same, _pricing_circuits,
                                       _random_circuit)
 
@@ -67,19 +67,18 @@ def test_gates_that_act_alike_under_other_ids(gates, left):
 
 @pytest.mark.parametrize("max_sweeps", [2, 3, 4])
 def test_capped_sweeps_match_reference(max_sweeps):
-    config = PassConfig(max_sweeps=max_sweeps)
     for seed in range(200):
-        _assert_same(_random_circuit(random.Random(seed)), config)
+        _assert_same(_random_circuit(random.Random(seed)), max_sweeps)
     capped = 0
     for c in _pricing_circuits(models.ModelSpec(models.BOSE_HUBBARD, N=2, d=6)):
-        capped += _assert_same(c, config).gates != optimize(c).gates
+        capped += _assert_same(c, max_sweeps).gates != optimize(c).gates
     assert capped  # the cap stopped some circuit short of its fixed point
 
 
 def _staircase_via_add(h, theta: float) -> Circuit:
     """trotter_step as it was written before the gates were shared."""
     out = Circuit(h.n_qubits)
-    for p, coeff in sorted(h.terms.items(), key=lambda kv: string_key(kv[0])):
+    for p, coeff in sorted(h.terms.items()):
         c_r = complex(coeff).real
         active = [q for q, _ in p]
         if not active:

@@ -21,7 +21,7 @@ import reference_optimizer as ref
 from qudenc import models
 from qudenc.circuits import Circuit, Gate, trotter_step
 from qudenc.encoding import BLOCK_UNARY, GRAY, SB, UNARY
-from qudenc.optimizer import PASS_NAMES, PassConfig, commutes, optimize
+from qudenc.optimizer import MAX_SWEEPS, commutes, optimize
 from qudenc.qudit_ops import BOSONIC
 
 _KINDS_1Q = ("X", "H", "BasisY", "S", "Sdg", "T", "Tdg")
@@ -30,17 +30,13 @@ _INVERSE_1Q = {"T": "Tdg", "Tdg": "T", "S": "Sdg", "Sdg": "S"}
 # and 4pi +- 1e-13, which lands within eps of the period from either side.
 _EDGE_ANGLES = (math.pi, -math.pi, 2 * math.pi, -2 * math.pi,
                 4 * math.pi + 1e-13, 4 * math.pi - 1e-13)
-_CONFIGS = (PassConfig(),
-            PassConfig(passes=("cancel_inverse_pairs",)),
-            PassConfig(passes=("merge_rotations",)),
-            PassConfig(passes=("cnot_triple_rewrite",)),
-            PassConfig(passes=("cnot_triple_rewrite", "merge_rotations",
-                               "cancel_inverse_pairs")),
-            PassConfig(max_sweeps=1))
+# Sweep caps: the default, and caps that stop short of many fixed points.
+_CAPS = (MAX_SWEEPS, 1, 2, 3)
+_PASSES = ("_pass_cancel", "_pass_merge", "_pass_cnot_triple")
 
 
-def _assert_same(c: Circuit, config: PassConfig | None = None) -> Circuit:
-    got, want = optimize(c, config), ref.optimize(c, config)
+def _assert_same(c: Circuit, max_sweeps: int = MAX_SWEEPS) -> Circuit:
+    got, want = optimize(c, max_sweeps), ref.optimize(c, max_sweeps)
     assert got.gates == want.gates
     assert got.global_phase == want.global_phase
     assert got.n_qubits == want.n_qubits
@@ -95,24 +91,34 @@ def _random_circuit(rng: random.Random) -> Circuit:
     return c
 
 
-def test_random_circuits_match_reference():
-    removed = {}
+def _note_passes(monkeypatch) -> list:
+    """Wrap the reference's passes so that each run appends (pass, whether
+    it changed the circuit) to the returned list.  The passes run in a fixed
+    order, so each sweep adds one entry per pass."""
+    runs = []
+
+    def noted(name, run):
+        def wrapper(*args):
+            out = run(*args)
+            runs.append((name, bool(out[0] if isinstance(out, tuple) else out)))
+            return out
+        return wrapper
+
+    for name in _PASSES:
+        monkeypatch.setattr(ref, name, noted(name, getattr(ref, name)))
+    return runs
+
+
+def test_random_circuits_match_reference(monkeypatch):
+    runs = _note_passes(monkeypatch)
     for seed in range(600):
         c = _random_circuit(random.Random(seed))
-        for config in _CONFIGS:
-            out = _assert_same(c, config)
-            removed[config.passes] = removed.get(config.passes, 0) + len(c) - len(out)
+        for cap in _CAPS:
+            _assert_same(c, cap)
     # every pass fired somewhere, so the comparison is not vacuous
-    assert all(removed[(name,)] > 0 for name in PassConfig().passes)
+    assert {name for name, fired in runs if fired} == set(_PASSES)
 
 
-# Default, capped and reordered configs, for circuits whose passes fire late.
-_LATE_CONFIGS = (PassConfig(), PassConfig(max_sweeps=1), PassConfig(max_sweeps=2),
-                 PassConfig(max_sweeps=3),
-                 PassConfig(passes=("cnot_triple_rewrite", "merge_rotations",
-                                    "cancel_inverse_pairs")),
-                 PassConfig(passes=("merge_rotations", "cnot_triple_rewrite",
-                                    "cancel_inverse_pairs"), max_sweeps=2))
 _LADDER_KINDS = ("X", "H", "BasisY", "S", "T", "CNOT")
 
 
@@ -153,36 +159,25 @@ def _nested_circuit(rng: random.Random) -> Circuit:
 
 
 def test_late_sweep_rewrites_match_reference(monkeypatch):
-    # Note each pass of the reference that changes the circuit in a run after
-    # its first, so the comparison is known to cover late rewrites.
-    runs, late = {}, set()
-
-    def noted(name, run):
-        def wrapper(*args):
-            out = run(*args)
-            runs[name] = runs.get(name, 0) + 1
-            if runs[name] > 1 and (out[0] if isinstance(out, tuple) else out):
-                late.add((config, name))
-            return out
-        return wrapper
-
-    for name, attr in zip(PASS_NAMES, ("_pass_cancel", "_pass_merge", "_pass_cnot_triple")):
-        monkeypatch.setattr(ref, attr, noted(name, getattr(ref, attr)))
+    # Note each pass of the reference that changes the circuit in a sweep
+    # after the first, so the comparison is known to cover late rewrites.
+    runs, late = _note_passes(monkeypatch), {cap: set() for cap in _CAPS}
     for seed in range(400):
         c = _nested_circuit(random.Random(seed))
-        for config in _LATE_CONFIGS:
+        for cap in _CAPS:
             runs.clear()
-            _assert_same(c, config)
-    for config in (cfg for cfg in _LATE_CONFIGS if cfg.max_sweeps > 1):
-        assert {name for fired, name in late if fired == config} == set(PASS_NAMES)
+            _assert_same(c, cap)
+            late[cap] |= {name for name, fired in runs[len(_PASSES):] if fired}
+    for cap in _CAPS:
+        assert late[cap] == (set(_PASSES) if cap > 1 else set()), cap
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_property_late_sweep_rewrites_match_reference(rng):
     c = _nested_circuit(rng)
-    for config in _LATE_CONFIGS:
-        _assert_same(c, config)
+    for cap in _CAPS:
+        _assert_same(c, cap)
 
 
 def test_commutes_matches_reference_on_every_gate_pair():
