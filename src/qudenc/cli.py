@@ -8,7 +8,7 @@ deterministic for fixed flags and seed (the SEED environment variable
 supplies a default seed when --seed is absent).
 
 Exit codes: 0 success, 1 verification failure (simulate-check), 2 usage
-error.
+error or an input too large for memory.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from . import bounds as bounds_mod
 from . import converters, models
 from .circuits import (Circuit, count_resources, export_circuit, import_circuit,
                        trotter_step)
-from .encoder import encode_matrix
+from .encoder import encode_matrix, matrix_digest
 from .encoding import (BLOCK_UNARY, GRAY, SB, UNARY, EncodingSpec,
                        bitmask_subset, encode, format_bits, num_qubits)
 from .optimizer import MAX_SWEEPS, optimize
@@ -175,7 +175,7 @@ def _cmd_map_op(args) -> int:
     print(f"{args.op} at d={args.d} under {spec.describe()}")
     print("\n".join(_sum_summary(encoded.sum)))
     _write(args, {**encoded.sum.to_json_dict(), "encoding": spec.describe(),
-                  "operator": args.op, "source_digest": encoded.source_digest})
+                  "operator": args.op, "source_digest": matrix_digest(op)})
     return 0
 
 
@@ -390,6 +390,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

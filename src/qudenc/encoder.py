@@ -16,20 +16,21 @@ coefficient dict; Hermitian input yields real coefficients.  Every
 coefficient is summed in row-major element order, as if each element were
 encoded on its own and added in turn.
 
-One numpy kernel serves every code.  Standard binary and Gray are block
-unary with one block of K qubits whose local code is the codeword; unary is
-block unary with blocks of one qubit and local code 1.  An element touches
-the u = w or 2w qubits of the one or two blocks holding its levels.  With
-its codes x, x' over those qubits, xor mask f = x ^ x' and Z mask s, it adds
-c * 2^-u * (-1)^|s & x| * i^|s & f| to the string whose qubit q is I, Z, X
-or Y for (f_q, s_q) = (0,0), (0,1), (1,0), (1,1).  An element within one
-block shares its strings with the elements of that block with the same f,
-an element across two blocks only with its transpose, and every diagonal
-element adds to the identity.  Each group adds its elements' signed values
-rank by rank, row after row, then multiplies by i^|s & f|, which is exact.
-The kept strings come out in canonical order by a numeric key, with no sort
-of the strings themselves.  A fast Walsh-Hadamard (butterfly) transform
-would add the same terms in another order and change last bits.
+One numpy kernel serves every code, in the block-unary geometry that
+``encoding.block_shape`` gives it: standard binary and Gray are one block of
+K qubits whose local code is the codeword, and unary is blocks of one qubit
+with local code 1.  An element touches the u = w or 2w qubits of the one or
+two blocks holding its levels.  With its codes x, x' over those qubits, xor
+mask f = x ^ x' and Z mask s, it adds c * 2^-u * (-1)^|s & x| * i^|s & f| to
+the string whose qubit q is I, Z, X or Y for (f_q, s_q) = (0,0), (0,1),
+(1,0), (1,1).  An element within one block shares its strings with the
+elements of that block with the same f, an element across two blocks only
+with its transpose, and every diagonal element adds to the identity.  Each
+group adds its elements' signed values rank by rank, row after row, then
+multiplies by i^|s & f|, which is exact.  The kept strings come out in
+canonical order by a numeric key, with no sort of the strings themselves.  A
+fast Walsh-Hadamard (butterfly) transform would add the same terms in
+another order and change last bits.
 
 Products across sites are exact tensor products of the sites' sums, on
 disjoint qubits.  Squares and other same-site products must be formed at
@@ -55,22 +56,18 @@ from operator import add
 
 import numpy as np
 
-from .encoding import BLOCK_UNARY, GRAY, SB, EncodingSpec, ceil_log2, codeword
+from .encoding import EncodingSpec, block_shape, ceil_log2, codeword, num_qubits
 from .paulis import PRUNE_EPS, PauliString, PauliSum
 from .qudit_ops import BOSONIC, BOSONIC_NAMES, SPIN, QuditMatrix, as_matrix, bosonic
-from . import encoding as enc_mod
 
 ZERO_ENTRY_TOL = 1e-14
 DBD_FIT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class EncodedOperator:
-    """A Pauli sum together with the code that produced it and a digest of
-    the source matrix (so downstream reports can say what they priced)."""
+    """The Pauli sum of an encoded matrix."""
 
     sum: PauliSum
-    spec: EncodingSpec
-    source_digest: str
 
 
 def encode_element(spec: EncodingSpec, l: int, lp: int, coeff: complex = 1.0) -> PauliSum:
@@ -81,7 +78,7 @@ def encode_element(spec: EncodingSpec, l: int, lp: int, coeff: complex = 1.0) ->
     value = np.array([complex(coeff)])
     if not np.isfinite(value).all():
         raise ValueError(f"non-finite coefficient {coeff}")
-    out = PauliSum(enc_mod.num_qubits(spec))
+    out = PauliSum(num_qubits(spec))
     out.terms = _terms(spec, value, np.array([l]), np.array([lp]))
     return out
 
@@ -117,9 +114,9 @@ def encode_matrix(spec: EncodingSpec, A) -> EncodedOperator:
     # np.hypot is the C library's hypot, which abs(complex) also calls; np.abs
     # of a complex array may round the last bit differently.
     rows, cols = np.nonzero(np.hypot(m.real, m.imag) >= ZERO_ENTRY_TOL)
-    out = PauliSum(enc_mod.num_qubits(spec))
+    out = PauliSum(num_qubits(spec))
     out.terms = _terms(spec, m[rows, cols], rows, cols)
-    return EncodedOperator(out, spec, matrix_digest(m))
+    return EncodedOperator(out)
 
 
 _LETTERS = (None, "Z", "X", "Y")  # indexed by 2 * f_q + s_q
@@ -134,7 +131,7 @@ def _terms(spec: EncodingSpec, values: np.ndarray, rows, cols) -> dict:
     the 2^w strings of that block with xor mask f = x ^ x', an element
     across blocks to the 4^w strings over both, which only it and its
     transpose share."""
-    g, w = _block_shape(spec)
+    g, w, _, _ = block_shape(spec)
     sums, lo, hi, f, u = _group_sums(*_elements(spec, values, rows, cols, g, w))
     if u > w:
         sums[lo == hi, 1 << w:] = 0.0  # past a one-block group's union
@@ -142,7 +139,7 @@ def _terms(spec: EncodingSpec, values: np.ndarray, rows, cols) -> dict:
     # A string is built from two parts, each made once: split in the middle
     # of a block that spans the register, else at the end of the lower block.
     lower, upper, values = _ordered(sums[k, s], lo[k] * w, hi[k] * w, f[k], s, w, u,
-                                    w // 2 if g == spec.d else w, enc_mod.num_qubits(spec))
+                                    w // 2 if g == spec.d else w, num_qubits(spec))
     return dict(zip(map(add, lower, upper), values))
 
 
@@ -205,19 +202,11 @@ def _part(i: int, width: int, n: int) -> PauliString:
     return tuple(reversed(part))
 
 
-def _block_shape(spec: EncodingSpec) -> tuple[int, int]:
-    """Levels per block (at most d) and qubits per block.  SB and Gray are
-    one block of K qubits, unary is blocks of one qubit."""
-    if spec.kind in (SB, GRAY):
-        return spec.d, enc_mod.num_qubits(spec)
-    return (min(spec.g, spec.d), spec.block_width) if spec.kind == BLOCK_UNARY else (1, 1)
-
-
 @lru_cache(maxsize=64)
 def _local_codes(spec: EncodingSpec) -> np.ndarray:
     """Each level's code within its own block: the codeword for SB and Gray,
     1 in a one-qubit block for unary."""
-    g, w = _block_shape(spec)
+    g, w, _, _ = block_shape(spec)
     codes = np.array([codeword(spec, l) >> (l // g * w) for l in range(spec.d)], dtype=np.int64)
     codes.setflags(write=False)
     return codes

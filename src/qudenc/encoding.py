@@ -12,13 +12,21 @@ qubit values:
   value (l mod g) + 1.  An all-zero block means "not this block", which is
   why local values start at 1.
 
+All four share one geometry, given by :func:`block_shape`: g levels per
+block, w qubits per block, a first local value and a local code.  SB and
+Gray are one block of K = ceil(log2 d) qubits whose local value is l
+itself, (d, K, 0, kind); unary is d one-qubit blocks each holding 1,
+(1, 1, 1, SB); block unary is (min(g, d), ceil(log2(g+1)), 1, local code).
+Level l sits in block floor(l/g) with local value (l mod g) + first, and
+the code has ceil(d/g) * w qubits.
+
 Bit order convention: index 0 is the least significant bit and the lowest
 qubit index.  Printed strings are big-endian ("0101" reads x3 x2 x1 x0);
 block-unary display inserts a space between blocks.
 
-The bitmask subset C(l) is the minimal set of qubits whose values pin down
-level l: all qubits for a compact code, {l} for unary, and the block's bits
-for block unary.  An operator element |l><l'| only ever needs the qubits in
+The bitmask subset C(l), the w qubits of level l's block, is the minimal
+set of qubits whose values pin down level l: all qubits for a compact code,
+{l} for unary.  An operator element |l><l'| only ever needs the qubits in
 C(l) | C(l').
 """
 
@@ -88,15 +96,22 @@ def ceil_log2(d: int) -> int:
     return (d - 1).bit_length()
 
 
-def num_qubits(spec: EncodingSpec) -> int:
-    """Qubit count N_q of the code: ceil(log2 d) for SB/Gray, d for unary,
-    ceil(d/g) * ceil(log2(g+1)) for block unary."""
-    if spec.kind in (SB, GRAY):
-        return ceil_log2(spec.d)
+def block_shape(spec: EncodingSpec) -> tuple[int, int, int, str]:
+    """The code as block unary: levels per block (at most d), qubits per
+    block, the local value of a block's first level, and the local code."""
+    if spec.kind == BLOCK_UNARY:
+        return min(spec.g, spec.d), spec.block_width, 1, spec.local_kind
     if spec.kind == UNARY:
-        return spec.d
-    blocks = -(-spec.d // spec.g)
-    return blocks * spec.block_width
+        return 1, 1, 1, SB
+    return spec.d, ceil_log2(spec.d), 0, spec.kind
+
+
+def num_qubits(spec: EncodingSpec) -> int:
+    """Qubit count N_q of the code: ceil(d/g) blocks of w qubits, which is
+    ceil(log2 d) for SB/Gray, d for unary, ceil(d/g) * ceil(log2(g+1)) for
+    block unary."""
+    g, w, _, _ = block_shape(spec)
+    return -(-spec.d // g) * w
 
 
 def _int_to_bits(x: int, n: int) -> BitString:
@@ -128,16 +143,11 @@ def codeword(spec: EncodingSpec, l: int) -> int:
     """Codeword R(l) as an integer: bit q is the value of qubit q."""
     if not 0 <= l < spec.d:
         raise ValueError(f"level {l} out of range [0, {spec.d})")
-    if spec.kind == SB:
-        return l
-    if spec.kind == GRAY:
-        return _gray(l)
-    if spec.kind == UNARY:
-        return 1 << l
-    # Block unary: one occupied block, local value (l mod g) + 1 inside it.
-    block, local = divmod(l, spec.g)
-    code = local + 1 if spec.local_kind == SB else _gray(local + 1)
-    return code << (block * spec.block_width)
+    # One occupied block, local value (l mod g) + first inside it.
+    g, w, first, local_kind = block_shape(spec)
+    block, local = divmod(l, g)
+    local += first
+    return (_gray(local) if local_kind == GRAY else local) << (block * w)
 
 
 def encode(spec: EncodingSpec, l: int) -> BitString:
@@ -155,34 +165,24 @@ def decode(spec: EncodingSpec, bits: BitString) -> int:
     if any(b not in (0, 1) for b in bits):
         raise ValueError("bits must be 0 or 1")
     x = _bits_to_int(bits)
-    top = x.bit_length() - 1  # highest set bit; -1 when no bit is set
-    if spec.kind == SB:
-        l = x
-    elif spec.kind == GRAY:
-        l = _gray_inverse(x)
-    elif spec.kind == UNARY:
-        l = top
-    else:  # block unary: the highest occupied block and its local value
-        block = max(top, 0) // spec.block_width
-        local = x >> (block * spec.block_width)
-        l = block * spec.g + (local if spec.local_kind == SB else _gray_inverse(local)) - 1
+    # The highest occupied block (block 0 when no bit is set) and its local value.
+    g, w, first, local_kind = block_shape(spec)
+    block = max(x.bit_length() - 1, 0) // w
+    local = x >> (block * w)
+    l = block * g + (_gray_inverse(local) if local_kind == GRAY else local) - first
     if not (0 <= l < spec.d and codeword(spec, l) == x):
         raise InvalidCodeword(f"{format_bits(spec, bits)} is not a codeword of {spec.describe()}")
     return l
 
 
 def bitmask_subset(spec: EncodingSpec, l: int) -> set[int]:
-    """Qubits whose values determine level l: everything for compact codes,
-    {l} for unary, the block's bit range for block unary."""
+    """Qubits whose values determine level l: the w qubits of its block,
+    which are everything for compact codes and {l} for unary."""
     if not 0 <= l < spec.d:
         raise ValueError(f"level {l} out of range [0, {spec.d})")
-    if spec.kind in (SB, GRAY):
-        return set(range(num_qubits(spec)))
-    if spec.kind == UNARY:
-        return {l}
-    w = spec.block_width
-    block = l // spec.g
-    return set(range(block * w, (block + 1) * w))
+    g, w, _, _ = block_shape(spec)
+    block = l // g
+    return set(range(block * w, block * w + w))
 
 
 def hamming_distance(a: BitString, b: BitString) -> int:

@@ -14,7 +14,7 @@ reference they are held to.
 from __future__ import annotations
 
 from qudenc import encoding as enc_mod
-from qudenc.encoder import EncodedOperator, augment_truncation, matrix_digest
+from qudenc.encoder import EncodedOperator, augment_truncation
 from qudenc.encoding import EncodingSpec, bitmask_subset, encode, num_qubits
 from qudenc.paulis import PauliSum
 from qudenc.qudit_ops import as_matrix
@@ -68,7 +68,7 @@ def encode_matrix(spec: EncodingSpec, A) -> EncodedOperator:
             if abs(c) < ZERO_ENTRY_TOL:
                 continue
             total = total + encode_element(spec, l, lp, c)
-    return EncodedOperator(total.simplify(), spec, matrix_digest(m))
+    return EncodedOperator(total.simplify())
 
 
 def encode_term(term, kind: str, g: int = 3, augment: bool = False) -> PauliSum:

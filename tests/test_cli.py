@@ -2,11 +2,16 @@
 
 import argparse
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import qudenc
 from qudenc import cli, models
 from qudenc.circuits import export_circuit, import_circuit
 from qudenc.cli import fmt, main
@@ -577,3 +582,32 @@ def test_no_number_flag_value_raises_a_traceback(tmp_path, capsys, monkeypatch,
         code = exc.code
     err = capsys.readouterr().err
     assert code in (0, 2) and "Traceback" not in err
+
+
+_ADDRESS_SPACE_CAP = 2_000_000 * 1024  # bytes, like `ulimit -v 2000000`
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE_CAP, _ADDRESS_SPACE_CAP))
+
+
+@pytest.mark.parametrize("argv", [
+    ["map-op", "--enc", "sb", "--d", "65536", "--op", "n"],
+    ["report", "--model", "bose-hubbard", "--d", "65536", "--N", "1"],
+    ["map-op", "--enc", "bu", "--d", "4", "--g", "1099511627776", "--op", "n"],
+], ids=["d65536-operator", "d65536-report", "bu-huge-block"])
+def test_input_too_large_for_memory_is_usage_error(argv):
+    """Accepted inputs whose tables do not fit exit 2 with one error line.
+    The child runs under an address-space cap, so the oversized allocation
+    fails at once whatever the host's overcommit policy."""
+    src = str(Path(qudenc.__file__).resolve().parents[1])
+    # One BLAS thread, so that importing numpy fits under the cap on hosts with many cores.
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "qudenc.cli", *argv], env=env,
+                          preexec_fn=_cap_address_space, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "Traceback" not in proc.stderr, proc.stderr
+    assert "allocate" in errors[0]

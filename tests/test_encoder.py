@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qudenc.encoder import (augment_truncation, detect_dbd, encode_element,
-                            encode_hermitian_pair, encode_matrix)
+                            encode_hermitian_pair, encode_matrix, matrix_digest)
 from qudenc.encoding import BLOCK_UNARY, GRAY, SB, UNARY, EncodingSpec
 from qudenc.paulis import string_to_text, text_to_string, weight
 from qudenc.qudit_ops import bosonic, spin
@@ -90,11 +90,8 @@ def test_encode_matrix_skips_structural_zeros():
 
 
 def test_encoded_operator_digest_tracks_source():
-    spec = EncodingSpec(SB, 4)
-    e1 = encode_matrix(spec, bosonic(4, "n"))
-    e2 = encode_matrix(spec, bosonic(4, "n"))
-    e3 = encode_matrix(spec, bosonic(4, "q"))
-    assert e1.source_digest == e2.source_digest != e3.source_digest
+    e1, e2, e3 = (matrix_digest(bosonic(4, name)) for name in ("n", "n", "q"))
+    assert e1 == e2 != e3
 
 
 def test_detect_dbd_affine_diagonals():

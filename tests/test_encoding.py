@@ -3,8 +3,8 @@
 import pytest
 
 from qudenc.encoding import (BLOCK_UNARY, GRAY, SB, UNARY, EncodingSpec,
-                             InvalidCodeword, bitmask_subset, decode, encode,
-                             format_bits, hamming_distance, num_qubits,
+                             InvalidCodeword, bitmask_subset, codeword, decode,
+                             encode, format_bits, hamming_distance, num_qubits,
                              parse_bits)
 
 
@@ -159,3 +159,40 @@ def test_decode_is_exactly_the_inverse_of_encode(make):
             else:
                 with pytest.raises(InvalidCodeword):
                     decode(spec, bits)
+
+
+def _closed_form_specs():
+    """Every kind at d = 2..40, block unary at g = 1..d+2 under both local codes."""
+    for d in range(2, 41):
+        yield from (EncodingSpec(kind, d) for kind in (SB, GRAY, UNARY))
+        for g in range(1, d + 3):
+            yield from (EncodingSpec(BLOCK_UNARY, d, local_kind=local, g=g)
+                        for local in (SB, GRAY))
+
+
+def test_geometry_matches_the_closed_forms():
+    """num_qubits, codeword and bitmask_subset against the module docstring's
+    formulas, written out per kind here."""
+    for spec in _closed_form_specs():
+        d = spec.d
+        K = next(k for k in range(d) if 2 ** k >= d)  # ceil(log2 d)
+        if spec.kind == SB:
+            n, forms = K, [(l, set(range(K))) for l in range(d)]
+        elif spec.kind == GRAY:
+            n, forms = K, [(l ^ (l >> 1), set(range(K))) for l in range(d)]
+        elif spec.kind == UNARY:
+            n, forms = d, [(1 << l, {l}) for l in range(d)]
+        else:
+            g = spec.g
+            w = next(k for k in range(g + 1) if 2 ** k >= g + 1)  # ceil(log2(g+1))
+            n, forms = -(-d // g) * w, []
+            for l in range(d):
+                block, local = l // g, l % g + 1
+                if spec.local_kind == GRAY:
+                    local ^= local >> 1
+                forms.append((local << block * w, set(range(block * w, (block + 1) * w))))
+        assert num_qubits(spec) == n, spec
+        for l, (word, subset) in enumerate(forms):
+            assert codeword(spec, l) == word, (spec, l)
+            assert encode(spec, l) == tuple((word >> q) & 1 for q in range(n)), (spec, l)
+            assert bitmask_subset(spec, l) == subset, (spec, l)
