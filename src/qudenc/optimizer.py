@@ -45,15 +45,31 @@ only changes are drops, and a drop among the gates a walk passed over
 leaves the gate it stops at, and the answer there, as they were.  The
 triple rewrite is the one change that moves a slot onto another wire or
 gives a gate new qubits, so every pass walks every gate in the next
-sweep after a rewrite.  On the report benchmark's 86 pricing circuits
-this cut the self time of optimize() from 1.63 s to 1.21 s (0.75x, shared
-2-vCPU host), with the same output.
+sweep after a rewrite.
+
+Each pass loops over its own index list: cancel over the non-Rz gates,
+merge over the Rz gates, the CNOT-triple check over the CNOTs.  The lists
+are built once and, from sweep 2 on, filtered to live gates before each
+pass.  No list ever needs a new entry, because no rewrite changes a kind:
+the triple rewrite keeps a CNOT a CNOT and a merge keeps an Rz an Rz.  A
+pass still skips a gate that an earlier gate of the same run dropped.
+
+The chains come from a table of each distinct (kind, qubits)'s wires,
+held as dense ranks so that a qubit index may be any non-negative int:
+numpy gathers the table by gate id, sorts the slots by wire and links
+neighbours, and numbering the gates is the one Python loop over them.
+That adds a fixed cost of some tens of microseconds per call.  On the
+report benchmark (BENCH_16.json, shared 2-vCPU host) the lists and the
+chain build cut the traced self time of optimize() from 1.26 s to 0.95 s
+(0.75x) and pass_s to 0.86x, with the same output.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+
+import numpy as np
 
 from .circuits import Circuit, Gate
 
@@ -65,6 +81,7 @@ _INVERSE_KIND = {"X": "X", "H": "H", "BasisY": "BasisY", "CNOT": "CNOT",
 ANGLE_EPS = 1e-12
 TWO_PI = 2.0 * math.pi
 MAX_SWEEPS = 50
+_PAD = (-1, -1, -1)
 
 
 def commutes(a: Gate, b: Gate) -> bool:
@@ -130,22 +147,51 @@ def _wire_chains(gates: list[Gate]) -> tuple[array, array, array, dict]:
     a list of 700 million gates would not fit in memory long before 3*i
     overflows them.  gid[i] numbers gate i's (kind, qubits) in ids, the
     only fields the walks' answers read.
+
+    Numbering the gates is the one Python loop over them.  A table gives
+    each id's wires, and numpy gathers it by gid, sorts the slots by wire
+    (stable, so each wire keeps gate order) and links equal neighbours.
     """
+    ids: dict[tuple, int] = {}
+    gid = array("i", [ids.setdefault((g.kind, g.qubits), len(ids)) for g in gates])
+    # Row r holds the wires of id r as dense ranks, padded with -1: a qubit
+    # index may be any non-negative int, but a rank always fits a C int.
+    rank: dict[int, int] = {}
+    table = array("i")
+    for _, qubits in ids:
+        table.extend([rank.setdefault(q, len(rank)) for q in qubits])
+        table.extend(_PAD[len(qubits):])
+    # Cell s of row i in the n x 3 grid is slot 3*i + s.
+    wire = np.frombuffer(table, np.intc).reshape(-1, 3)[np.frombuffer(gid, np.intc)].ravel()
+    slots = np.flatnonzero(wire >= 0).astype(np.intc)
+    wire = wire[slots]
+    slots = slots[np.argsort(wire, kind="stable")]  # by wire, in gate order
+    wire.sort()
+    same = wire[1:] == wire[:-1]
+    before, after = slots[:-1][same], slots[1:][same]
+    del wire, slots, same  # before nxt and prv exist, to keep the peak low
     end = 3 * len(gates)
     nxt = array("i", [end]) * end
     prv = array("i", [-1]) * end
-    ids: dict[tuple, int] = {}
-    gid = array("i", [ids.setdefault((g.kind, g.qubits), len(ids)) for g in gates])
-    last: dict[int, int] = {}
-    for i, g in enumerate(gates):
-        for s, q in enumerate(g.qubits):
-            slot = 3 * i + s
-            p = last.get(q, -1)
-            if p >= 0:
-                nxt[p] = slot
-                prv[slot] = p
-            last[q] = slot
+    np.frombuffer(nxt, np.intc)[before] = after
+    np.frombuffer(prv, np.intc)[after] = before
     return nxt, prv, gid, ids
+
+
+def _kind_lists(gid: array, ids: dict) -> tuple[array, array, array]:
+    """The indices of the non-Rz, the Rz and the CNOT gates, in gate order:
+    the gates that cancel, merge and the CNOT-triple check walk."""
+    g = np.frombuffer(gid, np.intc)
+    rz = np.array([kind == "Rz" for kind, _ in ids], bool)[g]
+    cnot = np.array([kind == "CNOT" for kind, _ in ids], bool)[g]
+    return tuple(array("i", np.flatnonzero(m).astype(np.intc).tobytes())
+                 for m in (~rz, rz, cnot))
+
+
+def _live(gates: list[Gate | None], todo: array) -> array:
+    """The indices in todo whose gates are still in the circuit."""
+    # A generator, not a list: a list of the ints raised peak RSS by 0.6 MiB.
+    return array("i", (i for i in todo if gates[i] is not None))
 
 
 def _unlink(nxt: array, prv: array, slot: int) -> None:
@@ -173,14 +219,15 @@ def _answer(g: Gate, h: Gate) -> int:
     return _PASS if commutes(g, h) else _BLOCK
 
 
-def _pass_cancel(gates: list[Gate | None], nxt: array, prv: array, gid: array,
-                 memo: dict, stop: array, full: bool) -> bool:
+def _pass_cancel(gates: list[Gate | None], todo: array, nxt: array, prv: array,
+                 gid: array, memo: dict, stop: array, full: bool) -> bool:
     changed = False
     end = len(nxt)
     n = end // 3
-    for i, g in enumerate(gates):
-        if g is None or g.kind == "Rz":
-            continue
+    for i in todo:
+        g = gates[i]
+        if g is None:
+            continue  # cancelled by an earlier gate of this run
         if not full:
             s = stop[i]
             if s == n or gates[s] is not None:
@@ -217,14 +264,15 @@ def _pass_cancel(gates: list[Gate | None], nxt: array, prv: array, gid: array,
     return changed
 
 
-def _pass_merge(gates: list[Gate | None], nxt: array, prv: array, gid: array,
-                memo: dict, stop: array, full: bool) -> tuple[bool, float]:
+def _pass_merge(gates: list[Gate | None], todo: array, nxt: array, prv: array,
+                gid: array, memo: dict, stop: array, full: bool) -> tuple[bool, float]:
     changed = False
     phase = 0.0
     end = len(nxt)
     n = end // 3
-    for i, g in enumerate(gates):
-        if g is None or g.kind != "Rz":
+    for i in todo:
+        g = gates[i]
+        if g is None:
             continue
         if not full:
             s = stop[i]
@@ -261,13 +309,14 @@ def _pass_merge(gates: list[Gate | None], nxt: array, prv: array, gid: array,
     return changed, phase
 
 
-def _pass_cnot_triple(gates: list[Gate | None], nxt: array, prv: array, gid: array,
-                      ids: dict, w1: array, w2: array, full: bool) -> bool:
+def _pass_cnot_triple(gates: list[Gate | None], todo: array, nxt: array, prv: array,
+                      gid: array, ids: dict, w1: array, w2: array, full: bool) -> bool:
     changed = False
     end = len(nxt)
     n = end // 3
-    for i, g1 in enumerate(gates):
-        if g1 is None or g1.kind != "CNOT":
+    for i in todo:
+        g1 = gates[i]
+        if g1 is None:
             continue
         if not full:
             s, t = w1[i], w2[i]
@@ -317,17 +366,26 @@ def optimize(c: Circuit, max_sweeps: int = MAX_SWEEPS) -> Circuit:
         raise ValueError("max_sweeps must be >= 1")
     gates: list[Gate | None] = list(c.gates)
     nxt, prv, gid, ids = _wire_chains(gates)
+    cancel, merge, triple = _kind_lists(gid, ids)
     memo: dict[int, int] = {}
     # Where each gate's last walk stopped (n: nowhere).  Cancel walks only
     # non-Rz gates and merge only Rz gates, so they share stop.
     stop, w1, w2 = (array("i", [len(gates)]) * len(gates) for _ in range(3))
     full = True  # every pass walks every gate: the first sweep, and after a rewrite
     phase = c.global_phase
-    for _ in range(max_sweeps):
-        cancelled = _pass_cancel(gates, nxt, prv, gid, memo, stop, full)
-        merged, dphase = _pass_merge(gates, nxt, prv, gid, memo, stop, full)
+    for sweep in range(max_sweeps):
+        # From sweep 2 on, each list drops the gates removed since it was
+        # last filtered; kinds never change, so no list ever gains a gate.
+        if sweep:
+            cancel = _live(gates, cancel)
+        cancelled = _pass_cancel(gates, cancel, nxt, prv, gid, memo, stop, full)
+        if sweep:
+            merge = _live(gates, merge)
+        merged, dphase = _pass_merge(gates, merge, nxt, prv, gid, memo, stop, full)
         phase += dphase
-        full = _pass_cnot_triple(gates, nxt, prv, gid, ids, w1, w2, full)
+        if sweep:
+            triple = _live(gates, triple)
+        full = _pass_cnot_triple(gates, triple, nxt, prv, gid, ids, w1, w2, full)
         if not (cancelled or merged or full):
             break
     return Circuit(c.n_qubits, [g for g in gates if g is not None], phase)

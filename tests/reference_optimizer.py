@@ -8,11 +8,15 @@ compacted after every pass.  ``qudenc.optimizer.optimize`` must return
 exactly the same gates and global phase; tests/test_optimizer_reference.py
 checks that.  Do not edit this file to
 follow later optimizer changes: it is the reference they are held to.
+
+``wire_chains`` is the per-wire index builder as a plain loop over every
+gate qubit; ``qudenc.optimizer._wire_chains`` must return the same arrays.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 
 from qudenc.circuits import Circuit, Gate
 
@@ -205,3 +209,23 @@ def optimize(c: Circuit, max_sweeps: int = 50) -> Circuit:
         if not changed:
             break
     return Circuit(c.n_qubits, gates, phase)
+
+
+def wire_chains(gates: list[Gate]) -> tuple[array, array, array, dict]:
+    """nxt/prv per-wire chains over slots 3*i + s, gate ids and the id table,
+    linked by walking every gate's qubits in order."""
+    end = 3 * len(gates)
+    nxt = array("i", [end]) * end
+    prv = array("i", [-1]) * end
+    ids: dict[tuple, int] = {}
+    gid = array("i", [ids.setdefault((g.kind, g.qubits), len(ids)) for g in gates])
+    last: dict[int, int] = {}
+    for i, g in enumerate(gates):
+        for s, q in enumerate(g.qubits):
+            slot = 3 * i + s
+            p = last.get(q, -1)
+            if p >= 0:
+                nxt[p] = slot
+                prv[slot] = p
+            last[q] = slot
+    return nxt, prv, gid, ids

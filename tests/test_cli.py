@@ -250,6 +250,17 @@ def test_optimize_max_sweeps(tmp_path, capsys):
     assert code == 0 and "2 -> 1 gates" in out
 
 
+def test_optimize_accepts_qubit_indices_beyond_c_int(tmp_path, capsys):
+    q = 8_589_934_593
+    gates = [{"kind": "H", "qubits": [q]}, {"kind": "CNOT", "qubits": [q, 3]},
+             {"kind": "CNOT", "qubits": [q, 3]}, {"kind": "H", "qubits": [q]}]
+    circ_path = tmp_path / "c.json"
+    circ_path.write_text(json.dumps({"n_qubits": q + 1, "gates": gates}))
+    code, out, err = run(capsys, "optimize", "--circuit", str(circ_path))
+    assert (code, err) == (0, "")
+    assert out == "optimize: 4 -> 0 gates, entangling 2 -> 0\n"
+
+
 def test_seed_resolution(tmp_path, capsys, monkeypatch):
     def dense_json(argv_extra):
         path = tmp_path / "d.json"

@@ -21,7 +21,7 @@ import reference_optimizer as ref
 from qudenc import models
 from qudenc.circuits import Circuit, Gate, trotter_step
 from qudenc.encoding import BLOCK_UNARY, GRAY, SB, UNARY
-from qudenc.optimizer import MAX_SWEEPS, commutes, optimize
+from qudenc.optimizer import MAX_SWEEPS, _wire_chains, commutes, optimize
 from qudenc.qudit_ops import BOSONIC
 
 _KINDS_1Q = ("X", "H", "BasisY", "S", "Sdg", "T", "Tdg")
@@ -33,6 +33,14 @@ _EDGE_ANGLES = (math.pi, -math.pi, 2 * math.pi, -2 * math.pi,
 # Sweep caps: the default, and caps that stop short of many fixed points.
 _CAPS = (MAX_SWEEPS, 1, 2, 3)
 _PASSES = ("_pass_cancel", "_pass_merge", "_pass_cnot_triple")
+# A qubit index far above any C int: the chains must rank wires, not store them.
+_WIDE = 8_589_934_593
+
+
+def _examples(n: int) -> settings:
+    """n examples, or more when the active hypothesis profile asks for more
+    (the ci profile in conftest.py)."""
+    return settings(max_examples=max(n, settings().max_examples), deadline=None)
 
 
 def _assert_same(c: Circuit, max_sweeps: int = MAX_SWEEPS) -> Circuit:
@@ -172,7 +180,7 @@ def test_late_sweep_rewrites_match_reference(monkeypatch):
         assert late[cap] == (set(_PASSES) if cap > 1 else set()), cap
 
 
-@settings(max_examples=100, deadline=None)
+@_examples(100)
 @given(st.randoms(use_true_random=False))
 def test_property_late_sweep_rewrites_match_reference(rng):
     c = _nested_circuit(rng)
@@ -248,6 +256,62 @@ def test_pricing_circuits_match_reference(spec):
     assert [_digest(optimize(c)) for c in circuits] == [r["output"] for r in recorded]
 
 
+def _assert_same_chains(gates: list[Gate]) -> None:
+    got, want = _wire_chains(gates), ref.wire_chains(gates)
+    assert got[:3] == want[:3]  # nxt, prv, gid
+    assert list(got[3].items()) == list(want[3].items())
+
+
+def test_wire_chains_match_reference_on_random_circuits():
+    kinds = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        gates = _random_circuit(rng).gates
+        kinds |= {g.kind for g in gates}
+        _assert_same_chains(gates)
+        # The same circuit on sparse, wide qubit indices links the same slots.
+        wide = {q: rng.randrange(2**40) * 7 + q for q in range(7)}
+        _assert_same_chains([Gate(g.kind, tuple(wide[q] for q in g.qubits), g.angle)
+                             for g in gates])
+    assert kinds == set(_KINDS_1Q) | {"Rz", "CNOT", "SWAP", "CSWAP"}
+
+
+@pytest.mark.parametrize("gates", [
+    [], [Gate("H", (0,))], [Gate("CSWAP", (2, 0, 1))], [Gate("Rz", (_WIDE,), 0.5)]],
+    ids=["empty", "one-gate", "one-cswap", "one-wide"])
+def test_wire_chains_match_reference_on_edge_circuits(gates):
+    _assert_same_chains(gates)
+
+
+@pytest.mark.parametrize("spec", _PRICED_MODELS, ids=_spec_id)
+def test_wire_chains_match_reference_on_pricing_circuits(spec):
+    for c in _pricing_circuits(spec):
+        _assert_same_chains(c.gates)
+
+
+@pytest.mark.parametrize("gates", [
+    # no Rz: the merge list is empty
+    [Gate("H", (0,)), Gate("CNOT", (0, 1)), Gate("CNOT", (1, 2)), Gate("CNOT", (0, 1)),
+     Gate("X", (2,)), Gate("CNOT", (0, 1)), Gate("H", (0,)), Gate("X", (2,))],
+    # no CNOT: the triple list is empty
+    [Gate("Rz", (0,), 0.4), Gate("H", (1,)), Gate("SWAP", (0, 1)), Gate("SWAP", (1, 0)),
+     Gate("Rz", (0,), -0.4), Gate("H", (1,)), Gate("T", (0,))],
+    # nothing but Rz: the cancel and triple lists are empty
+    [Gate("Rz", (0,), math.pi), Gate("Rz", (1,), 0.3), Gate("Rz", (0,), math.pi),
+     Gate("Rz", (1,), -0.3), Gate("Rz", (2,), 1.0)],
+], ids=["no-rz", "no-cnot", "only-rz"])
+def test_optimize_with_an_empty_kind_list(gates):
+    for cap in _CAPS:
+        _assert_same(Circuit(3, gates), cap)
+
+
+def test_optimize_on_qubit_indices_beyond_c_int():
+    q = _WIDE
+    c = Circuit(q + 1, [Gate("H", (q,)), Gate("CNOT", (q, 3)),
+                        Gate("CNOT", (q, 3)), Gate("H", (q,))])
+    assert _assert_same(c).gates == []
+
+
 _qubit_lists = st.lists(st.integers(0, 5), min_size=3, max_size=3, unique=True)
 _gates = st.one_of(
     st.builds(lambda k, q: Gate(k, tuple(q[:1])), st.sampled_from(_KINDS_1Q), _qubit_lists),
@@ -259,7 +323,7 @@ _gates = st.one_of(
     st.builds(lambda q: Gate("CSWAP", tuple(q)), _qubit_lists))
 
 
-@settings(max_examples=200, deadline=None)
+@_examples(200)
 @given(st.lists(_gates, max_size=30))
 def test_property_optimize_matches_reference(gates):
     _assert_same(Circuit(6, gates))
