@@ -29,13 +29,13 @@ from . import bounds as bounds_mod
 from . import converters, models
 from .circuits import (Circuit, count_resources, export_circuit, import_circuit,
                        trotter_step)
-from .encoder import encode_matrix, matrix_digest
+from .encoder import encode_matrix
 from .encoding import (BLOCK_UNARY, GRAY, SB, UNARY, EncodingSpec,
                        bitmask_subset, encode, format_bits, num_qubits)
 from .optimizer import MAX_SWEEPS, optimize
 from .paulis import PauliSum, string_to_text
 from .qudit_ops import BOSONIC_NAMES, bosonic, dense_hermitian_test_matrix, \
-    spin, tridiag_test_matrix, twice_spin
+    matrix_digest, spin, tridiag_test_matrix, twice_spin
 from .simulator import circuit_to_unitary, unitary_distance
 
 _ENC_CHOICES = {"sb": SB, "gray": GRAY, "unary": UNARY, "bu": BLOCK_UNARY,

@@ -49,7 +49,6 @@ refused (it would cause leakage to unphysical states).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
@@ -87,14 +86,6 @@ def encode_hermitian_pair(spec: EncodingSpec, l: int, lp: int, coeff: complex = 
     """Pauli sum for coeff * |l><l'| + h.c."""
     s = encode_element(spec, l, lp, coeff) + encode_element(spec, lp, l, np.conj(coeff))
     return s.simplify()
-
-
-def matrix_digest(A) -> str:
-    m = np.ascontiguousarray(as_matrix(A))
-    h = hashlib.sha256()
-    h.update(str(m.shape).encode())
-    h.update(m.tobytes())
-    return h.hexdigest()[:16]
 
 
 def encode_matrix(spec: EncodingSpec, A) -> EncodedOperator:

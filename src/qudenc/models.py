@@ -49,10 +49,10 @@ import numpy as np
 from .circuits import Circuit, count_resources, trotter_step
 from .converters import SB_TO_GRAY, SB_TO_UNARY, conversion_cost
 from .encoding import GRAY, SB, UNARY, EncodingSpec, check_level_count, num_qubits
-from .encoder import augment_truncation, can_augment, encode_matrix, matrix_digest
+from .encoder import augment_truncation, can_augment, encode_matrix
 from .optimizer import optimize
 from .paulis import PRUNE_EPS, PauliSum
-from .qudit_ops import BOSONIC, SPIN, QuditMatrix, bosonic, spin, spin_levels
+from .qudit_ops import BOSONIC, SPIN, QuditMatrix, bosonic, matrix_digest, spin, spin_levels
 
 BOSE_HUBBARD = "bose_hubbard"
 SHIFTED_QHO = "shifted_qho"

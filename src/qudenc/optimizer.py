@@ -37,37 +37,55 @@ and qubits, so optimize() asks the predicates once per pair of distinct
 
 Nested ladders unwind one layer per sweep, and most walks of a later sweep
 repeat their last answer.  So each walk notes the gate where it stopped,
-and from a pass's second run on a gate is walked again only if that gate
-has since been dropped: cancel and merge note the blocking gate, the
-CNOT-triple check the next gate on {a, b} and then the gate before g2 on
-wire c or the third gate.  That is exact: between two runs of a pass the
-only changes are drops, and a drop among the gates a walk passed over
-leaves the gate it stops at, and the answer there, as they were.  The
-triple rewrite is the one change that moves a slot onto another wire or
-gives a gate new qubits, so every pass walks every gate in the next
-sweep after a rewrite.
+its witness, and from a pass's second run on (a lazy run) a gate is walked
+again only if its witness has since been dropped: cancel and merge note
+the blocking gate, the CNOT-triple check the next gate on {a, b} (w1) and
+then the gate before g2 on wire c or the third gate (w2); n means
+nowhere.  _drop marks each dropped gate in a byte mask, dead, whose slot
+n stays 0.  Before a lazy run one numpy step over the pass's index list
+keeps the gates whose witness is marked, dead[stop] for cancel and merge
+and dead[w1] | (w1 != n) & dead[w2] for the triple, so the passes test
+no witness themselves.
 
-Each pass loops over its own index list: cancel over the non-Rz gates,
-merge over the Rz gates, the CNOT-triple check over the CNOTs.  The lists
-are built once and, from sweep 2 on, filtered to live gates before each
-pass.  No list ever needs a new entry, because no rewrite changes a kind:
-the triple rewrite keeps a CNOT a CNOT and a merge keeps an Rz an Rz.  A
-pass still skips a gate that an earlier gate of the same run dropped.
+That is exact.  Between two runs of a pass the only changes are drops,
+and a drop among the gates a walk passed over leaves the gate it stops
+at, and the answer there, as they were.  Within a run, no drop removes
+the witness of a gate the run has yet to reach.  Merge drops only Rz
+gates, which never stop a merge walk.  A cancel walker i' drops itself
+and its inverse partner j; a later gate i that stopped at j shares a wire
+with i' and lies between them, so i' walked past it and commutes(i', i).
+commutes is symmetric and answers alike for inverse partners, so
+commutes(i, j) too, and i's walk could not have stopped at j.  The
+triple rewrite breaks this: it drops the third CNOT, which may be the
+witness of a later CNOT that was not due when the run began.  So after
+the first rewrite of a lazy triple run, the rest of the run walks the
+CNOT list and tests each gate's witnesses as it comes.  The rewrite is
+also the one change that moves a slot onto another wire or gives a gate
+new qubits, so every pass walks every gate in the next sweep after one.
+
+Each pass has its own index list, built once with numpy: cancel the
+non-Rz gates, merge the Rz gates, the CNOT-triple check the CNOTs.  No
+rewrite changes a kind (the triple keeps a CNOT a CNOT, a merge an Rz an
+Rz), so no list ever needs a new entry.  The lists keep their dropped
+gates: the numpy step reads them at C speed, and a pass skips each with
+the None test that also skips a gate an earlier gate of its run dropped.
 
 The chains come from a table of each distinct (kind, qubits)'s wires,
 held as dense ranks so that a qubit index may be any non-negative int:
 numpy gathers the table by gate id, sorts the slots by wire and links
 neighbours, and numbering the gates is the one Python loop over them.
-That adds a fixed cost of some tens of microseconds per call.  On the
-report benchmark (BENCH_16.json, shared 2-vCPU host) the lists and the
-chain build cut the traced self time of optimize() from 1.26 s to 0.95 s
-(0.75x) and pass_s to 0.86x, with the same output.
+That adds a fixed cost of some tens of microseconds per call, and the
+numpy step a few more per lazy run.  On the report benchmark
+(BENCH_17.json, shared 2-vCPU host) the dead mask and the numpy step cut
+the traced self time of optimize() from 1.01 s to 0.83 s (0.83x) and
+pass_s from 1.29 s to 1.16 s (0.89x), with the same output.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 
 import numpy as np
 
@@ -178,20 +196,28 @@ def _wire_chains(gates: list[Gate]) -> tuple[array, array, array, dict]:
     return nxt, prv, gid, ids
 
 
-def _kind_lists(gid: array, ids: dict) -> tuple[array, array, array]:
+def _kind_lists(gid: array, ids: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The indices of the non-Rz, the Rz and the CNOT gates, in gate order:
     the gates that cancel, merge and the CNOT-triple check walk."""
     g = np.frombuffer(gid, np.intc)
     rz = np.array([kind == "Rz" for kind, _ in ids], bool)[g]
     cnot = np.array([kind == "CNOT" for kind, _ in ids], bool)[g]
-    return tuple(array("i", np.flatnonzero(m).astype(np.intc).tobytes())
-                 for m in (~rz, rz, cnot))
+    return tuple(np.flatnonzero(m).astype(np.intc) for m in (~rz, rz, cnot))
 
 
-def _live(gates: list[Gate | None], todo: array) -> array:
-    """The indices in todo whose gates are still in the circuit."""
-    # A generator, not a list: a list of the ints raised peak RSS by 0.6 MiB.
-    return array("i", (i for i in todo if gates[i] is not None))
+def _due(todo: np.ndarray, gone: np.ndarray, full: bool, w: np.ndarray,
+         v: np.ndarray | None = None) -> array:
+    """The gates of todo that a run walks: all of them in a full run; in a
+    lazy run those whose witness w has been dropped, or, when w is not n,
+    whose witness v has.  gone[n] stays False, so the witness n ("stopped
+    nowhere") never counts as dropped."""
+    if not full:
+        s = w.take(todo)
+        due = gone.take(s)
+        if v is not None:
+            due |= (s != len(gone) - 1) & gone.take(v.take(todo))
+        todo = todo[due]
+    return array("i", todo.tobytes())
 
 
 def _unlink(nxt: array, prv: array, slot: int) -> None:
@@ -202,10 +228,12 @@ def _unlink(nxt: array, prv: array, slot: int) -> None:
         prv[x] = p
 
 
-def _drop(gates: list[Gate | None], nxt: array, prv: array, i: int) -> None:
+def _drop(gates: list[Gate | None], nxt: array, prv: array, dead: bytearray,
+          i: int) -> None:
     for slot in range(3 * i, 3 * i + len(gates[i].qubits)):
         _unlink(nxt, prv, slot)
     gates[i] = None
+    dead[i] = 1
 
 
 _PASS, _BLOCK, _CANCEL = 0, 1, 2
@@ -220,7 +248,7 @@ def _answer(g: Gate, h: Gate) -> int:
 
 
 def _pass_cancel(gates: list[Gate | None], todo: array, nxt: array, prv: array,
-                 gid: array, memo: dict, stop: array, full: bool) -> bool:
+                 gid: array, memo: dict, stop: array, dead: bytearray) -> bool:
     changed = False
     end = len(nxt)
     n = end // 3
@@ -228,10 +256,6 @@ def _pass_cancel(gates: list[Gate | None], todo: array, nxt: array, prv: array,
         g = gates[i]
         if g is None:
             continue  # cancelled by an earlier gate of this run
-        if not full:
-            s = stop[i]
-            if s == n or gates[s] is not None:
-                continue  # the gate its last walk stopped at still blocks it
         row = gid[i] << 32
         arity = len(g.qubits)
         # Walk the gate's wires merged by position; a cursor at end is spent.
@@ -250,8 +274,8 @@ def _pass_cancel(gates: list[Gate | None], todo: array, nxt: array, prv: array,
                 r = memo[key] = _answer(g, gates[j])
             if r:
                 if r == _CANCEL:
-                    _drop(gates, nxt, prv, i)
-                    _drop(gates, nxt, prv, j)
+                    _drop(gates, nxt, prv, dead, i)
+                    _drop(gates, nxt, prv, dead, j)
                     changed = True
                 break
             if x // 3 == j:
@@ -265,7 +289,7 @@ def _pass_cancel(gates: list[Gate | None], todo: array, nxt: array, prv: array,
 
 
 def _pass_merge(gates: list[Gate | None], todo: array, nxt: array, prv: array,
-                gid: array, memo: dict, stop: array, full: bool) -> tuple[bool, float]:
+                gid: array, memo: dict, stop: array, dead: bytearray) -> tuple[bool, float]:
     changed = False
     phase = 0.0
     end = len(nxt)
@@ -274,10 +298,6 @@ def _pass_merge(gates: list[Gate | None], todo: array, nxt: array, prv: array,
         g = gates[i]
         if g is None:
             continue
-        if not full:
-            s = stop[i]
-            if s == n or gates[s] is not None:
-                continue
         row = gid[i] << 32
         x = nxt[3 * i]
         stop[i] = n
@@ -288,7 +308,7 @@ def _pass_merge(gates: list[Gate | None], todo: array, nxt: array, prv: array,
             if h.kind == "Rz":
                 g = Gate("Rz", g.qubits, g.angle + h.angle)
                 gates[i] = g
-                _drop(gates, nxt, prv, j)
+                _drop(gates, nxt, prv, dead, j)
                 changed = True
             else:
                 key = row | gid[j]
@@ -300,27 +320,31 @@ def _pass_merge(gates: list[Gate | None], todo: array, nxt: array, prv: array,
                     break
         r = g.angle % (2.0 * TWO_PI)  # Rz has period 4pi
         if min(r, 2.0 * TWO_PI - r) < ANGLE_EPS:
-            _drop(gates, nxt, prv, i)
+            _drop(gates, nxt, prv, dead, i)
             changed = True
         elif abs(r - TWO_PI) < ANGLE_EPS:
-            _drop(gates, nxt, prv, i)
+            _drop(gates, nxt, prv, dead, i)
             phase += math.pi  # Rz(2pi) = -I = e^{i pi} I
             changed = True
     return changed, phase
 
 
-def _pass_cnot_triple(gates: list[Gate | None], todo: array, nxt: array, prv: array,
-                      gid: array, ids: dict, w1: array, w2: array, full: bool) -> bool:
+def _pass_cnot_triple(gates: list[Gate | None], due: array, cnots: np.ndarray,
+                      nxt: array, prv: array, gid: array, ids: dict, w1: array,
+                      w2: array, dead: bytearray) -> bool:
     changed = False
     end = len(nxt)
     n = end // 3
-    for i in todo:
+    todo, pos, check = due, 0, False
+    while pos < len(todo):
+        i = todo[pos]
+        pos += 1
         g1 = gates[i]
         if g1 is None:
             continue
-        if not full:
-            s, t = w1[i], w2[i]
-            if s == n or gates[s] is not None and (t == n or gates[t] is not None):
+        if check:
+            s = w1[i]
+            if not (dead[s] or s != n and dead[w2[i]]):
                 continue
         a, b = g1.qubits
         # The next gate touching {a, b} must be CNOT(b, c).
@@ -343,7 +367,7 @@ def _pass_cnot_triple(gates: list[Gate | None], todo: array, nxt: array, prv: ar
             continue
         if gates[k].kind != "CNOT" or gates[k].qubits != (a, b):
             continue
-        _drop(gates, nxt, prv, k)
+        _drop(gates, nxt, prv, dead, k)
         gates[i] = Gate("CNOT", (a, g2.qubits[1]))
         gid[i] = ids.setdefault(("CNOT", gates[i].qubits), len(ids))
         # Gate i's second slot moves from wire b to wire c, just before g2.
@@ -354,6 +378,11 @@ def _pass_cnot_triple(gates: list[Gate | None], todo: array, nxt: array, prv: ar
         prv[c_slot] = moved
         if p >= 0:
             nxt[p] = moved
+        if len(todo) < len(cnots):
+            # This run skipped some CNOTs, and dropping k can make a later
+            # one due: the rest of the run tests each CNOT's witnesses.
+            todo, check = array("i", cnots.tobytes()), True
+            pos = bisect_right(todo, i)
         changed = True
     return changed
 
@@ -370,22 +399,21 @@ def optimize(c: Circuit, max_sweeps: int = MAX_SWEEPS) -> Circuit:
     memo: dict[int, int] = {}
     # Where each gate's last walk stopped (n: nowhere).  Cancel walks only
     # non-Rz gates and merge only Rz gates, so they share stop.
-    stop, w1, w2 = (array("i", [len(gates)]) * len(gates) for _ in range(3))
+    n = len(gates)
+    stop, w1, w2 = (array("i", [n]) * n for _ in range(3))
+    at_stop, at_w1, at_w2 = (np.frombuffer(a, np.intc) for a in (stop, w1, w2))
+    dead = bytearray(n + 1)  # dead[i]: gate i was dropped; slot n stays 0
+    gone = np.frombuffer(dead, bool)
     full = True  # every pass walks every gate: the first sweep, and after a rewrite
     phase = c.global_phase
-    for sweep in range(max_sweeps):
-        # From sweep 2 on, each list drops the gates removed since it was
-        # last filtered; kinds never change, so no list ever gains a gate.
-        if sweep:
-            cancel = _live(gates, cancel)
-        cancelled = _pass_cancel(gates, cancel, nxt, prv, gid, memo, stop, full)
-        if sweep:
-            merge = _live(gates, merge)
-        merged, dphase = _pass_merge(gates, merge, nxt, prv, gid, memo, stop, full)
+    for _ in range(max_sweeps):
+        due = _due(cancel, gone, full, at_stop)
+        cancelled = _pass_cancel(gates, due, nxt, prv, gid, memo, stop, dead)
+        due = _due(merge, gone, full, at_stop)
+        merged, dphase = _pass_merge(gates, due, nxt, prv, gid, memo, stop, dead)
         phase += dphase
-        if sweep:
-            triple = _live(gates, triple)
-        full = _pass_cnot_triple(gates, triple, nxt, prv, gid, ids, w1, w2, full)
+        due = _due(triple, gone, full, at_w1, at_w2)
+        full = _pass_cnot_triple(gates, due, triple, nxt, prv, gid, ids, w1, w2, dead)
         if not (cancelled or merged or full):
             break
     return Circuit(c.n_qubits, [g for g in gates if g is not None], phase)

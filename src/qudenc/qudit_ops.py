@@ -17,8 +17,10 @@ x_i = (i - Nx/2) * Delta, and seeded random Hermitian test matrices
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,17 +36,25 @@ BOSONIC_NAMES = ("a", "adag", "q", "p", "q2", "p2", "n", "n2", "n_nminus1")
 @dataclass(frozen=True)
 class QuditMatrix:
     """A dense complex matrix plus enough provenance to rebuild it at a
-    different truncation (operator name and family)."""
+    different truncation (operator name and family).
+
+    mat is a read-only complex copy of the matrix given, so the digest,
+    taken on first use, always describes what mat holds."""
 
     mat: np.ndarray
     name: str = "custom"
     family: str = GENERIC
 
     def __post_init__(self):
-        m = np.asarray(self.mat, dtype=complex)
+        m = np.array(self.mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
             raise ValueError(f"need a square matrix of dimension >= 2, got shape {m.shape}")
+        m.flags.writeable = False
         object.__setattr__(self, "mat", m)
+
+    @cached_property
+    def digest(self) -> str:
+        return _array_digest(self.mat)
 
     @property
     def d(self) -> int:
@@ -62,6 +72,22 @@ def as_matrix(A) -> np.ndarray:
     if isinstance(A, QuditMatrix):
         return A.mat
     return np.asarray(A, dtype=complex)
+
+
+def _array_digest(m: np.ndarray) -> str:
+    m = np.ascontiguousarray(m)
+    h = hashlib.sha256()
+    h.update(str(m.shape).encode())
+    h.update(m.tobytes())
+    return h.hexdigest()[:16]
+
+
+def matrix_digest(A) -> str:
+    """Hash of a matrix's shape and entries.  A QuditMatrix hashes its mat
+    once and keeps the digest; a bare array is hashed on every call."""
+    if isinstance(A, QuditMatrix):
+        return A.digest
+    return _array_digest(as_matrix(A))
 
 
 def _annihilation(d: int) -> np.ndarray:

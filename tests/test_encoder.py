@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from qudenc.encoder import (augment_truncation, detect_dbd, encode_element,
-                            encode_hermitian_pair, encode_matrix, matrix_digest)
+                            encode_hermitian_pair, encode_matrix)
 from qudenc.encoding import BLOCK_UNARY, GRAY, SB, UNARY, EncodingSpec
 from qudenc.paulis import string_to_text, text_to_string, weight
-from qudenc.qudit_ops import bosonic, spin
+from qudenc.qudit_ops import bosonic, matrix_digest, spin
 from qudenc.simulator import verify_encoding
 
 

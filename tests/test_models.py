@@ -1,5 +1,7 @@
 """Model builders, per-term pricing, scheme comparison, scenario labels."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -335,6 +337,28 @@ _SMALL_MODELS = (
 
 def test_small_models_cover_every_model():
     assert {spec.model for spec in _SMALL_MODELS} == set(MODEL_NAMES)
+
+
+@pytest.mark.parametrize("spec", [*_SMALL_MODELS, ModelSpec(BOSE_HUBBARD, N=50, d=4)],
+                         ids=lambda spec: f"{spec.model}-{spec.site_dim}-{spec.N}")
+def test_report_hashes_each_matrix_object_once(spec, monkeypatch):
+    built, hashed = [], []
+    sha256 = hashlib.sha256
+
+    def build(s):
+        terms = build_model(s)
+        built.extend(terms)
+        return terms
+
+    def counted(*args):
+        hashed.append(args)
+        return sha256(*args)
+
+    monkeypatch.setattr(models, "build_model", build)
+    monkeypatch.setattr(hashlib, "sha256", counted)
+    clear_price_cache()
+    compute_scheme_report(spec)
+    assert len(hashed) == len({id(m) for t in built for product in t.factors for m in product})
 
 
 @pytest.mark.parametrize("spec", _SMALL_MODELS,

@@ -10,6 +10,7 @@ its new qubits, capped sweeps stop where the reference stops, and the
 shared staircase is the one Circuit.add builds.
 """
 
+import itertools
 import math
 import random
 
@@ -51,6 +52,27 @@ def test_predicates_ignore_rz_angles_on_every_gate_pair():
                     a2, b2 = _at(a, x), _at(b, y)
                     assert (commutes(a2, b2), _is_inverse_pair(a2, b2)) == want, (a2, b2)
     assert pairs == 2 * 5 * len(gates) - 5 * 5  # a or b is one of the five Rz
+
+
+def test_commutes_is_symmetric_and_alike_for_inverse_partners():
+    # A cancel run drops only a walker and the inverse partner it slid to.
+    # Every gate the walker passed on the way commutes with it, so, by these
+    # two premises, with the partner too: no drop of the run removes the gate
+    # a later walk of the same run last stopped at.
+    n = 4
+    gates = [Gate(k, (q,)) for k in _KINDS_1Q for q in range(n)]
+    gates += [Gate("Rz", (q,), angle) for q in range(n) for angle in (0.5, -0.5)]
+    gates += [Gate(k, p) for k in ("CNOT", "SWAP") for p in itertools.permutations(range(n), 2)]
+    gates += [Gate("CSWAP", p) for p in itertools.permutations(range(n), 3)]
+    assert len(gates) == 84
+    for a in gates:
+        for b in gates:
+            assert commutes(a, b) == commutes(b, a), (a, b)
+    partners = [(a, b) for a in gates for b in gates if _is_inverse_pair(a, b)]
+    assert len(partners) == 112
+    for a, b in partners:
+        for h in gates:
+            assert commutes(a, h) == commutes(b, h), (a, b, h)
 
 
 @pytest.mark.parametrize("gates, left", [

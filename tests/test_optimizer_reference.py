@@ -305,6 +305,22 @@ def test_optimize_with_an_empty_kind_list(gates):
         _assert_same(Circuit(3, gates), cap)
 
 
+def test_lazy_triple_run_walks_a_gate_that_its_rewrite_makes_due():
+    # At cap 2 the second sweep's triple run is lazy.  Its first rewrite
+    # drops the third CNOT of a triple, which is the witness of a later CNOT
+    # that was not due when the run began; skipping it leaves 24 gates.
+    half = [Gate("CNOT", (3, 0)), Gate("CNOT", (3, 1)), Gate("CNOT", (3, 1)),
+            Gate("CNOT", (2, 0)), Gate("H", (0,)), Gate("CNOT", (2, 1)), Gate("CNOT", (2, 3)),
+            Gate("Rz", (0,), 0.5), Gate("CNOT", (1, 0)), Gate("CNOT", (0, 3)),
+            Gate("CNOT", (1, 2)), Gate("CNOT", (1, 0)), Gate("CNOT", (3, 2)),
+            Gate("CNOT", (0, 3)), Gate("Rz", (0,), 0.5), Gate("H", (0,)), Gate("X", (1,)),
+            Gate("CNOT", (3, 0)), Gate("X", (3,))]
+    c = Circuit(4, half + half[::-1])
+    for cap in _CAPS:
+        _assert_same(c, cap)
+    assert len(_assert_same(c, 2).gates) == 23
+
+
 def test_optimize_on_qubit_indices_beyond_c_int():
     q = _WIDE
     c = Circuit(q + 1, [Gate("H", (q,)), Gate("CNOT", (q, 3)),

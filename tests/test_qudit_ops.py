@@ -6,7 +6,7 @@ import pytest
 from qudenc.encoding import MAX_D
 from qudenc.qudit_ops import (QuditMatrix, as_matrix, bosonic,
                               dense_hermitian_test_matrix, first_quantized_x,
-                              spin, tridiag_test_matrix)
+                              matrix_digest, spin, tridiag_test_matrix)
 
 
 def test_ladder_matrix_elements():
@@ -111,3 +111,19 @@ def test_qudit_matrix_validation():
     assert m.d == 3
     assert as_matrix(m).shape == (3, 3)
     assert as_matrix(np.eye(2)).shape == (2, 2)
+
+
+def test_qudit_matrix_keeps_a_read_only_copy():
+    src = np.eye(3)
+    m = QuditMatrix(src)
+    digest = matrix_digest(m)
+    with pytest.raises(ValueError):
+        m.mat[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        np.asarray(m)[0, 0] = 2.0
+    src[0, 0] = 2.0  # the caller's array is not the matrix's
+    assert m.mat[0, 0] == 1.0
+    assert matrix_digest(m) == digest == matrix_digest(np.eye(3)) != matrix_digest(src)
+    # a complex array is copied too, not taken over
+    c = np.eye(2, dtype=complex)
+    assert not np.shares_memory(QuditMatrix(c).mat, c)
