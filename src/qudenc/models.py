@@ -188,13 +188,15 @@ def _franck_condon_terms(spec, omega_A=None, omega_B=None, k=None,
     cross = np.zeros((M, M))      # coefficient of q_m q_m' (m < m'), and p p'
     lin = np.zeros(M)             # coefficient of q_m
     const = 0.0
+    # Row j adds to each entry with the same float operations, in the same
+    # order of j, as a loop over (j, m, m'); J has k nonzeros per row, so
+    # only those pairs touch cross.
     for j in range(M):
-        w = wB[j]
-        for m in range(M):
-            quad[m] += 0.5 * w * J[j, m] ** 2
-            lin[m] += w * dvec[j] * J[j, m]
-            for mp in range(m + 1, M):
-                cross[m, mp] += w * J[j, m] * J[j, mp]
+        w, row = wB[j], J[j]
+        quad += 0.5 * w * row ** 2
+        lin += w * dvec[j] * row
+        nz = np.flatnonzero(row)
+        cross[np.ix_(nz, nz)] += np.outer(w * row[nz], row[nz])
         const += 0.5 * w * dvec[j] ** 2
 
     q = bosonic(d, "q")
@@ -208,11 +210,11 @@ def _franck_condon_terms(spec, omega_A=None, omega_B=None, k=None,
             terms.append(LocalTerm((m,), ((p2,),), quad[m], "p2"))
         if abs(lin[m]) > COEFF_ZERO_TOL:
             terms.append(LocalTerm((m,), ((q,),), lin[m], "linear"))
-    for m in range(M):
-        for mp in range(m + 1, M):
-            if abs(cross[m, mp]) > COEFF_ZERO_TOL:
-                terms.append(LocalTerm((m, mp), ((q, q),), cross[m, mp], "qq"))
-                terms.append(LocalTerm((m, mp), ((p, p),), cross[m, mp], "pp"))
+    # Row-major over the upper triangle, as the loop over m < m' was.
+    upper = np.nonzero(np.triu(np.abs(cross) > COEFF_ZERO_TOL, 1))
+    for m, mp in zip(*(ix.tolist() for ix in upper)):
+        terms.append(LocalTerm((m, mp), ((q, q),), cross[m, mp], "qq"))
+        terms.append(LocalTerm((m, mp), ((p, p),), cross[m, mp], "pp"))
     if abs(const) > COEFF_ZERO_TOL:
         terms.append(LocalTerm((0,), ((_identity_matrix(d),),), const, "constant"))
     return terms

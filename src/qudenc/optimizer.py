@@ -59,9 +59,30 @@ commutes(i, j) too, and i's walk could not have stopped at j.  The
 triple rewrite breaks this: it drops the third CNOT, which may be the
 witness of a later CNOT that was not due when the run began.  So after
 the first rewrite of a lazy triple run, the rest of the run walks the
-CNOT list and tests each gate's witnesses as it comes.  The rewrite is
-also the one change that moves a slot onto another wire or gives a gate
-new qubits, so every pass walks every gate in the next sweep after one.
+CNOT list and tests each gate's witnesses as it comes.  optimize() tells
+the pass whether its run is lazy; the length of its list cannot, as the
+scan below leaves dropped gates out of a full run's list too.  The
+rewrite is also the one change that moves a slot onto another wire or
+gives a gate new qubits, so every pass walks every gate in the next
+sweep after one.
+
+The triple rewrite seldom fires (on the report and compile_wide
+benchmarks, never), so a run first makes every test of its loop for all
+of its live due CNOTs in one numpy step on the chains as they stand,
+_triple_scan: w1 = min(nxt[3i], nxt[3i+1]) // 3; whether g2 = gate w1 is
+CNOT(b, c) with c != a, which the chains tell without a qubit index (a
+CNOT whose control slot is nxt[3i+1] and whose target slot is not
+nxt[3i]); the separator test prv[3 w1 + 1] > 3i; and the third gate k,
+and whether gid[k] == gid[i].  It writes the witnesses of every gate
+before the first that rewrites, w2 only where w1 is not n, and the
+per-gate loop goes on from that gate; with none, the run is over.  That
+is exact: until its first rewrite a run changes nothing but witnesses,
+which none of its tests read, so each test sees what the scan saw.  The
+loop is the one path that rewrites.  The scan takes a long run
+_TRIPLE_SCAN_BLOCK CNOTs at a time, which keeps its temporaries small and
+stops it at the block that holds the first rewrite.  It costs some 30 us
+whatever its length, more than the loop spends on a short run, so a run
+of fewer than _TRIPLE_SCAN_MIN CNOTs skips it.
 
 Each pass has its own index list, built once with numpy: cancel the
 non-Rz gates, merge the Rz gates, the CNOT-triple check the CNOTs.  No
@@ -75,10 +96,11 @@ held as dense ranks so that a qubit index may be any non-negative int:
 numpy gathers the table by gate id, sorts the slots by wire and links
 neighbours, and numbering the gates is the one Python loop over them.
 That adds a fixed cost of some tens of microseconds per call, and the
-numpy step a few more per lazy run.  On the report benchmark
-(BENCH_17.json, shared 2-vCPU host) the dead mask and the numpy step cut
-the traced self time of optimize() from 1.01 s to 0.83 s (0.83x) and
-pass_s from 1.29 s to 1.16 s (0.89x), with the same output.
+numpy steps a few more per lazy run.  On the report benchmark
+(BENCH_18.json, shared 2-vCPU host) the triple scan cut pass_s from
+1.18 s to 0.96 s (0.82x, lower in 10 of 10 pairs) and the traced self
+time of optimize() from 0.82 s to 0.61 s (0.75x), with the same output;
+compile_wide pass_s fell to 0.81x.
 """
 
 from __future__ import annotations
@@ -100,6 +122,12 @@ ANGLE_EPS = 1e-12
 TWO_PI = 2.0 * math.pi
 MAX_SWEEPS = 50
 _PAD = (-1, -1, -1)
+# A CNOT-triple run of at least _TRIPLE_SCAN_MIN CNOTs is scanned with numpy
+# first, _TRIPLE_SCAN_BLOCK CNOTs at a time so that the scan's temporaries
+# stay small.  Shorter runs go straight to the per-gate loop: on small
+# circuits the scan's fixed cost outweighs what it saves below about 48.
+_TRIPLE_SCAN_MIN = 64
+_TRIPLE_SCAN_BLOCK = 8192
 
 
 def commutes(a: Gate, b: Gate) -> bool:
@@ -206,18 +234,18 @@ def _kind_lists(gid: array, ids: dict) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def _due(todo: np.ndarray, gone: np.ndarray, full: bool, w: np.ndarray,
-         v: np.ndarray | None = None) -> array:
+         v: np.ndarray | None = None) -> np.ndarray:
     """The gates of todo that a run walks: all of them in a full run; in a
     lazy run those whose witness w has been dropped, or, when w is not n,
     whose witness v has.  gone[n] stays False, so the witness n ("stopped
     nowhere") never counts as dropped."""
-    if not full:
-        s = w.take(todo)
-        due = gone.take(s)
-        if v is not None:
-            due |= (s != len(gone) - 1) & gone.take(v.take(todo))
-        todo = todo[due]
-    return array("i", todo.tobytes())
+    if full:
+        return todo
+    s = w.take(todo)
+    due = gone.take(s)
+    if v is not None:
+        due |= (s != len(gone) - 1) & gone.take(v.take(todo))
+    return todo[due]
 
 
 def _unlink(nxt: array, prv: array, slot: int) -> None:
@@ -247,12 +275,12 @@ def _answer(g: Gate, h: Gate) -> int:
     return _PASS if commutes(g, h) else _BLOCK
 
 
-def _pass_cancel(gates: list[Gate | None], todo: array, nxt: array, prv: array,
+def _pass_cancel(gates: list[Gate | None], todo: np.ndarray, nxt: array, prv: array,
                  gid: array, memo: dict, stop: array, dead: bytearray) -> bool:
     changed = False
     end = len(nxt)
     n = end // 3
-    for i in todo:
+    for i in array("i", todo.tobytes()):
         g = gates[i]
         if g is None:
             continue  # cancelled by an earlier gate of this run
@@ -288,13 +316,13 @@ def _pass_cancel(gates: list[Gate | None], todo: array, nxt: array, prv: array,
     return changed
 
 
-def _pass_merge(gates: list[Gate | None], todo: array, nxt: array, prv: array,
+def _pass_merge(gates: list[Gate | None], todo: np.ndarray, nxt: array, prv: array,
                 gid: array, memo: dict, stop: array, dead: bytearray) -> tuple[bool, float]:
     changed = False
     phase = 0.0
     end = len(nxt)
     n = end // 3
-    for i in todo:
+    for i in array("i", todo.tobytes()):
         g = gates[i]
         if g is None:
             continue
@@ -329,13 +357,61 @@ def _pass_merge(gates: list[Gate | None], todo: array, nxt: array, prv: array,
     return changed, phase
 
 
-def _pass_cnot_triple(gates: list[Gate | None], due: array, cnots: np.ndarray,
-                      nxt: array, prv: array, gid: array, ids: dict, w1: array,
-                      w2: array, dead: bytearray) -> bool:
+def _triple_scan(due: np.ndarray, nxt: np.ndarray, prv: np.ndarray, gid: np.ndarray,
+                 cnot: np.ndarray, gone: np.ndarray, w1: np.ndarray,
+                 w2: np.ndarray) -> tuple[np.ndarray, int]:
+    """Every test of the CNOT-triple loop for the live gates of due at once,
+    on the chains as they stand: the live gates and the position among them
+    of the first that rewrites (len when none does).  Writes the witnesses
+    of the gates before it as the loop would, w2 only where w1 is not n.
+
+    The arguments are numpy views; cnot marks the CNOT gates (slot n
+    unmarked).  Chain reads past the last slot, which only gates whose
+    w1 is n make, are clipped and then masked out."""
+    n = len(cnot) - 1
+    due = due[~gone.take(due)]
+    base = 3 * due
+    after_a = nxt.take(base)
+    after_b = nxt.take(base + 1)
+    j = np.minimum(after_a, after_b) // 3
+    # g2 = CNOT(b, c) with c != a: its control slot is the next on wire b
+    # and its target slot is not the next on wire a.
+    c_slot = 3 * j + 1
+    pair = cnot.take(j) & (after_b == c_slot - 1) & (after_a != c_slot)
+    before_c = prv.take(c_slot, mode="clip")
+    apart = before_c <= base  # no separator on wire c
+    k = np.minimum(np.minimum(after_a, nxt.take(c_slot - 1, mode="clip")),
+                   nxt.take(c_slot, mode="clip")) // 3
+    hit = pair & apart & (gid.take(k, mode="clip") == gid.take(due)) & (k != n)
+    second = np.where(pair, np.where(apart, k, before_c // 3), n)
+    hits = np.flatnonzero(hit)
+    first = int(hits[0]) if len(hits) else len(due)
+    i, j, second = due[:first], j[:first], second[:first]
+    w1[i] = j
+    on = j != n
+    w2[i[on]] = second[on]
+    return due, first
+
+
+def _pass_cnot_triple(gates: list[Gate | None], due: np.ndarray, lazy: bool,
+                      cnots: np.ndarray, nxt: array, prv: array, gid: array, ids: dict,
+                      w1: array, w2: array, dead: bytearray, views: tuple) -> bool:
+    """One run over the CNOTs of due; lazy when due holds only the gates
+    whose witness was dropped.  views are _triple_scan's numpy arguments.
+    The scan settles every gate up to the first rewrite, and this loop goes
+    on from there."""
+    if len(due) >= _TRIPLE_SCAN_MIN:
+        for pos in range(0, len(due), _TRIPLE_SCAN_BLOCK):
+            live, first = _triple_scan(due[pos:pos + _TRIPLE_SCAN_BLOCK], *views)
+            if first < len(live):
+                due = np.concatenate((live[first:], due[pos + _TRIPLE_SCAN_BLOCK:]))
+                break
+        else:
+            return False
     changed = False
     end = len(nxt)
     n = end // 3
-    todo, pos, check = due, 0, False
+    todo, pos, check = array("i", due.tobytes()), 0, False
     while pos < len(todo):
         i = todo[pos]
         pos += 1
@@ -378,7 +454,7 @@ def _pass_cnot_triple(gates: list[Gate | None], due: array, cnots: np.ndarray,
         prv[c_slot] = moved
         if p >= 0:
             nxt[p] = moved
-        if len(todo) < len(cnots):
+        if lazy and not check:
             # This run skipped some CNOTs, and dropping k can make a later
             # one due: the rest of the run tests each CNOT's witnesses.
             todo, check = array("i", cnots.tobytes()), True
@@ -404,6 +480,10 @@ def optimize(c: Circuit, max_sweeps: int = MAX_SWEEPS) -> Circuit:
     at_stop, at_w1, at_w2 = (np.frombuffer(a, np.intc) for a in (stop, w1, w2))
     dead = bytearray(n + 1)  # dead[i]: gate i was dropped; slot n stays 0
     gone = np.frombuffer(dead, bool)
+    cnot = np.zeros(n + 1, bool)
+    cnot[triple] = True  # kinds never change
+    views = (np.frombuffer(nxt, np.intc), np.frombuffer(prv, np.intc),
+             np.frombuffer(gid, np.intc), cnot, gone, at_w1, at_w2)
     full = True  # every pass walks every gate: the first sweep, and after a rewrite
     phase = c.global_phase
     for _ in range(max_sweeps):
@@ -413,7 +493,8 @@ def optimize(c: Circuit, max_sweeps: int = MAX_SWEEPS) -> Circuit:
         merged, dphase = _pass_merge(gates, due, nxt, prv, gid, memo, stop, dead)
         phase += dphase
         due = _due(triple, gone, full, at_w1, at_w2)
-        full = _pass_cnot_triple(gates, due, triple, nxt, prv, gid, ids, w1, w2, dead)
+        full = _pass_cnot_triple(gates, due, not full, triple, nxt, prv, gid, ids,
+                                 w1, w2, dead, views)
         if not (cancelled or merged or full):
             break
     return Circuit(c.n_qubits, [g for g in gates if g is not None], phase)

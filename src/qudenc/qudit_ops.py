@@ -152,8 +152,7 @@ def spin(s: float, axis: str) -> QuditMatrix:
     if axis not in ("x", "y", "z"):
         raise ValueError(f"axis must be x, y or z, got {axis!r}")
     if axis == "z":
-        return QuditMatrix(np.diag([s - l for l in range(d)]).astype(complex),
-                           name="sz", family=SPIN)
+        return QuditMatrix(np.diag([s - l for l in range(d)]), name="sz", family=SPIN)
     # Ladder element between |l> and |l+1>: sqrt((l+1)(2s-l)).
     m = np.zeros((d, d), dtype=complex)
     for l in range(d - 1):
@@ -173,7 +172,7 @@ def first_quantized_x(Nx: int, delta: float) -> QuditMatrix:
     if delta <= 0:
         raise ValueError("delta must be positive")
     xs = [(i - Nx / 2) * delta for i in range(Nx)]
-    return QuditMatrix(np.diag(xs).astype(complex), name="x_grid", family=GENERIC)
+    return QuditMatrix(np.diag(xs), name="x_grid", family=GENERIC)
 
 
 def dense_hermitian_test_matrix(d: int, seed: int) -> QuditMatrix:

@@ -11,12 +11,17 @@ follow later optimizer changes: it is the reference they are held to.
 
 ``wire_chains`` is the per-wire index builder as a plain loop over every
 gate qubit; ``qudenc.optimizer._wire_chains`` must return the same arrays.
+``triple_run`` is one run of the per-wire CNOT-triple pass as a per-gate
+loop over its due CNOTs; ``qudenc.optimizer._pass_cnot_triple``, which
+settles every gate up to the first rewrite in one numpy step, must leave
+the same gates, chains, gate ids and witnesses.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 
 from qudenc.circuits import Circuit, Gate
 
@@ -229,3 +234,85 @@ def wire_chains(gates: list[Gate]) -> tuple[array, array, array, dict]:
                 prv[slot] = p
             last[q] = slot
     return nxt, prv, gid, ids
+
+
+def _unlink(nxt: array, prv: array, slot: int) -> None:
+    p, x = prv[slot], nxt[slot]
+    if p >= 0:
+        nxt[p] = x
+    if x < len(nxt):
+        prv[x] = p
+
+
+def _drop(gates: list[Gate | None], nxt: array, prv: array, dead: bytearray,
+          i: int) -> None:
+    for slot in range(3 * i, 3 * i + len(gates[i].qubits)):
+        _unlink(nxt, prv, slot)
+    gates[i] = None
+    dead[i] = 1
+
+
+def triple_run(gates: list[Gate | None], due: array, cnots, nxt: array, prv: array,
+               gid: array, ids: dict, w1: array, w2: array, dead: bytearray) -> bool:
+    """One CNOT-triple run over the chains of wire_chains, gate by gate.
+
+    due holds the CNOTs the run walks, in gate order: every CNOT in a full
+    run, the CNOTs whose witness w1 or w2 was dropped (dead) in a lazy run,
+    which is how a shorter due than cnots reads.  Each gate notes its
+    witnesses: w1 the next gate on {a, b}, then w2 the gate before g2 on
+    wire c or the third gate (n: nowhere).  After the first rewrite of a
+    lazy run, the rest of the run walks cnots and tests each gate's
+    witnesses as it comes."""
+    changed = False
+    end = len(nxt)
+    n = end // 3
+    todo, pos, check = due, 0, False
+    while pos < len(todo):
+        i = todo[pos]
+        pos += 1
+        g1 = gates[i]
+        if g1 is None:
+            continue
+        if check:
+            s = w1[i]
+            if not (dead[s] or s != n and dead[w2[i]]):
+                continue
+        a, b = g1.qubits
+        # The next gate touching {a, b} must be CNOT(b, c).
+        after_a = nxt[3 * i]
+        j = w1[i] = min(after_a, nxt[3 * i + 1]) // 3
+        if j == n:
+            continue
+        g2 = gates[j]
+        w2[i] = n
+        if g2.kind != "CNOT" or g2.qubits[0] != b or g2.qubits[1] == a:
+            continue
+        # Separators between g1 and g2 must avoid wire c as well.
+        c_slot = 3 * j + 1
+        if prv[c_slot] > 3 * i:
+            w2[i] = prv[c_slot] // 3
+            continue
+        # The next gate touching {a, b, c} must repeat CNOT(a, b).
+        k = w2[i] = min(after_a, nxt[3 * j], nxt[c_slot]) // 3
+        if k == n:
+            continue
+        if gates[k].kind != "CNOT" or gates[k].qubits != (a, b):
+            continue
+        _drop(gates, nxt, prv, dead, k)
+        gates[i] = Gate("CNOT", (a, g2.qubits[1]))
+        gid[i] = ids.setdefault(("CNOT", gates[i].qubits), len(ids))
+        # Gate i's second slot moves from wire b to wire c, just before g2.
+        moved = 3 * i + 1
+        _unlink(nxt, prv, moved)
+        p = prv[c_slot]
+        prv[moved], nxt[moved] = p, c_slot
+        prv[c_slot] = moved
+        if p >= 0:
+            nxt[p] = moved
+        if len(todo) < len(cnots):
+            # This run skipped some CNOTs, and dropping k can make a later
+            # one due: the rest of the run tests each CNOT's witnesses.
+            todo, check = array("i", cnots.tobytes()), True
+            pos = bisect_right(todo, i)
+        changed = True
+    return changed

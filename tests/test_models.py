@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import reference_models
 from qudenc import models
 from qudenc.bounds import BoundQuery, cnot_upper_bound, staircase_cnots
 from qudenc.circuits import count_resources, trotter_step
@@ -133,6 +134,29 @@ def test_franck_condon_structure_and_determinism():
         [(t.label, t.coefficient) for t in other]
     for t in terms:  # every kept coefficient is genuinely nonzero
         assert abs(t.coefficient) > 1e-12
+
+
+def _fc_terms(terms):
+    """Sites, label, the coefficient's bits and the factor names of each term."""
+    return [(t.sites, t.label, np.float64(t.coefficient).tobytes(),
+             tuple(tuple(m.name for m in p) for p in t.factors)) for t in terms]
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 5, 17, 50, 120])
+def test_franck_condon_rows_match_the_triple_loop(M):
+    rng = np.random.default_rng(M)
+    cases = [{}, {"k": 1}, {"k": M},
+             {"omega_A": rng.uniform(0.2, 3.0, M), "omega_B": rng.uniform(0.2, 3.0, M),
+              "delta": rng.uniform(-1.0, 1.0, M), "k": min(3, M)}]
+    if M > 100:  # the loop takes about a second per case here
+        cases = cases[-1:]
+    for seed in (0, 5):
+        for params in cases:
+            spec = ModelSpec(FRANCK_CONDON, N=M, d=3, seed=seed)
+            got = models._franck_condon_terms(spec, **params)
+            want = reference_models.franck_condon_terms(spec, **params)
+            assert _fc_terms(got) == _fc_terms(want)
+            assert all(type(s) is int for t in got for s in t.sites)
 
 
 def test_duschinsky_matrix_shape():

@@ -11,14 +11,17 @@ import itertools
 import json
 import math
 import random
+from array import array
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_optimizer as ref
-from qudenc import models
+from qudenc import models, optimizer
 from qudenc.circuits import Circuit, Gate, trotter_step
 from qudenc.encoding import BLOCK_UNARY, GRAY, SB, UNARY
 from qudenc.optimizer import MAX_SWEEPS, _wire_chains, commutes, optimize
@@ -130,7 +133,7 @@ def test_random_circuits_match_reference(monkeypatch):
 _LADDER_KINDS = ("X", "H", "BasisY", "S", "T", "CNOT")
 
 
-def _nested_circuit(rng: random.Random) -> Circuit:
+def _nested_circuit(rng: random.Random, blocks: int | None = None) -> Circuit:
     """Rz pairs and CNOT triples with a mirrored ladder of blocking gates in
     a gap.  The cancel pass peels one rung of a ladder per sweep, so merge,
     the triple and the outer rungs fire sweeps after the first.  Some
@@ -151,7 +154,7 @@ def _nested_circuit(rng: random.Random) -> Circuit:
         undo = [Gate(_INVERSE_1Q.get(g.kind, g.kind), g.qubits) for g in reversed(rungs)]
         return rungs + undo
 
-    for _ in range(rng.randint(1, 4)):
+    for _ in range(rng.randint(1, 4) if blocks is None else blocks):
         a, b, c = rng.sample(range(n), 3)
         if rng.random() < 0.6:
             gap = rng.randrange(2)
@@ -319,6 +322,123 @@ def test_lazy_triple_run_walks_a_gate_that_its_rewrite_makes_due():
     for cap in _CAPS:
         _assert_same(c, cap)
     assert len(_assert_same(c, 2).gates) == 23
+
+
+@contextmanager
+def _triple_runs_checked(scan_min: int = 0, block: int = 4):
+    """Hold every CNOT-triple run of optimize() to ref.triple_run, the
+    per-gate loop, run on a copy of the run's state: the same answer, gates,
+    chains, gate ids, witnesses and dead mask, and the gate where the numpy
+    scan found the first rewrite is rewritten.  scan_min 0 sends every run
+    through the scan, and a small block splits it into several scans.
+    Yields a list that gets, for each run, whether it was lazy, how many of
+    its due CNOTs were dropped ones, and the position among its live due
+    CNOTs of the scan's first rewrite (None when it found none or did not
+    run)."""
+    run, scan, runs = optimizer._pass_cnot_triple, optimizer._triple_scan, []
+
+    def scanned(due, *views):
+        live, first = scan(due, *views)
+        if first < len(live):
+            runs[-1].update(first=runs[-1]["scanned"] + first, at=int(live[first]))
+        runs[-1]["scanned"] += len(live)
+        return live, first
+
+    def checked(gates, due, lazy, cnots, nxt, prv, gid, ids, w1, w2, dead, views):
+        state = (list(gates), array("i", due.tobytes()), cnots, array("i", nxt),
+                 array("i", prv), array("i", gid), dict(ids), array("i", w1),
+                 array("i", w2), bytearray(dead))
+        want = ref.triple_run(*state)
+        runs.append({"lazy": lazy, "dropped": sum(gates[i] is None for i in due),
+                     "first": None, "scanned": 0})
+        before = list(gates)
+        got = run(gates, due, lazy, cnots, nxt, prv, gid, ids, w1, w2, dead, views)
+        assert got == want
+        assert (gates, nxt, prv, gid, w1, w2, dead) == tuple(state[i] for i in (0, 3, 4, 5, 7, 8, 9))
+        assert list(ids.items()) == list(state[6].items())
+        del runs[-1]["scanned"]
+        if runs[-1]["first"] is not None:
+            at = runs[-1].pop("at")
+            assert gates[at] != before[at]
+        return got
+
+    with mock.patch.object(optimizer, "_pass_cnot_triple", checked), \
+            mock.patch.object(optimizer, "_triple_scan", scanned), \
+            mock.patch.object(optimizer, "_TRIPLE_SCAN_MIN", scan_min), \
+            mock.patch.object(optimizer, "_TRIPLE_SCAN_BLOCK", block):
+        yield runs
+
+
+def _triple_circuit(rng: random.Random) -> Circuit:
+    """Many CNOT triples (the nested circuits' blocks) among stray CNOTs and
+    CNOT pairs that cancel, which leave dropped gates in the CNOT list."""
+    c = _nested_circuit(rng, blocks=rng.randint(3, 8))
+    gates = list(c.gates)
+    for _ in range(rng.randint(0, 6)):
+        at = rng.randint(0, len(gates))
+        gates[at:at] = [Gate("CNOT", tuple(rng.sample(range(c.n_qubits), 2)))] * rng.randint(1, 2)
+    return Circuit(c.n_qubits, gates)
+
+
+def test_triple_scan_matches_the_per_gate_loop():
+    with _triple_runs_checked() as runs:
+        for seed in range(300):
+            c = _triple_circuit(random.Random(seed))
+            for cap in _CAPS:
+                _assert_same(c, cap)
+    # The scan found rewrites mid-run, beyond its first block, first in
+    # lazy runs, and after dropped CNOTs in full runs, so the comparison
+    # covers each case.
+    assert any(r["first"] and not r["lazy"] for r in runs)
+    assert any(r["first"] is not None and r["first"] >= 4 for r in runs)
+    assert any(r["first"] == 0 and r["lazy"] for r in runs)
+    assert any(r["first"] is not None and r["dropped"] and not r["lazy"] for r in runs)
+
+
+@_examples(100)
+@given(st.randoms(use_true_random=False))
+def test_property_triple_scan_matches_the_per_gate_loop(rng):
+    c = _triple_circuit(rng)
+    with _triple_runs_checked():
+        for cap in _CAPS:
+            _assert_same(c, cap)
+
+
+_TRIPLE = [Gate("CNOT", (0, 1)), Gate("CNOT", (1, 2)), Gate("CNOT", (0, 1))]
+
+
+def test_triple_scan_rewrite_in_the_middle_of_a_full_run():
+    # The first sweep's run: CNOT(0, 3) meets H, then the triple rewrites.
+    c = Circuit(4, [Gate("CNOT", (0, 3)), Gate("H", (0,)), *_TRIPLE])
+    with _triple_runs_checked() as runs:
+        assert _assert_same(c, 1).gates == [Gate("CNOT", (0, 3)), Gate("H", (0,)),
+                                            Gate("CNOT", (0, 2)), Gate("CNOT", (1, 2))]
+    assert runs[0] == {"lazy": False, "dropped": 0, "first": 1}
+
+
+def test_triple_scan_lazy_run_whose_first_due_cnot_rewrites():
+    # H S Sdg H on wire c separates the triple in the first sweep.  The
+    # second sweep's cancel drops the H pair, the triple's witness, so the
+    # lazy run walks that CNOT first and rewrites it.
+    ladder = [Gate("H", (2,)), Gate("S", (2,)), Gate("Sdg", (2,)), Gate("H", (2,))]
+    c = Circuit(3, [_TRIPLE[0], *ladder, *_TRIPLE[1:]])
+    with _triple_runs_checked() as runs:
+        assert _assert_same(c, 2).gates == [Gate("CNOT", (0, 2)), Gate("CNOT", (1, 2))]
+    assert [(r["lazy"], r["first"]) for r in runs] == [(False, None), (True, 0)]
+
+
+def test_triple_scan_full_run_with_dropped_cnots_then_a_rewrite():
+    # The cancelled CNOT(3, 4) pair leaves two dropped gates in the CNOT
+    # list, so the full run's live CNOTs are fewer than the list.  It is
+    # still a full run after its first rewrite: the second triple, whose
+    # witnesses were never noted, is walked in the same sweep.
+    c = Circuit(6, [Gate("CNOT", (3, 4)), Gate("CNOT", (3, 4)), *_TRIPLE,
+                    Gate("CNOT", (3, 4)), Gate("CNOT", (4, 5)), Gate("CNOT", (3, 4))])
+    for scan_min, block in ((0, 4), (0, 2), (optimizer._TRIPLE_SCAN_MIN, 4)):
+        with _triple_runs_checked(scan_min, block) as runs:
+            got = _assert_same(c, 1)
+        assert [g.qubits for g in got.gates] == [(0, 2), (1, 2), (3, 5), (4, 5)]
+        assert runs[0]["dropped"] == 2 and not runs[0]["lazy"]
 
 
 def test_optimize_on_qubit_indices_beyond_c_int():
