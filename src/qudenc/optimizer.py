@@ -41,11 +41,13 @@ its witness, and from a pass's second run on (a lazy run) a gate is walked
 again only if its witness has since been dropped: cancel and merge note
 the blocking gate, the CNOT-triple check the next gate on {a, b} (w1) and
 then the gate before g2 on wire c or the third gate (w2); n means
-nowhere.  _drop marks each dropped gate in a byte mask, dead, whose slot
+nowhere.  Each dropped gate is marked in a byte mask, dead, whose slot
 n stays 0.  Before a lazy run one numpy step over the pass's index list
 keeps the gates whose witness is marked, dead[stop] for cancel and merge
-and dead[w1] | (w1 != n) & dead[w2] for the triple, so the passes test
-no witness themselves.
+and dead[w1] | (w1 != n) & dead[w2] for the triple, and that are not
+marked themselves, so the passes test no witness themselves.  (A
+cancelled walker's witness is its dropped partner: without the second
+test it would come back in every lazy run.)
 
 That is exact.  Between two runs of a pass the only changes are drops,
 and a drop among the gates a walk passed over leaves the gate it stops
@@ -78,18 +80,41 @@ before the first that rewrites, w2 only where w1 is not n, and the
 per-gate loop goes on from that gate; with none, the run is over.  That
 is exact: until its first rewrite a run changes nothing but witnesses,
 which none of its tests read, so each test sees what the scan saw.  The
-loop is the one path that rewrites.  The scan takes a long run
-_TRIPLE_SCAN_BLOCK CNOTs at a time, which keeps its temporaries small and
-stops it at the block that holds the first rewrite.  It costs some 30 us
-whatever its length, more than the loop spends on a short run, so a run
-of fewer than _TRIPLE_SCAN_MIN CNOTs skips it.
+loop is the one path that rewrites.
+
+Most cancel walks end at the first gate they meet: on the report
+benchmark two thirds of the live walks stop there and a third cancel
+with it.  So a cancel run first takes the first step of all its live due
+walks in one numpy step on the chains as they stand, _cancel_scan: gate
+i's first neighbour is j = min(nxt[3i], nxt[3i+1], nxt[3i+2]) // 3 (an
+unused slot holds len(nxt), so no arity is needed), the answer there is
+looked up once per distinct pair of ids, and stop[i] = j is noted.  Where
+j is n or the answer is stop, the walk is settled; the per-gate loop
+walks the rest, in order.  That is exact.  Within a run gates are only
+dropped, and no gate lies between i and j, so at i's turn the loop meets
+j again unless j was dropped first.  It was not: j > i is not a walker
+before i, and if an earlier walker i' took j as its partner, i' walked
+past i, so commutes(i, j) by the argument above, and i's answer at j
+would not be stop.  A walk whose first answer is cancel or pass stays in
+the loop, as an earlier walker can take its partner: of T, T, Tdg on one
+wire, the first T takes the Tdg and the second walks on.  The loop drops
+a cancelled pair in place.  When the walk reaches its partner, each
+cursor stands at the partner's slot on its wire, so the loop unlinks the
+walker's slot and then the partner's, wire by wire, as _drop would.
+
+Both scans take a long run _SCAN_BLOCK gates at a time, which keeps
+their temporaries small and stops the triple scan at the block that
+holds the first rewrite.  A scan costs some 30-50 us whatever its
+length, more than the loop spends on a short run, so a run of fewer than
+_SCAN_MIN gates skips it.
 
 Each pass has its own index list, built once with numpy: cancel the
 non-Rz gates, merge the Rz gates, the CNOT-triple check the CNOTs.  No
 rewrite changes a kind (the triple keeps a CNOT a CNOT, a merge an Rz an
 Rz), so no list ever needs a new entry.  The lists keep their dropped
-gates: the numpy step reads them at C speed, and a pass skips each with
-the None test that also skips a gate an earlier gate of its run dropped.
+gates.  A lazy run's due list leaves them out; a full run's keeps them,
+and its pass skips each with the None test that also skips a gate an
+earlier gate of its run dropped.
 
 The chains come from a table of each distinct (kind, qubits)'s wires,
 held as dense ranks so that a qubit index may be any non-negative int:
@@ -97,10 +122,13 @@ numpy gathers the table by gate id, sorts the slots by wire and links
 neighbours, and numbering the gates is the one Python loop over them.
 That adds a fixed cost of some tens of microseconds per call, and the
 numpy steps a few more per lazy run.  On the report benchmark
-(BENCH_18.json, shared 2-vCPU host) the triple scan cut pass_s from
-1.18 s to 0.96 s (0.82x, lower in 10 of 10 pairs) and the traced self
-time of optimize() from 0.82 s to 0.61 s (0.75x), with the same output;
-compile_wide pass_s fell to 0.81x.
+(BENCH_19.json, shared 2-vCPU host) the cancel scan cut pass_s from
+0.97 s to 0.79 s (0.82x, lower in 10 of 10 pairs) and the traced self
+time of optimize() from 0.60 s to 0.44 s (0.74x), with the same output;
+compile_wide pass_s fell to 0.82x.  _SCAN_MIN is set from mirrored
+CNOT/H circuits of 48 to 192 gates, where scanning runs of 64 gates or
+more made optimize() about 10% slower than never scanning and runs of
+256 or more cost nothing measurable.
 """
 
 from __future__ import annotations
@@ -122,12 +150,12 @@ ANGLE_EPS = 1e-12
 TWO_PI = 2.0 * math.pi
 MAX_SWEEPS = 50
 _PAD = (-1, -1, -1)
-# A CNOT-triple run of at least _TRIPLE_SCAN_MIN CNOTs is scanned with numpy
-# first, _TRIPLE_SCAN_BLOCK CNOTs at a time so that the scan's temporaries
+# A cancel or CNOT-triple run of at least _SCAN_MIN gates is scanned with
+# numpy first, _SCAN_BLOCK gates at a time so that the scan's temporaries
 # stay small.  Shorter runs go straight to the per-gate loop: on small
-# circuits the scan's fixed cost outweighs what it saves below about 48.
-_TRIPLE_SCAN_MIN = 64
-_TRIPLE_SCAN_BLOCK = 8192
+# circuits the scans' fixed costs outweigh what they save.
+_SCAN_MIN = 256
+_SCAN_BLOCK = 8192
 
 
 def commutes(a: Gate, b: Gate) -> bool:
@@ -245,7 +273,7 @@ def _due(todo: np.ndarray, gone: np.ndarray, full: bool, w: np.ndarray,
     due = gone.take(s)
     if v is not None:
         due |= (s != len(gone) - 1) & gone.take(v.take(todo))
-    return todo[due]
+    return todo[due > gone.take(todo)]  # due and not dropped itself
 
 
 def _unlink(nxt: array, prv: array, slot: int) -> None:
@@ -275,44 +303,89 @@ def _answer(g: Gate, h: Gate) -> int:
     return _PASS if commutes(g, h) else _BLOCK
 
 
-def _pass_cancel(gates: list[Gate | None], todo: np.ndarray, nxt: array, prv: array,
-                 gid: array, memo: dict, stop: array, dead: bytearray) -> bool:
+def _cancel_scan(due: np.ndarray, gates: list[Gate | None], memo: dict, nxt: np.ndarray,
+                 gid: np.ndarray, gone: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Take the first step of the walks of due's live gates at once, on the
+    chains as they stand; return the live gates whose walk goes on past it.
+
+    Gate i's first neighbour is j = min(nxt[3i], nxt[3i+1], nxt[3i+2]) // 3
+    (an unused slot holds len(nxt)), and stop[i] = j is written for every
+    gate: it is final where j is n or the answer there is stop, and the
+    per-gate loop writes the others again.  The answer for each distinct
+    pair of gate ids comes from memo, or from _answer on one gate pair with
+    those ids.  Key -1, which memo maps to stop, stands for j = n."""
+    n = len(gone) - 1
+    due = due[~gone.take(due)]
+    base = 3 * due
+    j = np.minimum(np.minimum(nxt.take(base), nxt.take(base + 1)), nxt.take(base + 2)) // 3
+    stop[due] = j
+    key = gid.take(due).astype(np.int64) << 32 | gid.take(j, mode="clip")
+    key[j == n] = -1
+    keys, pair = np.unique(key, return_inverse=True)
+    keys = keys.tolist()
+    answers = [memo.get(k) for k in keys]
+    if None in answers:
+        at = np.empty(len(keys), np.intp)
+        at[pair] = np.arange(len(due))  # one gate of each pair of ids
+        for t, k in enumerate(keys):
+            if answers[t] is None:
+                f = at[t]
+                answers[t] = memo[k] = _answer(gates[due[f]], gates[j[f]])
+    return due[np.array(answers, np.int8).take(pair) != _BLOCK]
+
+
+def _pass_cancel(gates: list[Gate | None], due: np.ndarray, nxt: array, prv: array,
+                 gid: array, memo: dict, stop: array, dead: bytearray, views: tuple) -> bool:
+    """One cancel run over the gates of due.  views are _cancel_scan's numpy
+    arguments; the scan settles the walks that stop at their first
+    neighbour, and this loop walks the rest."""
     changed = False
     end = len(nxt)
     n = end // 3
-    for i in array("i", todo.tobytes()):
-        g = gates[i]
-        if g is None:
-            continue  # cancelled by an earlier gate of this run
-        row = gid[i] << 32
-        arity = len(g.qubits)
-        # Walk the gate's wires merged by position; a cursor at end is spent.
-        base = 3 * i
-        x = nxt[base]
-        y = nxt[base + 1] if arity > 1 else end
-        z = nxt[base + 2] if arity > 2 else end
-        while True:
-            j = x if x < y else y  # min(x, y, z) without the call
-            j = (j if j < z else z) // 3
-            if j == n:
-                break
-            key = row | gid[j]
-            r = memo.get(key)
-            if r is None:
-                r = memo[key] = _answer(g, gates[j])
-            if r:
-                if r == _CANCEL:
-                    _drop(gates, nxt, prv, dead, i)
-                    _drop(gates, nxt, prv, dead, j)
-                    changed = True
-                break
-            if x // 3 == j:
-                x = nxt[x]
-            if y // 3 == j:
-                y = nxt[y]
-            if z // 3 == j:
-                z = nxt[z]
-        stop[i] = j
+    scan = len(due) >= _SCAN_MIN
+    for pos in range(0, len(due), _SCAN_BLOCK):
+        todo = due[pos:pos + _SCAN_BLOCK]
+        if scan:
+            todo = _cancel_scan(todo, gates, memo, *views)
+        for i in array("i", todo.tobytes()):
+            g = gates[i]
+            if g is None:
+                continue  # cancelled by an earlier gate of this run
+            row = gid[i] << 32
+            # Walk the gate's wires merged by position; a cursor at end is
+            # spent, and an unused slot's is there from the start.
+            base = 3 * i
+            x, y, z = nxt[base], nxt[base + 1], nxt[base + 2]
+            while True:
+                j = x if x < y else y  # min(x, y, z) without the call
+                j = (j if j < z else z) // 3
+                if j == n:
+                    break
+                key = row | gid[j]
+                r = memo.get(key)
+                if r is None:
+                    r = memo[key] = _answer(g, gates[j])
+                if r:
+                    if r == _CANCEL:
+                        # j has i's wires, and each cursor is at j's slot on
+                        # its wire: unlink i's slot, then j's, wire by wire.
+                        for s in (base, x, base + 1, y, base + 2, z)[:2 * len(g.qubits)]:
+                            p, q = prv[s], nxt[s]
+                            if p >= 0:
+                                nxt[p] = q
+                            if q < end:
+                                prv[q] = p
+                        gates[i] = gates[j] = None
+                        dead[i] = dead[j] = 1
+                        changed = True
+                    break
+                if x // 3 == j:
+                    x = nxt[x]
+                if y // 3 == j:
+                    y = nxt[y]
+                if z // 3 == j:
+                    z = nxt[z]
+            stop[i] = j
     return changed
 
 
@@ -400,11 +473,11 @@ def _pass_cnot_triple(gates: list[Gate | None], due: np.ndarray, lazy: bool,
     whose witness was dropped.  views are _triple_scan's numpy arguments.
     The scan settles every gate up to the first rewrite, and this loop goes
     on from there."""
-    if len(due) >= _TRIPLE_SCAN_MIN:
-        for pos in range(0, len(due), _TRIPLE_SCAN_BLOCK):
-            live, first = _triple_scan(due[pos:pos + _TRIPLE_SCAN_BLOCK], *views)
+    if len(due) >= _SCAN_MIN:
+        for pos in range(0, len(due), _SCAN_BLOCK):
+            live, first = _triple_scan(due[pos:pos + _SCAN_BLOCK], *views)
             if first < len(live):
-                due = np.concatenate((live[first:], due[pos + _TRIPLE_SCAN_BLOCK:]))
+                due = np.concatenate((live[first:], due[pos + _SCAN_BLOCK:]))
                 break
         else:
             return False
@@ -472,7 +545,7 @@ def optimize(c: Circuit, max_sweeps: int = MAX_SWEEPS) -> Circuit:
     gates: list[Gate | None] = list(c.gates)
     nxt, prv, gid, ids = _wire_chains(gates)
     cancel, merge, triple = _kind_lists(gid, ids)
-    memo: dict[int, int] = {}
+    memo: dict[int, int] = {-1: _BLOCK}  # -1: see _cancel_scan
     # Where each gate's last walk stopped (n: nowhere).  Cancel walks only
     # non-Rz gates and merge only Rz gates, so they share stop.
     n = len(gates)
@@ -482,19 +555,20 @@ def optimize(c: Circuit, max_sweeps: int = MAX_SWEEPS) -> Circuit:
     gone = np.frombuffer(dead, bool)
     cnot = np.zeros(n + 1, bool)
     cnot[triple] = True  # kinds never change
-    views = (np.frombuffer(nxt, np.intc), np.frombuffer(prv, np.intc),
-             np.frombuffer(gid, np.intc), cnot, gone, at_w1, at_w2)
+    at_nxt, at_prv, at_gid = (np.frombuffer(a, np.intc) for a in (nxt, prv, gid))
+    scan_cancel = (at_nxt, at_gid, gone, at_stop)
+    scan_triple = (at_nxt, at_prv, at_gid, cnot, gone, at_w1, at_w2)
     full = True  # every pass walks every gate: the first sweep, and after a rewrite
     phase = c.global_phase
     for _ in range(max_sweeps):
         due = _due(cancel, gone, full, at_stop)
-        cancelled = _pass_cancel(gates, due, nxt, prv, gid, memo, stop, dead)
+        cancelled = _pass_cancel(gates, due, nxt, prv, gid, memo, stop, dead, scan_cancel)
         due = _due(merge, gone, full, at_stop)
         merged, dphase = _pass_merge(gates, due, nxt, prv, gid, memo, stop, dead)
         phase += dphase
         due = _due(triple, gone, full, at_w1, at_w2)
         full = _pass_cnot_triple(gates, due, not full, triple, nxt, prv, gid, ids,
-                                 w1, w2, dead, views)
+                                 w1, w2, dead, scan_triple)
         if not (cancelled or merged or full):
             break
     return Circuit(c.n_qubits, [g for g in gates if g is not None], phase)

@@ -103,6 +103,12 @@ def bosonic(d: int, name: str) -> QuditMatrix:
     check_level_count(d)
     if name not in BOSONIC_NAMES:
         raise ValueError(f"unknown bosonic operator {name!r}; choose from {BOSONIC_NAMES}")
+    if name in ("n", "n2", "n_nminus1"):
+        # Diagonal: no ladder matrices, and a real diagonal that QuditMatrix
+        # turns into its one complex copy.
+        ns = np.arange(d, dtype=float)
+        diagonal = {"n": ns, "n2": ns ** 2, "n_nminus1": ns * ns - ns}[name]
+        return QuditMatrix(np.diag(diagonal), name=name, family=BOSONIC)
     a = _annihilation(d)
     adag = a.conj().T
     if name == "a":
@@ -116,16 +122,9 @@ def bosonic(d: int, name: str) -> QuditMatrix:
     elif name == "q2":
         qm = (adag + a) / np.sqrt(2)
         m = qm @ qm
-    elif name == "p2":
+    else:  # p2
         pm = 1j * (adag - a) / np.sqrt(2)
         m = pm @ pm
-    elif name == "n":
-        m = np.diag(np.arange(d, dtype=complex))
-    elif name == "n2":
-        m = np.diag(np.arange(d, dtype=complex) ** 2)
-    else:  # n_nminus1
-        ns = np.arange(d, dtype=complex)
-        m = np.diag(ns * ns - ns)
     return QuditMatrix(m, name=name, family=BOSONIC)
 
 

@@ -14,7 +14,12 @@ gate qubit; ``qudenc.optimizer._wire_chains`` must return the same arrays.
 ``triple_run`` is one run of the per-wire CNOT-triple pass as a per-gate
 loop over its due CNOTs; ``qudenc.optimizer._pass_cnot_triple``, which
 settles every gate up to the first rewrite in one numpy step, must leave
-the same gates, chains, gate ids and witnesses.
+the same gates, chains, gate ids and witnesses.  ``cancel_run`` is one run
+of the per-wire cancel pass as a per-gate loop over its due gates;
+``qudenc.optimizer._pass_cancel``, which settles in one numpy step every
+walk that stops at its first neighbour, must leave the same gates, chains
+and dead mask, give the same answer, and note the same stops for the gates
+left live.
 """
 
 from __future__ import annotations
@@ -250,6 +255,63 @@ def _drop(gates: list[Gate | None], nxt: array, prv: array, dead: bytearray,
         _unlink(nxt, prv, slot)
     gates[i] = None
     dead[i] = 1
+
+
+_PASS, _BLOCK, _CANCEL = 0, 1, 2
+
+
+def _answer(g: Gate, h: Gate) -> int:
+    """What a cancel walk from g does on meeting h."""
+    if _is_inverse_pair(g, h):
+        return _CANCEL
+    return _PASS if commutes(g, h) else _BLOCK
+
+
+def cancel_run(gates: list[Gate | None], due: array, nxt: array, prv: array, gid: array,
+               memo: dict, stop: array, dead: bytearray) -> bool:
+    """One cancel run over the chains of wire_chains, gate by gate.
+
+    due holds the non-Rz gates the run walks, in gate order.  Each walks its
+    wires merged by position, past gates it commutes with, and notes in
+    stop the gate it stopped at: the inverse partner it cancelled with, the
+    gate that blocked it, or n when it ran off the end.  memo caches the
+    answer for each pair of gate ids (gid[i] << 32 | gid[j])."""
+    changed = False
+    end = len(nxt)
+    n = end // 3
+    for i in due:
+        g = gates[i]
+        if g is None:
+            continue  # cancelled by an earlier gate of this run
+        row = gid[i] << 32
+        arity = len(g.qubits)
+        # Walk the gate's wires merged by position; a cursor at end is spent.
+        base = 3 * i
+        x = nxt[base]
+        y = nxt[base + 1] if arity > 1 else end
+        z = nxt[base + 2] if arity > 2 else end
+        while True:
+            j = min(x, y, z) // 3
+            if j == n:
+                break
+            key = row | gid[j]
+            r = memo.get(key)
+            if r is None:
+                r = memo[key] = _answer(g, gates[j])
+            if r:
+                if r == _CANCEL:
+                    _drop(gates, nxt, prv, dead, i)
+                    _drop(gates, nxt, prv, dead, j)
+                    changed = True
+                break
+            if x // 3 == j:
+                x = nxt[x]
+            if y // 3 == j:
+                y = nxt[y]
+            if z // 3 == j:
+                z = nxt[z]
+        stop[i] = j
+    return changed
 
 
 def triple_run(gates: list[Gate | None], due: array, cnots, nxt: array, prv: array,

@@ -16,6 +16,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -364,8 +365,8 @@ def _triple_runs_checked(scan_min: int = 0, block: int = 4):
 
     with mock.patch.object(optimizer, "_pass_cnot_triple", checked), \
             mock.patch.object(optimizer, "_triple_scan", scanned), \
-            mock.patch.object(optimizer, "_TRIPLE_SCAN_MIN", scan_min), \
-            mock.patch.object(optimizer, "_TRIPLE_SCAN_BLOCK", block):
+            mock.patch.object(optimizer, "_SCAN_MIN", scan_min), \
+            mock.patch.object(optimizer, "_SCAN_BLOCK", block):
         yield runs
 
 
@@ -434,11 +435,140 @@ def test_triple_scan_full_run_with_dropped_cnots_then_a_rewrite():
     # witnesses were never noted, is walked in the same sweep.
     c = Circuit(6, [Gate("CNOT", (3, 4)), Gate("CNOT", (3, 4)), *_TRIPLE,
                     Gate("CNOT", (3, 4)), Gate("CNOT", (4, 5)), Gate("CNOT", (3, 4))])
-    for scan_min, block in ((0, 4), (0, 2), (optimizer._TRIPLE_SCAN_MIN, 4)):
+    for scan_min, block in ((0, 4), (0, 2), (optimizer._SCAN_MIN, 4)):
         with _triple_runs_checked(scan_min, block) as runs:
             got = _assert_same(c, 1)
         assert [g.qubits for g in got.gates] == [(0, 2), (1, 2), (3, 5), (4, 5)]
         assert runs[0]["dropped"] == 2 and not runs[0]["lazy"]
+
+
+@contextmanager
+def _cancel_runs_checked(scan_min: int = 0, block: int = 4):
+    """Hold every cancel run of optimize() to ref.cancel_run, the per-gate
+    loop, run on a copy of the run's state: the same answer, gates, chains
+    and dead mask, and the same stop for every gate left live (a gate
+    dropped as a partner keeps whatever stop it had).  scan_min 0 sends
+    every run through the numpy scan, and a small block splits it into
+    several scans.  Yields a list that gets, for each run, whether it was
+    lazy, how many of its due gates were dropped ones, how many scans it
+    made, the gates the scans settled at a blocking gate and at the end of
+    their wires, and the gates they left to the loop."""
+    run, scan, due_of, runs = optimizer._pass_cancel, optimizer._cancel_scan, optimizer._due, []
+    full = []
+
+    def noted(todo, gone, is_full, *witnesses):
+        full[:] = [is_full]  # the cancel run follows its _due call
+        return due_of(todo, gone, is_full, *witnesses)
+
+    def scanned(due, gates, memo, nxt, gid, gone, stop):
+        live = due[~gone[due]]
+        left = scan(due, gates, memo, nxt, gid, gone, stop)
+        settled = np.setdiff1d(live, left)
+        off = stop[settled] == len(gone) - 1
+        r = runs[-1]
+        r["scans"] += 1
+        r["blocked"] += settled[~off].tolist()
+        r["ran_off"] += settled[off].tolist()
+        r["walked"] += left.tolist()
+        return left
+
+    def checked(gates, due, nxt, prv, gid, memo, stop, dead, views):
+        state = (list(gates), array("i", due.tobytes()), array("i", nxt), array("i", prv),
+                 array("i", gid), dict(memo), array("i", stop), bytearray(dead))
+        want = ref.cancel_run(*state)
+        runs.append({"lazy": not full[0], "dropped": sum(gates[i] is None for i in due), "scans": 0,
+                     "blocked": [], "ran_off": [], "walked": []})
+        got = run(gates, due, nxt, prv, gid, memo, stop, dead, views)
+        assert got == want
+        assert (gates, nxt, prv, dead) == (state[0], state[2], state[3], state[7])
+        live = [i for i, g in enumerate(gates) if g is not None]
+        assert [stop[i] for i in live] == [state[6][i] for i in live]
+        return got
+
+    with mock.patch.object(optimizer, "_pass_cancel", checked), \
+            mock.patch.object(optimizer, "_cancel_scan", scanned), \
+            mock.patch.object(optimizer, "_due", noted), \
+            mock.patch.object(optimizer, "_SCAN_MIN", scan_min), \
+            mock.patch.object(optimizer, "_SCAN_BLOCK", block):
+        yield runs
+
+
+def _cancel_circuit(rng: random.Random) -> Circuit:
+    """A random circuit with runs of T, Tdg, S and Sdg on one wire added,
+    half of them relabelled onto qubit indices far beyond a C int."""
+    c = _random_circuit(rng)
+    gates = list(c.gates)
+    for _ in range(rng.randint(1, 4)):
+        q, at = rng.randrange(c.n_qubits), rng.randint(0, len(gates))
+        gates[at:at] = [Gate(rng.choice(("T", "Tdg", "S", "Sdg")), (q,))
+                        for _ in range(rng.randint(2, 5))]
+    if rng.random() < 0.5:
+        wide = {q: rng.randrange(2**40) * 7 + q for q in range(c.n_qubits)}
+        gates = [Gate(g.kind, tuple(wide[q] for q in g.qubits), g.angle) for g in gates]
+        return Circuit(max(wide.values()) + 1, gates)
+    return Circuit(c.n_qubits, gates)
+
+
+def test_cancel_scan_matches_the_per_gate_loop():
+    kinds = set()
+    with _cancel_runs_checked() as runs:
+        for seed in range(300):
+            c = _cancel_circuit(random.Random(seed))
+            kinds |= {g.kind for g in c.gates}
+            for cap in _CAPS:
+                _assert_same(c, cap)
+    assert kinds == set(_KINDS_1Q) | {"Rz", "CNOT", "SWAP", "CSWAP"}
+    # The scans settled walks at a blocking gate and at the end of their
+    # wires and left others to the loop, in full and lazy runs, in runs of
+    # several blocks, and in full runs whose list holds dropped gates.
+    for key in ("blocked", "ran_off", "walked"):
+        assert any(r[key] and r["lazy"] for r in runs), key
+        assert any(r[key] and not r["lazy"] for r in runs), key
+    assert any(r["scans"] > 1 for r in runs)
+    assert any(r["dropped"] and not r["lazy"] and r["blocked"] for r in runs)
+
+
+@_examples(100)
+@given(st.randoms(use_true_random=False))
+def test_property_cancel_scan_matches_the_per_gate_loop(rng):
+    c = _cancel_circuit(rng)
+    with _cancel_runs_checked():
+        for cap in _CAPS:
+            _assert_same(c, cap)
+
+
+def test_cancel_scan_leaves_a_walk_whose_partner_an_earlier_walker_takes():
+    # The second T's first neighbour is the Tdg, so the scan leaves it to
+    # the loop; there the first T takes the Tdg, and the second T walks on
+    # to the H and stops there.
+    c = Circuit(1, [Gate("T", (0,)), Gate("T", (0,)), Gate("Tdg", (0,)), Gate("H", (0,))])
+    with _cancel_runs_checked() as runs:
+        assert _assert_same(c, 1).gates == [Gate("T", (0,)), Gate("H", (0,))]
+    assert runs[0]["walked"] == [0, 1] and runs[0]["blocked"] == [2]
+
+
+def test_cancel_scan_settles_a_walk_that_an_earlier_walker_then_drops():
+    # The scan settles the second H, blocked by the CNOT; the first H then
+    # cancels it, and the pass goes on as if it had never been settled.
+    c = Circuit(2, [Gate("H", (0,)), Gate("H", (0,)), Gate("CNOT", (0, 1))])
+    with _cancel_runs_checked() as runs:
+        for cap in _CAPS:
+            assert _assert_same(c, cap).gates == [Gate("CNOT", (0, 1))]
+    assert runs[0]["walked"] == [0] and 1 in runs[0]["blocked"]
+
+
+def test_cancel_scan_walk_that_blocks_on_the_first_gate_of_the_next_block():
+    # In blocks of four, the H on wire 0 closes the first block and is
+    # blocked by the S that opens the second.  S and Sdg cancel in the
+    # second block, so the next sweep walks that H again and it cancels
+    # with the last H.
+    c = Circuit(4, [Gate("X", (1,)), Gate("H", (2,)), Gate("S", (3,)), Gate("H", (0,)),
+                    Gate("S", (0,)), Gate("Sdg", (0,)), Gate("H", (0,))])
+    with _cancel_runs_checked() as runs:
+        assert _assert_same(c, 1).gates == [*c.gates[:4], c.gates[6]]
+        assert _assert_same(c).gates == c.gates[:3]
+    first = runs[0]
+    assert first["scans"] == 2 and 3 in first["blocked"] and 4 in first["walked"]
 
 
 def test_optimize_on_qubit_indices_beyond_c_int():

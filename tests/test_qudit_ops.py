@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qudenc.encoding import MAX_D
-from qudenc.qudit_ops import (QuditMatrix, as_matrix, bosonic,
+from qudenc.qudit_ops import (BOSONIC_NAMES, QuditMatrix, as_matrix, bosonic,
                               dense_hermitian_test_matrix, first_quantized_x,
                               matrix_digest, spin, tridiag_test_matrix)
 
@@ -127,3 +127,29 @@ def test_qudit_matrix_keeps_a_read_only_copy():
     # a complex array is copied too, not taken over
     c = np.eye(2, dtype=complex)
     assert not np.shares_memory(QuditMatrix(c).mat, c)
+
+
+def _bosonic_from_ladders(d: int, name: str) -> np.ndarray:
+    """bosonic(d, name).mat as it was built from the ladder matrices for
+    every name, the diagonal ones included."""
+    a = np.zeros((d, d), dtype=complex)
+    for l in range(d - 1):
+        a[l, l + 1] = np.sqrt(l + 1)
+    adag = a.conj().T
+    ns = np.arange(d, dtype=complex)
+    return {"a": lambda: a, "adag": lambda: adag,
+            "q": lambda: (adag + a) / np.sqrt(2),
+            "p": lambda: 1j * (adag - a) / np.sqrt(2),
+            "q2": lambda: ((adag + a) / np.sqrt(2)) @ ((adag + a) / np.sqrt(2)),
+            "p2": lambda: (1j * (adag - a) / np.sqrt(2)) @ (1j * (adag - a) / np.sqrt(2)),
+            "n": lambda: np.diag(ns), "n2": lambda: np.diag(ns ** 2),
+            "n_nminus1": lambda: np.diag(ns * ns - ns)}[name]()
+
+
+@pytest.mark.parametrize("name", BOSONIC_NAMES)
+def test_bosonic_matches_the_ladder_construction_bit_for_bit(name):
+    with pytest.raises(ValueError, match=r"d must be in \[2, "):
+        bosonic(1, name)
+    for d in range(2, 41):
+        got, want = bosonic(d, name).mat, _bosonic_from_ladders(d, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), d
