@@ -115,25 +115,35 @@ def _staircase_gate(kind: str, qubits: tuple[int, ...]) -> Gate:
     return Gate(kind, qubits)
 
 
-def trotter_term(p: PauliString, coeff: complex, theta: float, n_qubits: int) -> Circuit:
-    """Circuit for exp(-i theta coeff P); coeff must be real (Hermitian term)."""
+def _append_term(gates: list[Gate], p: PauliString, coeff: complex, theta: float,
+                 n_qubits: int) -> float:
+    """Append the staircase of exp(-i theta coeff P) to gates and return its
+    global phase; coeff must be real (Hermitian term)."""
     c = complex(coeff)
     if abs(c.imag) > REAL_COEFF_TOL * max(1.0, abs(c)):
         raise ValueError(f"non-real coefficient {coeff} cannot be exponentiated "
                          "as a Hermitian term")
     c_r = c.real
-    circ = Circuit(n_qubits)
     active = [q for q, _ in p]
-    if any(q >= n_qubits for q in active):
-        raise ValueError("Pauli string acts outside the register")
     if not active:
-        circ.global_phase += -theta * c_r
-        return circ
+        return -theta * c_r
+    if max(active) >= n_qubits:
+        raise ValueError("Pauli string acts outside the register")
     basis = [_staircase_gate(_BASIS_KIND[letter], (q,)) for q, letter in p
              if letter != "Z"]
     ladder = [_staircase_gate("CNOT", pair) for pair in zip(active, active[1:])]
-    circ.gates = [*basis, *ladder, Gate("Rz", (active[-1],), 2.0 * theta * c_r),
-                  *reversed(ladder), *basis]
+    gates += basis
+    gates += ladder
+    gates.append(Gate("Rz", (active[-1],), 2.0 * theta * c_r))
+    gates += reversed(ladder)
+    gates += basis
+    return 0.0
+
+
+def trotter_term(p: PauliString, coeff: complex, theta: float, n_qubits: int) -> Circuit:
+    """Circuit for exp(-i theta coeff P); coeff must be real (Hermitian term)."""
+    circ = Circuit(n_qubits)
+    circ.global_phase += _append_term(circ.gates, p, coeff, theta, n_qubits)
     return circ
 
 
@@ -144,9 +154,7 @@ def trotter_step(h: PauliSum, theta: float) -> Circuit:
         raise ValueError("trotter_step needs a Hermitian Pauli sum")
     circ = Circuit(h.n_qubits)
     for p, c in sorted(h.terms.items(), key=itemgetter(0)):
-        part = trotter_term(p, c, theta, h.n_qubits)
-        circ.gates.extend(part.gates)
-        circ.global_phase += part.global_phase
+        circ.global_phase += _append_term(circ.gates, p, c, theta, h.n_qubits)
     return circ
 
 

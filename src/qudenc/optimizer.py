@@ -95,18 +95,47 @@ dropped, and no gate lies between i and j, so at i's turn the loop meets
 j again unless j was dropped first.  It was not: j > i is not a walker
 before i, and if an earlier walker i' took j as its partner, i' walked
 past i, so commutes(i, j) by the argument above, and i's answer at j
-would not be stop.  A walk whose first answer is cancel or pass stays in
-the loop, as an earlier walker can take its partner: of T, T, Tdg on one
-wire, the first T takes the Tdg and the second walks on.  The loop drops
-a cancelled pair in place.  When the walk reaches its partner, each
-cursor stands at the partner's slot on its wire, so the loop unlinks the
-walker's slot and then the partner's, wire by wire, as _drop would.
+would not be stop.  The loop drops a cancelled pair in place.  When the
+walk reaches its partner, each cursor stands at the partner's slot on
+its wire, so the loop unlinks the walker's slot and then the partner's,
+wire by wire, as _drop would.
+
+Most of the walks the scan leaves cancel with that first neighbour.  So
+in a scanned block each walk whose first answer is cancel is a pending
+pair (walker i, partner j), unless i is itself the partner of another
+such walk: of H, H, H on one wire only the first two pair.  A byte mask,
+owned, marks the pending walkers and partners; the loop walks the other
+gates the scan left, in order, and at the end of the block _drop_pairs
+drops every pending pair at once.  A cancel answer needs the same set of
+wires, so i and j are neighbours on every wire of i, and stay so while
+gates are dropped.  A loop walk from k > i never meets them: it walks
+forward, and to meet j it would have to lie between i and j on a wire of
+j.  A walk from k < i meets them as a gate-by-gate run would, where they
+are still there; the loop's drops in place keep the chains valid around
+them.  A loop walk that answers cancel at an owned gate is the one
+divergence, a conflict (of T, T, Tdg on one wire, the first T passes the
+second and takes the Tdg, which the second had as pending partner).  The
+pairs whose walker comes before it are dropped, the rest are released,
+and the loop walks the rest of the block gate by gate, from that walk
+on.
+
+_drop_pairs marks the pairs dead and relinks their slots in numpy.  On
+each wire the pending slots form runs of neighbours; a run's head is a
+slot whose previous gate is not owned, owned[prv // 3], and its tail is
+found by pointer doubling over a slot-indexed jump table, in log2 of the
+longest run steps; then the head's outer neighbours are linked.  Unlike
+marking every drop and relinking once per run (tried: 1.3-1.4x slower,
+as its relink looped once per gate in a wire's longest dead stretch and
+its walks skipped dead gates), only neighbouring pending gates are
+relinked, and no walk meets a dead gate.  The relink leaves a dead
+gate's own slots as they were, which differs from the per-gate loop's
+unlinks; no pass reads a dead gate's slots.
 
 Both scans take a long run _SCAN_BLOCK gates at a time, which keeps
 their temporaries small and stops the triple scan at the block that
-holds the first rewrite.  A scan costs some 30-50 us whatever its
-length, more than the loop spends on a short run, so a run of fewer than
-_SCAN_MIN gates skips it.
+holds the first rewrite; owned and jump are allocated once per call.  A
+scan costs some 30-50 us whatever its length, more than the loop spends
+on a short run, so a run of fewer than _SCAN_MIN gates skips it.
 
 Each pass has its own index list, built once with numpy: cancel the
 non-Rz gates, merge the Rz gates, the CNOT-triple check the CNOTs.  No
@@ -122,10 +151,10 @@ numpy gathers the table by gate id, sorts the slots by wire and links
 neighbours, and numbering the gates is the one Python loop over them.
 That adds a fixed cost of some tens of microseconds per call, and the
 numpy steps a few more per lazy run.  On the report benchmark
-(BENCH_19.json, shared 2-vCPU host) the cancel scan cut pass_s from
-0.97 s to 0.79 s (0.82x, lower in 10 of 10 pairs) and the traced self
-time of optimize() from 0.60 s to 0.44 s (0.74x), with the same output;
-compile_wide pass_s fell to 0.82x.  _SCAN_MIN is set from mirrored
+(BENCH_20.json, shared 2-vCPU host) the pending pairs cut pass_s from
+0.79 s to 0.67 s (0.84x, lower in 10 of 10 pairs) and the traced self
+time of optimize() from 0.47 s to 0.35 s (0.75x), with the same output;
+compile_wide pass_s fell to 0.81x.  _SCAN_MIN is set from mirrored
 CNOT/H circuits of 48 to 192 gates, where scanning runs of 64 gates or
 more made optimize() about 10% slower than never scanning and runs of
 256 or more cost nothing measurable.
@@ -156,6 +185,8 @@ _PAD = (-1, -1, -1)
 # circuits the scans' fixed costs outweigh what they save.
 _SCAN_MIN = 256
 _SCAN_BLOCK = 8192
+_SLOTS = np.arange(3, dtype=np.intc)  # the slots of gate i are 3*i + _SLOTS
+_NO_PAIRS = np.empty(0, np.intc)
 
 
 def commutes(a: Gate, b: Gate) -> bool:
@@ -304,9 +335,11 @@ def _answer(g: Gate, h: Gate) -> int:
 
 
 def _cancel_scan(due: np.ndarray, gates: list[Gate | None], memo: dict, nxt: np.ndarray,
-                 gid: np.ndarray, gone: np.ndarray, stop: np.ndarray) -> np.ndarray:
+                 gid: np.ndarray, gone: np.ndarray,
+                 stop: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Take the first step of the walks of due's live gates at once, on the
-    chains as they stand; return the live gates whose walk goes on past it.
+    chains as they stand; return the live gates whose walk goes on past it,
+    with their first neighbour and the answer there (pass or cancel).
 
     Gate i's first neighbour is j = min(nxt[3i], nxt[3i+1], nxt[3i+2]) // 3
     (an unused slot holds len(nxt)), and stop[i] = j is written for every
@@ -331,61 +364,147 @@ def _cancel_scan(due: np.ndarray, gates: list[Gate | None], memo: dict, nxt: np.
             if answers[t] is None:
                 f = at[t]
                 answers[t] = memo[k] = _answer(gates[due[f]], gates[j[f]])
-    return due[np.array(answers, np.int8).take(pair) != _BLOCK]
+    answer = np.array(answers, np.int8).take(pair)
+    go = answer != _BLOCK
+    return due[go], j[go], answer[go]
+
+
+def _pending(go: np.ndarray, first: np.ndarray, answer: np.ndarray,
+             owned: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pending pairs among the scanned walks go, whose first neighbours
+    and answers are first and answer: every walk that cancels there, unless
+    its walker is the partner of another such walk.  Marks their walkers
+    and partners in owned and returns them (walkers, partners)."""
+    cancel = answer == _CANCEL
+    owned[first[cancel]] = True
+    pend = cancel & ~owned.take(go)
+    owned[first[cancel & ~pend]] = False
+    walkers = go[pend]
+    owned[walkers] = True
+    return walkers, first[pend]
+
+
+def _drop_pairs(walkers: np.ndarray, partners: np.ndarray, gates: list[Gate | None],
+                nxt: np.ndarray, prv: np.ndarray, gone: np.ndarray, owned: np.ndarray,
+                jump: np.ndarray) -> bool:
+    """Drop the pending pairs (walkers[t], partners[t]) at once and return
+    whether there were any.  owned marks exactly their gates; the arguments
+    after gates are numpy views.
+
+    On each wire the pending slots form runs of neighbours.  A run's head
+    is a slot whose previous gate is not owned, and its tail is found by
+    pointer doubling: jump[s] is first the next slot where that one is
+    pending, else s itself, and each step sets jump[s] = jump[jump[s]] for
+    the slots not yet at their tail.  The head's outer neighbours are then
+    linked to each other.  jump is indexed by slot, and only its entries at
+    pending slots are read.  A slot with no neighbour (an unused one among
+    them) has nothing to relink and is left out."""
+    if not len(walkers):
+        return False
+    both = np.concatenate((walkers, partners))
+    for i in both.tolist():
+        gates[i] = None
+    gone[both] = True
+    slots = (3 * both[:, None] + _SLOTS).ravel()
+    after, before = nxt.take(slots), prv.take(slots)
+    end = len(nxt)
+    linked = (after < end) | (before >= 0)
+    slots, after, before = slots[linked], after[linked], before[linked]
+    inner = owned.take(after // 3)  # the next slot is pending (n is unowned)
+    jump[slots] = slots
+    at, hop = slots[inner], after[inner]
+    while len(at):
+        jump[at] = hop
+        far = jump.take(hop)
+        on = far != hop
+        at, hop = at[on], far[on]
+    head = ~owned.take(before // 3)  # -1 // 3 reads slot n, unowned
+    before, after = before[head], nxt.take(jump.take(slots[head]))
+    on = before >= 0
+    nxt[before[on]] = after[on]
+    on = after < end
+    prv[after[on]] = before[on]
+    owned[both] = False
+    return True
 
 
 def _pass_cancel(gates: list[Gate | None], due: np.ndarray, nxt: array, prv: array,
-                 gid: array, memo: dict, stop: array, dead: bytearray, views: tuple) -> bool:
-    """One cancel run over the gates of due.  views are _cancel_scan's numpy
-    arguments; the scan settles the walks that stop at their first
-    neighbour, and this loop walks the rest."""
+                 gid: array, memo: dict, stop: array, dead: bytearray, owned: bytearray,
+                 views: tuple) -> bool:
+    """One cancel run over the gates of due.  views are the numpy views that
+    _cancel_scan and _drop_pairs take.  In a scanned block the scan settles
+    the walks that stop at their first neighbour, the pending pairs, whose
+    gates owned marks, are dropped at the end of the block, and this loop
+    walks the rest."""
+    at_nxt, at_prv, at_gid, gone, at_stop, at_owned, jump = views
+    relink = (at_nxt, at_prv, gone, at_owned, jump)
     changed = False
     end = len(nxt)
     n = end // 3
     scan = len(due) >= _SCAN_MIN
     for pos in range(0, len(due), _SCAN_BLOCK):
-        todo = due[pos:pos + _SCAN_BLOCK]
+        go = due[pos:pos + _SCAN_BLOCK]
+        walkers = partners = _NO_PAIRS
         if scan:
-            todo = _cancel_scan(todo, gates, memo, *views)
-        for i in array("i", todo.tobytes()):
-            g = gates[i]
-            if g is None:
-                continue  # cancelled by an earlier gate of this run
-            row = gid[i] << 32
-            # Walk the gate's wires merged by position; a cursor at end is
-            # spent, and an unused slot's is there from the start.
-            base = 3 * i
-            x, y, z = nxt[base], nxt[base + 1], nxt[base + 2]
-            while True:
-                j = x if x < y else y  # min(x, y, z) without the call
-                j = (j if j < z else z) // 3
-                if j == n:
-                    break
-                key = row | gid[j]
-                r = memo.get(key)
-                if r is None:
-                    r = memo[key] = _answer(g, gates[j])
-                if r:
-                    if r == _CANCEL:
-                        # j has i's wires, and each cursor is at j's slot on
-                        # its wire: unlink i's slot, then j's, wire by wire.
-                        for s in (base, x, base + 1, y, base + 2, z)[:2 * len(g.qubits)]:
-                            p, q = prv[s], nxt[s]
-                            if p >= 0:
-                                nxt[p] = q
-                            if q < end:
-                                prv[q] = p
-                        gates[i] = gates[j] = None
-                        dead[i] = dead[j] = 1
-                        changed = True
-                    break
-                if x // 3 == j:
-                    x = nxt[x]
-                if y // 3 == j:
-                    y = nxt[y]
-                if z // 3 == j:
-                    z = nxt[z]
-            stop[i] = j
+            go, first, answer = _cancel_scan(go, gates, memo, at_nxt, at_gid, gone, at_stop)
+            walkers, partners = _pending(go, first, answer, at_owned)
+            todo = array("i", go[~at_owned.take(go)].tobytes())
+        else:
+            todo = array("i", go.tobytes())
+        while True:
+            for i in todo:
+                g = gates[i]
+                if g is None:
+                    continue  # cancelled by an earlier gate of this run
+                row = gid[i] << 32
+                # Walk the gate's wires merged by position; a cursor at end is
+                # spent, and an unused slot's is there from the start.
+                base = 3 * i
+                x, y, z = nxt[base], nxt[base + 1], nxt[base + 2]
+                while True:
+                    j = x if x < y else y  # min(x, y, z) without the call
+                    j = (j if j < z else z) // 3
+                    if j == n:
+                        r = _BLOCK
+                        break
+                    key = row | gid[j]
+                    r = memo.get(key)
+                    if r is None:
+                        r = memo[key] = _answer(g, gates[j])
+                    if r:
+                        break
+                    if x // 3 == j:
+                        x = nxt[x]
+                    if y // 3 == j:
+                        y = nxt[y]
+                    if z // 3 == j:
+                        z = nxt[z]
+                if r == _CANCEL:
+                    if owned[j]:
+                        break  # a conflict, below
+                    # j has i's wires, and each cursor is at j's slot on its
+                    # wire: unlink i's slot, then j's, wire by wire.
+                    for s in (base, x, base + 1, y, base + 2, z)[:2 * len(g.qubits)]:
+                        p, q = prv[s], nxt[s]
+                        if p >= 0:
+                            nxt[p] = q
+                        if q < end:
+                            prv[q] = p
+                    gates[i] = gates[j] = None
+                    dead[i] = dead[j] = 1
+                    changed = True
+                stop[i] = j
+            else:
+                break
+            # A conflict: i takes a gate of a pending pair whose walker comes
+            # after it.  Drop the pairs before i, release the rest, and walk
+            # on from i gate by gate.
+            late = walkers > i
+            at_owned[walkers[late]] = at_owned[partners[late]] = False
+            changed |= _drop_pairs(walkers[~late], partners[~late], gates, *relink)
+            walkers = partners = _NO_PAIRS
+            todo = array("i", go[go >= i].tobytes())
+        changed |= _drop_pairs(walkers, partners, gates, *relink)
     return changed
 
 
@@ -553,16 +672,19 @@ def optimize(c: Circuit, max_sweeps: int = MAX_SWEEPS) -> Circuit:
     at_stop, at_w1, at_w2 = (np.frombuffer(a, np.intc) for a in (stop, w1, w2))
     dead = bytearray(n + 1)  # dead[i]: gate i was dropped; slot n stays 0
     gone = np.frombuffer(dead, bool)
+    owned = bytearray(n + 1)  # owned[i]: gate i is in a pending pair; slot n stays 0
     cnot = np.zeros(n + 1, bool)
     cnot[triple] = True  # kinds never change
     at_nxt, at_prv, at_gid = (np.frombuffer(a, np.intc) for a in (nxt, prv, gid))
-    scan_cancel = (at_nxt, at_gid, gone, at_stop)
+    jump = np.empty(3 * n, np.intc)  # see _drop_pairs
+    scan_cancel = (at_nxt, at_prv, at_gid, gone, at_stop, np.frombuffer(owned, bool), jump)
     scan_triple = (at_nxt, at_prv, at_gid, cnot, gone, at_w1, at_w2)
     full = True  # every pass walks every gate: the first sweep, and after a rewrite
     phase = c.global_phase
     for _ in range(max_sweeps):
         due = _due(cancel, gone, full, at_stop)
-        cancelled = _pass_cancel(gates, due, nxt, prv, gid, memo, stop, dead, scan_cancel)
+        cancelled = _pass_cancel(gates, due, nxt, prv, gid, memo, stop, dead, owned,
+                                 scan_cancel)
         due = _due(merge, gone, full, at_stop)
         merged, dphase = _pass_merge(gates, due, nxt, prv, gid, memo, stop, dead)
         phase += dphase

@@ -4,10 +4,11 @@ optimize() asks _is_inverse_pair and commutes once per pair of gate ids,
 where an id numbers a gate's (kind, qubits), and reuses that answer for
 every later meeting of the pair.  trotter_term puts one shared Gate at
 every position that repeats a basis change or CNOT.  These tests pin what
-makes both exact: the predicates never read an Rz angle, gates that act
-alike under different ids still cancel, a rewritten gate takes the id of
-its new qubits, capped sweeps stop where the reference stops, and the
-shared staircase is the one Circuit.add builds.
+makes both exact: the predicates never read an Rz angle, a cancel answer
+needs the same set of wires, gates that act alike under different ids
+still cancel, a rewritten gate takes the id of its new qubits, capped
+sweeps stop where the reference stops, and the shared staircase is the
+one Circuit.add builds.
 """
 
 import itertools
@@ -19,7 +20,7 @@ import pytest
 from qudenc import models
 from qudenc.circuits import Circuit, Gate, trotter_step, trotter_term
 from qudenc.encoding import BLOCK_UNARY, GRAY, SB, UNARY
-from qudenc.optimizer import _is_inverse_pair, commutes, optimize
+from qudenc.optimizer import _CANCEL, _answer, _is_inverse_pair, commutes, optimize
 from qudenc.paulis import string
 from test_optimizer_reference import (_KINDS_1Q, _assert_same, _pricing_circuits,
                                       _random_circuit)
@@ -73,6 +74,22 @@ def test_commutes_is_symmetric_and_alike_for_inverse_partners():
     for a, b in partners:
         for h in gates:
             assert commutes(a, h) == commutes(b, h), (a, b, h)
+
+
+def test_cancel_answer_only_between_gates_on_the_same_wires():
+    # A pending pair is a walker and the first gate it meets, which cancels
+    # with it.  Since cancel needs the same set of wires, the two are
+    # neighbours on every wire of the walker, so no other walk of the run
+    # reaches the partner without passing the walker first.
+    n = 4
+    gates = [Gate(k, (q,)) for k in _KINDS_1Q for q in range(n)]
+    gates += [Gate("Rz", (q,), angle) for q in range(n) for angle in (0.5, -0.5)]
+    gates += [Gate(k, p) for k in ("CNOT", "SWAP") for p in itertools.permutations(range(n), 2)]
+    gates += [Gate("CSWAP", p) for p in itertools.permutations(range(n), 3)]
+    cancels = [(g, h) for g in gates for h in gates if _answer(g, h) == _CANCEL]
+    assert len(cancels) == 112
+    for g, h in cancels:
+        assert set(g.qubits) == set(h.qubits), (g, h)
 
 
 @pytest.mark.parametrize("gates, left", [

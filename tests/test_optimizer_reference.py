@@ -445,16 +445,26 @@ def test_triple_scan_full_run_with_dropped_cnots_then_a_rewrite():
 @contextmanager
 def _cancel_runs_checked(scan_min: int = 0, block: int = 4):
     """Hold every cancel run of optimize() to ref.cancel_run, the per-gate
-    loop, run on a copy of the run's state: the same answer, gates, chains
-    and dead mask, and the same stop for every gate left live (a gate
-    dropped as a partner keeps whatever stop it had).  scan_min 0 sends
-    every run through the numpy scan, and a small block splits it into
-    several scans.  Yields a list that gets, for each run, whether it was
-    lazy, how many of its due gates were dropped ones, how many scans it
-    made, the gates the scans settled at a blocking gate and at the end of
-    their wires, and the gates they left to the loop."""
-    run, scan, due_of, runs = optimizer._pass_cancel, optimizer._cancel_scan, optimizer._due, []
-    full = []
+    loop, run on a copy of the run's state: the same answer, gates and dead
+    mask, the same chains on every live gate's slots, the same stop for
+    every gate left live (a gate dropped as a partner keeps whatever stop
+    it had), and no gate left owned.  Then every dead gate's slots in the
+    library's chains are overwritten with a value out of range
+    (len(nxt) + 5), so that a later read of one fails or changes the
+    output: a dead slot's old pointers depend on the order of the unlinks
+    and are never read.  scan_min 0 sends every run through the numpy
+    scan, and a small block splits it into several scans.
+
+    Yields a list that gets, for each run: whether it was lazy, how many
+    of its due gates were dropped ones, how many scans it made, the gates
+    the scans settled at a blocking gate and at the end of their wires,
+    the gates they left past the first step (walked), the pending pairs
+    (walker, partner) of its scans, the pairs each _drop_pairs call that
+    had any dropped (applied, one list per call), and the longest run of
+    pending slots on one wire at each such call (longest)."""
+    run, scan, pending, drop_pairs = (optimizer._pass_cancel, optimizer._cancel_scan,
+                                      optimizer._pending, optimizer._drop_pairs)
+    due_of, runs, full = optimizer._due, [], []
 
     def noted(todo, gone, is_full, *witnesses):
         full[:] = [is_full]  # the cancel run follows its _due call
@@ -462,31 +472,61 @@ def _cancel_runs_checked(scan_min: int = 0, block: int = 4):
 
     def scanned(due, gates, memo, nxt, gid, gone, stop):
         live = due[~gone[due]]
-        left = scan(due, gates, memo, nxt, gid, gone, stop)
-        settled = np.setdiff1d(live, left)
+        go, first, answer = scan(due, gates, memo, nxt, gid, gone, stop)
+        assert np.array_equal(first, stop[go])
+        settled = np.setdiff1d(live, go)
         off = stop[settled] == len(gone) - 1
         r = runs[-1]
         r["scans"] += 1
         r["blocked"] += settled[~off].tolist()
         r["ran_off"] += settled[off].tolist()
-        r["walked"] += left.tolist()
-        return left
+        r["walked"] += go.tolist()
+        return go, first, answer
 
-    def checked(gates, due, nxt, prv, gid, memo, stop, dead, views):
+    def pended(go, first, answer, owned):
+        walkers, partners = pending(go, first, answer, owned)
+        runs[-1]["pending"] += zip(walkers.tolist(), partners.tolist())
+        return walkers, partners
+
+    def dropped(walkers, partners, gates, nxt, prv, gone, owned, jump):
+        if not len(walkers):
+            return drop_pairs(walkers, partners, gates, nxt, prv, gone, owned, jump)
+        runs[-1]["applied"].append(list(zip(walkers.tolist(), partners.tolist())))
+        longest = 0
+        for s in np.flatnonzero(np.repeat(owned[:-1], 3)).tolist():
+            if prv[s] < 0 or not owned[prv[s] // 3]:  # the head of a run
+                length = 1
+                while nxt[s] < len(nxt) and owned[nxt[s] // 3]:
+                    s, length = nxt[s], length + 1
+                longest = max(longest, length)
+        runs[-1]["longest"].append(longest)
+        return drop_pairs(walkers, partners, gates, nxt, prv, gone, owned, jump)
+
+    def checked(gates, due, nxt, prv, gid, memo, stop, dead, owned, views):
         state = (list(gates), array("i", due.tobytes()), array("i", nxt), array("i", prv),
                  array("i", gid), dict(memo), array("i", stop), bytearray(dead))
         want = ref.cancel_run(*state)
         runs.append({"lazy": not full[0], "dropped": sum(gates[i] is None for i in due), "scans": 0,
-                     "blocked": [], "ran_off": [], "walked": []})
-        got = run(gates, due, nxt, prv, gid, memo, stop, dead, views)
+                     "blocked": [], "ran_off": [], "walked": [], "pending": [],
+                     "applied": [], "longest": []})
+        got = run(gates, due, nxt, prv, gid, memo, stop, dead, owned, views)
         assert got == want
-        assert (gates, nxt, prv, dead) == (state[0], state[2], state[3], state[7])
+        assert (gates, dead) == (state[0], state[7])
         live = [i for i, g in enumerate(gates) if g is not None]
+        slots = [3 * i + s for i in live for s in range(3)]
+        assert [nxt[s] for s in slots] == [state[2][s] for s in slots]
+        assert [prv[s] for s in slots] == [state[3][s] for s in slots]
         assert [stop[i] for i in live] == [state[6][i] for i in live]
+        assert not any(owned)
+        poison = len(nxt) + 5
+        for i in set(range(len(gates))).difference(live):
+            nxt[3 * i:3 * i + 3] = prv[3 * i:3 * i + 3] = array("i", [poison] * 3)
         return got
 
     with mock.patch.object(optimizer, "_pass_cancel", checked), \
             mock.patch.object(optimizer, "_cancel_scan", scanned), \
+            mock.patch.object(optimizer, "_pending", pended), \
+            mock.patch.object(optimizer, "_drop_pairs", dropped), \
             mock.patch.object(optimizer, "_due", noted), \
             mock.patch.object(optimizer, "_SCAN_MIN", scan_min), \
             mock.patch.object(optimizer, "_SCAN_BLOCK", block):
@@ -526,6 +566,16 @@ def test_cancel_scan_matches_the_per_gate_loop():
         assert any(r[key] and not r["lazy"] for r in runs), key
     assert any(r["scans"] > 1 for r in runs)
     assert any(r["dropped"] and not r["lazy"] and r["blocked"] for r in runs)
+    # Pending pairs were dropped, and conflicts released some, in both.
+    for lazy in (False, True):
+        assert any(r["applied"] and r["lazy"] == lazy for r in runs), lazy
+        assert any(_released(r) and r["lazy"] == lazy for r in runs), lazy
+
+
+def _released(run: dict) -> list:
+    """The pending pairs of a cancel run that a conflict released."""
+    applied = {pair for call in run["applied"] for pair in call}
+    return [pair for pair in run["pending"] if pair not in applied]
 
 
 @_examples(100)
@@ -569,6 +619,62 @@ def test_cancel_scan_walk_that_blocks_on_the_first_gate_of_the_next_block():
         assert _assert_same(c).gates == c.gates[:3]
     first = runs[0]
     assert first["scans"] == 2 and 3 in first["blocked"] and 4 in first["walked"]
+
+
+def test_cancel_pending_pair_then_an_owned_partner_then_a_loop_cancel():
+    # H, H, H, H on one wire: every walk cancels with its first neighbour.
+    # The first H is pending with the second, the second is skipped as
+    # owned, and the third, the partner of the second's walk, is walked by
+    # the loop and cancels the fourth.
+    c = Circuit(1, [Gate("H", (0,))] * 4)
+    with _cancel_runs_checked() as runs:
+        assert _assert_same(c, 1).gates == []
+    assert runs[0]["pending"] == [(0, 1)] and runs[0]["applied"] == [[(0, 1)]]
+    assert runs[0]["walked"] == [0, 1, 2]
+
+
+def test_cancel_conflict_drops_the_early_pairs_and_releases_the_later_ones():
+    # T, T, Tdg on wire 0, between H pairs on wires 1 and 2, all in one
+    # block.  The scan makes (0, 1), (3, 4) and (5, 6) pending; the loop's
+    # walk from the first T passes the second and takes the Tdg, a gate of
+    # the pending pair (3, 4).  So the pair before that walk is dropped,
+    # the two after it are released, and the rest of the block is walked
+    # gate by gate: the first T takes the Tdg and the last H pair cancels.
+    c = Circuit(3, [Gate("H", (1,)), Gate("H", (1,)), Gate("T", (0,)), Gate("T", (0,)),
+                    Gate("Tdg", (0,)), Gate("H", (2,)), Gate("H", (2,))])
+    with _cancel_runs_checked(block=8) as runs:
+        assert _assert_same(c, 1).gates == [Gate("T", (0,))]
+    first = runs[0]
+    assert first["scans"] == 1 and first["pending"] == [(0, 1), (3, 4), (5, 6)]
+    assert first["applied"] == [[(0, 1)]] and _released(first) == [(3, 4), (5, 6)]
+
+
+def test_cancel_pending_pairs_relinked_by_pointer_doubling():
+    # Sixteen pending pairs side by side on wire 0, H pairs and BasisY
+    # pairs in turn (neither cancels nor passes the other), among stray
+    # gates on wire 1: one run of 32 pending slots, whose tail the head
+    # reaches in five doubling steps.
+    pairs = [Gate(("H", "BasisY")[t % 2], (0,)) for t in range(16) for _ in range(2)]
+    c = Circuit(2, [Gate("X", (1,)), *pairs[:7], Gate("T", (1,)), *pairs[7:], Gate("S", (0,))])
+    with _cancel_runs_checked(block=64) as runs:
+        assert _assert_same(c, 1).gates == [Gate("X", (1,)), Gate("T", (1,)), Gate("S", (0,))]
+    first = runs[0]
+    assert first["scans"] == 1 and len(first["pending"]) == 16
+    assert first["longest"] == [32]
+
+
+def test_cancel_pending_partner_in_the_next_block():
+    # In blocks of four, the H on wire 0 that closes the first block is
+    # pending with the H that opens the second.  The pair is dropped at the
+    # end of the first block, so the second block's scan leaves the partner
+    # out, and the third H stays.
+    c = Circuit(4, [Gate("X", (1,)), Gate("X", (2,)), Gate("X", (3,)), Gate("H", (0,)),
+                    Gate("H", (0,)), Gate("H", (0,)), Gate("S", (1,))])
+    with _cancel_runs_checked() as runs:
+        assert _assert_same(c, 1).gates == [*c.gates[:3], Gate("H", (0,)), Gate("S", (1,))]
+    first = runs[0]
+    assert first["scans"] == 2 and first["applied"] == [[(3, 4)]]
+    assert 4 not in first["walked"] + first["blocked"] + first["ran_off"]
 
 
 def test_optimize_on_qubit_indices_beyond_c_int():
