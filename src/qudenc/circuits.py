@@ -16,7 +16,10 @@ phase.  A first-order Trotter step is the concatenation of term circuits
 in a deterministic term order.  Gate is immutable, so the staircase's H,
 BasisY and CNOT gates are validated once per (kind, qubits) and shared by
 every position and term that repeats them; only the Rz, which carries the
-term's angle, is built and checked per term.
+term's angle, is built and checked per term.  Pricing needs no Gate per
+gate: the same staircase layout, _append_term, hands it an id per
+(kind, qubits) and the Rz angles (_trotter_ids), which is what the
+optimizer's core reads.
 
 Resource counting can expand SWAP into 3 CNOTs and CSWAP into the
 textbook Clifford+T network (8 CNOTs, 2 H, 4 T, 3 Tdg via a Toffoli
@@ -28,6 +31,7 @@ from __future__ import annotations
 import functools
 import json
 import re
+from array import array
 from dataclasses import asdict, dataclass, field
 from operator import itemgetter
 
@@ -66,11 +70,16 @@ class Gate:
             raise ValueError(f"negative qubit index in {self.qubits}")
         if (self.kind == "Rz") != (self.angle is not None):
             raise ValueError("angle is required for Rz and forbidden otherwise")
-        if self.angle is not None and not _is_finite_real(self.angle):
-            raise ValueError(f"Rz angle must be a finite real number, got {self.angle!r}")
+        if self.angle is not None:
+            _check_angle(self.angle)
 
     def support(self) -> frozenset[int]:
         return frozenset(self.qubits)
+
+
+def _check_angle(angle) -> None:
+    if not _is_finite_real(angle):
+        raise ValueError(f"Rz angle must be a finite real number, got {angle!r}")
 
 
 @dataclass
@@ -115,10 +124,12 @@ def _staircase_gate(kind: str, qubits: tuple[int, ...]) -> Gate:
     return Gate(kind, qubits)
 
 
-def _append_term(gates: list[Gate], p: PauliString, coeff: complex, theta: float,
-                 n_qubits: int) -> float:
-    """Append the staircase of exp(-i theta coeff P) to gates and return its
-    global phase; coeff must be real (Hermitian term)."""
+def _append_term(out: list, p: PauliString, coeff: complex, theta: float, n_qubits: int,
+                 gate, rz) -> float:
+    """Append the staircase of exp(-i theta coeff P) to out and return its
+    global phase; coeff must be real (Hermitian term).  gate(kind, qubits)
+    makes what out holds for a gate, and rz("Rz", qubits, angle) for the
+    Rz."""
     c = complex(coeff)
     if abs(c.imag) > REAL_COEFF_TOL * max(1.0, abs(c)):
         raise ValueError(f"non-real coefficient {coeff} cannot be exponentiated "
@@ -129,33 +140,65 @@ def _append_term(gates: list[Gate], p: PauliString, coeff: complex, theta: float
         return -theta * c_r
     if max(active) >= n_qubits:
         raise ValueError("Pauli string acts outside the register")
-    basis = [_staircase_gate(_BASIS_KIND[letter], (q,)) for q, letter in p
-             if letter != "Z"]
-    ladder = [_staircase_gate("CNOT", pair) for pair in zip(active, active[1:])]
-    gates += basis
-    gates += ladder
-    gates.append(Gate("Rz", (active[-1],), 2.0 * theta * c_r))
-    gates += reversed(ladder)
-    gates += basis
+    basis = [gate(_BASIS_KIND[letter], (q,)) for q, letter in p if letter != "Z"]
+    ladder = [gate("CNOT", pair) for pair in zip(active, active[1:])]
+    out += basis
+    out += ladder
+    out.append(rz("Rz", (active[-1],), 2.0 * theta * c_r))
+    out += reversed(ladder)
+    out += basis
     return 0.0
+
+
+def _append_step(out: list, h: PauliSum, theta: float, gate, rz) -> float:
+    """Append one term staircase per Pauli string of h, in the
+    pseudo-alphabetical string order, and return their global phase."""
+    if not h.is_hermitian():
+        raise ValueError("trotter_step needs a Hermitian Pauli sum")
+    phase = 0.0
+    for p, c in sorted(h.terms.items(), key=itemgetter(0)):
+        phase += _append_term(out, p, c, theta, h.n_qubits, gate, rz)
+    return phase
 
 
 def trotter_term(p: PauliString, coeff: complex, theta: float, n_qubits: int) -> Circuit:
     """Circuit for exp(-i theta coeff P); coeff must be real (Hermitian term)."""
     circ = Circuit(n_qubits)
-    circ.global_phase += _append_term(circ.gates, p, coeff, theta, n_qubits)
+    circ.global_phase += _append_term(circ.gates, p, coeff, theta, n_qubits,
+                                      _staircase_gate, Gate)
     return circ
 
 
 def trotter_step(h: PauliSum, theta: float) -> Circuit:
     """First-order product formula: one term circuit per Pauli string, in
     the pseudo-alphabetical string order (deterministic)."""
-    if not h.is_hermitian():
-        raise ValueError("trotter_step needs a Hermitian Pauli sum")
     circ = Circuit(h.n_qubits)
-    for p, c in sorted(h.terms.items(), key=itemgetter(0)):
-        circ.global_phase += _append_term(circ.gates, p, c, theta, h.n_qubits)
+    circ.global_phase = _append_step(circ.gates, h, theta, _staircase_gate, Gate)
     return circ
+
+
+def _trotter_ids(h: PauliSum, theta: float) -> tuple[array, dict, list[float]]:
+    """trotter_step(h, theta) packed, with the same checks: gid[i] numbers
+    gate i's (kind, qubits) in ids, in order of first use, and angles[i] is
+    its Rz angle (0.0 off the Rz gates).  The global phase is dropped."""
+    ids: dict[tuple, int] = {}
+    out: list[int] = []
+    at: dict[int, float] = {}
+
+    @functools.lru_cache(maxsize=None)  # a C-level lookup for every repeat
+    def gate(kind: str, qubits: tuple[int, ...]) -> int:
+        return ids.setdefault((kind, qubits), len(ids))
+
+    def rz(kind: str, qubits: tuple[int], angle: float) -> int:
+        _check_angle(angle)
+        at[len(out)] = angle
+        return gate(kind, qubits)
+
+    _append_step(out, h, theta, gate, rz)
+    angles = [0.0] * len(out)
+    for i, angle in at.items():
+        angles[i] = angle
+    return array("i", out), ids, angles
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ have run, so the result never has more gates than the input.
 Gates on disjoint wires always commute and never cancel or merge, so the
 forward scan from a candidate only needs the gates that share one of its
 wires (the per-wire view of Nam, Ross, Su, Childs & Maslov, npj Quantum
-Inf. 4, 23 (2018)).  optimize() links every gate to its neighbours on
-each wire once, keeps those chains up to date as gates are removed or
+Inf. 4, 23 (2018)).  The optimizer links every gate to its neighbours
+on each wire once, keeps those chains up to date as gates are removed or
 rewired, and scans along them: a one-wire gate walks its wire, a wider
 gate walks its wires merged by position, and the CNOT-triple rewrite
 finds its partners in a few lookups.  Candidates and the gates each scan
@@ -32,7 +32,7 @@ output is the same; the cost is set by the gates that share wires, not by
 the length of the circuit.
 
 A walk's answer for a gate pair (pass, stop or cancel) reads only kinds
-and qubits, so optimize() asks the predicates once per pair of distinct
+and qubits, so the optimizer asks the predicates once per pair of distinct
 (kind, qubits): a narrow register meets a few hundred pairs a million times.
 
 Nested ladders unwind one layer per sweep, and most walks of a later sweep
@@ -61,7 +61,7 @@ commutes(i, j) too, and i's walk could not have stopped at j.  The
 triple rewrite breaks this: it drops the third CNOT, which may be the
 witness of a later CNOT that was not due when the run began.  So after
 the first rewrite of a lazy triple run, the rest of the run walks the
-CNOT list and tests each gate's witnesses as it comes.  optimize() tells
+CNOT list and tests each gate's witnesses as it comes.  The core tells
 the pass whether its run is lazy; the length of its list cannot, as the
 scan below leaves dropped gates out of a full run's list too.  The
 rewrite is also the one change that moves a slot onto another wire or
@@ -145,12 +145,21 @@ gates.  A lazy run's due list leaves them out; a full run's keeps them,
 and its pass skips each with the None test that also skips a gate an
 earlier gate of its run dropped.
 
-The chains come from a table of each distinct (kind, qubits)'s wires,
-held as dense ranks so that a qubit index may be any non-negative int:
-numpy gathers the table by gate id, sorts the slots by wire and links
-neighbours, and numbering the gates is the one Python loop over them.
-That adds a fixed cost of some tens of microseconds per call, and the
-numpy steps a few more per lazy run.  On the report benchmark
+The passes work on gate ids, in a core with a thin wrapper around it.
+The core, _optimize_ids, takes gid (gate i's number for its (kind,
+qubits) in ids), angles (gate i's Rz angle) and gates (gate i as a Gate
+of that kind and qubits, whose angle it never reads: merge sums angles in
+place, and checks each sum as Gate would).  optimize() numbers its
+circuit's gates, the one Python loop over them (_wire_chains), copies the
+Rz angles out, and after the core rebuilds a Gate only for each Rz whose
+angle a merge changed.  Pricing synthesizes straight into ids and angles
+(circuits._trotter_ids), hands the core one shared Gate per id, and
+counts the live CNOT ids in numpy, with no Circuit and no Gate per gate.
+Both build the chains with _link, from a table of each id's wires, held
+as dense ranks so that a qubit index may be any non-negative int: numpy
+gathers the table by gate id, sorts the slots by wire and links
+neighbours.  That adds a fixed cost of some tens of microseconds per
+call, and the numpy steps a few more per lazy run.  On the report benchmark
 (BENCH_20.json, shared 2-vCPU host) the pending pairs cut pass_s from
 0.79 s to 0.67 s (0.84x, lower in 10 of 10 pairs) and the traced self
 time of optimize() from 0.47 s to 0.35 s (0.75x), with the same output;
@@ -168,7 +177,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .circuits import Circuit, Gate
+from .circuits import Circuit, Gate, _check_angle
 
 _DIAGONAL_1Q = frozenset(("Rz", "T", "Tdg", "S", "Sdg"))
 # kind -> kind of its inverse; Rz has none (rotations merge instead)
@@ -244,21 +253,28 @@ def _is_inverse_pair(a: Gate, b: Gate) -> bool:
 
 
 def _wire_chains(gates: list[Gate]) -> tuple[array, array, array, dict]:
-    """Doubly linked per-wire chains over fixed gate positions, and gate ids.
+    """Doubly linked per-wire chains over fixed gate positions, and gate ids:
+    gid[i] numbers gate i's (kind, qubits) in ids, the only fields the
+    walks' answers read, and _link builds the chains from them.  Numbering
+    the gates is the one Python loop over them."""
+    ids: dict[tuple, int] = {}
+    gid = array("i", [ids.setdefault((g.kind, g.qubits), len(ids)) for g in gates])
+    return (*_link(gid, ids), gid, ids)
+
+
+def _link(gid: array, ids: dict) -> tuple[array, array]:
+    """The per-wire chains of the gates numbered gid[i] in ids.
 
     Gate i owns slot 3*i + s for its s-th qubit.  nxt[slot] is the slot of
     the next live gate on that wire (len(nxt) when there is none) and
     prv[slot] the previous one (-1 when there is none).  Slots are C ints:
     a list of 700 million gates would not fit in memory long before 3*i
-    overflows them.  gid[i] numbers gate i's (kind, qubits) in ids, the
-    only fields the walks' answers read.
+    overflows them.
 
-    Numbering the gates is the one Python loop over them.  A table gives
-    each id's wires, and numpy gathers it by gid, sorts the slots by wire
-    (stable, so each wire keeps gate order) and links equal neighbours.
+    A table gives each id's wires, and numpy gathers it by gid, sorts the
+    slots by wire (stable, so each wire keeps gate order) and links equal
+    neighbours.
     """
-    ids: dict[tuple, int] = {}
-    gid = array("i", [ids.setdefault((g.kind, g.qubits), len(ids)) for g in gates])
     # Row r holds the wires of id r as dense ranks, padded with -1: a qubit
     # index may be any non-negative int, but a rank always fits a C int.
     rank: dict[int, int] = {}
@@ -275,20 +291,23 @@ def _wire_chains(gates: list[Gate]) -> tuple[array, array, array, dict]:
     same = wire[1:] == wire[:-1]
     before, after = slots[:-1][same], slots[1:][same]
     del wire, slots, same  # before nxt and prv exist, to keep the peak low
-    end = 3 * len(gates)
+    end = 3 * len(gid)
     nxt = array("i", [end]) * end
     prv = array("i", [-1]) * end
     np.frombuffer(nxt, np.intc)[before] = after
     np.frombuffer(prv, np.intc)[after] = before
-    return nxt, prv, gid, ids
+    return nxt, prv
+
+
+def _of_kind(gid: array, ids: dict, kinds) -> np.ndarray:
+    """Mask of the gates whose kind is in kinds."""
+    return np.array([kind in kinds for kind, _ in ids], bool)[np.frombuffer(gid, np.intc)]
 
 
 def _kind_lists(gid: array, ids: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The indices of the non-Rz, the Rz and the CNOT gates, in gate order:
     the gates that cancel, merge and the CNOT-triple check walk."""
-    g = np.frombuffer(gid, np.intc)
-    rz = np.array([kind == "Rz" for kind, _ in ids], bool)[g]
-    cnot = np.array([kind == "CNOT" for kind, _ in ids], bool)[g]
+    rz, cnot = _of_kind(gid, ids, ("Rz",)), _of_kind(gid, ids, ("CNOT",))
     return tuple(np.flatnonzero(m).astype(np.intc) for m in (~rz, rz, cnot))
 
 
@@ -413,11 +432,19 @@ def _drop_pairs(walkers: np.ndarray, partners: np.ndarray, gates: list[Gate | No
     inner = owned.take(after // 3)  # the next slot is pending (n is unowned)
     jump[slots] = slots
     at, hop = slots[inner], after[inner]
-    while len(at):
+    # A run holds at most n slots, one per gate on its wire, so every tail is
+    # found within end.bit_length() rounds.  More means that owned marks a
+    # gate outside the pairs, and unwritten jump entries may form a cycle.
+    for _ in range(end.bit_length()):
+        if not len(at):
+            break
         jump[at] = hop
         far = jump.take(hop)
         on = far != hop
         at, hop = at[on], far[on]
+    if len(at):
+        raise RuntimeError("pending slots run on past every tail: owned marks a gate "
+                           "outside the pairs being dropped")
     head = ~owned.take(before // 3)  # -1 // 3 reads slot n, unowned
     before, after = before[head], nxt.take(jump.take(slots[head]))
     on = before >= 0
@@ -509,7 +536,10 @@ def _pass_cancel(gates: list[Gate | None], due: np.ndarray, nxt: array, prv: arr
 
 
 def _pass_merge(gates: list[Gate | None], todo: np.ndarray, nxt: array, prv: array,
-                gid: array, memo: dict, stop: array, dead: bytearray) -> tuple[bool, float]:
+                gid: array, memo: dict, stop: array, dead: bytearray,
+                angles: list[float]) -> tuple[bool, float]:
+    """One merge run over the Rz gates of todo.  Each gate's angle is
+    angles[i]; its Gate's own angle is never read."""
     changed = False
     phase = 0.0
     end = len(nxt)
@@ -521,13 +551,14 @@ def _pass_merge(gates: list[Gate | None], todo: np.ndarray, nxt: array, prv: arr
         row = gid[i] << 32
         x = nxt[3 * i]
         stop[i] = n
+        angle = angles[i]
         while x < end:
             j = x // 3
             h = gates[j]
             x = nxt[x]
             if h.kind == "Rz":
-                g = Gate("Rz", g.qubits, g.angle + h.angle)
-                gates[i] = g
+                angle += angles[j]
+                _check_angle(angle)
                 _drop(gates, nxt, prv, dead, j)
                 changed = True
             else:
@@ -538,7 +569,8 @@ def _pass_merge(gates: list[Gate | None], todo: np.ndarray, nxt: array, prv: arr
                 if r:
                     stop[i] = j
                     break
-        r = g.angle % (2.0 * TWO_PI)  # Rz has period 4pi
+        angles[i] = angle
+        r = angle % (2.0 * TWO_PI)  # Rz has period 4pi
         if min(r, 2.0 * TWO_PI - r) < ANGLE_EPS:
             _drop(gates, nxt, prv, dead, i)
             changed = True
@@ -655,14 +687,17 @@ def _pass_cnot_triple(gates: list[Gate | None], due: np.ndarray, lazy: bool,
     return changed
 
 
-def optimize(c: Circuit, max_sweeps: int = MAX_SWEEPS) -> Circuit:
-    """Run cancel, merge and the CNOT-triple rewrite, in that order, until a
-    sweep changes nothing or max_sweeps sweeps have run; never grows the
-    circuit."""
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be >= 1")
-    gates: list[Gate | None] = list(c.gates)
-    nxt, prv, gid, ids = _wire_chains(gates)
+def _optimize_ids(gates: list[Gate | None], nxt: array, prv: array, gid: array, ids: dict,
+                  angles: list[float], phase: float, max_sweeps: int) -> tuple[bytearray, float]:
+    """The optimizer core: run cancel, merge and the CNOT-triple rewrite, in
+    that order, until a sweep changes nothing or max_sweeps sweeps have run.
+
+    gates[i] is a Gate of kind and qubits ids[gid[i]], whose angle is not
+    read: gate i's Rz angle is angles[i].  nxt and prv are _link's chains.
+    Drops set gates[i] to None, merges update angles and rewrites gates and
+    gid (a new (kind, qubits) is added to ids).  Returns the dead mask
+    (dead[i]: gate i was dropped, n + 1 bytes) and phase plus the global
+    phase the merges gained."""
     cancel, merge, triple = _kind_lists(gid, ids)
     memo: dict[int, int] = {-1: _BLOCK}  # -1: see _cancel_scan
     # Where each gate's last walk stopped (n: nowhere).  Cancel walks only
@@ -680,17 +715,36 @@ def optimize(c: Circuit, max_sweeps: int = MAX_SWEEPS) -> Circuit:
     scan_cancel = (at_nxt, at_prv, at_gid, gone, at_stop, np.frombuffer(owned, bool), jump)
     scan_triple = (at_nxt, at_prv, at_gid, cnot, gone, at_w1, at_w2)
     full = True  # every pass walks every gate: the first sweep, and after a rewrite
-    phase = c.global_phase
     for _ in range(max_sweeps):
         due = _due(cancel, gone, full, at_stop)
         cancelled = _pass_cancel(gates, due, nxt, prv, gid, memo, stop, dead, owned,
                                  scan_cancel)
         due = _due(merge, gone, full, at_stop)
-        merged, dphase = _pass_merge(gates, due, nxt, prv, gid, memo, stop, dead)
+        merged, dphase = _pass_merge(gates, due, nxt, prv, gid, memo, stop, dead, angles)
         phase += dphase
         due = _due(triple, gone, full, at_w1, at_w2)
         full = _pass_cnot_triple(gates, due, not full, triple, nxt, prv, gid, ids,
                                  w1, w2, dead, scan_triple)
         if not (cancelled or merged or full):
             break
+    return dead, phase
+
+
+def optimize(c: Circuit, max_sweeps: int = MAX_SWEEPS) -> Circuit:
+    """Run cancel, merge and the CNOT-triple rewrite, in that order, until a
+    sweep changes nothing or max_sweeps sweeps have run; never grows the
+    circuit."""
+    if max_sweeps < 1:
+        raise ValueError("max_sweeps must be >= 1")
+    gates: list[Gate | None] = list(c.gates)
+    nxt, prv, gid, ids = _wire_chains(gates)
+    rz = np.flatnonzero(_of_kind(gid, ids, ("Rz",))).tolist()
+    angles = [0.0] * len(gates)
+    for i in rz:
+        angles[i] = gates[i].angle
+    _, phase = _optimize_ids(gates, nxt, prv, gid, ids, angles, c.global_phase, max_sweeps)
+    for i in rz:
+        g = gates[i]
+        if g is not None and angles[i] is not g.angle:  # merged
+            gates[i] = Gate("Rz", g.qubits, angles[i])
     return Circuit(c.n_qubits, [g for g in gates if g is not None], phase)

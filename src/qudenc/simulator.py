@@ -124,12 +124,6 @@ def apply_circuit(c: Circuit, state: np.ndarray) -> np.ndarray:
     return _run(c, np.array(state, dtype=complex).reshape((2,) * n)).reshape(2 ** n)
 
 
-def basis_state(n_qubits: int, index: int) -> np.ndarray:
-    v = np.zeros(2 ** n_qubits, dtype=complex)
-    v[index] = 1.0
-    return v
-
-
 def circuit_to_unitary(c: Circuit) -> np.ndarray:
     """Dense unitary; column j is the circuit applied to basis state j."""
     n = c.n_qubits

@@ -1,7 +1,8 @@
 """Shared test settings.
 
 The ``ci`` hypothesis profile fuzzes deeper than the default one:
-``pytest --hypothesis-profile=ci tests/test_optimizer_reference.py``.
+``pytest --hypothesis-profile=ci tests/test_optimizer_reference.py
+tests/test_optimizer_packed.py``.
 """
 
 from hypothesis import settings

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from reference_exponential import matrix_exponential
+from states import basis_state
 from qudenc.bounds import (BoundQuery, closed_form_cnot_upper_bound,
                            cnot_upper_bound, pauli_length_distribution,
                            staircase_cnots)
@@ -30,7 +31,7 @@ from qudenc.optimizer import optimize
 from qudenc.paulis import PauliSum, string_to_text, weight
 from qudenc.qudit_ops import (bosonic, dense_hermitian_test_matrix, spin,
                               tridiag_test_matrix)
-from qudenc.simulator import (apply_circuit, basis_state, circuit_to_unitary,
+from qudenc.simulator import (apply_circuit, circuit_to_unitary,
                               pauli_to_matrix, unitary_distance,
                               verify_circuit_equivalence, verify_encoding)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from states import basis_state
 from qudenc.circuits import Circuit, count_resources
 from qudenc.converters import (BU_SHOWCASE_D, BU_SHOWCASE_G, CONVERSION_KINDS,
                                GRAY_TO_SB, SB_TO_BU, SB_TO_GRAY, SB_TO_UNARY,
@@ -12,7 +13,7 @@ from qudenc.converters import (BU_SHOWCASE_D, BU_SHOWCASE_G, CONVERSION_KINDS,
                                synthesize_permutation, unary_to_sb_circuit)
 from qudenc.encoding import (BLOCK_UNARY, GRAY, MAX_D, SB, EncodingSpec, encode,
                              num_qubits)
-from qudenc.simulator import apply_circuit, basis_state, circuit_to_unitary
+from qudenc.simulator import apply_circuit, circuit_to_unitary
 
 
 def _as_index(bits):

@@ -1,8 +1,11 @@
 """Peephole optimizer: soundness of the commutation oracle and the passes."""
 
+from array import array
+
 import numpy as np
 import pytest
 
+from qudenc import optimizer
 from qudenc.circuits import Circuit, Gate, count_resources
 from qudenc.optimizer import commutes, optimize
 from qudenc.simulator import circuit_to_unitary, verify_circuit_equivalence
@@ -114,6 +117,36 @@ def test_merge_to_two_pi_becomes_global_phase():
     # Rz(2*pi) = -I: recorded as a global phase of pi
     assert verify_circuit_equivalence(c, out, tol=1e-12)
     assert abs((out.global_phase - np.pi) % (2 * np.pi)) < 1e-12
+
+
+def test_merge_past_the_float_range_raises_like_gate():
+    c = Circuit(1, [Gate("Rz", (0,), 1e308), Gate("Rz", (0,), 1e308)])
+    with pytest.raises(ValueError) as err:
+        optimize(c)
+    assert str(err.value) == "Rz angle must be a finite real number, got inf"
+    # Pricing runs the core on ids and angles and builds no Gate from the
+    # merged angle, so the merge itself must raise.
+    gid, ids, rz = array("i", [0, 0]), {("Rz", (0,)): 0}, Gate("Rz", (0,), 0.0)
+    with pytest.raises(ValueError) as err:
+        optimizer._optimize_ids([rz, rz], *optimizer._link(gid, ids), gid, ids,
+                                [1e308, 1e308], 0.0, 1)
+    assert str(err.value) == "Rz angle must be a finite real number, got inf"
+
+
+def test_drop_pairs_raises_instead_of_cycling():
+    # Four H on one wire and the pair (0, 1).  owned also marks gate 2, which
+    # is in no pair, so the pointer doubling reads jump at slots 6 and 9,
+    # which no round writes; prefilled to point at each other, they cycle.
+    gates = [Gate("H", (0,))] * 4
+    nxt, prv, _, _ = optimizer._wire_chains(gates)
+    owned = np.zeros(5, bool)
+    owned[[0, 1, 2]] = True
+    jump = np.zeros(12, np.intc)
+    jump[6], jump[9] = 9, 6
+    pair = np.array([0], np.intc), np.array([1], np.intc)
+    with pytest.raises(RuntimeError, match="owned marks a gate outside the pairs"):
+        optimizer._drop_pairs(*pair, list(gates), np.frombuffer(nxt, np.intc),
+                              np.frombuffer(prv, np.intc), np.zeros(5, bool), owned, jump)
 
 
 def test_cnot_triple_rewrite():

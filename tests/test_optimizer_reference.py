@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import reference_optimizer as ref
 from qudenc import models, optimizer
-from qudenc.circuits import Circuit, Gate, trotter_step
+from qudenc.circuits import Circuit, Gate, count_resources, trotter_step
 from qudenc.encoding import BLOCK_UNARY, GRAY, SB, UNARY
 from qudenc.optimizer import MAX_SWEEPS, _wire_chains, commutes, optimize
 from qudenc.qudit_ops import BOSONIC
@@ -211,9 +211,10 @@ _PRICED_MODELS = (
     + [models.ModelSpec(models.SHIFTED_QHO, d=16)])
 
 
-def _pricing_circuits(spec: models.ModelSpec):
-    """The Trotter circuit pricing builds for each distinct term, under all
-    four codes, plus the augmented cutoff that pricing tries for SB / Gray."""
+def _pricing_terms(spec: models.ModelSpec):
+    """(term, code, augment) for each distinct price that pricing computes
+    with a circuit, under all four codes, plus the augmented cutoff that
+    pricing tries for SB / Gray."""
     d = spec.site_dim
     seen = set()
     for term in models.build_model(spec):
@@ -226,12 +227,27 @@ def _pricing_circuits(spec: models.ModelSpec):
                 key = models._term_cache_key(term, kind, augment)
                 if key not in seen:
                     seen.add(key)
-                    h = models.encode_term(term, kind, augment=augment)
-                    yield trotter_step(h, models.PRICING_THETA)
+                    yield term, kind, augment
+
+
+def _pricing_circuits(spec: models.ModelSpec):
+    """The Trotter circuit that the public path builds for each price."""
+    for term, kind, augment in _pricing_terms(spec):
+        h = models.encode_term(term, kind, augment=augment)
+        yield trotter_step(h, models.PRICING_THETA)
 
 
 def _spec_id(spec: models.ModelSpec) -> str:
     return f"{spec.model}-{spec.site_dim}"
+
+
+@pytest.mark.parametrize("spec", _PRICED_MODELS, ids=_spec_id)
+def test_packed_pricing_count_matches_the_public_path(spec):
+    models.clear_price_cache()
+    for (term, kind, augment), c in zip(_pricing_terms(spec), _pricing_circuits(spec)):
+        want = count_resources(optimize(c)).entangling_total
+        assert models.term_entangling_cost(term, kind, augment) == want, (term.label, kind)
+    models.clear_price_cache()
 
 
 # The reference optimizer takes about 12 s on the Bose-Hubbard d=12 pricing

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from reference_exponential import matrix_exponential
+from states import basis_state
 from qudenc.circuits import (GATE_ARITY, Circuit, Gate, export_circuit,
                              import_circuit)
 from qudenc.encoding import SB, EncodingSpec
 from qudenc.paulis import PauliSum, text_to_string
 from qudenc.qudit_ops import bosonic
 from qudenc.simulator import (MAX_DENSE_QUBITS, _apply_gate, apply_circuit,
-                              basis_state, circuit_to_unitary, gate_matrix,
+                              circuit_to_unitary, gate_matrix,
                               pauli_to_matrix, unitary_distance, verify_circuit_equivalence,
                               verify_encoding)
 
