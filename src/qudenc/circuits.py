@@ -13,13 +13,21 @@ CNOT ladder onto the highest active qubit, Rz(2 theta c) there, then the
 mirror.  Our Rz convention is Rz(phi) = exp(-i phi Z / 2), so a weight-p
 string costs 2(p-1) CNOTs and identity strings contribute only a global
 phase.  A first-order Trotter step is the concatenation of term circuits
-in a deterministic term order.  Gate is immutable, so the staircase's H,
-BasisY and CNOT gates are validated once per (kind, qubits) and shared by
-every position and term that repeats them; only the Rz, which carries the
-term's angle, is built and checked per term.  Pricing needs no Gate per
-gate: the same staircase layout, _append_term, hands it an id per
-(kind, qubits) and the Rz angles (_trotter_ids), which is what the
-optimizer's core reads.
+in a deterministic term order.
+
+One numpy layout, _staircase, synthesizes every step.  It takes the sum
+packed (paulis.PackedSum: each string a run of codes 4 * qubit + letter)
+and computes, for all strings at once, each gate's (kind, qubits) key and
+its position: basis changes, ladder, Rz, mirrored ladder, basis changes.
+It numbers the keys in order of first use and returns those gate ids, the
+Rz positions and angles, and the identity string's phase.  Its register
+and finite-angle checks run on whole arrays, but raise for the first
+offending string in term order, with the text each string's own Gate
+would give.  Gate is immutable, so trotter_step and trotter_term put the
+one validated Gate of each id (_staircase_gate) at every position that
+repeats it and build only the Rz, which carries the term's angle, per
+term.  Pricing needs no Gate per gate: _trotter_ids hands the optimizer's
+core the ids and the Rz angles.  Every angle and phase is a Python float.
 
 Resource counting can expand SWAP into 3 CNOTs and CSWAP into the
 textbook Clifford+T network (8 CNOTs, 2 H, 4 T, 3 Tdg via a Toffoli
@@ -35,7 +43,9 @@ from array import array
 from dataclasses import asdict, dataclass, field
 from operator import itemgetter
 
-from .paulis import PauliString, PauliSum, _is_finite_real, _is_nonneg_int
+import numpy as np
+
+from .paulis import PackedSum, PauliString, PauliSum, _is_finite_real, _is_nonneg_int
 
 GATE_ARITY = {
     "X": 1, "H": 1, "BasisY": 1, "Rz": 1, "T": 1, "Tdg": 1,
@@ -115,90 +125,129 @@ class Circuit:
 # ---------------------------------------------------------------------------
 # staircase synthesis
 
-_BASIS_KIND = {"X": "H", "Y": "BasisY"}
-
-
 @functools.lru_cache(maxsize=1 << 14)
 def _staircase_gate(kind: str, qubits: tuple[int, ...]) -> Gate:
-    """The one validated Gate shared by every staircase position of (kind, qubits)."""
-    return Gate(kind, qubits)
+    """The one validated Gate shared by every staircase position of (kind,
+    qubits); an Rz's angle in it is a placeholder 0.0."""
+    return Gate(kind, qubits, 0.0 if kind == "Rz" else None)
 
 
-def _append_term(out: list, p: PauliString, coeff: complex, theta: float, n_qubits: int,
-                 gate, rz) -> float:
-    """Append the staircase of exp(-i theta coeff P) to out and return its
-    global phase; coeff must be real (Hermitian term).  gate(kind, qubits)
-    makes what out holds for a gate, and rz("Rz", qubits, angle) for the
-    Rz."""
-    c = complex(coeff)
-    if abs(c.imag) > REAL_COEFF_TOL * max(1.0, abs(c)):
-        raise ValueError(f"non-real coefficient {coeff} cannot be exponentiated "
-                         "as a Hermitian term")
-    c_r = c.real
-    active = [q for q, _ in p]
-    if not active:
-        return -theta * c_r
-    if max(active) >= n_qubits:
-        raise ValueError("Pauli string acts outside the register")
-    basis = [gate(_BASIS_KIND[letter], (q,)) for q, letter in p if letter != "Z"]
-    ladder = [gate("CNOT", pair) for pair in zip(active, active[1:])]
-    out += basis
-    out += ladder
-    out.append(rz("Rz", (active[-1],), 2.0 * theta * c_r))
-    out += reversed(ladder)
-    out += basis
-    return 0.0
+_KINDS = ("H", "BasisY", "CNOT", "Rz")  # a layout gate's kind is _KINDS[key & 3]
 
 
-def _append_step(out: list, h: PauliSum, theta: float, gate, rz) -> float:
-    """Append one term staircase per Pauli string of h, in the
-    pseudo-alphabetical string order, and return their global phase."""
+def _staircase(h: PackedSum, theta: float) -> tuple[np.ndarray, dict, np.ndarray, list, float]:
+    """The one staircase layout, every string of h at once, in h's order.
+
+    Returns gid (gate i's number for its (kind, qubits) in ids, numbered
+    in order of first use), ids, the positions of the Rz gates and their
+    angles as floats, and the global phase of the identity string.  The
+    first string in h that acts outside the register, or whose Rz angle
+    is not finite, raises the ValueError that its staircase did when it
+    was built one string at a time."""
+    n, lens = h.n_qubits, h.lens.astype(np.int64)
+    q, letter = (h.codes >> 2).astype(np.int64), h.codes & 3
+    on = np.flatnonzero(lens)  # the strings other than the identity
+    p = lens[on]
+    first = np.cumsum(p) - p  # each string's first entry
+    last = first + p - 1
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats overflow
+        angles = 2.0 * theta * h.re[on]
+        identity = h.re[lens == 0]  # at most one string
+        phase = 0.0 + float(-theta * identity[0]) if len(identity) else 0.0
+    outside = np.zeros(len(on), bool)
+    if len(on):
+        outside = (np.minimum.reduceat(q, first) < 0) | (np.maximum.reduceat(q, first) >= n)
+    bad = np.flatnonzero(outside | ~np.isfinite(angles))
+    if len(bad):
+        if outside[bad[0]]:
+            raise ValueError("Pauli string acts outside the register")
+        _check_angle(angles[bad[0]].item())
+    # A string of p entries, nb of them X or Y, takes 2 nb + 2 p - 1 gates
+    # from at: basis changes, ladder from at + nb, Rz, mirror, basis changes.
+    basis = letter != 3
+    rank = np.cumsum(basis) - basis  # basis changes before each entry
+    nb = rank[last] + basis[last] - rank[first]
+    size = 2 * nb + 2 * p - 1
+    at = np.cumsum(size) - size
+    string = np.repeat(np.arange(len(on)), p)
+    ladder, twice = (at + nb)[string], (2 * p)[string]  # of each entry's string
+    # A gate's key is (a * n + b) * 4 + its index in _KINDS, with b = a on
+    # one qubit.
+    key = np.empty(int(size.sum()), np.int64)
+    single = q * (4 * n + 4)  # an entry's one-qubit key, less the kind
+    e = np.flatnonzero(basis)
+    r = rank[e] - rank[first][string[e]]
+    key[at[string[e]] + r] = key[ladder[e] + twice[e] - 1 + r] = single[e] + letter[e] - 1
+    e = np.flatnonzero(np.arange(len(q)) < last[string])  # a CNOT onto the next entry
+    j = e - first[string[e]]
+    key[ladder[e] + j] = key[ladder[e] + twice[e] - 2 - j] = (q[e] * n + q[e + 1]) * 4 + 2
+    rz = at + nb + p - 1
+    key[rz] = single[last] + 3
+    del q, letter, basis, rank, string, ladder, twice, single, e, r, j
+    uniq, gid = np.unique(key, return_inverse=True)
+    seen = np.full(len(uniq), len(key))  # each key's first position
+    np.minimum.at(seen, gid, np.arange(len(key)))
+    del key
+    order = np.argsort(seen)
+    number = np.empty(len(order), np.intc)
+    number[order] = np.arange(len(order), dtype=np.intc)
+    ids = {}
+    for k in uniq[order].tolist():
+        a, b = divmod(k >> 2, n)
+        ids[_KINDS[k & 3], (a, b) if k & 3 == 2 else (a,)] = len(ids)
+    return number[gid], ids, rz, angles.tolist(), phase
+
+
+def _hermitian(h: PackedSum) -> PackedSum:
+    """h, checked as trotter_step checks its input."""
     if not h.is_hermitian():
         raise ValueError("trotter_step needs a Hermitian Pauli sum")
-    phase = 0.0
-    for p, c in sorted(h.terms.items(), key=itemgetter(0)):
-        phase += _append_term(out, p, c, theta, h.n_qubits, gate, rz)
-    return phase
+    return h
+
+
+def _gate_list(gid: np.ndarray, ids: dict) -> list[Gate]:
+    """Gate i of a layout as the one Gate shared by every gate of its id."""
+    shared = np.empty(len(ids), object)
+    shared[:] = [_staircase_gate(kind, qubits) for kind, qubits in ids]
+    return shared[gid].tolist()
+
+
+def _circuit(h: PackedSum, theta: float) -> Circuit:
+    """The staircase circuit of h: shared gates, and a validated Gate per Rz."""
+    gid, ids, rz, angles, phase = _staircase(h, theta)
+    gates = _gate_list(gid, ids)
+    del gid
+    for i, angle in zip(rz.tolist(), angles):
+        gates[i] = Gate("Rz", gates[i].qubits, angle)
+    return Circuit(h.n_qubits, gates, phase)
 
 
 def trotter_term(p: PauliString, coeff: complex, theta: float, n_qubits: int) -> Circuit:
     """Circuit for exp(-i theta coeff P); coeff must be real (Hermitian term)."""
-    circ = Circuit(n_qubits)
-    circ.global_phase += _append_term(circ.gates, p, coeff, theta, n_qubits,
-                                      _staircase_gate, Gate)
-    return circ
+    c = complex(coeff)
+    if abs(c.imag) > REAL_COEFF_TOL * max(1.0, abs(c)):
+        raise ValueError(f"non-real coefficient {coeff} cannot be exponentiated "
+                         "as a Hermitian term")
+    return _circuit(PackedSum.pack([(p, c.real)], n_qubits), theta)
 
 
 def trotter_step(h: PauliSum, theta: float) -> Circuit:
     """First-order product formula: one term circuit per Pauli string, in
     the pseudo-alphabetical string order (deterministic)."""
-    circ = Circuit(h.n_qubits)
-    circ.global_phase = _append_step(circ.gates, h, theta, _staircase_gate, Gate)
-    return circ
+    return _circuit(_hermitian(PackedSum.pack(sorted(h.terms.items(), key=itemgetter(0)),
+                                              h.n_qubits)), theta)
 
 
-def _trotter_ids(h: PauliSum, theta: float) -> tuple[array, dict, list[float]]:
-    """trotter_step(h, theta) packed, with the same checks: gid[i] numbers
-    gate i's (kind, qubits) in ids, in order of first use, and angles[i] is
-    its Rz angle (0.0 off the Rz gates).  The global phase is dropped."""
-    ids: dict[tuple, int] = {}
-    out: list[int] = []
-    at: dict[int, float] = {}
-
-    @functools.lru_cache(maxsize=None)  # a C-level lookup for every repeat
-    def gate(kind: str, qubits: tuple[int, ...]) -> int:
-        return ids.setdefault((kind, qubits), len(ids))
-
-    def rz(kind: str, qubits: tuple[int], angle: float) -> int:
-        _check_angle(angle)
-        at[len(out)] = angle
-        return gate(kind, qubits)
-
-    _append_step(out, h, theta, gate, rz)
-    angles = [0.0] * len(out)
-    for i, angle in at.items():
-        angles[i] = angle
-    return array("i", out), ids, angles
+def _trotter_ids(h: PackedSum, theta: float) -> tuple[array, dict, list[float]]:
+    """trotter_step of h, whose strings are in Trotter order, packed, with
+    the same checks: gid[i] numbers gate i's (kind, qubits) in ids, in
+    order of first use, and angles[i] is its Rz angle (0.0 off the Rz
+    gates).  The global phase is dropped."""
+    gid, ids, rz, angles, _ = _staircase(_hermitian(h), theta)
+    at = [0.0] * len(gid)
+    for i, angle in zip(rz.tolist(), angles):
+        at[i] = angle
+    return array("i", gid.tobytes()), ids, at
 
 
 # ---------------------------------------------------------------------------

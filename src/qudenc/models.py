@@ -28,9 +28,14 @@ augmented only when every matrix in it passes ``encoder.can_augment``
 identity are priced as they are.  Ties prefer the lower-qubit,
 conversion-free choice (SB, then Gray, then unary).
 
+Pricing holds each term's Pauli sum packed (``paulis.PackedSum``): the site
+product runs in numpy, and its strings go straight to the staircase layout
+and the optimizer's core, with no PauliSum and no tuple per string.
+``encode_term`` unpacks the same sum into a PauliSum.
+
 The boson-sampling circuit layer reuses the same site product: each gate
 is one model term, tensored straight onto its modes' qubits (mode m owns
-[m * nq, (m + 1) * nq)) and synthesized by ``trotter_step``.
+[m * nq, (m + 1) * nq)) and synthesized by trotter_step's layout.
 
 Scenario labels follow the classification: A when a single compact code is
 optimal, B when mixing SB and Gray wins, C when unary wins and compacting
@@ -46,15 +51,16 @@ from itertools import accumulate
 
 import numpy as np
 
-from .circuits import (ENTANGLING_KINDS, Circuit, Gate, _staircase_gate, _trotter_ids,
-                       count_resources, trotter_step)
+from .circuits import (ENTANGLING_KINDS, Circuit, _circuit, _gate_list, _hermitian,
+                       _trotter_ids, count_resources, trotter_step)
 from .converters import SB_TO_GRAY, SB_TO_UNARY, conversion_cost
 from .encoding import GRAY, SB, UNARY, EncodingSpec, check_level_count, num_qubits
 from .encoder import augment_truncation, can_augment, encode_matrix
-# optimize and count_resources are no longer called here, but stay names of
-# this module: the benchmark's traced run (perfbench/spans.py) wraps them here.
+# optimize, trotter_step and count_resources are no longer called here, but
+# stay names of this module: the benchmark's traced run (perfbench/spans.py)
+# wraps them here.
 from .optimizer import MAX_SWEEPS, _link, _of_kind, _optimize_ids, optimize
-from .paulis import PRUNE_EPS, PauliSum
+from .paulis import PRUNE_EPS, PackedSum, PauliSum
 from .qudit_ops import BOSONIC, SPIN, QuditMatrix, bosonic, matrix_digest, spin, spin_levels
 
 BOSE_HUBBARD = "bose_hubbard"
@@ -344,37 +350,101 @@ def build_model(spec: ModelSpec) -> list[LocalTerm]:
 # ---------------------------------------------------------------------------
 # pricing
 
-def _site_product(products, specs, offsets, n_qubits: int) -> PauliSum:
+def _site_product(products, specs, offsets, n_qubits: int) -> PackedSum:
     """Sum of the products' tensor products, site j encoded under specs[j] from
-    qubit offsets[j] up.  Sites own disjoint qubits, so strings concatenate and
-    coefficients multiply; partial products below PRUNE_EPS drop as in multiply.
-    A matrix object met again under the same spec is encoded once."""
-    ascending = offsets == sorted(offsets)
-    out = PauliSum(n_qubits)
+    qubit offsets[j] up, unpruned and in canonical order.  Sites own disjoint
+    qubits, so strings concatenate and coefficients multiply; partial
+    products below PRUNE_EPS drop as in multiply.  A matrix object met again
+    under the same spec is encoded once.
+
+    Each product is an outer product over its sites in site order.  Its
+    coefficients are CPython's complex products, taken as separate float
+    operations, and equal strings are summed from 0 in the order the
+    products give them, so every float is the one that multiplying and
+    adding Python complex numbers string by string gives."""
     encoded: dict = {}
+    blocks, re, im = [], [], []
     for product in products:
-        acc = [((), 1.0)]
+        ar, ai, parts = np.ones(1), np.zeros(1), []
         for spec, offset, m in zip(specs, offsets, product):
             if (spec, id(m)) not in encoded:
-                encoded[spec, id(m)] = encode_matrix(spec, m).sum
-            part = encoded[spec, id(m)].tensor_shift(offset, n_qubits).terms.items()
-            acc = [(sa + sb, c) for sa, ca in acc for sb, cb in part
-                   if abs(c := ca * cb) >= PRUNE_EPS]
-        for s, c in acc:
-            s = s if ascending else tuple(sorted(s))
-            out.terms[s] = out.terms.get(s, 0) + c
-    return out
+                encoded[spec, id(m)] = _padded(PackedSum.pack(
+                    encode_matrix(spec, m).sum.terms.items(), num_qubits(spec)))
+            site, br, bi = encoded[spec, id(m)]
+            with np.errstate(over="ignore", invalid="ignore"):  # as Python floats overflow
+                pr = np.multiply.outer(ar, br) - np.multiply.outer(ai, bi)
+                pi = np.multiply.outer(ar, bi) + np.multiply.outer(ai, br)
+            keep = np.flatnonzero(np.hypot(pr, pi) >= PRUNE_EPS)
+            outer, inner = np.divmod(keep, len(br))
+            codes = site[inner]
+            parts = [part[outer] for part in parts]
+            parts.append(np.where(codes == _END, _END, codes + 4 * offset))
+            ar, ai = pr.ravel()[keep], pi.ravel()[keep]
+        # Row r: string r of the product, its sites side by side.  Sorting
+        # a row sorts the string's qubits and moves the padding to its end.
+        blocks.append(np.sort(np.hstack(parts or [np.empty((1, 0), np.intc)]), axis=1))
+        re.append(ar)
+        im.append(ai)
+    width = max(1, *(block.shape[1] for block in blocks))
+    rows = np.full((sum(map(len, re)), width), _END, np.intc)
+    at = 0
+    for block in blocks:
+        rows[at:at + len(block), :block.shape[1]] = block
+        at += len(block)
+    del blocks
+    # Sort the strings by their codes + 1, several to an int64 key, with 0
+    # for padding, so that a string sorts before the longer ones it begins.
+    bits = (4 * n_qubits + 1).bit_length()
+    per = 63 // bits
+    digits = np.where(rows == _END, 0, rows.astype(np.int64) + 1)
+    weights = 1 << bits * np.arange(per - 1, -1, -1, dtype=np.int64)
+    keys = [digits[:, c:c + per] @ weights[max(0, c + per - width):]
+            for c in range(0, width, per)]
+    del digits
+    order = np.lexsort(keys[::-1])
+    new = np.zeros(len(rows), bool)  # sorted string i differs from string i - 1
+    new[:1] = True
+    for key in keys:
+        new[1:] |= key[order[1:]] != key[order[:-1]]
+    group = np.empty(len(order), np.intp)
+    group[order] = np.cumsum(new) - 1
+    rows = rows[order[new]]
+    live = rows != _END
+    # bincount adds each string's weights in turn, from 0.
+    sums = (np.bincount(group, np.concatenate(part), len(rows)) for part in (re, im))
+    return PackedSum(n_qubits, rows[live], live.sum(axis=1, dtype=np.intc), *sums)
+
+
+_END = np.iinfo(np.intc).max  # pads a string's codes
+
+
+def _padded(h: PackedSum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """h's strings as rows of codes padded with _END, and its coefficients."""
+    live = np.arange(h.lens.max(initial=0)) < h.lens[:, None]
+    rows = np.full(live.shape, _END, np.intc)
+    rows[live] = h.codes
+    return rows, h.re, h.im
+
+
+def _term_sum(term: LocalTerm, kind: str, g: int = 3, augment: bool = False) -> PackedSum:
+    """encode_term, packed: the term's coefficient times the site product,
+    pruned, in canonical order."""
+    products = (tuple(tuple(map(augment_truncation, product)) for product in term.factors)
+                if augment else term.factors)
+    specs = [EncodingSpec(kind, m.d, g=g) for m in products[0]]
+    offsets = list(accumulate((num_qubits(sp) for sp in specs), initial=0))
+    h = _site_product(products, specs, offsets, offsets[-1])
+    c = term.coefficient  # c * z for a Python complex z, one float operation at a time
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats overflow
+        h = h._replace(re=c * h.re - 0.0 * h.im, im=c * h.im + 0.0 * h.re)
+    return h.pruned()
 
 
 def encode_term(term: LocalTerm, kind: str, g: int = 3,
                 augment: bool = False) -> PauliSum:
     """Pauli sum of the whole term on a register laid out site by site
     (first site in the lowest qubits)."""
-    products = (tuple(tuple(map(augment_truncation, product)) for product in term.factors)
-                if augment else term.factors)
-    specs = [EncodingSpec(kind, m.d, g=g) for m in products[0]]
-    offsets = list(accumulate((num_qubits(sp) for sp in specs), initial=0))
-    return (term.coefficient * _site_product(products, specs, offsets, offsets[-1])).simplify()
+    return _term_sum(term, kind, g, augment).unpack()
 
 
 _PRICE_CACHE: dict = {}
@@ -399,7 +469,7 @@ def term_entangling_cost(term: LocalTerm, kind: str, augment: bool = False) -> i
     if abs(term.coefficient) < COEFF_ZERO_TOL:
         cost = 0
     else:
-        _, gid, ids, _, dead, _ = _optimized_step(encode_term(term, kind, augment=augment),
+        _, gid, ids, _, dead, _ = _optimized_step(_term_sum(term, kind, augment=augment),
                                                   PRICING_THETA)
         live = _of_kind(gid, ids, ENTANGLING_KINDS) > np.frombuffer(dead, bool)[:-1]
         cost = int(np.count_nonzero(live))
@@ -407,18 +477,15 @@ def term_entangling_cost(term: LocalTerm, kind: str, augment: bool = False) -> i
     return cost
 
 
-def _optimized_step(h: PauliSum, theta: float, phase: float = 0.0,
+def _optimized_step(h: PackedSum, theta: float, phase: float = 0.0,
                     max_sweeps: int = MAX_SWEEPS) -> tuple:
     """optimize(trotter_step(h, theta), max_sweeps) in the optimizer core's
-    packed form, with no Gate per gate: one shared Gate per (kind, qubits)
-    (an Rz's angle in it is a placeholder).  Returns the core's gates,
-    gid, ids, angles, dead mask and phase, phase being the start phase plus
-    what the merges gained."""
+    packed form, h's strings being in Trotter order, with no Gate per gate:
+    one shared Gate per (kind, qubits) (an Rz's angle in it is a
+    placeholder).  Returns the core's gates, gid, ids, angles, dead mask and
+    phase, phase being the start phase plus what the merges gained."""
     gid, ids, angles = _trotter_ids(h, theta)
-    shared = np.empty(len(ids), object)
-    shared[:] = [Gate(kind, qubits, 0.0) if kind == "Rz" else _staircase_gate(kind, qubits)
-                 for kind, qubits in ids]
-    gates = shared[np.frombuffer(gid, np.intc)].tolist()
+    gates = _gate_list(np.frombuffer(gid, np.intc), ids)
     dead, phase = _optimize_ids(gates, *_link(gid, ids), gid, ids, angles, phase, max_sweeps)
     return gates, gid, ids, angles, dead, phase
 
@@ -538,7 +605,7 @@ def boson_sampling_circuit(spec: ModelSpec, kind: str, g: int = 3) -> Circuit:
     for term in build_model(spec):
         h = _site_product(term.factors, [enc] * len(term.sites),
                           [site * nq for site in term.sites], circ.n_qubits)
-        step = trotter_step(h.simplify(), term.coefficient)
+        step = _circuit(_hermitian(h.pruned()), term.coefficient)
         circ.gates.extend(step.gates)
         circ.global_phase += step.global_phase
     return circ

@@ -285,12 +285,14 @@ def _link(gid: array, ids: dict) -> tuple[array, array]:
     # Cell s of row i in the n x 3 grid is slot 3*i + s.
     wire = np.frombuffer(table, np.intc).reshape(-1, 3)[np.frombuffer(gid, np.intc)].ravel()
     slots = np.flatnonzero(wire >= 0).astype(np.intc)
-    wire = wire[slots]
-    slots = slots[np.argsort(wire, kind="stable")]  # by wire, in gate order
-    wire.sort()
+    # As the smallest unsigned type that holds the ranks: numpy's stable
+    # sort is a radix sort on 8- and 16-bit integers, several times faster.
+    wire = wire[slots].astype(np.min_scalar_type(len(rank)))
+    by_wire = np.argsort(wire, kind="stable")  # by wire, in gate order
+    slots, wire = slots[by_wire], wire[by_wire]
     same = wire[1:] == wire[:-1]
     before, after = slots[:-1][same], slots[1:][same]
-    del wire, slots, same  # before nxt and prv exist, to keep the peak low
+    del wire, slots, same, by_wire  # before nxt and prv exist, to keep the peak low
     end = 3 * len(gid)
     nxt = array("i", [end]) * end
     prv = array("i", [-1]) * end

@@ -15,13 +15,19 @@ qubit is 1.  That ordering is also the Trotter term order.
 Coefficients are complex doubles; the operators this package encodes have
 dyadic-rational coefficients, so arithmetic here is exact and anything
 below the prune epsilon PRUNE_EPS = 1e-12 is noise.
+
+Pricing holds its sums packed (:class:`PackedSum`): every string is a run
+of integer codes in one flat array, so that the site product and the
+Trotter staircase run in numpy.  ``PauliSum`` stays the public type.
 """
 
 from __future__ import annotations
 
 import sys
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
+
+import numpy as np
 
 PRUNE_EPS = 1e-12
 
@@ -277,3 +283,54 @@ class PauliSum:
                             complex(entry.get("re", 0.0), entry.get("im", 0.0)))
         return out
 
+
+# ---------------------------------------------------------------------------
+# packed form
+
+_CODE = {"X": 1, "Y": 2, "Z": 3}
+_LETTER = (None, "X", "Y", "Z")
+
+
+class PackedSum(NamedTuple):
+    """A Pauli sum in compressed sparse rows.  String i is the run of
+    lens[i] codes 4 * qubit + letter (X, Y, Z = 1, 2, 3) that follows the
+    runs of strings 0..i-1 in codes, and its coefficient is re[i] + i im[i].
+    Codes and lens are C ints.  Bit masks would need a bit per qubit, and a
+    two-site unary term spans up to 2 * MAX_D qubits."""
+
+    n_qubits: int
+    codes: np.ndarray
+    lens: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+
+    @classmethod
+    def pack(cls, items, n_qubits: int) -> "PackedSum":
+        """The (string, coefficient) pairs of items, in their order."""
+        strings, coeffs = zip(*items) if items else ((), ())
+        lens = np.fromiter(map(len, strings), np.intc, len(strings))
+        codes = np.fromiter((4 * q + _CODE[p] for s in strings for q, p in s), np.intc,
+                            int(lens.sum()))
+        c = np.array(coeffs, complex)
+        return cls(n_qubits, codes, lens, c.real.copy(), c.imag.copy())
+
+    def unpack(self) -> PauliSum:
+        """The PauliSum with these strings and coefficients, in this order."""
+        # One (qubit, letter) pair per distinct code, shared by its strings.
+        pairs = {code: (code >> 2, _LETTER[code & 3]) for code in np.unique(self.codes).tolist()}
+        flat = list(map(pairs.__getitem__, self.codes.tolist()))
+        ends = np.cumsum(self.lens).tolist()
+        out = PauliSum(self.n_qubits)
+        out.terms = dict(zip(map(tuple, map(flat.__getitem__, map(slice, [0] + ends, ends))),
+                             map(complex, self.re.tolist(), self.im.tolist())))
+        return out
+
+    def pruned(self) -> "PackedSum":
+        """Without the strings whose coefficients simplify prunes."""
+        keep = np.hypot(self.re, self.im) >= PRUNE_EPS
+        return PackedSum(self.n_qubits, self.codes[np.repeat(keep, self.lens)],
+                         self.lens[keep], self.re[keep], self.im[keep])
+
+    def is_hermitian(self) -> bool:
+        """PauliSum.is_hermitian on the packed coefficients."""
+        return bool((np.abs(self.im) < PRUNE_EPS).all())

@@ -1,12 +1,25 @@
-"""The Franck-Condon model terms from a loop over every (j, m, m') triple: a
-test oracle.  ``qudenc.models._franck_condon_terms`` sums each row of J at once
-and must return the same terms, coefficients equal bit for bit, in the
-same order.  The loop takes about M^3 / 2 steps, so it is kept here, not in
-the library."""
+"""Test oracles for qudenc.models.
+
+The Franck-Condon model terms from a loop over every (j, m, m') triple:
+``qudenc.models._franck_condon_terms`` sums each row of J at once and must
+return the same terms, coefficients equal bit for bit, in the same order.
+The loop takes about M^3 / 2 steps, so it is kept here, not in the library.
+
+The site product one Python tuple at a time (``_site_product`` and
+``encode_term``, verbatim copies of the library's functions before they
+moved onto packed numpy arrays): ``qudenc.models.encode_term`` must give
+the same strings, in the same order, with the same coefficients.  Do not
+edit these two to follow later changes: they are the reference.
+"""
+
+from itertools import accumulate
 
 import numpy as np
 
+from qudenc.encoder import augment_truncation, encode_matrix
+from qudenc.encoding import EncodingSpec, num_qubits
 from qudenc.models import COEFF_ZERO_TOL, LocalTerm, _identity_matrix, duschinsky_matrix
+from qudenc.paulis import PRUNE_EPS, PauliSum
 from qudenc.qudit_ops import bosonic
 
 
@@ -52,3 +65,36 @@ def franck_condon_terms(spec, omega_A=None, omega_B=None, k=None,
     if abs(const) > COEFF_ZERO_TOL:
         terms.append(LocalTerm((0,), ((_identity_matrix(d),),), const, "constant"))
     return terms
+
+
+def _site_product(products, specs, offsets, n_qubits: int) -> PauliSum:
+    """Sum of the products' tensor products, site j encoded under specs[j] from
+    qubit offsets[j] up.  Sites own disjoint qubits, so strings concatenate and
+    coefficients multiply; partial products below PRUNE_EPS drop as in multiply.
+    A matrix object met again under the same spec is encoded once."""
+    ascending = offsets == sorted(offsets)
+    out = PauliSum(n_qubits)
+    encoded: dict = {}
+    for product in products:
+        acc = [((), 1.0)]
+        for spec, offset, m in zip(specs, offsets, product):
+            if (spec, id(m)) not in encoded:
+                encoded[spec, id(m)] = encode_matrix(spec, m).sum
+            part = encoded[spec, id(m)].tensor_shift(offset, n_qubits).terms.items()
+            acc = [(sa + sb, c) for sa, ca in acc for sb, cb in part
+                   if abs(c := ca * cb) >= PRUNE_EPS]
+        for s, c in acc:
+            s = s if ascending else tuple(sorted(s))
+            out.terms[s] = out.terms.get(s, 0) + c
+    return out
+
+
+def encode_term(term: LocalTerm, kind: str, g: int = 3,
+                augment: bool = False) -> PauliSum:
+    """Pauli sum of the whole term on a register laid out site by site
+    (first site in the lowest qubits)."""
+    products = (tuple(tuple(map(augment_truncation, product)) for product in term.factors)
+                if augment else term.factors)
+    specs = [EncodingSpec(kind, m.d, g=g) for m in products[0]]
+    offsets = list(accumulate((num_qubits(sp) for sp in specs), initial=0))
+    return (term.coefficient * _site_product(products, specs, offsets, offsets[-1])).simplify()

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_exponential import matrix_exponential
-from qudenc.circuits import (GATE_ARITY, Circuit, Gate, count_resources, cswap_clifford_t,
-                             export_circuit, import_circuit, swap_as_cnots,
-                             toffoli_gates, toffoli_via_cswap, trotter_step,
+from qudenc.circuits import (GATE_ARITY, Circuit, Gate, _trotter_ids, count_resources,
+                             cswap_clifford_t, export_circuit, import_circuit, import_qasm,
+                             swap_as_cnots, toffoli_gates, toffoli_via_cswap, trotter_step,
                              trotter_term)
-from qudenc.paulis import PauliSum, text_to_string
+from qudenc.paulis import PackedSum, PauliSum, text_to_string
 from qudenc.simulator import circuit_to_unitary, pauli_to_matrix, unitary_distance
 
 
@@ -89,6 +89,25 @@ def test_trotter_step_requires_hermitian():
     h._accumulate(text_to_string("X0"), 1j)
     with pytest.raises(ValueError):
         trotter_step(h.simplify(), 0.1)
+
+
+@pytest.mark.parametrize("theta", [0.37, np.float64(0.37)], ids=["float", "np.float64"])
+def test_rz_angles_are_python_floats(theta):
+    # The layout computes angles in numpy; a numpy scalar angle would export
+    # as rz(np.float64(...)) and read back as an error.  No Y, so that the
+    # QASM round trip gives back the very gates.
+    h = PauliSum(3, {(): 0.25, text_to_string("X0 Z2"): 0.5, text_to_string("Z1"): -1.5,
+                     text_to_string("Z0 X1 X2"): 0.125})
+    step = trotter_step(h, theta)
+    rz = [g.angle for g in step.gates if g.kind == "Rz"]
+    assert len(rz) == 3 and all(type(a) is float for a in rz)
+    assert type(step.global_phase) is float
+    back = import_qasm(export_circuit(step, "qasm2"))
+    assert (back.gates, back.global_phase) == (step.gates, step.global_phase)
+    term = trotter_term(text_to_string("X0 Z1"), 0.5, theta, 2)
+    assert [type(g.angle) for g in term.gates if g.kind == "Rz"] == [float]
+    _, _, angles = _trotter_ids(PackedSum.pack(sorted(h.terms.items()), 3), theta)
+    assert all(type(a) is float for a in angles)
 
 
 def test_count_resources_histogram():
