@@ -164,7 +164,9 @@ class PauliSum:
 
     def _accumulate(self, s: PauliString, c: complex) -> None:
         for q, _ in s:
-            if q >= self.n_qubits:
+            if not 0 <= q < self.n_qubits:
+                if q < 0:
+                    raise ValueError(f"negative qubit index {q}")
                 raise ValueError(f"qubit {q} outside register of {self.n_qubits}")
         self.terms[s] = self.terms.get(s, 0) + complex(c)
 

@@ -10,6 +10,19 @@ Dense unitaries are capped at 14 qubits; statevector application works
 beyond that (it is used for unary conversion circuits on up to 16 + ancilla
 wires, where the state has 2^n amplitudes but a dense unitary would not fit).
 
+A dense unitary is built one panel of columns at a time.  Column j of U is
+the circuit applied to basis state j, and no gate mixes columns, so each
+panel of the identity runs through the same per-gate steps and each column
+gets the same np.dot arithmetic as in one run over the whole identity: the
+bits do not change (tests/test_simulator.py holds them to the unpanelled
+tensordot run).  A panel holds at most _PANEL_BYTES = 256 KiB, so it and a
+dot gate's temporaries stay in a 2 MiB-per-core L2 cache, where the whole
+16 MiB tensor of a 10-qubit unitary streamed through memory twice per dot
+gate.  That size was the fastest on the verify bench's circuits; 64 KiB and
+512 KiB-1 MiB panels were slower.  Up to 7 qubits a unitary is one panel.
+The result is the only array of its size: at the 14-qubit cap a unitary
+needs about 4 GiB, where a run over the whole identity needed about 12 GiB.
+
 Conventions, fixed once and used everywhere:
   * qubit 0 is the least significant bit of a basis-state index,
   * a Gate's qubit tuple lists controls first, and the first listed qubit
@@ -34,6 +47,7 @@ from .paulis import PauliSum, act_on_bits
 from .qudit_ops import as_matrix
 
 MAX_DENSE_QUBITS = 14
+_PANEL_BYTES = 256 * 1024
 
 _SQ = 1.0 / np.sqrt(2.0)
 _I2 = np.eye(2, dtype=complex)
@@ -85,34 +99,41 @@ _PERMUTATIONS = {
 }
 
 
-def _apply_gate(tensor: np.ndarray, g: Gate, n: int) -> np.ndarray:
-    """Apply g to a tensor whose first n axes are qubit axes (axis n-1-q
-    holds qubit q); any trailing axes ride along.  Permutation gates swap
-    two slices in place; every other gate takes the steps of np.tensordot
-    with gate_matrix(g), so both give tensordot's bits."""
+def _step(g: Gate, n: int, ndim: int) -> tuple:
+    """g prepared for tensors of ndim axes whose first n are qubit axes
+    (axis n-1-q holds qubit q); any trailing axes ride along.  A permutation
+    gate gives (None, a, b): the index tuples of the two slices that trade
+    places.  Every other gate gives (gate_matrix(g), order, inverse): the
+    transpose that brings the gate's axes to the front, and its undoing."""
     axes = [n - 1 - q for q in g.qubits]
     if g.kind in _PERMUTATIONS:
         controls, (a, b) = _PERMUTATIONS[g.kind]
-        ia, ib = [slice(None)] * tensor.ndim, [slice(None)] * tensor.ndim
+        ia, ib = [slice(None)] * ndim, [slice(None)] * ndim
         for ax, bit_a, bit_b in zip(axes, controls + a, controls + b):
             ia[ax], ib[ax] = bit_a, bit_b
-        ia, ib = tuple(ia), tuple(ib)
-        held = tensor[ia].copy()
-        tensor[ia] = tensor[ib]
-        tensor[ib] = held
-        return tensor
-    order = axes + [ax for ax in range(tensor.ndim) if ax not in axes]
-    moved = tensor.transpose(order)
-    out = np.dot(gate_matrix(g), moved.reshape(2 ** len(axes), -1))
-    return out.reshape(moved.shape).transpose(np.argsort(order))
+        return None, tuple(ia), tuple(ib)
+    order = axes + [ax for ax in range(ndim) if ax not in axes]
+    return gate_matrix(g), order, np.argsort(order)
 
 
-def _run(c: Circuit, tensor: np.ndarray) -> np.ndarray:
-    """Apply the gates and the global phase to a tensor laid out as in
-    _apply_gate; the tensor is overwritten, so pass one the caller owns."""
-    for g in c.gates:
-        tensor = _apply_gate(tensor, g, c.n_qubits)
-    return np.exp(1j * c.global_phase) * tensor if c.global_phase else tensor
+def _run(tensor: np.ndarray, steps: list, global_phase: float = 0.0) -> np.ndarray:
+    """Apply steps made by _step, then the global phase; the tensor is
+    overwritten, so pass one the caller owns."""
+    for mat, a, b in steps:
+        if mat is None:
+            held = tensor[a].copy()
+            tensor[a] = tensor[b]
+            tensor[b] = held
+        else:
+            moved = tensor.transpose(a)
+            out = np.dot(mat, moved.reshape(len(mat), -1))
+            tensor = out.reshape(moved.shape).transpose(b)
+    return np.exp(1j * global_phase) * tensor if global_phase else tensor
+
+
+def _apply_gate(tensor: np.ndarray, g: Gate, n: int) -> np.ndarray:
+    """Apply one gate to a tensor laid out as in _step."""
+    return _run(tensor, [_step(g, n, tensor.ndim)])
 
 
 def apply_circuit(c: Circuit, state: np.ndarray) -> np.ndarray:
@@ -121,16 +142,25 @@ def apply_circuit(c: Circuit, state: np.ndarray) -> np.ndarray:
     n = c.n_qubits
     if state.shape != (2 ** n,):
         raise ValueError(f"state has shape {state.shape}, expected ({2**n},)")
-    return _run(c, np.array(state, dtype=complex).reshape((2,) * n)).reshape(2 ** n)
+    steps = [_step(g, n, n) for g in c.gates]
+    return _run(np.array(state, dtype=complex).reshape((2,) * n), steps,
+                c.global_phase).reshape(2 ** n)
 
 
 def circuit_to_unitary(c: Circuit) -> np.ndarray:
-    """Dense unitary; column j is the circuit applied to basis state j."""
+    """Dense unitary; column j is the circuit applied to basis state j,
+    built one panel of at most _PANEL_BYTES of columns at a time."""
     n = c.n_qubits
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"{n} qubits exceeds the dense cap of {MAX_DENSE_QUBITS}")
     dim = 2 ** n
-    return _run(c, np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))).reshape(dim, dim)
+    cols = max(1, min(dim, _PANEL_BYTES // (16 * dim)))
+    steps = [_step(g, n, n + 1) for g in c.gates]
+    u = np.empty((dim, dim), dtype=complex)
+    for j in range(0, dim, cols):
+        panel = np.eye(dim, cols, -j, dtype=complex).reshape((2,) * n + (cols,))
+        u[:, j:j + cols] = _run(panel, steps, c.global_phase).reshape(dim, cols)
+    return u
 
 
 def pauli_to_matrix(s: PauliSum) -> np.ndarray:

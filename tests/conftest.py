@@ -2,7 +2,8 @@
 
 The ``ci`` hypothesis profile fuzzes deeper than the default one:
 ``pytest --hypothesis-profile=ci tests/test_optimizer_reference.py
-tests/test_optimizer_packed.py tests/test_site_product.py``.
+tests/test_optimizer_packed.py tests/test_site_product.py
+tests/test_simulator.py::test_panelled_unitary_is_bitwise_the_unpanelled_run``.
 """
 
 from hypothesis import settings

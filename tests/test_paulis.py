@@ -133,3 +133,15 @@ def test_accumulate_range_check():
     s = PauliSum(2)
     with pytest.raises(ValueError):
         s._accumulate(text_to_string("X5"), 1.0)
+
+
+def test_negative_qubit_index_is_rejected():
+    # Such a sum would write the token "X-1", which from_json_dict rejects.
+    with pytest.raises(ValueError, match="negative qubit index -1"):
+        PauliSum(2, {((-1, "X"),): 1.0})
+    bad = PauliSum(2)
+    bad.terms[((0, "Z"), (-1, "X"))] = 1.0  # past the constructor's check
+    with pytest.raises(ValueError, match="negative qubit index -1"):
+        PauliSum(2) + bad
+    with pytest.raises(ValueError, match="outside register of 2"):
+        PauliSum(2, {((2, "X"),): 1.0})

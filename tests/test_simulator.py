@@ -1,9 +1,12 @@
 """Reference simulator oracles: gate matrices, state application, exponentials."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reference_exponential import matrix_exponential
 from states import basis_state
@@ -209,3 +212,71 @@ def test_apply_circuit_leaves_its_input_unchanged():
         assert not np.shares_memory(out, state)
         assert np.array_equal(state, kept)
     assert np.array_equal(apply_circuit(Circuit(3), state), kept)
+
+
+def _unpanelled_unitary(c):
+    """The whole identity run through the circuit at once, every gate as
+    one tensordot: what circuit_to_unitary must give, panel by panel."""
+    n, dim = c.n_qubits, 2 ** c.n_qubits
+    tensor = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
+    for g in c.gates:
+        tensor = _tensordot_reference(tensor, g, n)
+    if c.global_phase:
+        tensor = np.exp(1j * c.global_phase) * tensor
+    return tensor.reshape(dim, dim)
+
+
+def _every_kind_circuit(n, phase):
+    """One gate of every kind that fits on n qubits, on the top, bottom and
+    middle wires."""
+    wires = tuple(dict.fromkeys((n - 1, 0, n // 2)))
+    return Circuit(n, [Gate(kind, wires[:arity], 0.83 if kind == "Rz" else None)
+                       for kind, arity in GATE_ARITY.items() if arity <= n], phase)
+
+
+@st.composite
+def _circuits(draw):
+    # Up to 7 qubits a unitary is one panel; 10 and 11 qubits take panels
+    # of 16 and 8 columns.  Wide registers get fewer gates to keep the
+    # unpanelled oracle quick.
+    n = draw(st.integers(0, 11))
+    kinds = [kind for kind, arity in GATE_ARITY.items() if arity <= n]
+    gates = []
+    for _ in range(draw(st.integers(0, 12 if n < 10 else 5)) if kinds else 0):
+        kind = draw(st.sampled_from(kinds))
+        qubits = tuple(draw(st.permutations(range(n)))[:GATE_ARITY[kind]])
+        angle = draw(st.floats(-7.0, 7.0)) if kind == "Rz" else None
+        gates.append(Gate(kind, qubits, angle))
+    phase = draw(st.one_of(st.just(0.0), st.floats(-7.0, 7.0)))
+    return Circuit(n, gates, phase)
+
+
+@settings(deadline=None)
+@given(_circuits())
+@example(_every_kind_circuit(0, 0.4))
+@example(_every_kind_circuit(1, 0.0))
+@example(_every_kind_circuit(1, -1.3))
+@example(_every_kind_circuit(7, 0.4))
+@example(_every_kind_circuit(8, 0.4))
+@example(_every_kind_circuit(10, 2.1))
+@example(_every_kind_circuit(11, -0.6))
+@example(_every_kind_circuit(11, 0.0))
+def test_panelled_unitary_is_bitwise_the_unpanelled_run(c):
+    assert np.array_equal(circuit_to_unitary(c), _unpanelled_unitary(c))
+
+
+def test_unitary_memory_stays_near_its_output():
+    c = Circuit(11)
+    for q in range(11):
+        c.add("H", q)
+    for q in range(10):
+        c.add("CNOT", q, q + 1)
+    c.add("Rz", 4, angle=0.7)
+    c.add("BasisY", 9)
+    tracemalloc.start()
+    try:
+        u = circuit_to_unitary(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * u.nbytes, peak / u.nbytes
