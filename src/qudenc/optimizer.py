@@ -1,179 +1,51 @@
 """Peephole circuit optimization with commutation-aware gate motion.
 
-Staircase circuits for consecutive Pauli terms share structure: basis
-changes undo each other, CNOT ladders overlap, and Rz rotations on the
-same wire merge.  Three passes exploit this:
+Three passes run in this order, sweep after sweep, until a sweep changes
+nothing or max_sweeps sweeps have run, so the output never has more gates
+than the input:
 
-  cancel_inverse_pairs   remove g, g^-1 separated only by gates that
-                         provably commute with g
-  merge_rotations        fuse Rz angles on a wire (again across commuting
-                         separators); a fused angle of 0 mod 2pi drops the
-                         gate, with Rz(2pi) = -I feeding the global phase
-  cnot_triple_rewrite    CNOT(a,b) CNOT(b,c) CNOT(a,b) -> CNOT(a,c) CNOT(b,c)
+  _pass_cancel       remove g, g^-1 separated only by gates that provably
+                     commute with g
+  _pass_merge        fuse Rz angles on a wire across commuting separators;
+                     a sum of 0 mod 4pi drops the gate, and Rz(2pi) = -I
+                     feeds the global phase
+  _pass_cnot_triple  CNOT(a,b) CNOT(b,c) CNOT(a,b) -> CNOT(a,c) CNOT(b,c)
 
-The commutation predicate is deliberately conservative: it answers True
-only for cases it can prove (disjoint supports, diagonal-diagonal,
-diagonal on a control, X on a target, CNOTs sharing a control or sharing a
-target, and so on) and False otherwise.  A False merely blocks a
-rewrite; it never produces a wrong one.  The passes run in this order,
-sweep after sweep, until a sweep changes nothing or max_sweeps sweeps
-have run, so the result never has more gates than the input.
+commutes answers True only when commutation is provable; a False only
+blocks a rewrite.  The core, _optimize_ids, keeps per gate position i
+(n gates; n also stands for "nowhere"):
 
-Gates on disjoint wires always commute and never cancel or merge, so the
-forward scan from a candidate only needs the gates that share one of its
-wires (the per-wire view of Nam, Ross, Su, Childs & Maslov, npj Quantum
-Inf. 4, 23 (2018)).  The optimizer links every gate to its neighbours
-on each wire once, keeps those chains up to date as gates are removed or
-rewired, and scans along them: a one-wire gate walks its wire, a wider
-gate walks its wires merged by position, and the CNOT-triple rewrite
-finds its partners in a few lookups.  Candidates and the gates each scan
-meets come in the same order as in a scan over the whole list, so the
-output is the same; the cost is set by the gates that share wires, not by
-the length of the circuit.
+  gates, gid, ids  gate i as a Gate and its (kind, qubits) number in ids,
+                   all that a walk's answer reads, so memo keeps one answer
+                   per pair of numbers
+  angles           gate i's Rz angle, summed in place by merge
+  nxt, prv         the per-wire chains from _link: slot 3i + s is gate i's
+                   s-th wire, linked to the live gates before and after it
+  dead             the byte mask of dropped gates
+  stop             where gate i's last cancel or merge walk stopped; after
+                   the first sweep those passes run lazily, over the gates
+                   whose stop was dropped (_due), and in full again after a
+                   triple rewrite.  The triple pass walks every CNOT.
+  owned, jump      a scanned cancel block's pending pairs, dropped at once
+                   by pointer doubling (_drop_pairs)
 
-A walk's answer for a gate pair (pass, stop or cancel) reads only kinds
-and qubits, so the optimizer asks the predicates once per pair of distinct
-(kind, qubits): a narrow register meets a few hundred pairs a million times.
+Each pass walks its own index list (_kind_lists).  A cancel or triple run
+of at least _SCAN_MIN gates is first scanned in numpy, _SCAN_BLOCK gates at
+a time: _cancel_scan takes every walk's first step, and _triple_scan makes
+every test of the triple loop up to the first rewrite.  The per-gate loops
+walk what the scans leave.  optimize() numbers a Circuit's gates
+(_wire_chains) and rebuilds only merged Rz gates; pricing synthesizes
+straight into ids (circuits._trotter_ids).
 
-Nested ladders unwind one layer per sweep, and most walks of a later sweep
-repeat their last answer.  So each walk notes the gate where it stopped,
-its witness, and from a pass's second run on (a lazy run) a gate is walked
-again only if its witness has since been dropped: cancel and merge note
-the blocking gate, the CNOT-triple check the next gate on {a, b} (w1) and
-then the gate before g2 on wire c or the third gate (w2); n means
-nowhere.  Each dropped gate is marked in a byte mask, dead, whose slot
-n stays 0.  Before a lazy run one numpy step over the pass's index list
-keeps the gates whose witness is marked, dead[stop] for cancel and merge
-and dead[w1] | (w1 != n) & dead[w2] for the triple, and that are not
-marked themselves, so the passes test no witness themselves.  (A
-cancelled walker's witness is its dropped partner: without the second
-test it would come back in every lazy run.)
-
-That is exact.  Between two runs of a pass the only changes are drops,
-and a drop among the gates a walk passed over leaves the gate it stops
-at, and the answer there, as they were.  Within a run, no drop removes
-the witness of a gate the run has yet to reach.  Merge drops only Rz
-gates, which never stop a merge walk.  A cancel walker i' drops itself
-and its inverse partner j; a later gate i that stopped at j shares a wire
-with i' and lies between them, so i' walked past it and commutes(i', i).
-commutes is symmetric and answers alike for inverse partners, so
-commutes(i, j) too, and i's walk could not have stopped at j.  The
-triple rewrite breaks this: it drops the third CNOT, which may be the
-witness of a later CNOT that was not due when the run began.  So after
-the first rewrite of a lazy triple run, the rest of the run walks the
-CNOT list and tests each gate's witnesses as it comes.  The core tells
-the pass whether its run is lazy; the length of its list cannot, as the
-scan below leaves dropped gates out of a full run's list too.  The
-rewrite is also the one change that moves a slot onto another wire or
-gives a gate new qubits, so every pass walks every gate in the next
-sweep after one.
-
-The triple rewrite seldom fires (on the report and compile_wide
-benchmarks, never), so a run first makes every test of its loop for all
-of its live due CNOTs in one numpy step on the chains as they stand,
-_triple_scan: w1 = min(nxt[3i], nxt[3i+1]) // 3; whether g2 = gate w1 is
-CNOT(b, c) with c != a, which the chains tell without a qubit index (a
-CNOT whose control slot is nxt[3i+1] and whose target slot is not
-nxt[3i]); the separator test prv[3 w1 + 1] > 3i; and the third gate k,
-and whether gid[k] == gid[i].  It writes the witnesses of every gate
-before the first that rewrites, w2 only where w1 is not n, and the
-per-gate loop goes on from that gate; with none, the run is over.  That
-is exact: until its first rewrite a run changes nothing but witnesses,
-which none of its tests read, so each test sees what the scan saw.  The
-loop is the one path that rewrites.
-
-Most cancel walks end at the first gate they meet: on the report
-benchmark two thirds of the live walks stop there and a third cancel
-with it.  So a cancel run first takes the first step of all its live due
-walks in one numpy step on the chains as they stand, _cancel_scan: gate
-i's first neighbour is j = min(nxt[3i], nxt[3i+1], nxt[3i+2]) // 3 (an
-unused slot holds len(nxt), so no arity is needed), the answer there is
-looked up once per distinct pair of ids, and stop[i] = j is noted.  Where
-j is n or the answer is stop, the walk is settled; the per-gate loop
-walks the rest, in order.  That is exact.  Within a run gates are only
-dropped, and no gate lies between i and j, so at i's turn the loop meets
-j again unless j was dropped first.  It was not: j > i is not a walker
-before i, and if an earlier walker i' took j as its partner, i' walked
-past i, so commutes(i, j) by the argument above, and i's answer at j
-would not be stop.  The loop drops a cancelled pair in place.  When the
-walk reaches its partner, each cursor stands at the partner's slot on
-its wire, so the loop unlinks the walker's slot and then the partner's,
-wire by wire, as _drop would.
-
-Most of the walks the scan leaves cancel with that first neighbour.  So
-in a scanned block each walk whose first answer is cancel is a pending
-pair (walker i, partner j), unless i is itself the partner of another
-such walk: of H, H, H on one wire only the first two pair.  A byte mask,
-owned, marks the pending walkers and partners; the loop walks the other
-gates the scan left, in order, and at the end of the block _drop_pairs
-drops every pending pair at once.  A cancel answer needs the same set of
-wires, so i and j are neighbours on every wire of i, and stay so while
-gates are dropped.  A loop walk from k > i never meets them: it walks
-forward, and to meet j it would have to lie between i and j on a wire of
-j.  A walk from k < i meets them as a gate-by-gate run would, where they
-are still there; the loop's drops in place keep the chains valid around
-them.  A loop walk that answers cancel at an owned gate is the one
-divergence, a conflict (of T, T, Tdg on one wire, the first T passes the
-second and takes the Tdg, which the second had as pending partner).  The
-pairs whose walker comes before it are dropped, the rest are released,
-and the loop walks the rest of the block gate by gate, from that walk
-on.
-
-_drop_pairs marks the pairs dead and relinks their slots in numpy.  On
-each wire the pending slots form runs of neighbours; a run's head is a
-slot whose previous gate is not owned, owned[prv // 3], and its tail is
-found by pointer doubling over a slot-indexed jump table, in log2 of the
-longest run steps; then the head's outer neighbours are linked.  Unlike
-marking every drop and relinking once per run (tried: 1.3-1.4x slower,
-as its relink looped once per gate in a wire's longest dead stretch and
-its walks skipped dead gates), only neighbouring pending gates are
-relinked, and no walk meets a dead gate.  The relink leaves a dead
-gate's own slots as they were, which differs from the per-gate loop's
-unlinks; no pass reads a dead gate's slots.
-
-Both scans take a long run _SCAN_BLOCK gates at a time, which keeps
-their temporaries small and stops the triple scan at the block that
-holds the first rewrite; owned and jump are allocated once per call.  A
-scan costs some 30-50 us whatever its length, more than the loop spends
-on a short run, so a run of fewer than _SCAN_MIN gates skips it.
-
-Each pass has its own index list, built once with numpy: cancel the
-non-Rz gates, merge the Rz gates, the CNOT-triple check the CNOTs.  No
-rewrite changes a kind (the triple keeps a CNOT a CNOT, a merge an Rz an
-Rz), so no list ever needs a new entry.  The lists keep their dropped
-gates.  A lazy run's due list leaves them out; a full run's keeps them,
-and its pass skips each with the None test that also skips a gate an
-earlier gate of its run dropped.
-
-The passes work on gate ids, in a core with a thin wrapper around it.
-The core, _optimize_ids, takes gid (gate i's number for its (kind,
-qubits) in ids), angles (gate i's Rz angle) and gates (gate i as a Gate
-of that kind and qubits, whose angle it never reads: merge sums angles in
-place, and checks each sum as Gate would).  optimize() numbers its
-circuit's gates, the one Python loop over them (_wire_chains), copies the
-Rz angles out, and after the core rebuilds a Gate only for each Rz whose
-angle a merge changed.  Pricing synthesizes straight into ids and angles
-(circuits._trotter_ids), hands the core one shared Gate per id, and
-counts the live CNOT ids in numpy, with no Circuit and no Gate per gate.
-Both build the chains with _link, from a table of each id's wires, held
-as dense ranks so that a qubit index may be any non-negative int: numpy
-gathers the table by gate id, sorts the slots by wire and links
-neighbours.  That adds a fixed cost of some tens of microseconds per
-call, and the numpy steps a few more per lazy run.  On the report benchmark
-(BENCH_20.json, shared 2-vCPU host) the pending pairs cut pass_s from
-0.79 s to 0.67 s (0.84x, lower in 10 of 10 pairs) and the traced self
-time of optimize() from 0.47 s to 0.35 s (0.75x), with the same output;
-compile_wide pass_s fell to 0.81x.  _SCAN_MIN is set from mirrored
-CNOT/H circuits of 48 to 192 gates, where scanning runs of 64 gates or
-more made optimize() about 10% slower than never scanning and runs of
-256 or more cost nothing measurable.
+README.md, section Optimizer, argues once why each of these shortcuts gives
+exactly the gates of a scan over the whole list, and gives the measurements
+behind _SCAN_MIN.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
 
 import numpy as np
 
@@ -313,19 +185,13 @@ def _kind_lists(gid: array, ids: dict) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return tuple(np.flatnonzero(m).astype(np.intc) for m in (~rz, rz, cnot))
 
 
-def _due(todo: np.ndarray, gone: np.ndarray, full: bool, w: np.ndarray,
-         v: np.ndarray | None = None) -> np.ndarray:
+def _due(todo: np.ndarray, gone: np.ndarray, full: bool, stop: np.ndarray) -> np.ndarray:
     """The gates of todo that a run walks: all of them in a full run; in a
-    lazy run those whose witness w has been dropped, or, when w is not n,
-    whose witness v has.  gone[n] stays False, so the witness n ("stopped
-    nowhere") never counts as dropped."""
+    lazy run those whose stop has been dropped.  gone[n] stays False, so
+    stop n ("stopped nowhere") never counts as dropped."""
     if full:
         return todo
-    s = w.take(todo)
-    due = gone.take(s)
-    if v is not None:
-        due |= (s != len(gone) - 1) & gone.take(v.take(todo))
-    return todo[due > gone.take(todo)]  # due and not dropped itself
+    return todo[gone.take(stop.take(todo)) > gone.take(todo)]  # and not dropped itself
 
 
 def _unlink(nxt: array, prv: array, slot: int) -> None:
@@ -584,16 +450,14 @@ def _pass_merge(gates: list[Gate | None], todo: np.ndarray, nxt: array, prv: arr
 
 
 def _triple_scan(due: np.ndarray, nxt: np.ndarray, prv: np.ndarray, gid: np.ndarray,
-                 cnot: np.ndarray, gone: np.ndarray, w1: np.ndarray,
-                 w2: np.ndarray) -> tuple[np.ndarray, int]:
+                 cnot: np.ndarray, gone: np.ndarray) -> tuple[np.ndarray, int]:
     """Every test of the CNOT-triple loop for the live gates of due at once,
     on the chains as they stand: the live gates and the position among them
-    of the first that rewrites (len when none does).  Writes the witnesses
-    of the gates before it as the loop would, w2 only where w1 is not n.
+    of the first that rewrites (len when none does).
 
     The arguments are numpy views; cnot marks the CNOT gates (slot n
     unmarked).  Chain reads past the last slot, which only gates whose
-    w1 is n make, are clipped and then masked out."""
+    next gate on {a, b} is n make, are clipped and then masked out."""
     n = len(cnot) - 1
     due = due[~gone.take(due)]
     base = 3 * due
@@ -604,28 +468,19 @@ def _triple_scan(due: np.ndarray, nxt: np.ndarray, prv: np.ndarray, gid: np.ndar
     # and its target slot is not the next on wire a.
     c_slot = 3 * j + 1
     pair = cnot.take(j) & (after_b == c_slot - 1) & (after_a != c_slot)
-    before_c = prv.take(c_slot, mode="clip")
-    apart = before_c <= base  # no separator on wire c
+    apart = prv.take(c_slot, mode="clip") <= base  # no separator on wire c
     k = np.minimum(np.minimum(after_a, nxt.take(c_slot - 1, mode="clip")),
                    nxt.take(c_slot, mode="clip")) // 3
     hit = pair & apart & (gid.take(k, mode="clip") == gid.take(due)) & (k != n)
-    second = np.where(pair, np.where(apart, k, before_c // 3), n)
     hits = np.flatnonzero(hit)
-    first = int(hits[0]) if len(hits) else len(due)
-    i, j, second = due[:first], j[:first], second[:first]
-    w1[i] = j
-    on = j != n
-    w2[i[on]] = second[on]
-    return due, first
+    return due, int(hits[0]) if len(hits) else len(due)
 
 
-def _pass_cnot_triple(gates: list[Gate | None], due: np.ndarray, lazy: bool,
-                      cnots: np.ndarray, nxt: array, prv: array, gid: array, ids: dict,
-                      w1: array, w2: array, dead: bytearray, views: tuple) -> bool:
-    """One run over the CNOTs of due; lazy when due holds only the gates
-    whose witness was dropped.  views are _triple_scan's numpy arguments.
-    The scan settles every gate up to the first rewrite, and this loop goes
-    on from there."""
+def _pass_cnot_triple(gates: list[Gate | None], due: np.ndarray, nxt: array, prv: array,
+                      gid: array, ids: dict, dead: bytearray, views: tuple) -> bool:
+    """One run over the CNOTs of due.  views are _triple_scan's numpy
+    arguments.  The scan settles every gate up to the first rewrite, and
+    this loop goes on from there."""
     if len(due) >= _SCAN_MIN:
         for pos in range(0, len(due), _SCAN_BLOCK):
             live, first = _triple_scan(due[pos:pos + _SCAN_BLOCK], *views)
@@ -635,36 +490,26 @@ def _pass_cnot_triple(gates: list[Gate | None], due: np.ndarray, lazy: bool,
         else:
             return False
     changed = False
-    end = len(nxt)
-    n = end // 3
-    todo, pos, check = array("i", due.tobytes()), 0, False
-    while pos < len(todo):
-        i = todo[pos]
-        pos += 1
+    n = len(nxt) // 3
+    for i in array("i", due.tobytes()):
         g1 = gates[i]
         if g1 is None:
             continue
-        if check:
-            s = w1[i]
-            if not (dead[s] or s != n and dead[w2[i]]):
-                continue
         a, b = g1.qubits
         # The next gate touching {a, b} must be CNOT(b, c).
         after_a = nxt[3 * i]
-        j = w1[i] = min(after_a, nxt[3 * i + 1]) // 3
+        j = min(after_a, nxt[3 * i + 1]) // 3
         if j == n:
             continue
         g2 = gates[j]
-        w2[i] = n
         if g2.kind != "CNOT" or g2.qubits[0] != b or g2.qubits[1] == a:
             continue
         # Separators between g1 and g2 must avoid wire c as well.
         c_slot = 3 * j + 1
         if prv[c_slot] > 3 * i:
-            w2[i] = prv[c_slot] // 3
             continue
         # The next gate touching {a, b, c} must repeat CNOT(a, b).
-        k = w2[i] = min(after_a, nxt[3 * j], nxt[c_slot]) // 3
+        k = min(after_a, nxt[3 * j], nxt[c_slot]) // 3
         if k == n:
             continue
         if gates[k].kind != "CNOT" or gates[k].qubits != (a, b):
@@ -680,11 +525,6 @@ def _pass_cnot_triple(gates: list[Gate | None], due: np.ndarray, lazy: bool,
         prv[c_slot] = moved
         if p >= 0:
             nxt[p] = moved
-        if lazy and not check:
-            # This run skipped some CNOTs, and dropping k can make a later
-            # one due: the rest of the run tests each CNOT's witnesses.
-            todo, check = array("i", cnots.tobytes()), True
-            pos = bisect_right(todo, i)
         changed = True
     return changed
 
@@ -705,8 +545,8 @@ def _optimize_ids(gates: list[Gate | None], nxt: array, prv: array, gid: array, 
     # Where each gate's last walk stopped (n: nowhere).  Cancel walks only
     # non-Rz gates and merge only Rz gates, so they share stop.
     n = len(gates)
-    stop, w1, w2 = (array("i", [n]) * n for _ in range(3))
-    at_stop, at_w1, at_w2 = (np.frombuffer(a, np.intc) for a in (stop, w1, w2))
+    stop = array("i", [n]) * n
+    at_stop = np.frombuffer(stop, np.intc)
     dead = bytearray(n + 1)  # dead[i]: gate i was dropped; slot n stays 0
     gone = np.frombuffer(dead, bool)
     owned = bytearray(n + 1)  # owned[i]: gate i is in a pending pair; slot n stays 0
@@ -715,8 +555,8 @@ def _optimize_ids(gates: list[Gate | None], nxt: array, prv: array, gid: array, 
     at_nxt, at_prv, at_gid = (np.frombuffer(a, np.intc) for a in (nxt, prv, gid))
     jump = np.empty(3 * n, np.intc)  # see _drop_pairs
     scan_cancel = (at_nxt, at_prv, at_gid, gone, at_stop, np.frombuffer(owned, bool), jump)
-    scan_triple = (at_nxt, at_prv, at_gid, cnot, gone, at_w1, at_w2)
-    full = True  # every pass walks every gate: the first sweep, and after a rewrite
+    scan_triple = (at_nxt, at_prv, at_gid, cnot, gone)
+    full = True  # cancel and merge walk every gate: the first sweep, and after a rewrite
     for _ in range(max_sweeps):
         due = _due(cancel, gone, full, at_stop)
         cancelled = _pass_cancel(gates, due, nxt, prv, gid, memo, stop, dead, owned,
@@ -724,9 +564,7 @@ def _optimize_ids(gates: list[Gate | None], nxt: array, prv: array, gid: array, 
         due = _due(merge, gone, full, at_stop)
         merged, dphase = _pass_merge(gates, due, nxt, prv, gid, memo, stop, dead, angles)
         phase += dphase
-        due = _due(triple, gone, full, at_w1, at_w2)
-        full = _pass_cnot_triple(gates, due, not full, triple, nxt, prv, gid, ids,
-                                 w1, w2, dead, scan_triple)
+        full = _pass_cnot_triple(gates, triple, nxt, prv, gid, ids, dead, scan_triple)
         if not (cancelled or merged or full):
             break
     return dead, phase

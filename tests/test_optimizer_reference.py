@@ -325,10 +325,11 @@ def test_optimize_with_an_empty_kind_list(gates):
         _assert_same(Circuit(3, gates), cap)
 
 
-def test_lazy_triple_run_walks_a_gate_that_its_rewrite_makes_due():
-    # At cap 2 the second sweep's triple run is lazy.  Its first rewrite
-    # drops the third CNOT of a triple, which is the witness of a later CNOT
-    # that was not due when the run began; skipping it leaves 24 gates.
+def test_triple_rewrite_drops_the_third_cnot_of_a_later_triple_at_cap_2():
+    # At cap 2 the second sweep's first triple rewrite drops the third CNOT
+    # of its triple, the gate that separated a later CNOT from its own
+    # triple.  A triple pass that walked only the CNOTs whose neighbours had
+    # been dropped before it began would skip that CNOT and leave 24 gates.
     half = [Gate("CNOT", (3, 0)), Gate("CNOT", (3, 1)), Gate("CNOT", (3, 1)),
             Gate("CNOT", (2, 0)), Gate("H", (0,)), Gate("CNOT", (2, 1)), Gate("CNOT", (2, 3)),
             Gate("Rz", (0,), 0.5), Gate("CNOT", (1, 0)), Gate("CNOT", (0, 3)),
@@ -344,15 +345,22 @@ def test_lazy_triple_run_walks_a_gate_that_its_rewrite_makes_due():
 @contextmanager
 def _triple_runs_checked(scan_min: int = 0, block: int = 4):
     """Hold every CNOT-triple run of optimize() to ref.triple_run, the
-    per-gate loop, run on a copy of the run's state: the same answer, gates,
-    chains, gate ids, witnesses and dead mask, and the gate where the numpy
-    scan found the first rewrite is rewritten.  scan_min 0 sends every run
-    through the scan, and a small block splits it into several scans.
-    Yields a list that gets, for each run, whether it was lazy, how many of
-    its due CNOTs were dropped ones, and the position among its live due
-    CNOTs of the scan's first rewrite (None when it found none or did not
-    run)."""
-    run, scan, runs = optimizer._pass_cnot_triple, optimizer._triple_scan, []
+    per-gate loop, run on a copy of the run's state (with throwaway witness
+    arrays, and the run's own list as the reference's CNOT list, so that it
+    walks every gate): the same answer, gates, chains, gate ids, id table
+    and dead mask, and the gate where the numpy scan found the first
+    rewrite is rewritten.  scan_min 0 sends every run through the scan, and
+    a small block splits it into several scans.  Yields a list that gets,
+    for each run, its sweep (from 1), how many of its CNOTs were dropped
+    ones, and the position among its live CNOTs of the scan's first
+    rewrite (None when it found none or did not run)."""
+    run, scan, core, runs = (optimizer._pass_cnot_triple, optimizer._triple_scan,
+                             optimizer._optimize_ids, [])
+    sweep = [0]
+
+    def counted(*args):
+        sweep[0] = 0
+        return core(*args)
 
     def scanned(due, *views):
         live, first = scan(due, *views)
@@ -361,17 +369,19 @@ def _triple_runs_checked(scan_min: int = 0, block: int = 4):
         runs[-1]["scanned"] += len(live)
         return live, first
 
-    def checked(gates, due, lazy, cnots, nxt, prv, gid, ids, w1, w2, dead, views):
-        state = (list(gates), array("i", due.tobytes()), cnots, array("i", nxt),
-                 array("i", prv), array("i", gid), dict(ids), array("i", w1),
-                 array("i", w2), bytearray(dead))
+    def checked(gates, due, nxt, prv, gid, ids, dead, views):
+        n = len(gates)
+        state = (list(gates), array("i", due.tobytes()), due, array("i", nxt),
+                 array("i", prv), array("i", gid), dict(ids), array("i", [n]) * n,
+                 array("i", [n]) * n, bytearray(dead))
         want = ref.triple_run(*state)
-        runs.append({"lazy": lazy, "dropped": sum(gates[i] is None for i in due),
+        sweep[0] += 1
+        runs.append({"sweep": sweep[0], "dropped": sum(gates[i] is None for i in due),
                      "first": None, "scanned": 0})
         before = list(gates)
-        got = run(gates, due, lazy, cnots, nxt, prv, gid, ids, w1, w2, dead, views)
+        got = run(gates, due, nxt, prv, gid, ids, dead, views)
         assert got == want
-        assert (gates, nxt, prv, gid, w1, w2, dead) == tuple(state[i] for i in (0, 3, 4, 5, 7, 8, 9))
+        assert (gates, nxt, prv, gid, dead) == tuple(state[i] for i in (0, 3, 4, 5, 9))
         assert list(ids.items()) == list(state[6].items())
         del runs[-1]["scanned"]
         if runs[-1]["first"] is not None:
@@ -379,7 +389,8 @@ def _triple_runs_checked(scan_min: int = 0, block: int = 4):
             assert gates[at] != before[at]
         return got
 
-    with mock.patch.object(optimizer, "_pass_cnot_triple", checked), \
+    with mock.patch.object(optimizer, "_optimize_ids", counted), \
+            mock.patch.object(optimizer, "_pass_cnot_triple", checked), \
             mock.patch.object(optimizer, "_triple_scan", scanned), \
             mock.patch.object(optimizer, "_SCAN_MIN", scan_min), \
             mock.patch.object(optimizer, "_SCAN_BLOCK", block):
@@ -403,13 +414,14 @@ def test_triple_scan_matches_the_per_gate_loop():
             c = _triple_circuit(random.Random(seed))
             for cap in _CAPS:
                 _assert_same(c, cap)
-    # The scan found rewrites mid-run, beyond its first block, first in
-    # lazy runs, and after dropped CNOTs in full runs, so the comparison
-    # covers each case.
-    assert any(r["first"] and not r["lazy"] for r in runs)
+    # The scan found rewrites mid-run in the first sweep, beyond its first
+    # block, at the first live CNOT of a run after the first sweep, and
+    # after dropped CNOTs in the first sweep, so the comparison covers each
+    # case.
+    assert any(r["first"] and r["sweep"] == 1 for r in runs)
     assert any(r["first"] is not None and r["first"] >= 4 for r in runs)
-    assert any(r["first"] == 0 and r["lazy"] for r in runs)
-    assert any(r["first"] is not None and r["dropped"] and not r["lazy"] for r in runs)
+    assert any(r["first"] == 0 and r["sweep"] > 1 for r in runs)
+    assert any(r["first"] is not None and r["dropped"] and r["sweep"] == 1 for r in runs)
 
 
 @_examples(100)
@@ -430,32 +442,32 @@ def test_triple_scan_rewrite_in_the_middle_of_a_full_run():
     with _triple_runs_checked() as runs:
         assert _assert_same(c, 1).gates == [Gate("CNOT", (0, 3)), Gate("H", (0,)),
                                             Gate("CNOT", (0, 2)), Gate("CNOT", (1, 2))]
-    assert runs[0] == {"lazy": False, "dropped": 0, "first": 1}
+    assert runs[0] == {"sweep": 1, "dropped": 0, "first": 1}
 
 
-def test_triple_scan_lazy_run_whose_first_due_cnot_rewrites():
+def test_triple_scan_second_sweep_rewrites_its_first_live_cnot():
     # H S Sdg H on wire c separates the triple in the first sweep.  The
-    # second sweep's cancel drops the H pair, the triple's witness, so the
-    # lazy run walks that CNOT first and rewrites it.
+    # second sweep's cancel drops the H pair, so that sweep's triple run
+    # rewrites its first live CNOT.
     ladder = [Gate("H", (2,)), Gate("S", (2,)), Gate("Sdg", (2,)), Gate("H", (2,))]
     c = Circuit(3, [_TRIPLE[0], *ladder, *_TRIPLE[1:]])
     with _triple_runs_checked() as runs:
         assert _assert_same(c, 2).gates == [Gate("CNOT", (0, 2)), Gate("CNOT", (1, 2))]
-    assert [(r["lazy"], r["first"]) for r in runs] == [(False, None), (True, 0)]
+    assert [(r["sweep"], r["first"]) for r in runs] == [(1, None), (2, 0)]
 
 
 def test_triple_scan_full_run_with_dropped_cnots_then_a_rewrite():
     # The cancelled CNOT(3, 4) pair leaves two dropped gates in the CNOT
-    # list, so the full run's live CNOTs are fewer than the list.  It is
-    # still a full run after its first rewrite: the second triple, whose
-    # witnesses were never noted, is walked in the same sweep.
+    # list, so the run's live CNOTs are fewer than the list.  After its
+    # first rewrite the run walks on, and rewrites the second triple in the
+    # same sweep.
     c = Circuit(6, [Gate("CNOT", (3, 4)), Gate("CNOT", (3, 4)), *_TRIPLE,
                     Gate("CNOT", (3, 4)), Gate("CNOT", (4, 5)), Gate("CNOT", (3, 4))])
     for scan_min, block in ((0, 4), (0, 2), (optimizer._SCAN_MIN, 4)):
         with _triple_runs_checked(scan_min, block) as runs:
             got = _assert_same(c, 1)
         assert [g.qubits for g in got.gates] == [(0, 2), (1, 2), (3, 5), (4, 5)]
-        assert runs[0]["dropped"] == 2 and not runs[0]["lazy"]
+        assert runs[0]["dropped"] == 2 and runs[0]["sweep"] == 1
 
 
 @contextmanager
