@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .encoding import BLOCK_UNARY, GRAY, MAX_D, SB, UNARY, EncodingSpec, ceil_log2
-from .paulis import PauliSum, weight
+from .paulis import PauliSum
 
 SPARSITY_PATTERNS = ("pair", "tridiagonal", "dense")
 MAX_CLOSED_FORM_DH = 2  # closed forms exist for d_H = 0 (diagonal), 1 and 2
@@ -107,13 +107,11 @@ def dense_cnot_upper_bound(d: int) -> int:
 
 
 def staircase_cnots(s: PauliSum) -> int:
-    """Exact pre-optimization CNOT count of a staircase for this sum."""
-    total = 0
-    for pstring in s.terms:
-        p = weight(pstring)
-        if p >= 2:
-            total += 2 * p - 2
-    return total
+    """Exact pre-optimization CNOT count of a staircase for this sum: 2(p - 1)
+    for each string of weight p >= 1, where the identity string, the one of
+    weight 0, has none."""
+    terms = s.terms
+    return 2 * (sum(map(len, terms)) - len(terms) + (() in terms))
 
 
 def operator_upper_bound(spec: EncodingSpec, A) -> int:

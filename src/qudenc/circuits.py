@@ -205,18 +205,14 @@ def _hermitian(h: PackedSum) -> PackedSum:
     return h
 
 
-def _gate_list(gid: np.ndarray, ids: dict) -> list[Gate]:
-    """Gate i of a layout as the one Gate shared by every gate of its id."""
+def _circuit(h: PackedSum, theta: float) -> Circuit:
+    """The staircase circuit of h: the one Gate of each id at every gate of
+    that id, and a validated Gate per Rz."""
+    gid, ids, rz, angles, phase = _staircase(h, theta)
     shared = np.empty(len(ids), object)
     shared[:] = [_staircase_gate(kind, qubits) for kind, qubits in ids]
-    return shared[gid].tolist()
-
-
-def _circuit(h: PackedSum, theta: float) -> Circuit:
-    """The staircase circuit of h: shared gates, and a validated Gate per Rz."""
-    gid, ids, rz, angles, phase = _staircase(h, theta)
-    gates = _gate_list(gid, ids)
-    del gid
+    gates = shared[gid].tolist()
+    del gid, shared
     for i, angle in zip(rz.tolist(), angles):
         gates[i] = Gate("Rz", gates[i].qubits, angle)
     return Circuit(h.n_qubits, gates, phase)

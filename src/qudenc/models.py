@@ -51,8 +51,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .circuits import (ENTANGLING_KINDS, Circuit, _circuit, _gate_list, _hermitian,
-                       _trotter_ids, count_resources, trotter_step)
+from .circuits import (ENTANGLING_KINDS, Circuit, _circuit, _hermitian, _trotter_ids,
+                       count_resources, trotter_step)
 from .converters import SB_TO_GRAY, SB_TO_UNARY, conversion_cost
 from .encoding import GRAY, SB, UNARY, EncodingSpec, check_level_count, num_qubits
 from .encoder import augment_truncation, can_augment, encode_matrix
@@ -469,8 +469,8 @@ def term_entangling_cost(term: LocalTerm, kind: str, augment: bool = False) -> i
     if abs(term.coefficient) < COEFF_ZERO_TOL:
         cost = 0
     else:
-        _, gid, ids, _, dead, _ = _optimized_step(_term_sum(term, kind, augment=augment),
-                                                  PRICING_THETA)
+        gid, ids, _, dead, _ = _optimized_step(_term_sum(term, kind, augment=augment),
+                                               PRICING_THETA)
         live = _of_kind(gid, ids, ENTANGLING_KINDS) > np.frombuffer(dead, bool)[:-1]
         cost = int(np.count_nonzero(live))
     _PRICE_CACHE[key] = cost
@@ -480,14 +480,12 @@ def term_entangling_cost(term: LocalTerm, kind: str, augment: bool = False) -> i
 def _optimized_step(h: PackedSum, theta: float, phase: float = 0.0,
                     max_sweeps: int = MAX_SWEEPS) -> tuple:
     """optimize(trotter_step(h, theta), max_sweeps) in the optimizer core's
-    packed form, h's strings being in Trotter order, with no Gate per gate:
-    one shared Gate per (kind, qubits) (an Rz's angle in it is a
-    placeholder).  Returns the core's gates, gid, ids, angles, dead mask and
-    phase, phase being the start phase plus what the merges gained."""
+    packed form, h's strings being in Trotter order, with no Gate at all.
+    Returns the core's gid, ids, angles, dead mask and phase, phase being
+    the start phase plus what the merges gained."""
     gid, ids, angles = _trotter_ids(h, theta)
-    gates = _gate_list(np.frombuffer(gid, np.intc), ids)
-    dead, phase = _optimize_ids(gates, *_link(gid, ids), gid, ids, angles, phase, max_sweeps)
-    return gates, gid, ids, angles, dead, phase
+    dead, phase = _optimize_ids(*_link(gid, ids), gid, ids, angles, phase, max_sweeps)
+    return gid, ids, angles, dead, phase
 
 
 def _priced(term: LocalTerm, kind: str, d: int) -> int:

@@ -12,16 +12,18 @@ than the input:
   _pass_cnot_triple  CNOT(a,b) CNOT(b,c) CNOT(a,b) -> CNOT(a,c) CNOT(b,c)
 
 commutes answers True only when commutation is provable; a False only
-blocks a rewrite.  The core, _optimize_ids, keeps per gate position i
-(n gates; n also stands for "nowhere"):
+blocks a rewrite.  The core, _optimize_ids, reads no Gate.  It keeps per
+gate position i (n gates; n also stands for "nowhere"):
 
-  gates, gid, ids  gate i as a Gate and its (kind, qubits) number in ids,
-                   all that a walk's answer reads, so memo keeps one answer
-                   per pair of numbers
+  gid, ids, keys   gate i's (kind, qubits) number in ids; keys[gid[i]] is
+                   that (kind, qubits), all that a walk's answer reads
   angles           gate i's Rz angle, summed in place by merge
   nxt, prv         the per-wire chains from _link: slot 3i + s is gate i's
                    s-th wire, linked to the live gates before and after it
-  dead             the byte mask of dropped gates
+  dead             the byte mask of dropped gates, the one record of which
+                   gates are live
+  loose            the Rz gates whose own first angle drops them, which
+                   the merge scan never settles
   stop             where gate i's last cancel or merge walk stopped; after
                    the first sweep those passes run lazily, over the gates
                    whose stop was dropped (_due), and in full again after a
@@ -29,13 +31,19 @@ blocks a rewrite.  The core, _optimize_ids, keeps per gate position i
   owned, jump      a scanned cancel block's pending pairs, dropped at once
                    by pointer doubling (_drop_pairs)
 
-Each pass walks its own index list (_kind_lists).  A cancel or triple run
-of at least _SCAN_MIN gates is first scanned in numpy, _SCAN_BLOCK gates at
-a time: _cancel_scan takes every walk's first step, and _triple_scan makes
-every test of the triple loop up to the first rewrite.  The per-gate loops
-walk what the scans leave.  optimize() numbers a Circuit's gates
-(_wire_chains) and rebuilds only merged Rz gates; pricing synthesizes
-straight into ids (circuits._trotter_ids).
+and per id its kind and its wires as dense ranks (_link's wire table).
+_answer_table holds _answer once per (kind of a, kind of b, overlap code),
+the overlap code saying which of b's wires are which of a's: the scans
+gather it in numpy (_answers), and the per-gate loops fill memo, keyed on
+pairs of ids, from it.
+
+Each pass walks its own index list.  A run of at least _SCAN_MIN gates is
+first scanned in numpy, _SCAN_BLOCK gates at a time: _cancel_scan takes
+every cancel or merge walk's first step, and _triple_scan makes every test
+of the triple loop up to the first rewrite.  The per-gate loops walk
+what the scans leave.  optimize() numbers a Circuit's gates (_wire_chains)
+and builds a Gate only for merged Rz gates and rewritten CNOTs; pricing
+synthesizes straight into ids (circuits._trotter_ids).
 
 README.md, section Optimizer, argues once why each of these shortcuts gives
 exactly the gates of a scan over the whole list, and gives the measurements
@@ -44,12 +52,14 @@ behind _SCAN_MIN.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from array import array
 
 import numpy as np
 
-from .circuits import Circuit, Gate, _check_angle
+from .circuits import GATE_ARITY, Circuit, Gate, _check_angle, _staircase_gate
 
 _DIAGONAL_1Q = frozenset(("Rz", "T", "Tdg", "S", "Sdg"))
 # kind -> kind of its inverse; Rz has none (rotations merge instead)
@@ -68,6 +78,9 @@ _SCAN_MIN = 256
 _SCAN_BLOCK = 8192
 _SLOTS = np.arange(3, dtype=np.intc)  # the slots of gate i are 3*i + _SLOTS
 _NO_PAIRS = np.empty(0, np.intc)
+_KIND = {kind: k for k, kind in enumerate(GATE_ARITY)}  # a kind's number in the answer table
+# At 3t + s: what "wire t of a is wire s of b" takes off an overlap code.
+_OVERLAP = np.array([(3 - t) << 2 * s for t in range(3) for s in range(3)], np.uint8)
 
 
 def commutes(a: Gate, b: Gate) -> bool:
@@ -124,18 +137,20 @@ def _is_inverse_pair(a: Gate, b: Gate) -> bool:
     return _same_action(a, b) if a.kind == b.kind else a.qubits == b.qubits
 
 
-def _wire_chains(gates: list[Gate]) -> tuple[array, array, array, dict]:
-    """Doubly linked per-wire chains over fixed gate positions, and gate ids:
-    gid[i] numbers gate i's (kind, qubits) in ids, the only fields the
-    walks' answers read, and _link builds the chains from them.  Numbering
-    the gates is the one Python loop over them."""
+def _wire_chains(gates: list[Gate]) -> tuple[array, array, np.ndarray, array, dict]:
+    """Doubly linked per-wire chains over fixed gate positions, the wire
+    table, and gate ids: gid[i] numbers gate i's (kind, qubits) in ids, the
+    only fields the walks' answers read, and _link builds the chains from
+    them.  Numbering the gates is the one Python loop over them."""
     ids: dict[tuple, int] = {}
     gid = array("i", [ids.setdefault((g.kind, g.qubits), len(ids)) for g in gates])
     return (*_link(gid, ids), gid, ids)
 
 
-def _link(gid: array, ids: dict) -> tuple[array, array]:
-    """The per-wire chains of the gates numbered gid[i] in ids.
+def _link(gid: array, ids: dict) -> tuple[array, array, np.ndarray]:
+    """The per-wire chains of the gates numbered gid[i] in ids, and the wire
+    table: row r holds the wires of id r as dense ranks, padded with -1.  A
+    qubit index may be any non-negative int, but a rank always fits a C int.
 
     Gate i owns slot 3*i + s for its s-th qubit.  nxt[slot] is the slot of
     the next live gate on that wire (len(nxt) when there is none) and
@@ -143,19 +158,17 @@ def _link(gid: array, ids: dict) -> tuple[array, array]:
     a list of 700 million gates would not fit in memory long before 3*i
     overflows them.
 
-    A table gives each id's wires, and numpy gathers it by gid, sorts the
-    slots by wire (stable, so each wire keeps gate order) and links equal
-    neighbours.
+    numpy gathers the wire table by gid, sorts the slots by wire (stable,
+    so each wire keeps gate order) and links equal neighbours.
     """
-    # Row r holds the wires of id r as dense ranks, padded with -1: a qubit
-    # index may be any non-negative int, but a rank always fits a C int.
     rank: dict[int, int] = {}
     table = array("i")
     for _, qubits in ids:
         table.extend([rank.setdefault(q, len(rank)) for q in qubits])
         table.extend(_PAD[len(qubits):])
+    wires = np.frombuffer(table, np.intc).reshape(-1, 3)
     # Cell s of row i in the n x 3 grid is slot 3*i + s.
-    wire = np.frombuffer(table, np.intc).reshape(-1, 3)[np.frombuffer(gid, np.intc)].ravel()
+    wire = wires[np.frombuffer(gid, np.intc)].ravel()
     slots = np.flatnonzero(wire >= 0).astype(np.intc)
     # As the smallest unsigned type that holds the ranks: numpy's stable
     # sort is a radix sort on 8- and 16-bit integers, several times faster.
@@ -170,19 +183,20 @@ def _link(gid: array, ids: dict) -> tuple[array, array]:
     prv = array("i", [-1]) * end
     np.frombuffer(nxt, np.intc)[before] = after
     np.frombuffer(prv, np.intc)[after] = before
-    return nxt, prv
+    return nxt, prv, wires
+
+
+def _grown(wires: np.ndarray, keys: list) -> np.ndarray:
+    """wires with a row for each id that rewrites added to keys: a CNOT on
+    two wires that older ids already rank."""
+    rank = {q: r for (_, qubits), row in zip(keys, wires.tolist()) for q, r in zip(qubits, row)}
+    new = [(rank[a], rank[c], -1) for _, (a, c) in keys[len(wires):]]
+    return np.concatenate((wires, np.array(new, np.intc)))
 
 
 def _of_kind(gid: array, ids: dict, kinds) -> np.ndarray:
     """Mask of the gates whose kind is in kinds."""
     return np.array([kind in kinds for kind, _ in ids], bool)[np.frombuffer(gid, np.intc)]
-
-
-def _kind_lists(gid: array, ids: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The indices of the non-Rz, the Rz and the CNOT gates, in gate order:
-    the gates that cancel, merge and the CNOT-triple check walk."""
-    rz, cnot = _of_kind(gid, ids, ("Rz",)), _of_kind(gid, ids, ("CNOT",))
-    return tuple(np.flatnonzero(m).astype(np.intc) for m in (~rz, rz, cnot))
 
 
 def _due(todo: np.ndarray, gone: np.ndarray, full: bool, stop: np.ndarray) -> np.ndarray:
@@ -202,11 +216,9 @@ def _unlink(nxt: array, prv: array, slot: int) -> None:
         prv[x] = p
 
 
-def _drop(gates: list[Gate | None], nxt: array, prv: array, dead: bytearray,
-          i: int) -> None:
-    for slot in range(3 * i, 3 * i + len(gates[i].qubits)):
+def _drop(nxt: array, prv: array, dead: bytearray, i: int, arity: int) -> None:
+    for slot in range(3 * i, 3 * i + arity):
         _unlink(nxt, prv, slot)
-    gates[i] = None
     dead[i] = 1
 
 
@@ -221,38 +233,73 @@ def _answer(g: Gate, h: Gate) -> int:
     return _PASS if commutes(g, h) else _BLOCK
 
 
-def _cancel_scan(due: np.ndarray, gates: list[Gate | None], memo: dict, nxt: np.ndarray,
-                 gid: np.ndarray, gone: np.ndarray,
-                 stop: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Take the first step of the walks of due's live gates at once, on the
-    chains as they stand; return the live gates whose walk goes on past it,
-    with their first neighbour and the answer there (pass or cancel).
+def _at(a: tuple, b: tuple) -> int:
+    """Where the answer table holds _answer for gates of (kind, qubits) a
+    and b: at (kind of a, kind of b, overlap code), whose base-4 digit s is
+    the position of b's s-th wire among a's wires, or 3 when a does not
+    touch it or b has no s-th wire."""
+    (ka, qa), (kb, qb) = a, b
+    at = (_KIND[ka] * len(_KIND) + _KIND[kb]) << 6 | 63
+    for s, q in enumerate(qb):
+        if q in qa:
+            at -= (3 - qa.index(q)) << 2 * s
+    return at
+
+
+@functools.cache
+def _answer_table() -> tuple[np.ndarray, list]:
+    """_answer at _at(a, b) for every pair of kinds and every way their
+    wires can coincide, as int8 and as a list; -1 where no gate pair lands.
+    Each entry comes from _answer on one pair of Gates, a on wires 0, 1, ...
+    and b on a's wires or on fresh ones, so commutes and _is_inverse_pair
+    stay the one rule.  Built on first use, once per process."""
+    table = np.full(len(_KIND) ** 2 << 6, -1, np.int8)
+    for ka, na in GATE_ARITY.items():
+        a = _staircase_gate(ka, tuple(range(na)))
+        for kb, nb in GATE_ARITY.items():
+            for qb in itertools.permutations(range(na + nb), nb):
+                table[_at((ka, a.qubits), (kb, qb))] = _answer(a, _staircase_gate(kb, qb))
+    return table, table.tolist()
+
+
+def _id_tables(keys: list, wires: np.ndarray) -> tuple:
+    """_answers' view of each id: its kind's offset in the answer table as
+    gate a and as gate b (with overlap code 63), and its wire ranks, column
+    by column, padded with -1 as gate a and with -2 as gate b, so that a pad
+    never meets a pad."""
+    kind = np.array([_KIND[k] for k, _ in keys], np.intp)
+    wa = np.ascontiguousarray(wires.T)
+    return kind * (len(_KIND) << 6), kind << 6 | 63, wa, np.where(wa < 0, -2, wa)
+
+
+def _answers(a: np.ndarray, b: np.ndarray, row_a: np.ndarray, row_b: np.ndarray,
+             wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
+    """_answer for each pair of ids (a[t], b[t]), gathered from the answer
+    table; the other arguments are _id_tables'."""
+    same = wa.take(a, 1)[:, None] == wb.take(b, 1)[None]  # [t, s]: wire t of a is wire s of b
+    at = row_a.take(a) + row_b.take(b) - _OVERLAP @ same.reshape(9, -1).view(np.uint8)
+    return _answer_table()[0].take(at)
+
+
+def _cancel_scan(due: np.ndarray, nxt: np.ndarray, gid: np.ndarray, gone: np.ndarray,
+                 stop: np.ndarray, per_id: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Take the first step of the cancel or merge walks of due's live gates
+    at once, on the chains as they stand; return the live gates whose walk
+    goes on past it, with their first neighbour and the answer there (pass
+    or cancel).
 
     Gate i's first neighbour is j = min(nxt[3i], nxt[3i+1], nxt[3i+2]) // 3
     (an unused slot holds len(nxt)), and stop[i] = j is written for every
     gate: it is final where j is n or the answer there is stop, and the
-    per-gate loop writes the others again.  The answer for each distinct
-    pair of gate ids comes from memo, or from _answer on one gate pair with
-    those ids.  Key -1, which memo maps to stop, stands for j = n."""
+    per-gate loop writes the others again.  The answers are gathered from
+    the answer table by the ids of each pair (per_id: _id_tables)."""
     n = len(gone) - 1
     due = due[~gone.take(due)]
     base = 3 * due
     j = np.minimum(np.minimum(nxt.take(base), nxt.take(base + 1)), nxt.take(base + 2)) // 3
     stop[due] = j
-    key = gid.take(due).astype(np.int64) << 32 | gid.take(j, mode="clip")
-    key[j == n] = -1
-    keys, pair = np.unique(key, return_inverse=True)
-    keys = keys.tolist()
-    answers = [memo.get(k) for k in keys]
-    if None in answers:
-        at = np.empty(len(keys), np.intp)
-        at[pair] = np.arange(len(due))  # one gate of each pair of ids
-        for t, k in enumerate(keys):
-            if answers[t] is None:
-                f = at[t]
-                answers[t] = memo[k] = _answer(gates[due[f]], gates[j[f]])
-    answer = np.array(answers, np.int8).take(pair)
-    go = answer != _BLOCK
+    answer = _answers(gid.take(due), gid.take(j, mode="clip"), *per_id)
+    go = (answer != _BLOCK) & (j != n)
     return due[go], j[go], answer[go]
 
 
@@ -271,12 +318,11 @@ def _pending(go: np.ndarray, first: np.ndarray, answer: np.ndarray,
     return walkers, first[pend]
 
 
-def _drop_pairs(walkers: np.ndarray, partners: np.ndarray, gates: list[Gate | None],
-                nxt: np.ndarray, prv: np.ndarray, gone: np.ndarray, owned: np.ndarray,
-                jump: np.ndarray) -> bool:
+def _drop_pairs(walkers: np.ndarray, partners: np.ndarray, nxt: np.ndarray, prv: np.ndarray,
+                gone: np.ndarray, owned: np.ndarray, jump: np.ndarray) -> bool:
     """Drop the pending pairs (walkers[t], partners[t]) at once and return
     whether there were any.  owned marks exactly their gates; the arguments
-    after gates are numpy views.
+    are numpy views.
 
     On each wire the pending slots form runs of neighbours.  A run's head
     is a slot whose previous gate is not owned, and its tail is found by
@@ -289,8 +335,6 @@ def _drop_pairs(walkers: np.ndarray, partners: np.ndarray, gates: list[Gate | No
     if not len(walkers):
         return False
     both = np.concatenate((walkers, partners))
-    for i in both.tolist():
-        gates[i] = None
     gone[both] = True
     slots = (3 * both[:, None] + _SLOTS).ravel()
     after, before = nxt.take(slots), prv.take(slots)
@@ -323,16 +367,17 @@ def _drop_pairs(walkers: np.ndarray, partners: np.ndarray, gates: list[Gate | No
     return True
 
 
-def _pass_cancel(gates: list[Gate | None], due: np.ndarray, nxt: array, prv: array,
-                 gid: array, memo: dict, stop: array, dead: bytearray, owned: bytearray,
+def _pass_cancel(due: np.ndarray, nxt: array, prv: array, gid: array, keys: list,
+                 memo: dict, stop: array, dead: bytearray, owned: bytearray,
                  views: tuple) -> bool:
     """One cancel run over the gates of due.  views are the numpy views that
     _cancel_scan and _drop_pairs take.  In a scanned block the scan settles
     the walks that stop at their first neighbour, the pending pairs, whose
     gates owned marks, are dropped at the end of the block, and this loop
     walks the rest."""
-    at_nxt, at_prv, at_gid, gone, at_stop, at_owned, jump = views
+    at_nxt, at_prv, at_gid, gone, at_stop, at_owned, jump, per_id = views
     relink = (at_nxt, at_prv, gone, at_owned, jump)
+    table = _answer_table()[1]
     changed = False
     end = len(nxt)
     n = end // 3
@@ -341,15 +386,14 @@ def _pass_cancel(gates: list[Gate | None], due: np.ndarray, nxt: array, prv: arr
         go = due[pos:pos + _SCAN_BLOCK]
         walkers = partners = _NO_PAIRS
         if scan:
-            go, first, answer = _cancel_scan(go, gates, memo, at_nxt, at_gid, gone, at_stop)
+            go, first, answer = _cancel_scan(go, at_nxt, at_gid, gone, at_stop, per_id)
             walkers, partners = _pending(go, first, answer, at_owned)
             todo = array("i", go[~at_owned.take(go)].tobytes())
         else:
             todo = array("i", go.tobytes())
         while True:
             for i in todo:
-                g = gates[i]
-                if g is None:
+                if dead[i]:
                     continue  # cancelled by an earlier gate of this run
                 row = gid[i] << 32
                 # Walk the gate's wires merged by position; a cursor at end is
@@ -365,7 +409,7 @@ def _pass_cancel(gates: list[Gate | None], due: np.ndarray, nxt: array, prv: arr
                     key = row | gid[j]
                     r = memo.get(key)
                     if r is None:
-                        r = memo[key] = _answer(g, gates[j])
+                        r = memo[key] = table[_at(keys[gid[i]], keys[gid[j]])]
                     if r:
                         break
                     if x // 3 == j:
@@ -379,13 +423,12 @@ def _pass_cancel(gates: list[Gate | None], due: np.ndarray, nxt: array, prv: arr
                         break  # a conflict, below
                     # j has i's wires, and each cursor is at j's slot on its
                     # wire: unlink i's slot, then j's, wire by wire.
-                    for s in (base, x, base + 1, y, base + 2, z)[:2 * len(g.qubits)]:
+                    for s in (base, x, base + 1, y, base + 2, z)[:2 * len(keys[gid[i]][1])]:
                         p, q = prv[s], nxt[s]
                         if p >= 0:
                             nxt[p] = q
                         if q < end:
                             prv[q] = p
-                    gates[i] = gates[j] = None
                     dead[i] = dead[j] = 1
                     changed = True
                 stop[i] = j
@@ -396,25 +439,32 @@ def _pass_cancel(gates: list[Gate | None], due: np.ndarray, nxt: array, prv: arr
             # on from i gate by gate.
             late = walkers > i
             at_owned[walkers[late]] = at_owned[partners[late]] = False
-            changed |= _drop_pairs(walkers[~late], partners[~late], gates, *relink)
+            changed |= _drop_pairs(walkers[~late], partners[~late], *relink)
             walkers = partners = _NO_PAIRS
             todo = array("i", go[go >= i].tobytes())
-        changed |= _drop_pairs(walkers, partners, gates, *relink)
+        changed |= _drop_pairs(walkers, partners, *relink)
     return changed
 
 
-def _pass_merge(gates: list[Gate | None], todo: np.ndarray, nxt: array, prv: array,
-                gid: array, memo: dict, stop: array, dead: bytearray,
-                angles: list[float]) -> tuple[bool, float]:
-    """One merge run over the Rz gates of todo.  Each gate's angle is
-    angles[i]; its Gate's own angle is never read."""
+def _pass_merge(todo: np.ndarray, nxt: array, prv: array, gid: array, keys: list,
+                memo: dict, stop: array, dead: bytearray, is_rz: bytes,
+                angles: list[float], loose: np.ndarray, views: tuple) -> tuple[bool, float]:
+    """One merge run over the Rz gates of todo; is_rz[i] marks the Rz
+    gates.  Each gate's angle is angles[i].  A run of at least _SCAN_MIN
+    gates is first scanned (views are _cancel_scan's arguments): a walk
+    stopped at its first neighbour, or with none, is settled there unless
+    loose marks its gate."""
+    if len(todo) >= _SCAN_MIN:
+        go = [_cancel_scan(todo[pos:pos + _SCAN_BLOCK], *views)[0]
+              for pos in range(0, len(todo), _SCAN_BLOCK)]
+        todo = np.unique(np.concatenate((todo[loose.take(todo)], *go)))
+    table = _answer_table()[1]
     changed = False
     phase = 0.0
     end = len(nxt)
     n = end // 3
     for i in array("i", todo.tobytes()):
-        g = gates[i]
-        if g is None:
+        if dead[i]:
             continue
         row = gid[i] << 32
         x = nxt[3 * i]
@@ -422,28 +472,27 @@ def _pass_merge(gates: list[Gate | None], todo: np.ndarray, nxt: array, prv: arr
         angle = angles[i]
         while x < end:
             j = x // 3
-            h = gates[j]
             x = nxt[x]
-            if h.kind == "Rz":
+            if is_rz[j]:
                 angle += angles[j]
                 _check_angle(angle)
-                _drop(gates, nxt, prv, dead, j)
+                _drop(nxt, prv, dead, j, 1)
                 changed = True
             else:
                 key = row | gid[j]
                 r = memo.get(key)
                 if r is None:
-                    r = memo[key] = _answer(g, h)
+                    r = memo[key] = table[_at(keys[gid[i]], keys[gid[j]])]
                 if r:
                     stop[i] = j
                     break
         angles[i] = angle
         r = angle % (2.0 * TWO_PI)  # Rz has period 4pi
         if min(r, 2.0 * TWO_PI - r) < ANGLE_EPS:
-            _drop(gates, nxt, prv, dead, i)
+            _drop(nxt, prv, dead, i, 1)
             changed = True
         elif abs(r - TWO_PI) < ANGLE_EPS:
-            _drop(gates, nxt, prv, dead, i)
+            _drop(nxt, prv, dead, i, 1)
             phase += math.pi  # Rz(2pi) = -I = e^{i pi} I
             changed = True
     return changed, phase
@@ -476,11 +525,12 @@ def _triple_scan(due: np.ndarray, nxt: np.ndarray, prv: np.ndarray, gid: np.ndar
     return due, int(hits[0]) if len(hits) else len(due)
 
 
-def _pass_cnot_triple(gates: list[Gate | None], due: np.ndarray, nxt: array, prv: array,
-                      gid: array, ids: dict, dead: bytearray, views: tuple) -> bool:
+def _pass_cnot_triple(due: np.ndarray, nxt: array, prv: array, gid: array, ids: dict,
+                      keys: list, dead: bytearray, views: tuple) -> bool:
     """One run over the CNOTs of due.  views are _triple_scan's numpy
     arguments.  The scan settles every gate up to the first rewrite, and
-    this loop goes on from there."""
+    this loop goes on from there.  A rewrite changes gate i's id, numbering
+    a new (kind, qubits) in ids and keys."""
     if len(due) >= _SCAN_MIN:
         for pos in range(0, len(due), _SCAN_BLOCK):
             live, first = _triple_scan(due[pos:pos + _SCAN_BLOCK], *views)
@@ -492,17 +542,17 @@ def _pass_cnot_triple(gates: list[Gate | None], due: np.ndarray, nxt: array, prv
     changed = False
     n = len(nxt) // 3
     for i in array("i", due.tobytes()):
-        g1 = gates[i]
-        if g1 is None:
+        if dead[i]:
             continue
-        a, b = g1.qubits
+        t = gid[i]
+        a, b = keys[t][1]
         # The next gate touching {a, b} must be CNOT(b, c).
         after_a = nxt[3 * i]
         j = min(after_a, nxt[3 * i + 1]) // 3
         if j == n:
             continue
-        g2 = gates[j]
-        if g2.kind != "CNOT" or g2.qubits[0] != b or g2.qubits[1] == a:
+        kind, q = keys[gid[j]]
+        if kind != "CNOT" or q[0] != b or q[1] == a:
             continue
         # Separators between g1 and g2 must avoid wire c as well.
         c_slot = 3 * j + 1
@@ -510,13 +560,13 @@ def _pass_cnot_triple(gates: list[Gate | None], due: np.ndarray, nxt: array, prv
             continue
         # The next gate touching {a, b, c} must repeat CNOT(a, b).
         k = min(after_a, nxt[3 * j], nxt[c_slot]) // 3
-        if k == n:
+        if k == n or gid[k] != t:
             continue
-        if gates[k].kind != "CNOT" or gates[k].qubits != (a, b):
-            continue
-        _drop(gates, nxt, prv, dead, k)
-        gates[i] = Gate("CNOT", (a, g2.qubits[1]))
-        gid[i] = ids.setdefault(("CNOT", gates[i].qubits), len(ids))
+        _drop(nxt, prv, dead, k, 2)
+        key = "CNOT", (a, q[1])
+        gid[i] = ids.setdefault(key, len(ids))
+        if len(ids) > len(keys):
+            keys.append(key)
         # Gate i's second slot moves from wire b to wire c, just before g2.
         moved = 3 * i + 1
         _unlink(nxt, prv, moved)
@@ -529,42 +579,57 @@ def _pass_cnot_triple(gates: list[Gate | None], due: np.ndarray, nxt: array, prv
     return changed
 
 
-def _optimize_ids(gates: list[Gate | None], nxt: array, prv: array, gid: array, ids: dict,
+def _optimize_ids(nxt: array, prv: array, wires: np.ndarray, gid: array, ids: dict,
                   angles: list[float], phase: float, max_sweeps: int) -> tuple[bytearray, float]:
     """The optimizer core: run cancel, merge and the CNOT-triple rewrite, in
     that order, until a sweep changes nothing or max_sweeps sweeps have run.
 
-    gates[i] is a Gate of kind and qubits ids[gid[i]], whose angle is not
-    read: gate i's Rz angle is angles[i].  nxt and prv are _link's chains.
-    Drops set gates[i] to None, merges update angles and rewrites gates and
-    gid (a new (kind, qubits) is added to ids).  Returns the dead mask
-    (dead[i]: gate i was dropped, n + 1 bytes) and phase plus the global
-    phase the merges gained."""
-    cancel, merge, triple = _kind_lists(gid, ids)
-    memo: dict[int, int] = {-1: _BLOCK}  # -1: see _cancel_scan
+    gid[i] numbers gate i's (kind, qubits) in ids, and gate i's Rz angle is
+    angles[i].  nxt, prv and wires are _link's chains and wire table.
+    Merges update angles and rewrites gid (a new (kind, qubits) is added to
+    ids).  Returns the dead mask (dead[i]: gate i was dropped, n + 1 bytes)
+    and phase plus the global phase the merges gained."""
+    keys = list(ids)
+    n = len(gid)
+    rz = _of_kind(gid, ids, ("Rz",))
+    cnot = np.append(_of_kind(gid, ids, ("CNOT",)), False)  # kinds never change
+    cancel, merge, triple = (np.flatnonzero(m).astype(np.intc) for m in (~rz, rz, cnot))
+    is_rz = rz.tobytes()
+    # The Rz gates whose angle alone drops them (0 or 2pi mod 4pi), as the
+    # merge loop tests it: the merge scan never settles their walks.  A gate
+    # that a walk leaves live has an angle that does not drop it, so later
+    # sweeps need no such test.
+    r = np.fromiter(map(angles.__getitem__, merge.tolist()), float, len(merge)) % (2.0 * TWO_PI)
+    loose = np.zeros(n, bool)
+    loose[merge] = (np.minimum(r, 2.0 * TWO_PI - r) < ANGLE_EPS) | (abs(r - TWO_PI) < ANGLE_EPS)
+    memo: dict[int, int] = {}
     # Where each gate's last walk stopped (n: nowhere).  Cancel walks only
     # non-Rz gates and merge only Rz gates, so they share stop.
-    n = len(gates)
     stop = array("i", [n]) * n
     at_stop = np.frombuffer(stop, np.intc)
     dead = bytearray(n + 1)  # dead[i]: gate i was dropped; slot n stays 0
     gone = np.frombuffer(dead, bool)
     owned = bytearray(n + 1)  # owned[i]: gate i is in a pending pair; slot n stays 0
-    cnot = np.zeros(n + 1, bool)
-    cnot[triple] = True  # kinds never change
     at_nxt, at_prv, at_gid = (np.frombuffer(a, np.intc) for a in (nxt, prv, gid))
     jump = np.empty(3 * n, np.intc)  # see _drop_pairs
-    scan_cancel = (at_nxt, at_prv, at_gid, gone, at_stop, np.frombuffer(owned, bool), jump)
+    scan_cancel = (at_nxt, at_prv, at_gid, gone, at_stop, np.frombuffer(owned, bool), jump,
+                   _id_tables(keys, wires))
+    scan_merge = (at_nxt, at_gid, gone, at_stop, scan_cancel[-1])
     scan_triple = (at_nxt, at_prv, at_gid, cnot, gone)
     full = True  # cancel and merge walk every gate: the first sweep, and after a rewrite
     for _ in range(max_sweeps):
         due = _due(cancel, gone, full, at_stop)
-        cancelled = _pass_cancel(gates, due, nxt, prv, gid, memo, stop, dead, owned,
+        cancelled = _pass_cancel(due, nxt, prv, gid, keys, memo, stop, dead, owned,
                                  scan_cancel)
         due = _due(merge, gone, full, at_stop)
-        merged, dphase = _pass_merge(gates, due, nxt, prv, gid, memo, stop, dead, angles)
+        merged, dphase = _pass_merge(due, nxt, prv, gid, keys, memo, stop, dead, is_rz,
+                                     angles, loose, scan_merge)
         phase += dphase
-        full = _pass_cnot_triple(gates, triple, nxt, prv, gid, ids, dead, scan_triple)
+        full = _pass_cnot_triple(triple, nxt, prv, gid, ids, keys, dead, scan_triple)
+        if len(keys) > len(wires):
+            wires = _grown(wires, keys)
+            scan_cancel = (*scan_cancel[:-1], _id_tables(keys, wires))
+            scan_merge = (*scan_merge[:-1], scan_cancel[-1])
         if not (cancelled or merged or full):
             break
     return dead, phase
@@ -576,15 +641,20 @@ def optimize(c: Circuit, max_sweeps: int = MAX_SWEEPS) -> Circuit:
     circuit."""
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
-    gates: list[Gate | None] = list(c.gates)
-    nxt, prv, gid, ids = _wire_chains(gates)
+    gates = c.gates
+    nxt, prv, wires, gid, ids = _wire_chains(gates)
+    was = np.frombuffer(gid, np.intc).copy()
     rz = np.flatnonzero(_of_kind(gid, ids, ("Rz",))).tolist()
     angles = [0.0] * len(gates)
     for i in rz:
         angles[i] = gates[i].angle
-    _, phase = _optimize_ids(gates, nxt, prv, gid, ids, angles, c.global_phase, max_sweeps)
+    dead, phase = _optimize_ids(nxt, prv, wires, gid, ids, angles, c.global_phase, max_sweeps)
+    out = list(gates)
+    keys = list(ids)
+    for i in np.flatnonzero(np.frombuffer(gid, np.intc) != was).tolist():
+        out[i] = Gate(*keys[gid[i]])  # rewritten
     for i in rz:
-        g = gates[i]
-        if g is not None and angles[i] is not g.angle:  # merged
-            gates[i] = Gate("Rz", g.qubits, angles[i])
-    return Circuit(c.n_qubits, [g for g in gates if g is not None], phase)
+        if angles[i] is not gates[i].angle and not dead[i]:  # merged
+            out[i] = Gate("Rz", gates[i].qubits, angles[i])
+    live = (~np.frombuffer(dead, bool)[:-1]).tobytes()
+    return Circuit(c.n_qubits, list(itertools.compress(out, live)), phase)

@@ -5,6 +5,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qudenc.bounds import (MAX_K, SPARSITY_PATTERNS, BoundQuery, asymptotic_class,
                            closed_form_cnot_upper_bound, cnot_upper_bound,
@@ -12,7 +14,7 @@ from qudenc.bounds import (MAX_K, SPARSITY_PATTERNS, BoundQuery, asymptotic_clas
                            pauli_length_distribution, staircase_cnots)
 from qudenc.encoder import encode_element, encode_matrix
 from qudenc.encoding import GRAY, SB, UNARY, EncodingSpec, encode, hamming_distance
-from qudenc.paulis import weight
+from qudenc.paulis import PauliSum, weight
 from qudenc.qudit_ops import bosonic, dense_hermitian_test_matrix
 
 
@@ -97,6 +99,31 @@ def test_unary_pair_is_constant_cost():
         spec = EncodingSpec(UNARY, d)
         s = (encode_element(spec, 1, 2) + encode_element(spec, 2, 1)).simplify()
         assert staircase_cnots(s) == 4
+
+
+# A Pauli string as its sorted set of (qubit, letter) factors: the identity
+# string (), weight-1 strings and wider ones on up to six qubits.
+_STRINGS = st.dictionaries(st.integers(0, 5), st.sampled_from("XYZ"), max_size=6).map(
+    lambda letters: tuple(sorted(letters.items())))
+
+
+@settings(max_examples=max(200, settings().max_examples), deadline=None)
+@given(st.lists(_STRINGS, max_size=12))
+def test_property_staircase_cnots_is_the_per_string_sum(strings):
+    s = PauliSum(6)
+    s.terms = dict.fromkeys(strings, 1.0)  # the empty sum when strings is empty
+    assert staircase_cnots(s) == sum(2 * weight(p) - 2 for p in s.terms if weight(p) >= 2)
+
+
+@pytest.mark.parametrize("strings, cnots", [
+    ([], 0), ([()], 0), ([((0, "X"),)], 0), ([(), ((2, "Z"),)], 0),
+    ([(), ((0, "X"), (1, "Y"))], 2), ([((0, "X"), (1, "Y"), (5, "Z")), ((3, "Z"),)], 4),
+], ids=["empty", "identity", "weight-1", "identity-and-weight-1", "identity-and-weight-2",
+        "weight-3-and-weight-1"])
+def test_staircase_cnots_edge_sums(strings, cnots):
+    s = PauliSum(6)
+    s.terms = dict.fromkeys(strings, 1.0)
+    assert staircase_cnots(s) == cnots
 
 
 def test_operator_upper_bound_number_operator():

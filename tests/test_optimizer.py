@@ -126,10 +126,9 @@ def test_merge_past_the_float_range_raises_like_gate():
     assert str(err.value) == "Rz angle must be a finite real number, got inf"
     # Pricing runs the core on ids and angles and builds no Gate from the
     # merged angle, so the merge itself must raise.
-    gid, ids, rz = array("i", [0, 0]), {("Rz", (0,)): 0}, Gate("Rz", (0,), 0.0)
+    gid, ids = array("i", [0, 0]), {("Rz", (0,)): 0}
     with pytest.raises(ValueError) as err:
-        optimizer._optimize_ids([rz, rz], *optimizer._link(gid, ids), gid, ids,
-                                [1e308, 1e308], 0.0, 1)
+        optimizer._optimize_ids(*optimizer._link(gid, ids), gid, ids, [1e308, 1e308], 0.0, 1)
     assert str(err.value) == "Rz angle must be a finite real number, got inf"
 
 
@@ -138,15 +137,15 @@ def test_drop_pairs_raises_instead_of_cycling():
     # is in no pair, so the pointer doubling reads jump at slots 6 and 9,
     # which no round writes; prefilled to point at each other, they cycle.
     gates = [Gate("H", (0,))] * 4
-    nxt, prv, _, _ = optimizer._wire_chains(gates)
+    nxt, prv, *_ = optimizer._wire_chains(gates)
     owned = np.zeros(5, bool)
     owned[[0, 1, 2]] = True
     jump = np.zeros(12, np.intc)
     jump[6], jump[9] = 9, 6
     pair = np.array([0], np.intc), np.array([1], np.intc)
     with pytest.raises(RuntimeError, match="owned marks a gate outside the pairs"):
-        optimizer._drop_pairs(*pair, list(gates), np.frombuffer(nxt, np.intc),
-                              np.frombuffer(prv, np.intc), np.zeros(5, bool), owned, jump)
+        optimizer._drop_pairs(*pair, np.frombuffer(nxt, np.intc), np.frombuffer(prv, np.intc),
+                              np.zeros(5, bool), owned, jump)
 
 
 def test_cnot_triple_rewrite():

@@ -5,7 +5,7 @@ trotter_step builds Gates from it; it must give the staircase that
 Circuit.add builds one string at a time (_staircase_via_add), gate for gate
 and with the same global phase.  Pricing synthesizes a packed Pauli sum
 straight into gate ids and Rz angles (circuits._trotter_ids) and runs the
-optimizer core on them (models._optimized_step), with no Gate per gate.
+optimizer core on them (models._optimized_step), with no Gate at all.
 Rebuilt into Gates, the core's survivors must equal
 optimize(trotter_step(h)) exactly: the same gates, the same angles and the
 same global phase, float for float.
@@ -56,12 +56,14 @@ def _in_trotter_order(h: PauliSum) -> PackedSum:
 
 def _packed(h: PauliSum, max_sweeps: int) -> tuple[list[Gate], float]:
     """The core's survivors on the packed form of trotter_step(h), rebuilt
-    into Gates, and the global phase, started from trotter_step's."""
+    into Gates from their ids and Rz angles, and the global phase, started
+    from trotter_step's."""
     phase = trotter_step(h, _THETA).global_phase
-    gates, _, _, angles, _, phase = models._optimized_step(_in_trotter_order(h), _THETA,
+    gid, ids, angles, dead, phase = models._optimized_step(_in_trotter_order(h), _THETA,
                                                            phase, max_sweeps)
-    return [g if g.kind != "Rz" else Gate("Rz", g.qubits, angles[i])
-            for i, g in enumerate(gates) if g is not None], phase
+    keys = list(ids)
+    return [Gate(kind, qubits, angles[i] if kind == "Rz" else None)
+            for i, (kind, qubits) in enumerate(map(keys.__getitem__, gid)) if not dead[i]], phase
 
 
 @settings(max_examples=max(200, settings().max_examples), deadline=None)

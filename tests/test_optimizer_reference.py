@@ -277,9 +277,10 @@ def test_pricing_circuits_match_reference(spec):
 
 
 def _assert_same_chains(gates: list[Gate]) -> None:
-    got, want = _wire_chains(gates), ref.wire_chains(gates)
-    assert got[:3] == want[:3]  # nxt, prv, gid
-    assert list(got[3].items()) == list(want[3].items())
+    nxt, prv, _, gid, ids = _wire_chains(gates)
+    want = ref.wire_chains(gates)
+    assert (nxt, prv, gid) == want[:3]
+    assert list(ids.items()) == list(want[3].items())
 
 
 def test_wire_chains_match_reference_on_random_circuits():
@@ -342,15 +343,25 @@ def test_triple_rewrite_drops_the_third_cnot_of_a_later_triple_at_cap_2():
     assert len(_assert_same(c, 2).gates) == 23
 
 
+def _ref_gates(keys: list, gid: array, dead: bytearray) -> list[Gate | None]:
+    """The reference's gate list for the core's state: gate i rebuilt from
+    its (kind, qubits) key, None where the dead mask marks it (an Rz's
+    angle, which no walk reads, is a placeholder)."""
+    return [None if dead[i] else Gate(kind, qubits, 0.0 if kind == "Rz" else None)
+            for i, (kind, qubits) in enumerate(map(keys.__getitem__, gid))]
+
+
 @contextmanager
 def _triple_runs_checked(scan_min: int = 0, block: int = 4):
     """Hold every CNOT-triple run of optimize() to ref.triple_run, the
-    per-gate loop, run on a copy of the run's state (with throwaway witness
-    arrays, and the run's own list as the reference's CNOT list, so that it
-    walks every gate): the same answer, gates, chains, gate ids, id table
-    and dead mask, and the gate where the numpy scan found the first
-    rewrite is rewritten.  scan_min 0 sends every run through the scan, and
-    a small block splits it into several scans.  Yields a list that gets,
+    per-gate loop, run on a copy of the run's state with gates rebuilt from
+    the ids (with throwaway witness arrays, and the run's own list as the
+    reference's CNOT list, so that it walks every gate): the same answer,
+    chains, gate ids, id table and dead mask, the reference's gates equal
+    the core's ids rebuilt into Gates (None where dead), and the gate where
+    the numpy scan found the first rewrite is rewritten.  scan_min 0 sends
+    every run through the scan, and a small block splits it into several
+    scans.  Yields a list that gets,
     for each run, its sweep (from 1), how many of its CNOTs were dropped
     ones, and the position among its live CNOTs of the scan's first
     rewrite (None when it found none or did not run)."""
@@ -369,24 +380,26 @@ def _triple_runs_checked(scan_min: int = 0, block: int = 4):
         runs[-1]["scanned"] += len(live)
         return live, first
 
-    def checked(gates, due, nxt, prv, gid, ids, dead, views):
-        n = len(gates)
-        state = (list(gates), array("i", due.tobytes()), due, array("i", nxt),
+    def checked(due, nxt, prv, gid, ids, keys, dead, views):
+        n = len(gid)
+        state = (_ref_gates(keys, gid, dead), array("i", due.tobytes()), due, array("i", nxt),
                  array("i", prv), array("i", gid), dict(ids), array("i", [n]) * n,
                  array("i", [n]) * n, bytearray(dead))
         want = ref.triple_run(*state)
         sweep[0] += 1
-        runs.append({"sweep": sweep[0], "dropped": sum(gates[i] is None for i in due),
+        runs.append({"sweep": sweep[0], "dropped": sum(dead[i] for i in due.tolist()),
                      "first": None, "scanned": 0})
-        before = list(gates)
-        got = run(gates, due, nxt, prv, gid, ids, dead, views)
+        before = array("i", gid)
+        got = run(due, nxt, prv, gid, ids, keys, dead, views)
         assert got == want
-        assert (gates, nxt, prv, gid, dead) == tuple(state[i] for i in (0, 3, 4, 5, 9))
+        assert (nxt, prv, gid, dead) == tuple(state[i] for i in (3, 4, 5, 9))
         assert list(ids.items()) == list(state[6].items())
+        assert keys == list(ids)
+        assert _ref_gates(keys, gid, dead) == state[0]
         del runs[-1]["scanned"]
         if runs[-1]["first"] is not None:
             at = runs[-1].pop("at")
-            assert gates[at] != before[at]
+            assert gid[at] != before[at]
         return got
 
     with mock.patch.object(optimizer, "_optimize_ids", counted), \
@@ -473,18 +486,21 @@ def test_triple_scan_full_run_with_dropped_cnots_then_a_rewrite():
 @contextmanager
 def _cancel_runs_checked(scan_min: int = 0, block: int = 4):
     """Hold every cancel run of optimize() to ref.cancel_run, the per-gate
-    loop, run on a copy of the run's state: the same answer, gates and dead
-    mask, the same chains on every live gate's slots, the same stop for
-    every gate left live (a gate dropped as a partner keeps whatever stop
-    it had), and no gate left owned.  Then every dead gate's slots in the
-    library's chains are overwritten with a value out of range
+    loop, run on a copy of the run's state with gates rebuilt from the ids
+    and an empty memo, so that it asks its own _answer of every pair: the
+    same answer and dead mask, the reference's dropped gates (None) exactly
+    the dead ones, the same chains on every live gate's slots, the same stop
+    for every gate left live (a gate dropped as a partner keeps whatever
+    stop it had), and no gate left owned.  Then every dead gate's slots in
+    the library's chains are overwritten with a value out of range
     (len(nxt) + 5), so that a later read of one fails or changes the
     output: a dead slot's old pointers depend on the order of the unlinks
     and are never read.  scan_min 0 sends every run through the numpy
     scan, and a small block splits it into several scans.
 
     Yields a list that gets, for each run: whether it was lazy, how many
-    of its due gates were dropped ones, how many scans it made, the gates
+    of its due gates were dropped ones, how many scans it made (the merge
+    runs' first-step scans are left out), the gates
     the scans settled at a blocking gate and at the end of their wires,
     the gates they left past the first step (walked), the pending pairs
     (walker, partner) of its scans, the pairs each _drop_pairs call that
@@ -498,10 +514,12 @@ def _cancel_runs_checked(scan_min: int = 0, block: int = 4):
         full[:] = [is_full]  # the cancel run follows its _due call
         return due_of(todo, gone, is_full, *witnesses)
 
-    def scanned(due, gates, memo, nxt, gid, gone, stop):
+    def scanned(due, nxt, gid, gone, stop, per_id):
         live = due[~gone[due]]
-        go, first, answer = scan(due, gates, memo, nxt, gid, gone, stop)
+        go, first, answer = scan(due, nxt, gid, gone, stop, per_id)
         assert np.array_equal(first, stop[go])
+        if not runs or "open" not in runs[-1]:
+            return go, first, answer  # a merge run's scan
         settled = np.setdiff1d(live, go)
         off = stop[settled] == len(gone) - 1
         r = runs[-1]
@@ -516,9 +534,9 @@ def _cancel_runs_checked(scan_min: int = 0, block: int = 4):
         runs[-1]["pending"] += zip(walkers.tolist(), partners.tolist())
         return walkers, partners
 
-    def dropped(walkers, partners, gates, nxt, prv, gone, owned, jump):
+    def dropped(walkers, partners, nxt, prv, gone, owned, jump):
         if not len(walkers):
-            return drop_pairs(walkers, partners, gates, nxt, prv, gone, owned, jump)
+            return drop_pairs(walkers, partners, nxt, prv, gone, owned, jump)
         runs[-1]["applied"].append(list(zip(walkers.tolist(), partners.tolist())))
         longest = 0
         for s in np.flatnonzero(np.repeat(owned[:-1], 3)).tolist():
@@ -528,26 +546,28 @@ def _cancel_runs_checked(scan_min: int = 0, block: int = 4):
                     s, length = nxt[s], length + 1
                 longest = max(longest, length)
         runs[-1]["longest"].append(longest)
-        return drop_pairs(walkers, partners, gates, nxt, prv, gone, owned, jump)
+        return drop_pairs(walkers, partners, nxt, prv, gone, owned, jump)
 
-    def checked(gates, due, nxt, prv, gid, memo, stop, dead, owned, views):
-        state = (list(gates), array("i", due.tobytes()), array("i", nxt), array("i", prv),
-                 array("i", gid), dict(memo), array("i", stop), bytearray(dead))
+    def checked(due, nxt, prv, gid, keys, memo, stop, dead, owned, views):
+        state = (_ref_gates(keys, gid, dead), array("i", due.tobytes()), array("i", nxt),
+                 array("i", prv), array("i", gid), {}, array("i", stop), bytearray(dead))
         want = ref.cancel_run(*state)
-        runs.append({"lazy": not full[0], "dropped": sum(gates[i] is None for i in due), "scans": 0,
-                     "blocked": [], "ran_off": [], "walked": [], "pending": [],
-                     "applied": [], "longest": []})
-        got = run(gates, due, nxt, prv, gid, memo, stop, dead, owned, views)
+        runs.append({"lazy": not full[0], "dropped": sum(dead[i] for i in due.tolist()),
+                     "scans": 0, "blocked": [], "ran_off": [], "walked": [], "pending": [],
+                     "applied": [], "longest": [], "open": True})
+        got = run(due, nxt, prv, gid, keys, memo, stop, dead, owned, views)
+        del runs[-1]["open"]
         assert got == want
-        assert (gates, dead) == (state[0], state[7])
-        live = [i for i, g in enumerate(gates) if g is not None]
+        assert dead == state[7]
+        assert [g is None for g in state[0]] == [bool(d) for d in dead[:-1]]
+        live = [i for i in range(len(gid)) if not dead[i]]
         slots = [3 * i + s for i in live for s in range(3)]
         assert [nxt[s] for s in slots] == [state[2][s] for s in slots]
         assert [prv[s] for s in slots] == [state[3][s] for s in slots]
         assert [stop[i] for i in live] == [state[6][i] for i in live]
         assert not any(owned)
         poison = len(nxt) + 5
-        for i in set(range(len(gates))).difference(live):
+        for i in set(range(len(gid))).difference(live):
             nxt[3 * i:3 * i + 3] = prv[3 * i:3 * i + 3] = array("i", [poison] * 3)
         return got
 
@@ -703,6 +723,29 @@ def test_cancel_pending_partner_in_the_next_block():
     first = runs[0]
     assert first["scans"] == 2 and first["applied"] == [[(3, 4)]]
     assert 4 not in first["walked"] + first["blocked"] + first["ran_off"]
+
+
+def test_merge_scan_settles_blocked_walks_but_not_a_gate_its_angle_drops():
+    # Every merge run scanned.  Each Rz is blocked at its first step or has
+    # no neighbour, so the scan settles Rz(0.3) on wire 2, and the loop
+    # never asks its pair with the X.  But Rz(2pi) and Rz(4pi - 1e-13) are
+    # dropped by their own angles, so the loop walks them: a global phase
+    # of pi and three gates left.
+    c = Circuit(3, [Gate("Rz", (0,), 2 * math.pi), Gate("H", (0,)),
+                    Gate("Rz", (1,), 4 * math.pi - 1e-13), Gate("Rz", (2,), 0.3), Gate("X", (2,))])
+    at, asked = optimizer._at, []
+
+    def noted(a, b):
+        asked.append((a, b))
+        return at(a, b)
+
+    optimizer._answer_table()  # built before the count
+    with mock.patch.object(optimizer, "_SCAN_MIN", 0), mock.patch.object(optimizer, "_at", noted):
+        for cap in _CAPS:
+            out = _assert_same(c, cap)
+    assert out.gates == [Gate("H", (0,)), Gate("Rz", (2,), 0.3), Gate("X", (2,))]
+    assert out.global_phase == math.pi
+    assert set(asked) == {(("Rz", (0,)), ("H", (0,)))}
 
 
 def test_optimize_on_qubit_indices_beyond_c_int():
