@@ -16,12 +16,13 @@ phase.  A first-order Trotter step is the concatenation of term circuits
 in a deterministic term order.
 
 One numpy layout, _staircase, synthesizes every step.  It takes the sum
-packed (paulis.PackedSum: each string a run of codes 4 * qubit + letter)
-and computes, for all strings at once, each gate's (kind, qubits) key and
-its position: basis changes, ladder, Rz, mirrored ladder, basis changes.
-It numbers the keys in order of first use and returns those gate ids, the
-Rz positions and angles, and the identity string's phase.  Its register
-and finite-angle checks run on whole arrays, but raise for the first
+packed (paulis.PackedSum: each string a run of codes 4 * qubit + letter),
+checks that it is Hermitian, and computes, for all strings at once, each
+gate's (kind, qubits) key and its position: basis changes, ladder, Rz,
+mirrored ladder, basis changes.  It numbers the keys in sorted order (an
+id is only a label to every consumer) and returns those gate ids, the Rz
+positions and angles, and the identity string's phase.  Its register and
+finite-angle checks run on whole arrays, but raise for the first
 offending string in term order, with the text each string's own Gate
 would give.  Gate is immutable, so trotter_step and trotter_term put the
 one validated Gate of each id (_staircase_gate) at every position that
@@ -139,11 +140,14 @@ def _staircase(h: PackedSum, theta: float) -> tuple[np.ndarray, dict, np.ndarray
     """The one staircase layout, every string of h at once, in h's order.
 
     Returns gid (gate i's number for its (kind, qubits) in ids, numbered
-    in order of first use), ids, the positions of the Rz gates and their
-    angles as floats, and the global phase of the identity string.  The
-    first string in h that acts outside the register, or whose Rz angle
-    is not finite, raises the ValueError that its staircase did when it
-    was built one string at a time."""
+    in sorted key order), ids, the positions of the Rz gates and their
+    angles as floats, and the global phase of the identity string.  A sum
+    that is not Hermitian raises first; then the first string in h that
+    acts outside the register, or whose Rz angle is not finite, raises the
+    ValueError that its staircase did when it was built one string at a
+    time."""
+    if not h.is_hermitian():
+        raise ValueError("trotter_step needs a Hermitian Pauli sum")
     n, lens = h.n_qubits, h.lens.astype(np.int64)
     q, letter = (h.codes >> 2).astype(np.int64), h.codes & 3
     on = np.flatnonzero(lens)  # the strings other than the identity
@@ -185,24 +189,12 @@ def _staircase(h: PackedSum, theta: float) -> tuple[np.ndarray, dict, np.ndarray
     key[rz] = single[last] + 3
     del q, letter, basis, rank, string, ladder, twice, single, e, r, j
     uniq, gid = np.unique(key, return_inverse=True)
-    seen = np.full(len(uniq), len(key))  # each key's first position
-    np.minimum.at(seen, gid, np.arange(len(key)))
     del key
-    order = np.argsort(seen)
-    number = np.empty(len(order), np.intc)
-    number[order] = np.arange(len(order), dtype=np.intc)
     ids = {}
-    for k in uniq[order].tolist():
+    for k in uniq.tolist():
         a, b = divmod(k >> 2, n)
         ids[_KINDS[k & 3], (a, b) if k & 3 == 2 else (a,)] = len(ids)
-    return number[gid], ids, rz, angles.tolist(), phase
-
-
-def _hermitian(h: PackedSum) -> PackedSum:
-    """h, checked as trotter_step checks its input."""
-    if not h.is_hermitian():
-        raise ValueError("trotter_step needs a Hermitian Pauli sum")
-    return h
+    return gid.astype(np.intc), ids, rz, angles.tolist(), phase
 
 
 def _circuit(h: PackedSum, theta: float) -> Circuit:
@@ -230,16 +222,16 @@ def trotter_term(p: PauliString, coeff: complex, theta: float, n_qubits: int) ->
 def trotter_step(h: PauliSum, theta: float) -> Circuit:
     """First-order product formula: one term circuit per Pauli string, in
     the pseudo-alphabetical string order (deterministic)."""
-    return _circuit(_hermitian(PackedSum.pack(sorted(h.terms.items(), key=itemgetter(0)),
-                                              h.n_qubits)), theta)
+    packed = PackedSum.pack(sorted(h.terms.items(), key=itemgetter(0)), h.n_qubits)
+    return _circuit(packed, theta)
 
 
 def _trotter_ids(h: PackedSum, theta: float) -> tuple[array, dict, list[float]]:
     """trotter_step of h, whose strings are in Trotter order, packed, with
     the same checks: gid[i] numbers gate i's (kind, qubits) in ids, in
-    order of first use, and angles[i] is its Rz angle (0.0 off the Rz
+    sorted key order, and angles[i] is its Rz angle (0.0 off the Rz
     gates).  The global phase is dropped."""
-    gid, ids, rz, angles, _ = _staircase(_hermitian(h), theta)
+    gid, ids, rz, angles, _ = _staircase(h, theta)
     at = [0.0] * len(gid)
     for i, angle in zip(rz.tolist(), angles):
         at[i] = angle

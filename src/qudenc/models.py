@@ -51,7 +51,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .circuits import (ENTANGLING_KINDS, Circuit, _circuit, _hermitian, _trotter_ids,
+from .circuits import (ENTANGLING_KINDS, Circuit, _circuit, _trotter_ids,
                        count_resources, trotter_step)
 from .converters import SB_TO_GRAY, SB_TO_UNARY, conversion_cost
 from .encoding import GRAY, SB, UNARY, EncodingSpec, check_level_count, num_qubits
@@ -603,7 +603,7 @@ def boson_sampling_circuit(spec: ModelSpec, kind: str, g: int = 3) -> Circuit:
     for term in build_model(spec):
         h = _site_product(term.factors, [enc] * len(term.sites),
                           [site * nq for site in term.sites], circ.n_qubits)
-        step = _circuit(_hermitian(h.pruned()), term.coefficient)
+        step = _circuit(h.pruned(), term.coefficient)
         circ.gates.extend(step.gates)
         circ.global_phase += step.global_phase
     return circ

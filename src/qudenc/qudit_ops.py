@@ -90,13 +90,6 @@ def matrix_digest(A) -> str:
     return _array_digest(as_matrix(A))
 
 
-def _annihilation(d: int) -> np.ndarray:
-    a = np.zeros((d, d), dtype=complex)
-    for l in range(d - 1):
-        a[l, l + 1] = np.sqrt(l + 1)
-    return a
-
-
 def bosonic(d: int, name: str) -> QuditMatrix:
     """Truncated bosonic operator by name; see module docstring for the
     truncation convention on squares."""
@@ -109,7 +102,8 @@ def bosonic(d: int, name: str) -> QuditMatrix:
         ns = np.arange(d, dtype=float)
         diagonal = {"n": ns, "n2": ns ** 2, "n_nminus1": ns * ns - ns}[name]
         return QuditMatrix(np.diag(diagonal), name=name, family=BOSONIC)
-    a = _annihilation(d)
+    # Complex before conj(), which gives adag's zero imaginary parts a sign.
+    a = np.diag(np.sqrt(np.arange(1, d)) + 0j, 1)
     adag = a.conj().T
     if name == "a":
         m = a
@@ -150,19 +144,13 @@ def spin(s: float, axis: str) -> QuditMatrix:
     s = (d - 1) / 2
     if axis not in ("x", "y", "z"):
         raise ValueError(f"axis must be x, y or z, got {axis!r}")
+    l = np.arange(d)
     if axis == "z":
-        return QuditMatrix(np.diag([s - l for l in range(d)]), name="sz", family=SPIN)
+        return QuditMatrix(np.diag(s - l), name="sz", family=SPIN)
     # Ladder element between |l> and |l+1>: sqrt((l+1)(2s-l)).
-    m = np.zeros((d, d), dtype=complex)
-    for l in range(d - 1):
-        c = np.sqrt((l + 1) * (2 * s - l)) / 2
-        if axis == "x":
-            m[l, l + 1] = c
-            m[l + 1, l] = c
-        else:
-            m[l, l + 1] = -1j * c
-            m[l + 1, l] = 1j * c
-    return QuditMatrix(m, name=f"s{axis}", family=SPIN)
+    c = np.sqrt(l[1:] * (2 * s - l[:-1])) / 2
+    above, below = (c, c) if axis == "x" else (-1j * c, 1j * c)
+    return QuditMatrix(np.diag(above, 1) + np.diag(below, -1), name=f"s{axis}", family=SPIN)
 
 
 def first_quantized_x(Nx: int, delta: float) -> QuditMatrix:
@@ -170,7 +158,7 @@ def first_quantized_x(Nx: int, delta: float) -> QuditMatrix:
     check_level_count(Nx, "Nx")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    xs = [(i - Nx / 2) * delta for i in range(Nx)]
+    xs = (np.arange(Nx) - Nx / 2) * delta
     return QuditMatrix(np.diag(xs), name="x_grid", family=GENERIC)
 
 
@@ -188,10 +176,5 @@ def tridiag_test_matrix(d: int, seed: int) -> QuditMatrix:
     """Seeded random real symmetric tridiagonal matrix with a zero diagonal
     (nonzeros only where |i - j| = 1)."""
     check_level_count(d)
-    rng = np.random.default_rng(seed)
-    m = np.zeros((d, d), dtype=complex)
-    for l in range(d - 1):
-        v = rng.uniform(-1, 1)
-        m[l, l + 1] = v
-        m[l + 1, l] = v
-    return QuditMatrix(m, name="bmat", family=GENERIC)
+    v = np.random.default_rng(seed).uniform(-1, 1, d - 1)
+    return QuditMatrix(np.diag(v, 1) + np.diag(v, -1), name="bmat", family=GENERIC)

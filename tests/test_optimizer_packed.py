@@ -8,10 +8,12 @@ straight into gate ids and Rz angles (circuits._trotter_ids) and runs the
 optimizer core on them (models._optimized_step), with no Gate at all.
 Rebuilt into Gates, the core's survivors must equal
 optimize(trotter_step(h)) exactly: the same gates, the same angles and the
-same global phase, float for float.
+same global phase, float for float.  The core reads a gate id only as a
+label: renumbering the ids changes none of its output.
 """
 
 import math
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 from qudenc import models
 from qudenc.circuits import Gate, _trotter_ids, trotter_step
-from qudenc.optimizer import optimize
+from qudenc.optimizer import _link, _optimize_ids, optimize
 from qudenc.paulis import PackedSum, PauliSum
 from test_optimizer_pair_answers import _staircase_via_add
 
@@ -54,16 +56,21 @@ def _in_trotter_order(h: PauliSum) -> PackedSum:
     return PackedSum.pack(sorted(h.terms.items()), h.n_qubits)
 
 
+def _rebuilt(gid: array, ids: dict, angles: list, dead: bytearray) -> list[Gate]:
+    """The optimizer core's survivors, rebuilt into Gates from their ids and
+    Rz angles."""
+    keys = list(ids)
+    return [Gate(kind, qubits, angles[i] if kind == "Rz" else None)
+            for i, (kind, qubits) in enumerate(map(keys.__getitem__, gid)) if not dead[i]]
+
+
 def _packed(h: PauliSum, max_sweeps: int) -> tuple[list[Gate], float]:
-    """The core's survivors on the packed form of trotter_step(h), rebuilt
-    into Gates from their ids and Rz angles, and the global phase, started
-    from trotter_step's."""
+    """The core's survivors on the packed form of trotter_step(h), and the
+    global phase, started from trotter_step's."""
     phase = trotter_step(h, _THETA).global_phase
     gid, ids, angles, dead, phase = models._optimized_step(_in_trotter_order(h), _THETA,
                                                            phase, max_sweeps)
-    keys = list(ids)
-    return [Gate(kind, qubits, angles[i] if kind == "Rz" else None)
-            for i, (kind, qubits) in enumerate(map(keys.__getitem__, gid)) if not dead[i]], phase
+    return _rebuilt(gid, ids, angles, dead), phase
 
 
 @settings(max_examples=max(200, settings().max_examples), deadline=None)
@@ -83,12 +90,39 @@ def test_property_packed_core_matches_optimize(h):
         assert _packed(h, cap) == (want.gates, want.global_phase)
 
 
+def _survivors(gid: array, ids: dict, angles: list, cap: int) -> tuple[list[Gate], float]:
+    """The optimizer core's survivors and phase on copies of the ids and
+    angles, which it updates."""
+    gid, ids, angles = array("i", gid), dict(ids), list(angles)
+    dead, phase = _optimize_ids(*_link(gid, ids), gid, ids, angles, 0.0, cap)
+    return _rebuilt(gid, ids, angles, dead), phase
+
+
+@settings(max_examples=max(200, settings().max_examples), deadline=None)
+@given(_ANY_SUM, st.data())
+def test_property_the_core_reads_gate_ids_only_as_labels(h, data):
+    gid, ids, angles = _trotter_ids(_in_trotter_order(h), _THETA)
+    perm = data.draw(st.permutations(range(len(ids))))
+    # Id i becomes perm[i]; ids lists its keys by number, as the core reads it.
+    keys = list(ids)
+    renumbered = {keys[old]: new for new, old in sorted(zip(perm, range(len(ids))))}
+    regid = array("i", [perm[i] for i in gid])
+    for cap in (1, 2, 50):
+        want, phase = _survivors(gid, ids, angles, cap)
+        got, got_phase = _survivors(regid, renumbered, angles, cap)
+        assert got == want
+        assert [repr(g.angle) for g in got] == [repr(g.angle) for g in want]
+        assert repr(got_phase) == repr(phase)
+
+
 @pytest.mark.parametrize("terms, match", [
     ({((0, "X"),): 1j}, "Hermitian"),
+    ({((0, "X"),): 1j, ((3, "Z"),): 1.0}, "Hermitian"),
     ({((0, "Z"),): 1e308}, "Rz angle must be a finite real number, got inf"),
     ({((0, "Z"),): float("nan")}, "Rz angle must be a finite real number, got nan"),
     ({((3, "Z"),): 1.0}, "outside the register"),
-], ids=["non-hermitian", "angle-overflow", "angle-nan", "outside-register"])
+], ids=["non-hermitian", "non-hermitian-and-outside-register", "angle-overflow",
+        "angle-nan", "outside-register"])
 def test_packed_synthesis_makes_the_checks_of_trotter_step(terms, match):
     h = PauliSum(2)
     h.terms = dict(terms)  # past PauliSum's own register check
