@@ -138,12 +138,16 @@ def test_packed_synthesis_makes_the_checks_of_trotter_step(terms, match):
     ({((0, "X"), (5, "Z")): 1.0, ((1, "Z"),): math.nan}, "outside the register"),
     ({(): math.inf, ((0, "Z"),): 1.0, ((1, "Z"),): -math.inf, ((3, "Z"),): 1.0},
      "Rz angle must be a finite real number, got -inf"),
-], ids=["nan-then-outside", "outside-then-nan", "identity-inf-then-angle"])
+    ({((0, "X"), (3, "Z")): 1.0, ((0, "Y"), (1, "Z"), (2, "X")): math.nan},
+     "outside the register"),
+], ids=["nan-then-outside", "outside-then-nan", "identity-inf-then-angle",
+        "short-row-outside"])
 def test_the_first_offending_string_in_trotter_order_raises(terms, match):
     # The layout checks every string at once, but raises what the string
     # first in Trotter order would raise.  An identity string has no Rz,
-    # so its coefficient is not checked.
-    h = PauliSum(2)
+    # so its coefficient is not checked.  A string shorter than the widest
+    # one ends in padding, which must neither hide nor fake its own qubits.
+    h = PauliSum(3)
     h.terms = dict(terms)
     with pytest.raises(ValueError, match=match):
         trotter_step(h, 0.5)

@@ -1,10 +1,13 @@
-"""Pauli string algebra: products, phases, collection, serialization."""
+"""Pauli string algebra: products, phases, collection, serialization, and
+the packed form that pricing holds its sums in."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qudenc.paulis import (PauliSum, act_on_bits, multiply_strings, string,
-                           string_to_text, text_to_string, weight)
+from qudenc.paulis import (PRUNE_EPS, PackedSum, PauliSum, act_on_bits, multiply_strings,
+                           string, string_to_text, text_to_string, weight)
 from qudenc.simulator import pauli_to_matrix
 
 
@@ -145,3 +148,42 @@ def test_negative_qubit_index_is_rejected():
         PauliSum(2) + bad
     with pytest.raises(ValueError, match="outside register of 2"):
         PauliSum(2, {((2, "X"),): 1.0})
+
+
+# Parts of a coefficient: the prune edge, values below it, signed zeros and
+# the smallest subnormal, then any double whose modulus abs() can take.
+_PARTS = st.one_of(st.sampled_from([0.0, -0.0, PRUNE_EPS, -PRUNE_EPS, PRUNE_EPS / 2,
+                                    -PRUNE_EPS / 3, 5e-324, 1.0, -0.5]),
+                   st.floats(-1e300, 1e300))
+
+
+@st.composite
+def _items(draw) -> tuple[list, int]:
+    """Distinct strings on a register of 0 to 12 qubits, the identity among
+    them at times, in drawn order, each with a drawn complex coefficient;
+    and the register's width."""
+    n = draw(st.integers(0, 12))
+    letters = st.dictionaries(st.integers(0, n - 1), st.sampled_from("XYZ")) if n else st.just({})
+    strings = draw(st.lists(letters.map(lambda d: tuple(sorted(d.items()))), unique=True,
+                            max_size=20))
+    return [(s, complex(draw(_PARTS), draw(_PARTS))) for s in strings], n
+
+
+@given(_items())
+def test_property_the_packed_layout_round_trips(drawn):
+    # Packing and unpacking keeps every string, its order and its
+    # coefficient's bits (signed zeros included); pruning keeps the strings
+    # that simplify keeps, and the packed hermiticity check is PauliSum's.
+    items, n = drawn
+    h = PackedSum.pack(items, n)
+    back = h.unpack()
+    assert back.n_qubits == n
+    assert list(back.terms) == [s for s, _ in items]
+    assert list(map(repr, back.terms.values())) == [repr(c) for _, c in items]
+    whole = PauliSum(n)
+    whole.terms = dict(items)  # as given, where accumulating would add them to 0
+    kept = whole.simplify().terms
+    pruned = h.pruned().unpack()
+    assert list(pruned.terms) == [s for s, _ in items if s in kept]
+    assert [repr(c) for c in pruned.terms.values()] == [repr(kept[s]) for s in pruned.terms]
+    assert h.is_hermitian() == whole.is_hermitian()

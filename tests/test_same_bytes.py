@@ -15,6 +15,11 @@ are.  Each test states its own inputs:
   pricing's packed path (models._optimized_step), which drops the
   identity string's phase, so the phase is compared on the optimize path
   only.
+- the block-unary conversion circuit at d = 12 through optimize.  Every
+  value above stays the same when commutes answers False for every pair:
+  no cancel or merge on those staircases needs a walk past a gate that
+  shares a wire.  This circuit then keeps all its gates, so it pins
+  commutes.
 
 After an intended output change, print the new values with
 
@@ -32,6 +37,7 @@ import pytest
 
 from qudenc import models
 from qudenc.circuits import trotter_step
+from qudenc.converters import conversion_circuit
 from qudenc.models import LocalTerm, ModelSpec, compute_scheme_report
 from qudenc.optimizer import optimize
 from qudenc.qudit_ops import bosonic
@@ -183,9 +189,14 @@ def _circuits(sums) -> dict:
             gates = [(g.kind, g.qubits, g.angle) for g in opt.gates]
             assert list(_packed_gates(h, theta, cap)) == gates
             count[cap] += len(gates)
-            text = "".join(f"{kind} {qubits} {angle!r}\n" for kind, qubits, angle in gates)
-            digest[cap].update(f"{text}{opt.global_phase!r}\n".encode())
+            digest[cap].update(_text(opt).encode())
     return {cap: (count[cap], digest[cap].hexdigest()) for cap in CAPS}
+
+
+def _text(opt) -> str:
+    """What the sha256 reads of one optimized circuit."""
+    text = "".join(f"{g.kind} {g.qubits} {g.angle!r}\n" for g in opt.gates)
+    return f"{text}{opt.global_phase!r}\n"
 
 
 _SUMS = {"report": _report_sums, "compile_wide": _compile_wide_sums}
@@ -196,7 +207,26 @@ def test_optimized_circuits(workload):
     assert _circuits(_SUMS[workload]()) == CIRCUITS[workload]
 
 
+# ---------------------------------------------------------------------------
+# an optimized circuit whose walks pass commuting gates
+
+# (gates in, gates out, sha256); every cap gives the same circuit.
+CONVERSION = (60, 56, "2b5170e4bcb5c2a547c298d7f6ed52e8e77a336a9beb6aa03526e3e887090251")
+
+
+def _conversion() -> tuple:
+    circ = conversion_circuit("sb2bu", 12)
+    opt = {cap: optimize(circ, cap) for cap in CAPS}
+    assert len({_text(o) for o in opt.values()}) == 1
+    return len(circ.gates), len(opt[50].gates), hashlib.sha256(_text(opt[50]).encode()).hexdigest()
+
+
+def test_optimized_conversion_circuit():
+    assert _conversion() == CONVERSION
+
+
 if __name__ == "__main__":
     print("sweep", _sweep())
     for workload, sums in _SUMS.items():
         print(workload, _circuits(sums()))
+    print("conversion", _conversion())
