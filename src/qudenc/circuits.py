@@ -16,11 +16,11 @@ phase.  A first-order Trotter step is the concatenation of term circuits
 in a deterministic term order.
 
 One numpy layout, _staircase, synthesizes every step.  It takes the sum
-packed (paulis.PackedSum: each string a run of codes 4 * qubit + letter),
-checks that it is Hermitian, and computes, for all strings at once, each
-gate's (kind, qubits) key and its position: basis changes, ladder, Rz,
-mirrored ladder, basis changes.  It numbers the keys in sorted order (an
-id is only a label to every consumer) and returns those gate ids, the Rz
+packed (paulis.PackedSum, a padded row of codes per string), checks that
+it is Hermitian, and computes, for all strings at once, each gate's
+(kind, qubits) key and its position: basis changes, ladder, Rz, mirrored
+ladder, basis changes.  It numbers the keys in sorted order (an id is
+only a label to every consumer) and returns those gate ids, the Rz
 positions and angles, and the identity string's phase.  Its register and
 finite-angle checks run on whole arrays, but raise for the first
 offending string in term order, with the text each string's own Gate
@@ -46,7 +46,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .paulis import PackedSum, PauliString, PauliSum, _is_finite_real, _is_nonneg_int
+from .paulis import _END, PackedSum, PauliString, PauliSum, _is_finite_real, _is_nonneg_int
 
 GATE_ARITY = {
     "X": 1, "H": 1, "BasisY": 1, "Rz": 1, "T": 1, "Tdg": 1,
@@ -148,8 +148,10 @@ def _staircase(h: PackedSum, theta: float) -> tuple[np.ndarray, dict, np.ndarray
     time."""
     if not h.is_hermitian():
         raise ValueError("trotter_step needs a Hermitian Pauli sum")
-    n, lens = h.n_qubits, h.lens.astype(np.int64)
-    q, letter = (h.codes >> 2).astype(np.int64), h.codes & 3
+    n, rows = h.n_qubits, h.rows
+    live = rows != _END
+    lens, codes = live.sum(axis=1), rows[live]
+    q, letter = (codes >> 2).astype(np.int64), codes & 3
     on = np.flatnonzero(lens)  # the strings other than the identity
     p = lens[on]
     first = np.cumsum(p) - p  # each string's first entry
@@ -158,9 +160,7 @@ def _staircase(h: PackedSum, theta: float) -> tuple[np.ndarray, dict, np.ndarray
         angles = 2.0 * theta * h.re[on]
         identity = h.re[lens == 0]  # at most one string
         phase = 0.0 + float(-theta * identity[0]) if len(identity) else 0.0
-    outside = np.zeros(len(on), bool)
-    if len(on):
-        outside = (np.minimum.reduceat(q, first) < 0) | (np.maximum.reduceat(q, first) >= n)
+    outside = (live & ((rows < 0) | (rows >= 4 * n))).any(axis=1)[on]
     bad = np.flatnonzero(outside | ~np.isfinite(angles))
     if len(bad):
         if outside[bad[0]]:
@@ -187,7 +187,7 @@ def _staircase(h: PackedSum, theta: float) -> tuple[np.ndarray, dict, np.ndarray
     key[ladder[e] + j] = key[ladder[e] + twice[e] - 2 - j] = (q[e] * n + q[e + 1]) * 4 + 2
     rz = at + nb + p - 1
     key[rz] = single[last] + 3
-    del q, letter, basis, rank, string, ladder, twice, single, e, r, j
+    del live, codes, q, letter, basis, rank, string, ladder, twice, single, e, r, j
     uniq, gid = np.unique(key, return_inverse=True)
     del key
     ids = {}

@@ -56,7 +56,7 @@ from operator import add
 import numpy as np
 
 from .encoding import EncodingSpec, block_shape, ceil_log2, codeword, num_qubits
-from .paulis import PRUNE_EPS, PauliString, PauliSum
+from .paulis import PRUNE_EPS, PauliString, PauliSum, _pairs
 from .qudit_ops import BOSONIC, BOSONIC_NAMES, SPIN, QuditMatrix, as_matrix, bosonic
 
 ZERO_ENTRY_TOL = 1e-14
@@ -110,8 +110,6 @@ def encode_matrix(spec: EncodingSpec, A) -> EncodedOperator:
     return EncodedOperator(out)
 
 
-_LETTERS = (None, "Z", "X", "Y")  # indexed by 2 * f_q + s_q
-_PAIR_OF_DIGIT = (None, 2, 3, 1)  # X, Y, Z at 2 * f_q + s_q
 _EDGE = np.array([-1])
 _CHUNK = 1 << 16  # contributions added at once, which bounds the kernel's memory
 
@@ -181,15 +179,15 @@ def _parts(ids: list, width: int, n: int):
 
 @lru_cache(maxsize=1 << 14)
 def _part(i: int, width: int, n: int) -> PauliString:
-    """The part with id i: the letters of the base-5 digits i % 5^width
-    (X, Y, Z for 1, 2, 3; the first digit the most significant) on the
-    qubits from i // 5^width on."""
+    """The part with id i: the letters of the base-5 digits i % 5^width (the
+    first digit the most significant) on the qubits from i // 5^width on.
+    A digit 1, 2 or 3 is its letter's code in paulis._pairs: X, Y or Z."""
     first, digits = divmod(i, 5 ** width)
     pairs, part = _pairs(n), []
     for q in range(first + width - 1, first - 1, -1):
         digits, letter = divmod(digits, 5)
         if 0 < letter < 4:
-            part.append(pairs[4 * q + _PAIR_OF_DIGIT[letter]])
+            part.append(pairs[4 * q + letter])
     return tuple(reversed(part))
 
 
@@ -263,13 +261,6 @@ def _group_sums(h, keys, x, f, lo, hi, u: int):
 def _kept(v: np.ndarray) -> np.ndarray:
     """Which coefficients are not below PRUNE_EPS, by abs(complex)'s hypot."""
     return np.hypot(v.real, v.imag) >= PRUNE_EPS
-
-
-@lru_cache(maxsize=16)
-def _pairs(n: int) -> tuple:
-    """The (qubit, letter) pairs of an n-qubit register at 4 * qubit + 2 * f + s,
-    for letters I (None), Z, X and Y, shared by the strings built from them."""
-    return tuple(letter and (q, letter) for q in range(n) for letter in _LETTERS)
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,11 @@ augmented only when every matrix in it passes ``encoder.can_augment``
 identity are priced as they are.  Ties prefer the lower-qubit,
 conversion-free choice (SB, then Gray, then unary).
 
-Pricing holds each term's Pauli sum packed (``paulis.PackedSum``): the site
-product runs in numpy, and its strings go straight to the staircase layout
-and the optimizer's core, with no PauliSum and no tuple per string.
-``encode_term`` unpacks the same sum into a PauliSum.
+Pricing holds each term's Pauli sum packed (``paulis.PackedSum``, a padded
+row of codes per string): the site product builds those rows in numpy and
+hands them as they are to the staircase layout and the optimizer's core,
+with no PauliSum and no tuple per string.  ``encode_term`` unpacks the
+same sum into a PauliSum.
 
 The boson-sampling circuit layer reuses the same site product: each gate
 is one model term, tensored straight onto its modes' qubits (mode m owns
@@ -60,7 +61,7 @@ from .encoder import augment_truncation, can_augment, encode_matrix
 # stay names of this module: the benchmark's traced run (perfbench/spans.py)
 # wraps them here.
 from .optimizer import MAX_SWEEPS, _link, _of_kind, _optimize_ids, optimize
-from .paulis import PRUNE_EPS, PackedSum, PauliSum
+from .paulis import _END, PRUNE_EPS, PackedSum, PauliSum
 from .qudit_ops import BOSONIC, SPIN, QuditMatrix, bosonic, matrix_digest, spin, spin_levels
 
 BOSE_HUBBARD = "bose_hubbard"
@@ -368,9 +369,9 @@ def _site_product(products, specs, offsets, n_qubits: int) -> PackedSum:
         ar, ai, parts = np.ones(1), np.zeros(1), []
         for spec, offset, m in zip(specs, offsets, product):
             if (spec, id(m)) not in encoded:
-                encoded[spec, id(m)] = _padded(PackedSum.pack(
-                    encode_matrix(spec, m).sum.terms.items(), num_qubits(spec)))
-            site, br, bi = encoded[spec, id(m)]
+                encoded[spec, id(m)] = PackedSum.pack(
+                    encode_matrix(spec, m).sum.terms.items(), num_qubits(spec))
+            _, site, br, bi = encoded[spec, id(m)]
             with np.errstate(over="ignore", invalid="ignore"):  # as Python floats overflow
                 pr = np.multiply.outer(ar, br) - np.multiply.outer(ai, bi)
                 pi = np.multiply.outer(ar, bi) + np.multiply.outer(ai, br)
@@ -409,21 +410,9 @@ def _site_product(products, specs, offsets, n_qubits: int) -> PackedSum:
     group = np.empty(len(order), np.intp)
     group[order] = np.cumsum(new) - 1
     rows = rows[order[new]]
-    live = rows != _END
     # bincount adds each string's weights in turn, from 0.
     sums = (np.bincount(group, np.concatenate(part), len(rows)) for part in (re, im))
-    return PackedSum(n_qubits, rows[live], live.sum(axis=1, dtype=np.intc), *sums)
-
-
-_END = np.iinfo(np.intc).max  # pads a string's codes
-
-
-def _padded(h: PackedSum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """h's strings as rows of codes padded with _END, and its coefficients."""
-    live = np.arange(h.lens.max(initial=0)) < h.lens[:, None]
-    rows = np.full(live.shape, _END, np.intc)
-    rows[live] = h.codes
-    return rows, h.re, h.im
+    return PackedSum(n_qubits, rows, *sums)
 
 
 def _term_sum(term: LocalTerm, kind: str, g: int = 3, augment: bool = False) -> PackedSum:

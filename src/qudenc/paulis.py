@@ -16,14 +16,16 @@ Coefficients are complex doubles; the operators this package encodes have
 dyadic-rational coefficients, so arithmetic here is exact and anything
 below the prune epsilon PRUNE_EPS = 1e-12 is noise.
 
-Pricing holds its sums packed (:class:`PackedSum`): every string is a run
-of integer codes in one flat array, so that the site product and the
-Trotter staircase run in numpy.  ``PauliSum`` stays the public type.
+Pricing holds its sums packed (:class:`PackedSum`): every string is a row
+of integer codes 4 * qubit + letter, padded with _END, so that the site
+product and the Trotter staircase run in numpy.  ``PauliSum`` stays the
+public type.
 """
 
 from __future__ import annotations
 
 import sys
+from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
@@ -291,18 +293,26 @@ class PauliSum:
 
 _CODE = {"X": 1, "Y": 2, "Z": 3}
 _LETTER = (None, "X", "Y", "Z")
+_END = np.iinfo(np.intc).max  # pads a row; above every code, so sorting a row puts it last
+
+
+@lru_cache(maxsize=16)
+def _pairs(n: int) -> tuple:
+    """The (qubit, letter) pair of each code 4 * qubit + letter of an
+    n-qubit register, None at the identity codes 4 * qubit, shared by the
+    strings built from them."""
+    return tuple(letter and (q, letter) for q in range(n) for letter in _LETTER)
 
 
 class PackedSum(NamedTuple):
-    """A Pauli sum in compressed sparse rows.  String i is the run of
-    lens[i] codes 4 * qubit + letter (X, Y, Z = 1, 2, 3) that follows the
-    runs of strings 0..i-1 in codes, and its coefficient is re[i] + i im[i].
-    Codes and lens are C ints.  Bit masks would need a bit per qubit, and a
-    two-site unary term spans up to 2 * MAX_D qubits."""
+    """A Pauli sum as padded rows.  Row i holds string i's codes
+    4 * qubit + letter (X, Y, Z = 1, 2, 3) in qubit order, then _END to the
+    row's end, and its coefficient is re[i] + i im[i].  Codes are C ints.
+    Bit masks would need a bit per qubit, and a two-site unary term spans
+    up to 2 * MAX_D qubits."""
 
     n_qubits: int
-    codes: np.ndarray
-    lens: np.ndarray
+    rows: np.ndarray
     re: np.ndarray
     im: np.ndarray
 
@@ -311,17 +321,18 @@ class PackedSum(NamedTuple):
         """The (string, coefficient) pairs of items, in their order."""
         strings, coeffs = zip(*items) if items else ((), ())
         lens = np.fromiter(map(len, strings), np.intc, len(strings))
-        codes = np.fromiter((4 * q + _CODE[p] for s in strings for q, p in s), np.intc,
-                            int(lens.sum()))
+        rows = np.full((len(strings), lens.max(initial=0)), _END, np.intc)
+        rows[np.arange(rows.shape[1]) < lens[:, None]] = np.fromiter(
+            (4 * q + _CODE[p] for s in strings for q, p in s), np.intc, int(lens.sum()))
         c = np.array(coeffs, complex)
-        return cls(n_qubits, codes, lens, c.real.copy(), c.imag.copy())
+        return cls(n_qubits, rows, c.real.copy(), c.imag.copy())
 
     def unpack(self) -> PauliSum:
-        """The PauliSum with these strings and coefficients, in this order."""
-        # One (qubit, letter) pair per distinct code, shared by its strings.
-        pairs = {code: (code >> 2, _LETTER[code & 3]) for code in np.unique(self.codes).tolist()}
-        flat = list(map(pairs.__getitem__, self.codes.tolist()))
-        ends = np.cumsum(self.lens).tolist()
+        """The PauliSum with these strings and coefficients, in this order.
+        It reads only codes of its own register, 0 <= code < 4 * n_qubits."""
+        pairs, live = _pairs(self.n_qubits), self.rows != _END
+        flat = list(map(pairs.__getitem__, self.rows[live].tolist()))
+        ends = np.cumsum(live.sum(axis=1)).tolist()
         out = PauliSum(self.n_qubits)
         out.terms = dict(zip(map(tuple, map(flat.__getitem__, map(slice, [0] + ends, ends))),
                              map(complex, self.re.tolist(), self.im.tolist())))
@@ -330,8 +341,7 @@ class PackedSum(NamedTuple):
     def pruned(self) -> "PackedSum":
         """Without the strings whose coefficients simplify prunes."""
         keep = np.hypot(self.re, self.im) >= PRUNE_EPS
-        return PackedSum(self.n_qubits, self.codes[np.repeat(keep, self.lens)],
-                         self.lens[keep], self.re[keep], self.im[keep])
+        return PackedSum(self.n_qubits, self.rows[keep], self.re[keep], self.im[keep])
 
     def is_hermitian(self) -> bool:
         """PauliSum.is_hermitian on the packed coefficients."""

@@ -131,11 +131,6 @@ def _run(tensor: np.ndarray, steps: list, global_phase: float = 0.0) -> np.ndarr
     return np.exp(1j * global_phase) * tensor if global_phase else tensor
 
 
-def _apply_gate(tensor: np.ndarray, g: Gate, n: int) -> np.ndarray:
-    """Apply one gate to a tensor laid out as in _step."""
-    return _run(tensor, [_step(g, n, tensor.ndim)])
-
-
 def apply_circuit(c: Circuit, state: np.ndarray) -> np.ndarray:
     """Apply the circuit (including its global phase) to a statevector;
     the input is left unchanged."""

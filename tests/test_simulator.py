@@ -15,7 +15,7 @@ from qudenc.circuits import (GATE_ARITY, Circuit, Gate, export_circuit,
 from qudenc.encoding import SB, EncodingSpec
 from qudenc.paulis import PauliSum, text_to_string
 from qudenc.qudit_ops import bosonic
-from qudenc.simulator import (MAX_DENSE_QUBITS, _apply_gate, apply_circuit,
+from qudenc.simulator import (MAX_DENSE_QUBITS, _run, _step, apply_circuit,
                               circuit_to_unitary, gate_matrix,
                               pauli_to_matrix, unitary_distance, verify_circuit_equivalence,
                               verify_encoding)
@@ -196,7 +196,7 @@ def test_gate_step_is_bitwise_tensordot_of_gate_matrix():
         expect = _tensordot_reference(state.reshape((2,) * n), g, n).reshape(2 ** n)
         assert np.array_equal(apply_circuit(Circuit(n, [g]), state), expect), g
         expect = _tensordot_reference(tensor, g, n)
-        assert np.array_equal(_apply_gate(tensor.copy(), g, n), expect), g
+        assert np.array_equal(_run(tensor.copy(), [_step(g, n, tensor.ndim)]), expect), g
 
 
 def test_apply_circuit_leaves_its_input_unchanged():
