@@ -8,11 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_simulator
 from reference_exponential import matrix_exponential
 from states import basis_state
 from qudenc.circuits import (GATE_ARITY, Circuit, Gate, export_circuit,
                              import_circuit)
-from qudenc.encoding import SB, EncodingSpec
+from qudenc.encoder import encode_matrix
+from qudenc.encoding import BLOCK_UNARY, GRAY, SB, UNARY, EncodingSpec, num_qubits
 from qudenc.paulis import PauliSum, text_to_string
 from qudenc.qudit_ops import bosonic
 from qudenc.simulator import (MAX_DENSE_QUBITS, _run, _step, apply_circuit,
@@ -139,6 +141,53 @@ def test_verify_encoding_catches_wrong_sums():
     assert verify_encoding(spec, n, good) < 1e-12
     bad = good + (0.25 * PauliSum.identity(2))
     assert verify_encoding(spec, n, bad.simplify()) > 0.2
+
+
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -0.5, 0.25, 1e-13]),
+                    st.floats(-8.0, 8.0))
+
+
+@st.composite
+def _encoded_cases(draw):
+    """A code (block unary with g = 2 to 4), a sparse complex d x d
+    matrix, d = 2 to 24, and its encoded sum: as encoded, or with one
+    string's coefficient changed, one string dropped or one string added."""
+    kind = draw(st.sampled_from([SB, GRAY, UNARY, BLOCK_UNARY]))
+    spec = EncodingSpec(kind, draw(st.integers(2, 24)),
+                        draw(st.sampled_from([SB, GRAY])), draw(st.integers(2, 4)))
+    d, n = spec.d, num_qubits(spec)
+    m = np.zeros((d, d), dtype=complex)
+    for _ in range(draw(st.integers(0, 6))):
+        l, lp = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        m[l, lp] = complex(draw(_VALUES), draw(_VALUES))
+    items = list(encode_matrix(spec, m).sum.terms.items())
+    change = draw(st.sampled_from(["none", "perturb", "drop", "add"]))
+    if change == "add":
+        letters = draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from("XYZ")))
+        pos = draw(st.integers(0, len(items)))
+        items.insert(pos, (tuple(sorted(letters.items())),
+                           complex(draw(_VALUES), draw(_VALUES))))
+    elif items and change != "none":
+        pos = draw(st.integers(0, len(items) - 1))
+        if change == "drop":
+            del items[pos]
+        else:
+            items[pos] = (items[pos][0], items[pos][1] + complex(draw(_VALUES), draw(_VALUES)))
+    s = PauliSum(n)
+    s.terms = dict(items)  # as drawn: a repeated added string keeps one entry
+    return spec, m, s
+
+
+@settings(deadline=None)
+@given(_encoded_cases())
+@example((EncodingSpec(SB, 2), np.zeros((2, 2)), PauliSum(1)))
+@example((EncodingSpec(UNARY, 24), np.zeros((24, 24)), PauliSum(24)))
+@example((EncodingSpec(BLOCK_UNARY, 23, GRAY, 4), np.eye(23), PauliSum.identity(15)))
+def test_property_verify_encoding_is_the_reference_loop(case):
+    # Bit for bit the per-codeword loop of tests/reference_simulator.py,
+    # on exact sums, wrong sums and the empty sum.
+    spec, m, s = case
+    assert verify_encoding(spec, m, s) == reference_simulator.verify_encoding(spec, m, s)
 
 
 def test_verify_circuit_equivalence_phase_flag():
