@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
+from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
@@ -73,6 +74,14 @@ def _is_nonneg_int(n) -> bool:
 def _is_finite_real(x) -> bool:
     return (isinstance(x, (int, float)) and not isinstance(x, bool)
             and abs(x) <= sys.float_info.max)
+
+
+def _kept(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Which coefficients re + i im pruning keeps: |c| >= PRUNE_EPS, with
+    |c| the C hypot that abs(complex) takes.  A finite c whose modulus
+    overflows is kept, where abs(c) would raise OverflowError."""
+    with np.errstate(over="ignore"):
+        return np.hypot(re, im) >= PRUNE_EPS
 
 
 def weight(s: PauliString) -> int:
@@ -210,8 +219,9 @@ class PauliSum:
         """Collect, prune |coeff| < PRUNE_EPS, and order terms canonically."""
         out = PauliSum(self.n_qubits)
         # Strings are unique and are their own sort key, so no value is compared.
-        out.terms = {s: c for s, c in sorted(self.terms.items(), key=itemgetter(0))
-                     if abs(c) >= PRUNE_EPS}
+        items = sorted(self.terms.items(), key=itemgetter(0))
+        coeffs = np.array([c for _, c in items], complex)
+        out.terms = dict(compress(items, _kept(coeffs.real, coeffs.imag)))
         return out
 
     def tensor_shift(self, offset: int, total: int) -> "PauliSum":
@@ -340,7 +350,7 @@ class PackedSum(NamedTuple):
 
     def pruned(self) -> "PackedSum":
         """Without the strings whose coefficients simplify prunes."""
-        keep = np.hypot(self.re, self.im) >= PRUNE_EPS
+        keep = _kept(self.re, self.im)
         return PackedSum(self.n_qubits, self.rows[keep], self.re[keep], self.im[keep])
 
     def is_hermitian(self) -> bool:

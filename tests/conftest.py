@@ -5,7 +5,8 @@ The ``ci`` hypothesis profile fuzzes deeper than the default one:
 tests/test_optimizer_packed.py tests/test_site_product.py
 tests/test_simulator.py::test_panelled_unitary_is_bitwise_the_unpanelled_run
 tests/test_optimizer_answer_table.py::test_property_optimize_on_wide_wires_matches_the_per_gate_loops
-tests/test_paulis.py::test_property_the_packed_layout_round_trips``.
+tests/test_paulis.py::test_property_the_packed_layout_round_trips
+tests/test_simulator.py::test_property_verify_encoding_is_the_reference_loop``.
 """
 
 from hypothesis import settings

@@ -151,10 +151,20 @@ def test_negative_qubit_index_is_rejected():
 
 
 # Parts of a coefficient: the prune edge, values below it, signed zeros and
-# the smallest subnormal, then any double whose modulus abs() can take.
+# the smallest subnormal, then any finite double.
 _PARTS = st.one_of(st.sampled_from([0.0, -0.0, PRUNE_EPS, -PRUNE_EPS, PRUNE_EPS / 2,
                                     -PRUNE_EPS / 3, 5e-324, 1.0, -0.5]),
-                   st.floats(-1e300, 1e300))
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+def test_pruning_keeps_a_finite_coefficient_whose_modulus_overflows():
+    # abs() of this coefficient raises OverflowError, and np.hypot warns.
+    big = complex(1.5e308, 1.5e308)
+    s = PauliSum(2)
+    s.terms = {((1, "X"),): big, (): 1e-13, ((0, "Z"),): -big}
+    assert s.simplify().terms == {((0, "Z"),): -big, ((1, "X"),): big}
+    pruned = PackedSum.pack(list(s.terms.items()), 2).pruned().unpack()
+    assert pruned.terms == {((1, "X"),): big, ((0, "Z"),): -big}
 
 
 @st.composite

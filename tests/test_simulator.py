@@ -16,7 +16,8 @@ from qudenc.circuits import (GATE_ARITY, Circuit, Gate, export_circuit,
 from qudenc.encoder import encode_matrix
 from qudenc.encoding import BLOCK_UNARY, GRAY, SB, UNARY, EncodingSpec, num_qubits
 from qudenc.paulis import PauliSum, text_to_string
-from qudenc.qudit_ops import bosonic
+from qudenc import simulator
+from qudenc.qudit_ops import bosonic, dense_hermitian_test_matrix, tridiag_test_matrix
 from qudenc.simulator import (MAX_DENSE_QUBITS, _run, _step, apply_circuit,
                               circuit_to_unitary, gate_matrix,
                               pauli_to_matrix, unitary_distance, verify_circuit_equivalence,
@@ -190,6 +191,34 @@ def test_property_verify_encoding_is_the_reference_loop(case):
     assert verify_encoding(spec, m, s) == reference_simulator.verify_encoding(spec, m, s)
 
 
+@pytest.mark.parametrize("budget", [1, 5000])
+def test_verify_encoding_in_blocks_is_the_reference_loop(monkeypatch, budget):
+    # Blocks of one string, or at 5,000 bytes of 1 to 26 strings, on
+    # registers of 5 to 130 qubits: one to three 64-bit words per codeword.
+    monkeypatch.setattr(simulator, "_VERIFY_BLOCK_BYTES", budget)
+    for spec, m in ((EncodingSpec(UNARY, 70), tridiag_test_matrix(70, 3)),
+                    (EncodingSpec(UNARY, 130), bosonic(130, "q")),
+                    (EncodingSpec(BLOCK_UNARY, 100, GRAY, 3), tridiag_test_matrix(100, 4)),
+                    (EncodingSpec(SB, 24), dense_hermitian_test_matrix(24, 5))):
+        s = encode_matrix(spec, m).sum
+        items = list(s.terms.items())
+        wrong = PauliSum(s.n_qubits)
+        wrong.terms = dict(items[:3] + [(items[3][0], 0.5 * items[3][1])] + items[5:])
+        for case in (s, wrong):
+            assert verify_encoding(spec, m, case) == reference_simulator.verify_encoding(spec, m, case)
+        assert verify_encoding(spec, m, wrong) > 0.01
+
+
+def test_verify_encoding_rejects_a_string_outside_the_code():
+    spec = EncodingSpec(SB, 4)
+    with pytest.raises(ValueError, match=r"'Z0 X2' acts on qubit 2, outside the 2 qubits of sb\(d=4\)$"):
+        verify_encoding(spec, np.eye(4), PauliSum(3, {((0, "Z"), (2, "X")): 1.0}))
+    below = PauliSum(2)
+    below.terms[((-1, "Z"),)] = 1.0  # past the constructor's check
+    with pytest.raises(ValueError, match="acts on qubit -1, outside the 2 qubits"):
+        verify_encoding(spec, np.eye(4), below)
+
+
 def test_verify_circuit_equivalence_phase_flag():
     c1 = Circuit(1)
     c1.add("Rz", 0, angle=0.6)
@@ -217,6 +246,9 @@ def test_statevector_works_past_dense_cap():
     c.add("X", 15)
     out = apply_circuit(c, basis_state(16, 0))
     assert abs(out[1 << 15] - 1) < 1e-15
+
+
+_PERMUTATION_KINDS = {"X", "CNOT", "SWAP", "CSWAP"}
 
 
 def _tensordot_reference(tensor, g, n):
@@ -263,13 +295,26 @@ def test_apply_circuit_leaves_its_input_unchanged():
     assert np.array_equal(apply_circuit(Circuit(3), state), kept)
 
 
+def _permuted_reference(tensor, g, n):
+    """A basis permutation g as a gather: slice i of the gate's axes becomes
+    slice j where gate_matrix(g)[i, j] is 1, every value copied with its
+    bits, where a tensordot would turn 0 * -0.0 + 1 * -0.0 into +0.0."""
+    k = len(g.qubits)
+    axes = [n - 1 - q for q in g.qubits]
+    moved = np.moveaxis(tensor, axes, range(k))
+    picked = moved.reshape((2 ** k,) + moved.shape[k:])[gate_matrix(g).real.argmax(axis=1)]
+    return np.moveaxis(picked.reshape(moved.shape), range(k), axes)
+
+
 def _unpanelled_unitary(c):
-    """The whole identity run through the circuit at once, every gate as
-    one tensordot: what circuit_to_unitary must give, panel by panel."""
+    """The whole identity run through the circuit at once, every basis
+    permutation as a gather and every other gate as one tensordot: what
+    circuit_to_unitary must give, panel by panel, to the sign of a zero."""
     n, dim = c.n_qubits, 2 ** c.n_qubits
     tensor = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
     for g in c.gates:
-        tensor = _tensordot_reference(tensor, g, n)
+        apply = _permuted_reference if g.kind in _PERMUTATION_KINDS else _tensordot_reference
+        tensor = apply(tensor, g, n)
     if c.global_phase:
         tensor = np.exp(1j * c.global_phase) * tensor
     return tensor.reshape(dim, dim)
@@ -310,8 +355,13 @@ def _circuits(draw):
 @example(_every_kind_circuit(10, 2.1))
 @example(_every_kind_circuit(11, -0.6))
 @example(_every_kind_circuit(11, 0.0))
+# Rz(-0.0) == Rz(0.0) as Gates, but their matrices differ in the sign of a
+# zero, and here it reaches the output; X and Sdg repeat.
+@example(Circuit(1, [Gate("X", (0,)), Gate("X", (0,)), Gate("Sdg", (0,)), Gate("Rz", (0,), -0.0),
+                     Gate("Sdg", (0,)), Gate("T", (0,)), Gate("Rz", (0,), 0.0)]))
 def test_panelled_unitary_is_bitwise_the_unpanelled_run(c):
-    assert np.array_equal(circuit_to_unitary(c), _unpanelled_unitary(c))
+    # Bytes, not values: array_equal counts -0.0 and 0.0 as equal.
+    assert circuit_to_unitary(c).tobytes() == _unpanelled_unitary(c).tobytes()
 
 
 def test_unitary_memory_stays_near_its_output():
