@@ -63,7 +63,8 @@ from .qudit_ops import as_matrix
 MAX_DENSE_QUBITS = 14
 _PANEL_BYTES = 256 * 1024
 # verify_encoding applies strings to codewords a block at a time; each
-# strings x codewords x 64-bit-words array of a block holds at most this.
+# strings x codewords x 64-bit-words array of a block holds at most this,
+# or one string's worth where that is more.
 _VERIFY_BLOCK_BYTES = 1024 * 1024
 
 _SQ = 1.0 / np.sqrt(2.0)
@@ -222,6 +223,7 @@ def verify_encoding(spec: EncodingSpec, A, s: PauliSum | None = None) -> float:
     """Max abs error of <R(l)|M|R(l')> against A[l, l'], over all l, l'.
 
     Runs matrix-free, so it works for unary codes far past the dense cap.
+    A string on a qubit outside the code's register raises ValueError.
     """
     m = as_matrix(A)
     if s is None:
@@ -243,7 +245,7 @@ def verify_encoding(spec: EncodingSpec, A, s: PauliSum | None = None) -> float:
         phases.append(phase)
         ys.append(y)
     words = -(-n // 64)
-    flip, phase, ys = _rows(flips, words), _rows(phases, words), np.array(ys, np.intp)
+    flips, phases, ys = _rows(flips, words), _rows(phases, words), np.array(ys, np.intp)
     coeffs = np.array(list(s.terms.values()), complex)
     codewords = _rows((codeword(spec, l) for l in range(d)), words)
     # A row's key is its bytes; an image is a codeword when the sorted key
@@ -253,10 +255,10 @@ def verify_encoding(spec: EncodingSpec, A, s: PauliSum | None = None) -> float:
     keys = codewords[order].view(key).ravel()
     bins, values = [np.empty(0, np.intp)], [np.empty(0, complex)]
     step = max(1, _VERIFY_BLOCK_BYTES // (8 * d * words))
-    for b in range(0, len(flip), step):
-        images = (codewords ^ flip[b:b + step, None]).view(key)[..., 0]
+    for b in range(0, len(flips), step):
+        images = (codewords ^ flips[b:b + step, None]).view(key)[..., 0]
         odd = np.bitwise_count(np.bitwise_xor.reduce(
-            codewords & phase[b:b + step, None], axis=2)) & 1
+            codewords & phases[b:b + step, None], axis=2)) & 1
         pos = np.minimum(np.searchsorted(keys, images), d - 1)
         hit = keys[pos] == images
         string_at, ket = hit.nonzero()
@@ -293,10 +295,14 @@ def verify_circuit_equivalence(c1: Circuit, c2: Circuit,
 
 def unitary_distance(u1: np.ndarray, u2: np.ndarray, up_to_phase: bool = False) -> float:
     """Max entry-wise distance (inf when no phase aligns them); works on
-    states as well as unitaries."""
+    states as well as unitaries.  The difference is taken _PANEL_BYTES at
+    a time, so no temporary the size of a unitary is made."""
     if up_to_phase:
         aligned = align_phase(u1, u2)
         if aligned is None:
             return float("inf")
         u2 = aligned
-    return float(np.max(np.abs(u1 - u2)))
+    a, b = (x.reshape(-1) for x in np.broadcast_arrays(u1, u2))
+    step = _PANEL_BYTES // 16
+    return float(np.max([np.abs(a[i:i + step] - b[i:i + step]).max()
+                         for i in range(0, a.size, step)]))

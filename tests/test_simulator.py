@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 import reference_simulator
 from reference_exponential import matrix_exponential
 from states import basis_state
+from qudenc import simulator
 from qudenc.circuits import (GATE_ARITY, Circuit, Gate, export_circuit,
                              import_circuit)
 from qudenc.encoder import encode_matrix
 from qudenc.encoding import BLOCK_UNARY, GRAY, SB, UNARY, EncodingSpec, num_qubits
 from qudenc.paulis import PauliSum, text_to_string
-from qudenc import simulator
 from qudenc.qudit_ops import bosonic, dense_hermitian_test_matrix, tridiag_test_matrix
 from qudenc.simulator import (MAX_DENSE_QUBITS, _run, _step, apply_circuit,
                               circuit_to_unitary, gate_matrix,
@@ -234,6 +234,19 @@ def test_states_equal():
     assert unitary_distance(a, basis_state(2, 2), up_to_phase=True) == float("inf")
 
 
+def test_unitary_distance_over_many_panels_is_the_whole_array_max():
+    # 2**16 entries of a 256 x 256 matrix are four 256 KiB pieces; the
+    # largest difference sits in the last, and a NaN still propagates.
+    rng = np.random.default_rng(9)
+    u = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+    v = u + 1e-9 * (rng.normal(size=u.shape) + 1j * rng.normal(size=u.shape))
+    v[255, 254] += 3e-7j
+    assert unitary_distance(u, v) == float(np.max(np.abs(u - v)))
+    assert unitary_distance(u[0], v[-1]) == float(np.max(np.abs(u[0] - v[-1])))
+    v[1, 2] = np.nan
+    assert np.isnan(unitary_distance(u, v))
+
+
 def test_dense_caps():
     with pytest.raises(ValueError):
         circuit_to_unitary(Circuit(MAX_DENSE_QUBITS + 1))
@@ -246,9 +259,6 @@ def test_statevector_works_past_dense_cap():
     c.add("X", 15)
     out = apply_circuit(c, basis_state(16, 0))
     assert abs(out[1 << 15] - 1) < 1e-15
-
-
-_PERMUTATION_KINDS = {"X", "CNOT", "SWAP", "CSWAP"}
 
 
 def _tensordot_reference(tensor, g, n):
@@ -295,10 +305,13 @@ def test_apply_circuit_leaves_its_input_unchanged():
     assert np.array_equal(apply_circuit(Circuit(3), state), kept)
 
 
+_PERMUTATION_KINDS = {"X", "CNOT", "SWAP", "CSWAP"}
+
+
 def _permuted_reference(tensor, g, n):
     """A basis permutation g as a gather: slice i of the gate's axes becomes
     slice j where gate_matrix(g)[i, j] is 1, every value copied with its
-    bits, where a tensordot would turn 0 * -0.0 + 1 * -0.0 into +0.0."""
+    bits, where a tensordot's 0 * 1.0 + 1 * -0.0 gives +0.0."""
     k = len(g.qubits)
     axes = [n - 1 - q for q in g.qubits]
     moved = np.moveaxis(tensor, axes, range(k))
