@@ -30,9 +30,11 @@ repeats it and build only the Rz, which carries the term's angle, per
 term.  Pricing needs no Gate per gate: _trotter_ids hands the optimizer's
 core the ids and the Rz angles.  Every angle and phase is a Python float.
 
-Resource counting can expand SWAP into 3 CNOTs and CSWAP into the
-textbook Clifford+T network (8 CNOTs, 2 H, 4 T, 3 Tdg via a Toffoli
-conjugated by CNOTs) to give fault-tolerant-flavoured totals.
+Resource counting takes one histogram of gate kinds.  It can count SWAP
+as 3 CNOTs and CSWAP as the textbook Clifford+T network (8 CNOTs, 2 H,
+4 T, 3 Tdg via a Toffoli conjugated by CNOTs), each as its template's
+histogram with no expanded gate built, to give fault-tolerant-flavoured
+totals.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import functools
 import json
 import re
 from array import array
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from operator import itemgetter
 
@@ -290,33 +293,27 @@ class ResourceReport:
         return asdict(self)
 
 
-def _expand_clifford_t(gates: list[Gate]) -> list[Gate]:
-    out: list[Gate] = []
-    for g in gates:
-        if g.kind == "SWAP":
-            out.extend(swap_as_cnots(*g.qubits))
-        elif g.kind == "CSWAP":
-            out.extend(cswap_clifford_t(*g.qubits))
-        else:
-            out.append(g)
-    return out
+# Each kind's Clifford+T count, from its template.
+_CLIFFORD_T = {"SWAP": Counter(g.kind for g in swap_as_cnots(0, 1)),
+               "CSWAP": Counter(g.kind for g in cswap_clifford_t(0, 1, 2))}
 
 
 def count_resources(c: Circuit, decompose: str = "none") -> ResourceReport:
-    """Gate-kind histogram and entangling total.
+    """Gate-kind histogram, in GATE_ARITY order, and entangling total.
 
-    decompose="clifford_t" first rewrites SWAP -> 3 CNOT and CSWAP -> the
-    Clifford+T template, so the entangling total is a plain CNOT count.
+    decompose="clifford_t" counts each SWAP as 3 CNOTs and each CSWAP as
+    its Clifford+T template, so the entangling total is a plain CNOT count.
     """
     if decompose not in ("none", "clifford_t"):
         raise ValueError(f"unknown decompose mode {decompose!r}")
-    gates = c.gates if decompose == "none" else _expand_clifford_t(c.gates)
-    counts = {k: 0 for k in GATE_ARITY}
-    for g in gates:
-        counts[g.kind] += 1
-    counts = {k: v for k, v in counts.items() if v}
+    kinds = Counter(g.kind for g in c.gates)
+    if decompose == "clifford_t":
+        for kind, template in _CLIFFORD_T.items():
+            n = kinds.pop(kind, 0)
+            kinds.update({k: n * m for k, m in template.items()})
+    counts = {k: kinds[k] for k in GATE_ARITY if kinds[k]}
     entangling = sum(counts.get(k, 0) for k in ENTANGLING_KINDS)
-    return ResourceReport(c.n_qubits, counts, entangling, len(gates))
+    return ResourceReport(c.n_qubits, counts, entangling, sum(counts.values()))
 
 
 # ---------------------------------------------------------------------------

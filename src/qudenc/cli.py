@@ -43,10 +43,6 @@ _ENC_CHOICES = {"sb": SB, "gray": GRAY, "unary": UNARY, "bu": BLOCK_UNARY,
 _OP_CHOICES = tuple(BOSONIC_NAMES) + ("sx", "sy", "sz", "dense", "tridiag")
 
 
-class UsageError(ValueError):
-    """Bad command-line input; exits 2 like every other ValueError."""
-
-
 def fmt(x) -> str:
     """12 significant digits for all numeric output."""
     if isinstance(x, (int, np.integer)):
@@ -73,11 +69,11 @@ def _resolve_seed(args, config: dict | None = None) -> int:
         try:
             return int(os.environ["SEED"])
         except ValueError:
-            raise UsageError("the SEED environment variable must be an integer, "
+            raise ValueError("the SEED environment variable must be an integer, "
                              f"got {os.environ['SEED']!r}") from None
     seed = (config or {}).get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
-        raise UsageError(f"--config seed must be an integer, got {seed!r}")
+        raise ValueError(f"--config seed must be an integer, got {seed!r}")
     return seed
 
 
@@ -93,7 +89,7 @@ def _encoding_from_args(args) -> EncodingSpec:
         return spec
     for flag in ("g", "local"):
         if getattr(args, flag) is not None:
-            raise UsageError(f"--{flag} applies only to --enc bu")
+            raise ValueError(f"--{flag} applies only to --enc bu")
     return EncodingSpec(kind, args.d)
 
 
@@ -133,12 +129,12 @@ def _parse_value_list(text: str, axis: str) -> list:
                 for v in (text.split("..", 1) if is_range else text.split(","))]
     except ValueError:
         what, forms = _AXIS_RULES[axis]
-        raise UsageError(f"--{axis} {'range ' if is_range else ''}{text!r} needs "
+        raise ValueError(f"--{axis} {'range ' if is_range else ''}{text!r} needs "
                          f"{'ends' if is_range else 'values'} that are {what}; {forms}") from None
     if is_range:
         ints = list(range(ints[0], ints[1] + 1))
         if not ints:
-            raise UsageError(f"empty range {text!r}")
+            raise ValueError(f"empty range {text!r}")
     return ints if axis == "d" else [k / 2 for k in ints]
 
 
@@ -255,21 +251,21 @@ def _cmd_bounds_op(args) -> int:
 def _cmd_report(args) -> int:
     model = args.model.replace("-", "_")
     if model not in models.MODEL_NAMES:
-        raise UsageError(f"unknown model {args.model!r}")
+        raise ValueError(f"unknown model {args.model!r}")
     config = {}
     if args.config:
         with open(args.config) as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
-            raise UsageError(f"--config {args.config} must hold a JSON object")
+            raise ValueError(f"--config {args.config} must hold a JSON object")
     seed = _resolve_seed(args, config)
     params = {k: v for k, v in config.items() if k != "seed"}
     # Heisenberg sweeps the spin s; every other model sweeps the cutoff d.
     axis, other = ("s", "d") if model == models.HEISENBERG else ("d", "s")
     if getattr(args, axis) is None:
-        raise UsageError(f"{args.model} needs --{axis}")
+        raise ValueError(f"{args.model} needs --{axis}")
     if getattr(args, other) is not None:
-        raise UsageError(f"--{other} applies only to "
+        raise ValueError(f"--{other} applies only to "
                          f"{'heisenberg' if other == 's' else 'the bosonic models'}")
     values = _parse_value_list(getattr(args, axis), axis)
     wanted = models.SCHEME_NAMES if args.schemes == "all" else (args.schemes,)
@@ -295,12 +291,12 @@ def _cmd_report(args) -> int:
 
 def _cmd_simulate_check(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
-        raise UsageError(f"--tol must be a finite number >= 0, got {args.tol!r}")
+        raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     with open(args.pauli) as fh:
         h = PauliSum.from_json_dict(json.load(fh))
     circ = _read_circuit(args.circuit)
     if h.n_qubits != circ.n_qubits:
-        raise UsageError(f"the Pauli sum acts on {h.n_qubits} qubits but the "
+        raise ValueError(f"the Pauli sum acts on {h.n_qubits} qubits but the "
                          f"circuit on {circ.n_qubits}")
     dist = unitary_distance(circuit_to_unitary(trotter_step(h, args.theta)),
                             circuit_to_unitary(circ),

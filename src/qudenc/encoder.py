@@ -56,7 +56,7 @@ from operator import add
 import numpy as np
 
 from .encoding import EncodingSpec, block_shape, ceil_log2, codeword, num_qubits
-from .paulis import PRUNE_EPS, PauliString, PauliSum, _pairs
+from .paulis import PauliString, PauliSum, _kept, _pairs
 from .qudit_ops import BOSONIC, BOSONIC_NAMES, SPIN, QuditMatrix, as_matrix, bosonic
 
 ZERO_ENTRY_TOL = 1e-14
@@ -103,8 +103,10 @@ def encode_matrix(spec: EncodingSpec, A) -> EncodedOperator:
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     # np.hypot is the C library's hypot, which abs(complex) also calls; np.abs
-    # of a complex array may round the last bit differently.
-    rows, cols = np.nonzero(np.hypot(m.real, m.imag) >= ZERO_ENTRY_TOL)
+    # of a complex array may round the last bit differently.  A finite entry
+    # whose modulus overflows is not a zero.
+    with np.errstate(over="ignore"):
+        rows, cols = np.nonzero(np.hypot(m.real, m.imag) >= ZERO_ENTRY_TOL)
     out = PauliSum(num_qubits(spec))
     out.terms = _terms(spec, m[rows, cols], rows, cols)
     return EncodedOperator(out)
@@ -124,7 +126,7 @@ def _terms(spec: EncodingSpec, values: np.ndarray, rows, cols) -> dict:
     sums, lo, hi, f, u = _group_sums(*_elements(spec, values, rows, cols, g, w))
     if u > w:
         sums[lo == hi, 1 << w:] = 0.0  # past a one-block group's union
-    k, s = _kept(sums).nonzero()
+    k, s = _kept(sums.real, sums.imag).nonzero()
     # A string is built from two parts, each made once: split in the middle
     # of a block that spans the register, else at the end of the lower block.
     lower, upper, values = _ordered(sums[k, s], lo[k] * w, hi[k] * w, f[k], s, w, u,
@@ -149,7 +151,7 @@ def _elements(spec: EncodingSpec, v: np.ndarray, rows, cols, g: int, w: int):
         x, f = x << w * (lo > hi), f << w * (hi > lo)
         lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
     f = x ^ f
-    v = np.where(_kept(v), v, 0.0)  # a dropped element adds zeros
+    v = np.where(_kept(v.real, v.imag), v, 0.0)  # a dropped element adds zeros
     return v, ((lo * -(-spec.d // g) + hi) << 2 * w) | f, x, f, lo, hi, u
 
 
@@ -256,11 +258,6 @@ def _group_sums(h, keys, x, f, lo, hi, u: int):
         sums[diagonal, 0] = 0.0
         sums[diagonal[0], 0] = np.add.accumulate(h[f == 0])[-1] + 0.0
     return sums, lo[first], hi[first], fg, u
-
-
-def _kept(v: np.ndarray) -> np.ndarray:
-    """Which coefficients are not below PRUNE_EPS, by abs(complex)'s hypot."""
-    return np.hypot(v.real, v.imag) >= PRUNE_EPS
 
 
 @dataclass(frozen=True)

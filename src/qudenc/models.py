@@ -61,7 +61,7 @@ from .encoder import augment_truncation, can_augment, encode_matrix
 # stay names of this module: the benchmark's traced run (perfbench/spans.py)
 # wraps them here.
 from .optimizer import MAX_SWEEPS, _link, _of_kind, _optimize_ids, optimize
-from .paulis import _END, PRUNE_EPS, PackedSum, PauliSum
+from .paulis import _END, PackedSum, PauliSum, _kept
 from .qudit_ops import BOSONIC, SPIN, QuditMatrix, bosonic, matrix_digest, spin, spin_levels
 
 BOSE_HUBBARD = "bose_hubbard"
@@ -375,7 +375,7 @@ def _site_product(products, specs, offsets, n_qubits: int) -> PackedSum:
             with np.errstate(over="ignore", invalid="ignore"):  # as Python floats overflow
                 pr = np.multiply.outer(ar, br) - np.multiply.outer(ai, bi)
                 pi = np.multiply.outer(ar, bi) + np.multiply.outer(ai, br)
-            keep = np.flatnonzero(np.hypot(pr, pi) >= PRUNE_EPS)
+            keep = np.flatnonzero(_kept(pr, pi))
             outer, inner = np.divmod(keep, len(br))
             codes = site[inner]
             parts = [part[outer] for part in parts]

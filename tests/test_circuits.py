@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_circuits
 from reference_exponential import matrix_exponential
 from qudenc.circuits import (GATE_ARITY, Circuit, Gate, _trotter_ids, count_resources,
                              cswap_clifford_t, export_circuit, import_circuit, import_qasm,
@@ -126,6 +127,29 @@ def test_count_resources_histogram():
     assert rep_ct.counts["T"] == 4
     assert rep_ct.counts["Tdg"] == 3
     assert rep_ct.entangling_total == 12
+
+
+@st.composite
+def _counted_circuits(draw):
+    """Random circuits of every gate kind that fits, SWAP and CSWAP
+    included, on 0 to 8 qubits."""
+    n = draw(st.integers(0, 8))
+    kinds = sorted(k for k, arity in GATE_ARITY.items() if arity <= n)
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=30)) if kinds else ():
+        qubits = tuple(draw(st.permutations(range(n)))[:GATE_ARITY[kind]])
+        gates.append(Gate(kind, qubits, 0.5 if kind == "Rz" else None))
+    return Circuit(n, gates)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_counted_circuits())
+def test_property_count_resources_is_the_expanded_histogram(c):
+    for decompose in ("none", "clifford_t"):
+        got = count_resources(c, decompose)
+        want = reference_circuits.count_resources(c, decompose)
+        assert got == want
+        assert list(got.counts) == list(want.counts)  # the same key order
 
 
 def test_decomposition_templates_are_correct():

@@ -69,7 +69,7 @@ def test_unary_to_sb_inverts(d):
 
 
 def test_unary_gate_tallies():
-    for d in (4, 7, 8, 16):
+    for d in (4, 7, 8, 16, 8192):
         K = (d - 1).bit_length()
         body = count_resources(sb_to_unary_circuit(d, include_layout=False))
         assert body.counts.get("CNOT", 0) == d - 1

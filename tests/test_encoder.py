@@ -1,5 +1,7 @@
 """Operator encoding: substitution rules, sparsity, DBD detection, augmentation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,17 @@ def test_encode_matrix_rejects_non_finite_entries(kind, bad):
         encode_matrix(EncodingSpec(kind, 4), m)
     with pytest.raises(ValueError, match="non-finite"):
         encode_element(EncodingSpec(kind, 4), 1, 2, bad)
+
+
+def test_encode_matrix_encodes_an_entry_whose_modulus_overflows():
+    # The entry is finite, but its modulus overflows a double: abs() of it
+    # raises OverflowError and np.hypot of its parts is inf.  It is no
+    # structural zero, and the scan warns nothing.
+    c = 1.3e308 + 1.3e308j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        terms = encode_matrix(EncodingSpec(SB, 2), [[c, 0], [0, 0]]).sum.terms
+    assert list(terms.items()) == [((), c / 2), (((0, "Z"),), c / 2)]
 
 
 def test_encode_matrix_skips_structural_zeros():
