@@ -11,7 +11,10 @@ from qudenc.circuits import (GATE_ARITY, Circuit, Gate, _trotter_ids, count_reso
                              cswap_clifford_t, export_circuit, import_circuit, import_qasm,
                              swap_as_cnots, toffoli_gates, toffoli_via_cswap, trotter_step,
                              trotter_term)
+from qudenc.encoder import encode_matrix
+from qudenc.encoding import GRAY, SB, EncodingSpec
 from qudenc.paulis import PackedSum, PauliSum, text_to_string
+from qudenc.qudit_ops import bosonic
 from qudenc.simulator import circuit_to_unitary, pauli_to_matrix, unitary_distance
 
 
@@ -90,6 +93,47 @@ def test_trotter_step_requires_hermitian():
     h._accumulate(text_to_string("X0"), 1j)
     with pytest.raises(ValueError):
         trotter_step(h.simplify(), 0.1)
+
+
+def _real_parts(h: PauliSum) -> PauliSum:
+    out = PauliSum(h.n_qubits)
+    out.terms = {s: complex(c.real, 0.0) for s, c in h.terms.items()}
+    return out
+
+
+@pytest.mark.parametrize("kind", [SB, GRAY])
+@pytest.mark.parametrize("d", [5, 16, 64])
+@pytest.mark.parametrize("op", ["q2", "p2"])
+def test_trotter_step_takes_a_hermitian_sum_at_any_scale(kind, d, op):
+    # The encoder leaves rounding residue near 1e-10j on strings whose real
+    # part is 0, in a sum whose largest coefficient is 1e6 or more.  That
+    # residue is real enough: the step is the step of the real parts.
+    h = encode_matrix(EncodingSpec(kind, d), 1e6 * bosonic(d, op).mat).sum
+    assert max(abs(c.imag) for c in h.terms.values()) > 1e-11
+    got, want = trotter_step(h, 0.1), trotter_step(_real_parts(h), 0.1)
+    assert got.gates == want.gates
+    assert [repr(g.angle) for g in got.gates] == [repr(g.angle) for g in want.gates]
+    assert repr(got.global_phase) == repr(want.global_phase)
+
+
+def test_trotter_term_and_trotter_step_share_one_realness_rule():
+    x0 = text_to_string("X0")
+    for c, real in ((1e6 + 5e-7j, True), (1e6 + 2e-6j, False), (0.5 + 5e-13j, True),
+                    (0.5 + 2e-12j, False)):
+        h = PauliSum(1, {x0: c})
+        if real:
+            assert trotter_term(x0, c, 0.1, 1).gates == trotter_step(h, 0.1).gates
+            continue
+        with pytest.raises(ValueError, match="non-real"):
+            trotter_term(x0, c, 0.1, 1)
+        with pytest.raises(ValueError, match="non-real"):
+            trotter_step(h, 0.1)
+
+
+def test_trotter_term_rejects_a_coefficient_whose_modulus_overflows():
+    # abs() of this coefficient raises OverflowError.
+    with pytest.raises(ValueError, match="non-real"):
+        trotter_term(text_to_string("X0"), complex(1.5e308, 1.5e308), 0.1, 1)
 
 
 @pytest.mark.parametrize("theta", [0.37, np.float64(0.37)], ids=["float", "np.float64"])

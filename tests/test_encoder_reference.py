@@ -8,6 +8,7 @@ whose ``repr`` is equal, signed zeros included.
 """
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,18 @@ def test_blocks_wider_than_the_levels(d, g):
         spec = EncodingSpec(BLOCK_UNARY, d, local_kind=local, g=g)
         _check(spec, dense_hermitian_test_matrix(d, 5))
         _check(spec, _random(d, 6, hermitian=False, complex_=True))
+
+
+def test_identity_whose_sum_overflows_warns_nothing():
+    # Eight diagonal entries of 1.7e308 sum to inf on the identity, while
+    # each Z_l takes -8.5e307; the sum overflows, and says nothing.
+    spec, m = EncodingSpec(UNARY, 8), np.diag([1.7e308] * 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = encode_matrix(spec, m).sum, ref.encode_matrix(spec, m).sum
+    _assert_same(got, want)
+    assert got.terms == {(): complex(np.inf, 0.0),
+                         **{((l, "Z"),): -8.5e307 + 0j for l in range(8)}}
 
 
 def test_contributions_all_below_the_prune_edge():
