@@ -17,18 +17,18 @@ in a deterministic term order.
 
 One numpy layout, _staircase, synthesizes every step.  It takes the sum
 packed (paulis.PackedSum, a padded row of codes per string), checks that
-it is Hermitian, and computes, for all strings at once, each gate's
-(kind, qubits) key and its position: basis changes, ladder, Rz, mirrored
-ladder, basis changes.  It numbers the keys in sorted order (an id is
-only a label to every consumer) and returns those gate ids, the Rz
-positions and angles, and the identity string's phase.  Its register and
-finite-angle checks run on whole arrays, but raise for the first
-offending string in term order, with the text each string's own Gate
-would give.  Gate is immutable, so trotter_step and trotter_term put the
-one validated Gate of each id (_staircase_gate) at every position that
-repeats it and build only the Rz, which carries the term's angle, per
-term.  Pricing needs no Gate per gate: _trotter_ids hands the optimizer's
-core the ids and the Rz angles.  Every angle and phase is a Python float.
+it is Hermitian by the one realness rule (paulis._real), and computes, for
+all strings at once, each gate's (kind, qubits) key and its position:
+basis changes, ladder, Rz, mirrored ladder, basis changes.  It numbers the
+keys in sorted order (an id is only a label to every consumer) and returns
+those gate ids, the Rz positions and angles, and the identity string's
+phase.  Its register and finite-angle checks run on whole arrays, but
+raise for the first offending string in term order, with the text each
+string's own Gate would give.  Gate is immutable, so trotter_step and
+trotter_term put one validated Gate per id (_staircase_gate) at each of
+its positions and build per term only the Rz, which carries its angle.
+Pricing needs no Gate per gate: _trotter_ids hands the optimizer's core
+the ids and the Rz angles.  Every angle and phase is a Python float.
 
 Resource counting takes one histogram of gate kinds.  It can count SWAP
 as 3 CNOTs and CSWAP as the textbook Clifford+T network (8 CNOTs, 2 H,
@@ -57,7 +57,6 @@ GATE_ARITY = {
     "CNOT": 2, "SWAP": 2, "CSWAP": 3,
 }
 ENTANGLING_KINDS = ("CNOT", "SWAP", "CSWAP")
-REAL_COEFF_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,7 @@ def _staircase(h: PackedSum, theta: float) -> tuple[np.ndarray, dict, np.ndarray
     ValueError that its staircase did when it was built one string at a
     time."""
     if not h.is_hermitian():
-        raise ValueError("trotter_step needs a Hermitian Pauli sum")
+        raise ValueError("trotter_step needs a Hermitian Pauli sum: a coefficient is non-real")
     n, rows = h.n_qubits, h.rows
     live = rows != _END
     lens, codes = live.sum(axis=1), rows[live]
@@ -215,11 +214,7 @@ def _circuit(h: PackedSum, theta: float) -> Circuit:
 
 def trotter_term(p: PauliString, coeff: complex, theta: float, n_qubits: int) -> Circuit:
     """Circuit for exp(-i theta coeff P); coeff must be real (Hermitian term)."""
-    c = complex(coeff)
-    if abs(c.imag) > REAL_COEFF_TOL * max(1.0, abs(c)):
-        raise ValueError(f"non-real coefficient {coeff} cannot be exponentiated "
-                         "as a Hermitian term")
-    return _circuit(PackedSum.pack([(p, c.real)], n_qubits), theta)
+    return _circuit(PackedSum.pack([(p, coeff)], n_qubits), theta)
 
 
 def trotter_step(h: PauliSum, theta: float) -> Circuit:

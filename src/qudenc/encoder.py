@@ -256,7 +256,8 @@ def _group_sums(h, keys, x, f, lo, hi, u: int):
     diagonal = (fg == 0).nonzero()[0]
     if len(diagonal) > 1:
         sums[diagonal, 0] = 0.0
-        sums[diagonal[0], 0] = np.add.accumulate(h[f == 0])[-1] + 0.0
+        with np.errstate(over="ignore"):
+            sums[diagonal[0], 0] = np.add.accumulate(h[f == 0])[-1] + 0.0
     return sums, lo[first], hi[first], fg, u
 
 

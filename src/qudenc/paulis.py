@@ -12,9 +12,9 @@ by acting qubits (lowest first), breaking ties X < Y < Z, with the identity
 first — so e.g. every term containing X0 precedes every term whose lowest
 qubit is 1.  That ordering is also the Trotter term order.
 
-Coefficients are complex doubles; the operators this package encodes have
-dyadic-rational coefficients, so arithmetic here is exact and anything
-below the prune epsilon PRUNE_EPS = 1e-12 is noise.
+Coefficients are complex doubles.  Pruning (_kept) drops a modulus below
+PRUNE_EPS = 1e-12.  A sum is Hermitian (_real) if every |im| is at most
+REAL_COEFF_TOL = 1e-12 times max(1, the sum's largest finite |re|).
 
 Pricing holds its sums packed (:class:`PackedSum`): every string is a row
 of integer codes 4 * qubit + letter, padded with _END, so that the site
@@ -33,6 +33,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 PRUNE_EPS = 1e-12
+REAL_COEFF_TOL = 1e-12
 
 PauliString = tuple[tuple[int, str], ...]
 
@@ -82,6 +83,13 @@ def _kept(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     overflows is kept, where abs(c) would raise OverflowError."""
     with np.errstate(over="ignore"):
         return np.hypot(re, im) >= PRUNE_EPS
+
+
+def _real(re: np.ndarray, im: np.ndarray) -> bool:
+    """The realness rule above, on the whole sum's scale, as rounding residue
+    sits on strings whose true coefficient is 0; no non-finite re is in it."""
+    scale = np.abs(re).max(initial=1.0, where=np.isfinite(re))
+    return bool((np.abs(im) <= REAL_COEFF_TOL * scale).all())
 
 
 def weight(s: PauliString) -> int:
@@ -236,7 +244,8 @@ class PauliSum:
 
     def is_hermitian(self) -> bool:
         """Pauli strings are Hermitian, so hermiticity = real coefficients."""
-        return all(abs(c.imag) < PRUNE_EPS for c in self.terms.values())
+        c = np.array(list(self.terms.values()), complex)
+        return _real(c.real, c.imag)
 
     # -- inspection -----------------------------------------------------------
 
@@ -355,4 +364,4 @@ class PackedSum(NamedTuple):
 
     def is_hermitian(self) -> bool:
         """PauliSum.is_hermitian on the packed coefficients."""
-        return bool((np.abs(self.im) < PRUNE_EPS).all())
+        return _real(self.re, self.im)

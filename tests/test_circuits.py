@@ -186,6 +186,7 @@ def _counted_circuits(draw):
     return Circuit(n, gates)
 
 
+@pytest.mark.ci
 @settings(max_examples=200, deadline=None)
 @given(_counted_circuits())
 def test_property_count_resources_is_the_expanded_histogram(c):

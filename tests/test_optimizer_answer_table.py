@@ -18,6 +18,7 @@ import random
 from array import array
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -98,6 +99,7 @@ _WIRES = st.lists(st.one_of(st.integers(0, 64), st.integers(2**31, 2**70)),
                   min_size=7, max_size=7, unique=True)
 
 
+@pytest.mark.ci
 @_examples(100)
 @given(st.randoms(use_true_random=False), _WIRES)
 def test_property_optimize_on_wide_wires_matches_the_per_gate_loops(rng, wires):

@@ -25,6 +25,8 @@ from qudenc.optimizer import _link, _optimize_ids, optimize
 from qudenc.paulis import PackedSum, PauliSum
 from test_optimizer_pair_answers import _staircase_via_add
 
+pytestmark = pytest.mark.ci
+
 _THETA = 0.5  # so that a string's Rz angle 2 theta c is its coefficient c
 # Angles at the edges of the merge rule: Rz(pi) + Rz(pi) = -I, Rz(2pi), Rz(4pi).
 _EDGE_COEFFS = (math.pi, -math.pi, 2 * math.pi, 4 * math.pi, 1.0, -1.0)

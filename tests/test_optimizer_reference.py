@@ -28,6 +28,8 @@ from qudenc.encoding import BLOCK_UNARY, GRAY, SB, UNARY
 from qudenc.optimizer import MAX_SWEEPS, _wire_chains, commutes, optimize
 from qudenc.qudit_ops import BOSONIC
 
+pytestmark = pytest.mark.ci
+
 _KINDS_1Q = ("X", "H", "BasisY", "S", "Sdg", "T", "Tdg")
 _INVERSE_1Q = {"T": "Tdg", "Tdg": "T", "S": "Sdg", "Sdg": "S"}
 # Angles at the edges of the merge rule: Rz(pi) + Rz(pi) = -I, Rz(2pi),

@@ -179,6 +179,7 @@ def _items(draw) -> tuple[list, int]:
     return [(s, complex(draw(_PARTS), draw(_PARTS))) for s in strings], n
 
 
+@pytest.mark.ci
 @given(_items())
 def test_property_the_packed_layout_round_trips(drawn):
     # Packing and unpacking keeps every string, its order and its

@@ -179,6 +179,7 @@ def _encoded_cases(draw):
     return spec, m, s
 
 
+@pytest.mark.ci
 @settings(deadline=None)
 @given(_encoded_cases())
 @example((EncodingSpec(SB, 2), np.zeros((2, 2)), PauliSum(1)))
@@ -358,6 +359,7 @@ def _circuits(draw):
     return Circuit(n, gates, phase)
 
 
+@pytest.mark.ci
 @settings(deadline=None)
 @given(_circuits())
 @example(_every_kind_circuit(0, 0.4))

@@ -23,6 +23,8 @@ from qudenc.encoding import BLOCK_UNARY, GRAY, SB, UNARY, EncodingSpec, num_qubi
 from qudenc.paulis import PRUNE_EPS, PauliSum
 from qudenc.qudit_ops import bosonic
 
+pytestmark = pytest.mark.ci
+
 KINDS = (SB, GRAY, UNARY, BLOCK_UNARY)
 
 
