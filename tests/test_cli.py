@@ -156,14 +156,12 @@ def test_simulate_check_takes_a_hermitian_sum_at_scale(tmp_path, capsys):
     # strings whose real part is 0); its circuit is the step of the real parts.
     from qudenc.circuits import trotter_step
     from qudenc.encoding import SB
-    from qudenc.paulis import PauliSum
+    from test_circuits import _real_parts
 
     h = encode_matrix(EncodingSpec(SB, 16), 1e6 * bosonic(16, "q2").mat).sum
-    real = PauliSum(h.n_qubits)
-    real.terms = {s: complex(c.real, 0.0) for s, c in h.terms.items()}
     pauli_path, circ_path = tmp_path / "h.json", tmp_path / "step.json"
     pauli_path.write_text(json.dumps(h.to_json_dict()))
-    circ_path.write_text(export_circuit(trotter_step(real, 0.3), "json"))
+    circ_path.write_text(export_circuit(trotter_step(_real_parts(h), 0.3), "json"))
     code, out, _ = run(capsys, "simulate-check", "--pauli", str(pauli_path),
                        "--circuit", str(circ_path), "--theta", "0.3", "--tol", "0")
     assert code == 0 and "PASS" in out
