@@ -18,7 +18,7 @@ from qudenc.encoder import encode_matrix
 from qudenc.encoding import BLOCK_UNARY, GRAY, SB, UNARY, EncodingSpec, num_qubits
 from qudenc.paulis import PauliSum, text_to_string
 from qudenc.qudit_ops import bosonic, dense_hermitian_test_matrix, tridiag_test_matrix
-from qudenc.simulator import (MAX_DENSE_QUBITS, _run, _step, apply_circuit,
+from qudenc.simulator import (MAX_DENSE_QUBITS, _run, _step, _steps, apply_circuit,
                               circuit_to_unitary, gate_matrix,
                               pauli_to_matrix, unitary_distance, verify_circuit_equivalence,
                               verify_encoding)
@@ -291,6 +291,51 @@ def test_gate_step_is_bitwise_tensordot_of_gate_matrix():
         assert np.array_equal(_run(tensor.copy(), [_step(g, n, tensor.ndim)]), expect), g
 
 
+def _simulated(c, tensor):
+    """c, global phase included, run on a copy of tensor through the
+    simulator's own steps; any axes past the first n ride along."""
+    return _run(tensor.copy(), _steps(c, tensor.ndim), c.global_phase)
+
+
+def _placed_cases(n):
+    """Every gate kind that fits on n qubits, with its first qubit's axis
+    first, second, and deeper after a dot on qubit 0 has moved that axis
+    to the front, each after the dots that put it there."""
+    for kind, arity in GATE_ARITY.items():
+        if arity > n:
+            continue
+        for first, prior in ((n - 1, ()), (n - 2, ()), (n - 1, (0,)), (n - 2, (0,)),
+                             (n - 3, (0,))):
+            if first < 0 or first == 0 and prior and n > 1:
+                continue
+            qubits = (first,) + tuple(q for q in range(n) if q != first)[:arity - 1]
+            yield ([Gate("H", (q,)) for q in prior]
+                   + [Gate(kind, qubits, 0.83 if kind == "Rz" else None)])
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_every_gate_at_every_axis_position_keeps_the_reference_bytes(n):
+    # Each gate as one tensordot of its matrix, or a basis permutation as
+    # a gather, after the dots before it, on tensors with trailing axes of
+    # width 1, 2 and 16 (apply_circuit has none): bytes, signed zeros and all.
+    rng = np.random.default_rng(n)
+    for width in (None, 1, 2, 16):
+        shape = (2,) * n + ((width,) if width else ())
+        tensor = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        tensor[rng.random(shape) < 0.2] = -0.0
+        for gates in _placed_cases(n):
+            expect = tensor
+            for g in gates:
+                apply = (_permuted_reference if g.kind in _PERMUTATION_KINDS
+                         else _tensordot_reference)
+                expect = apply(expect, g, n)
+            got = _simulated(Circuit(n, gates), tensor)
+            assert got.tobytes() == np.ascontiguousarray(expect).tobytes(), (width, gates)
+            if width is None:
+                state = tensor.reshape(2 ** n)
+                assert apply_circuit(Circuit(n, gates), state).tobytes() == got.tobytes()
+
+
 def test_apply_circuit_leaves_its_input_unchanged():
     rng = np.random.default_rng(5)
     state = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -359,6 +404,23 @@ def _circuits(draw):
     return Circuit(n, gates, phase)
 
 
+def _permutation_runs(n, runs):
+    """Runs of X, CNOT, SWAP and CSWAP gates on n qubits, one run per list
+    of first qubits, with an H on the run's first qubit and a T after it."""
+    gates = []
+    for firsts in runs:
+        for i, q in enumerate(firsts):
+            kind = ("X", "CNOT", "SWAP", "CSWAP")[i % 4]
+            gates.append(Gate(kind, tuple((q + j) % n for j in range(GATE_ARITY[kind]))))
+        gates += [Gate("H", (firsts[0],)), Gate("T", ((firsts[0] + 1) % n,))]
+    return gates
+
+
+# A run with the same gates again, first after a dot that moved an axis
+# (its gather's sources change) and then after one in place (they repeat).
+_RUN = [Gate("CSWAP", (9, 2, 5)), Gate("X", (0,)), Gate("SWAP", (9, 1)), Gate("CNOT", (3, 8))]
+
+
 @pytest.mark.ci
 @settings(deadline=None)
 @given(_circuits())
@@ -374,6 +436,16 @@ def _circuits(draw):
 # zero, and here it reaches the output; X and Sdg repeat.
 @example(Circuit(1, [Gate("X", (0,)), Gate("X", (0,)), Gate("Sdg", (0,)), Gate("Rz", (0,), -0.0),
                      Gate("Sdg", (0,)), Gate("T", (0,)), Gate("Rz", (0,), 0.0)]))
+# Long mixed permutation runs between dots, on 10 qubits.
+@example(Circuit(10, _permutation_runs(10, [range(9, -1, -1), [3, 7, 1, 1, 8, 0, 5], [2, 2, 6]]),
+                 0.3))
+@example(Circuit(10, _RUN + [Gate("H", (0,))] + _RUN + [Gate("Rz", (0,), 0.4)] + _RUN
+                 + [Gate("S", (4,))] + _RUN))
+# The signed zeros of Rz(0.0) and Rz(-0.0) on the first two axes.
+@example(Circuit(2, [Gate("H", (0,)), Gate("Rz", (1,), 0.0), Gate("Rz", (0,), -0.0),
+                     Gate("Rz", (1,), -0.0), Gate("Rz", (0,), 0.0)]))
+@example(Circuit(10, [Gate("H", (8,)), Gate("Rz", (9,), -0.0), Gate("Rz", (8,), 0.0),
+                      Gate("Rz", (9,), 0.0), Gate("Rz", (8,), -0.0)]))
 def test_panelled_unitary_is_bitwise_the_unpanelled_run(c):
     # Bytes, not values: array_equal counts -0.0 and 0.0 as equal.
     assert circuit_to_unitary(c).tobytes() == _unpanelled_unitary(c).tobytes()
@@ -387,6 +459,20 @@ def test_unitary_memory_stays_near_its_output():
         c.add("CNOT", q, q + 1)
     c.add("Rz", 4, angle=0.7)
     c.add("BasisY", 9)
+    tracemalloc.start()
+    try:
+        u = circuit_to_unitary(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * u.nbytes, peak / u.nbytes
+
+
+def test_unitary_memory_with_many_permutation_runs_stays_near_its_output():
+    # 200 distinct runs, each an X and a CNOT, between T gates on qubit 0.
+    runs = [(a, b, t) for a, b, t in itertools.product(range(11), repeat=3) if b != t][:200]
+    c = Circuit(11, [g for a, b, t in runs
+                     for g in (Gate("X", (a,)), Gate("CNOT", (b, t)), Gate("T", (0,)))])
     tracemalloc.start()
     try:
         u = circuit_to_unitary(c)
