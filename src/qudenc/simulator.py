@@ -1,31 +1,37 @@
 """Dense reference simulation and verification oracles.
 
 Everything here is a cross-check, so its bits must not depend on how a gate
-is applied.  X, CNOT, SWAP and CSWAP only permute basis states: they swap two
-slices of the tensor in place, so every value keeps its bits, down to the
-sign of a zero.  Every other gate takes np.tensordot's own steps (axes to
-the front, one np.dot with gate_matrix, axes back), so the results are
-tensordot's to the last bit.  Elementwise slice kernels for the other gates
-were tried and dropped: they changed last bits by up to 1e-15.  A circuit's
-steps are made once per distinct fixed gate and shared by its repeats;
-each Rz gets its own, since Rz(0.0) == Rz(-0.0) as Gates while their
-matrices differ in the sign of a zero.
+is applied.  X, CNOT, SWAP and CSWAP only permute basis states, so their
+values keep their bits, down to the sign of a zero.  Every other gate is one
+np.dot of gate_matrix with the rows over the gate's axes, as np.tensordot
+makes it, to the last bit.  Elementwise slice kernels, a strided matmul and
+np.dot(x.T, m.T) changed last bits (by up to 1e-15; the last was also 1.4
+times slower).
+
+_plan builds a circuit's steps once and _run runs them.  A dot leaves the
+tensor in the axis order it made, the gate's axes in front and the rest in
+their physical order; one transpose at the end restores the qubit order.
+A one-qubit gate on the first two physical axes needs no relayout copy: it
+is np.dot on contiguous halves (deeper in-place dots were no faster).  A
+fixed gate's step and next layout are memoized; each Rz gets its own, as
+Rz(0.0) == Rz(-0.0) while their matrices differ in the sign of a zero.  All
+panels of a unitary share its plan, so there a run of permutation gates is
+one row gather.  A statevector's plan is made per call, and a gather's
+sources would cost it more than they save.  The floor is the dot: 36 us
+for (2,2) by (2,8192), where a copy of its 256 KiB takes 7 us.
 Dense unitaries are capped at 14 qubits; statevector application works
 beyond that (it is used for unary conversion circuits on up to 16 + ancilla
 wires, where the state has 2^n amplitudes but a dense unitary would not fit).
 
-A dense unitary is built one panel of columns at a time.  Column j of U is
-the circuit applied to basis state j, and no gate mixes columns, so each
-panel of the identity runs through the same per-gate steps and each column
-gets the same np.dot arithmetic as in one run over the whole identity: the
-bytes do not change (tests/test_simulator.py holds them, signed zeros
-included, to the unpanelled run).  A panel holds at most _PANEL_BYTES =
-256 KiB, so it and a dot gate's temporaries stay in a 2 MiB-per-core L2
-cache, where the whole 16 MiB tensor of a 10-qubit unitary streamed
-through memory twice per dot gate.  That size was the fastest on the verify bench's circuits; 64 KiB and
-512 KiB-1 MiB panels were slower.  Up to 7 qubits a unitary is one panel.
-The result is the only array of its size: at the 14-qubit cap a unitary
-needs about 4 GiB, where a run over the whole identity needed about 12 GiB.
+A dense unitary is built one panel of columns at a time, straight into
+its columns.  Column j of U is the circuit applied to basis state j and no
+gate mixes columns, so each column gets the same np.dot arithmetic as in
+one run over the whole identity, and the same bytes (tests/test_simulator.py
+holds them, signed zeros included, to the unpanelled run).  A panel holds
+at most _PANEL_BYTES = 256 KiB, so it and its second buffer stay in a
+2 MiB-per-core L2 cache; 64 KiB and 512 KiB-1 MiB panels were slower.  Up
+to 7 qubits a unitary is one panel.  At the 14-qubit cap it needs about
+4 GiB, the only array of its size; a run over the whole identity needed 12.
 
 Conventions, fixed once and used everywhere:
   * qubit 0 is the least significant bit of a basis-state index,
@@ -51,6 +57,9 @@ operations plus a binary search per string and codeword.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
 
 import numpy as np
 
@@ -117,77 +126,108 @@ _PERMUTATIONS = {
 }
 
 
-def _step(g: Gate, n: int, ndim: int) -> tuple:
-    """g prepared for tensors of ndim axes whose first n are qubit axes
-    (axis n-1-q holds qubit q); any trailing axes ride along.  A permutation
-    gate gives (None, a, b): the index tuples of the two slices that trade
-    places.  Every other gate gives (gate_matrix(g), order, inverse): the
-    transpose that brings the gate's axes to the front, and its undoing."""
-    axes = [n - 1 - q for q in g.qubits]
-    if g.kind in _PERMUTATIONS:
-        controls, (a, b) = _PERMUTATIONS[g.kind]
-        ia, ib = [slice(None)] * ndim, [slice(None)] * ndim
-        for ax, bit_a, bit_b in zip(axes, controls + a, controls + b):
-            ia[ax], ib[ax] = bit_a, bit_b
-        return None, tuple(ia), tuple(ib)
-    order = axes + [ax for ax in range(ndim) if ax not in axes]
-    return gate_matrix(g), order, np.argsort(order)
+@functools.lru_cache(maxsize=1 << 14)
+def _place(kind: str, qubits: tuple[int, ...], n: int, layout: tuple[int, ...]) -> tuple:
+    """A fixed gate's step on a tensor whose physical axis p holds qubit
+    axis layout[p] (axis n-1-q holds qubit q), and the layout after it; an
+    Rz gets None for its matrix.  Steps: ("swap", a, b), the index tuples of
+    two slices that trade places; ("dot", matrix, p), dots on the halves of
+    physical axis p; ("move", matrix, order), the transpose that brings the
+    gate's axes to the front, which the tensor then keeps."""
+    at = [layout.index(n - 1 - q) for q in qubits]
+    if kind in _PERMUTATIONS:
+        controls, (a, b) = _PERMUTATIONS[kind]
+        ia, ib = [slice(None)] * n + [...], [slice(None)] * n + [...]
+        for p, bit_a, bit_b in zip(at, controls + a, controls + b):
+            ia[p], ib[p] = bit_a, bit_b
+        return ("swap", tuple(ia), tuple(ib)), layout
+    mat = None if kind == "Rz" else gate_matrix(Gate(kind, qubits))
+    # A (2, m) half can round unlike the whole where m < 4 (gemv at m = 1,
+    # a gemm edge kernel at 2); five qubits give halves of 8 columns or more.
+    if len(at) == 1 and (at[0] == 0 or at[0] == 1 and n > 4):
+        return ("dot", mat, at[0]), layout
+    order = tuple(at + [p for p in range(n) if p not in at])
+    return ("move", mat, order), tuple(layout[p] for p in order)
 
 
-def _run(tensor: np.ndarray, steps: list, global_phase: float = 0.0) -> np.ndarray:
-    """Apply steps made by _step, then the global phase; the tensor is
-    overwritten, so pass one the caller owns."""
-    for mat, a, b in steps:
-        if mat is None:
-            held = tensor[a].copy()
-            tensor[a] = tensor[b]
-            tensor[b] = held
-        else:
-            moved = tensor.transpose(a)
-            out = np.dot(mat, moved.reshape(len(mat), -1))
-            tensor = out.reshape(moved.shape).transpose(b)
-    return np.exp(1j * global_phase) * tensor if global_phase else tensor
-
-
-def _steps(c: Circuit, ndim: int) -> list:
-    """The _step of every gate of c, made once per fixed gate kind and
-    qubit tuple and shared by its repeats.  Each Rz gets its own: Rz(0.0)
-    == Rz(-0.0) as Gates, but their matrices differ in the sign of a zero."""
-    n, made, steps = c.n_qubits, {}, []
-    for g in c.gates:
-        if g.kind == "Rz":
-            steps.append(_step(g, n, ndim))
+def _plan(c: Circuit, ndim: int) -> tuple[list, tuple[int, ...]]:
+    """The steps of c for tensors of ndim axes whose first n are qubit
+    axes (trailing axes ride along, last), and the layout they leave.  A
+    panel plan (ndim > n) takes each run of two or more permutation gates as
+    one row gather, shared by the runs of the same gates in the same layout."""
+    n, layout, steps, gathers = c.n_qubits, tuple(range(c.n_qubits)), [], {}
+    for moves, run in itertools.groupby(c.gates, lambda g: g.kind in _PERMUTATIONS):
+        run = list(run)
+        if moves and ndim > n and len(run) > 1:
+            key = tuple((g.kind, g.qubits) for g in run), layout
+            if key not in gathers:
+                # The run's swaps, applied to row numbers in this layout,
+                # leave each row's source where the row ends up.
+                swaps = [_place(g.kind, g.qubits, n, layout)[0] for g in run]
+                rows = np.arange(2 ** n).reshape((2,) * n)
+                gathers[key] = ("take", _run((swaps, tuple(range(n))), rows).reshape(-1), None)
+            steps.append(gathers[key])
             continue
-        key = g.kind, g.qubits
-        if key not in made:
-            made[key] = _step(g, n, ndim)
-        steps.append(made[key])
-    return steps
+        for g in run:
+            step, layout = _place(g.kind, g.qubits, n, layout)
+            steps.append(step if g.kind != "Rz" else (step[0], gate_matrix(g), step[2]))
+    return steps, layout
 
 
-def apply_circuit(c: Circuit, state: np.ndarray) -> np.ndarray:
+def _run(plan: tuple, x: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
+    """Run a plan from _plan on the C-contiguous x, overwriting x and spare
+    (made when first needed), and return a view of the result in qubit order."""
+    steps, layout = plan
+    tail = tuple(range(len(layout), x.ndim))
+    for op, a, b in steps:
+        if op == "swap":
+            x[a], x[b] = x[b], x[a].copy()
+            continue
+        spare = np.empty_like(x) if spare is None else spare
+        if op == "take":
+            np.take(x.reshape(len(a), -1), a, axis=0, out=spare.reshape(len(a), -1))
+            x, spare = spare, x
+        elif op == "dot":
+            rows, into = x.reshape(2 ** b, 2, -1), spare.reshape(2 ** b, 2, -1)
+            for i in range(2 ** b):
+                np.dot(a, rows[i], out=into[i])
+            x, spare = spare, x
+        else:
+            np.copyto(spare, x.transpose(b + tail))
+            np.dot(a, spare.reshape(len(a), -1), out=x.reshape(len(a), -1))
+    return x.transpose(tuple(layout.index(ax) for ax in range(len(layout))) + tail)
+
+
+def apply_circuit(c: Circuit, state) -> np.ndarray:
     """Apply the circuit (including its global phase) to a statevector;
     the input is left unchanged."""
-    n = c.n_qubits
+    n, state = c.n_qubits, np.asarray(state)
     if state.shape != (2 ** n,):
         raise ValueError(f"state has shape {state.shape}, expected ({2**n},)")
-    return _run(np.array(state, dtype=complex).reshape((2,) * n), _steps(c, n),
-                c.global_phase).reshape(2 ** n)
+    out = _run(_plan(c, n), np.array(state, dtype=complex).reshape((2,) * n))
+    return (np.exp(1j * c.global_phase) * out if c.global_phase else out).reshape(2 ** n)
 
 
 def circuit_to_unitary(c: Circuit) -> np.ndarray:
     """Dense unitary; column j is the circuit applied to basis state j,
-    built one panel of at most _PANEL_BYTES of columns at a time."""
+    built in place one panel of at most _PANEL_BYTES of columns at a time."""
     n = c.n_qubits
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"{n} qubits exceeds the dense cap of {MAX_DENSE_QUBITS}")
     dim = 2 ** n
     cols = max(1, min(dim, _PANEL_BYTES // (16 * dim)))
-    steps = _steps(c, n + 1)
+    plan, shape = _plan(c, n + 1), (2,) * n + (cols,)
     u = np.empty((dim, dim), dtype=complex)
+    x, spare = np.empty((2, dim, cols), dtype=complex)
     for j in range(0, dim, cols):
-        panel = np.eye(dim, cols, -j, dtype=complex).reshape((2,) * n + (cols,))
-        u[:, j:j + cols] = _run(panel, steps, c.global_phase).reshape(dim, cols)
+        x.fill(0)
+        np.fill_diagonal(x[j:j + cols], 1)
+        out = _run(plan, x.reshape(shape), spare.reshape(shape))
+        into = u.reshape((2,) * n + (dim,))[..., j:j + cols]
+        if c.global_phase:
+            np.multiply(np.exp(1j * c.global_phase), out, out=into)
+        else:
+            np.copyto(into, out)
     return u
 
 

@@ -18,7 +18,7 @@ from qudenc.encoder import encode_matrix
 from qudenc.encoding import BLOCK_UNARY, GRAY, SB, UNARY, EncodingSpec, num_qubits
 from qudenc.paulis import PauliSum, text_to_string
 from qudenc.qudit_ops import bosonic, dense_hermitian_test_matrix, tridiag_test_matrix
-from qudenc.simulator import (MAX_DENSE_QUBITS, _run, _step, _steps, apply_circuit,
+from qudenc.simulator import (MAX_DENSE_QUBITS, _plan, _run, apply_circuit,
                               circuit_to_unitary, gate_matrix,
                               pauli_to_matrix, unitary_distance, verify_circuit_equivalence,
                               verify_encoding)
@@ -288,13 +288,14 @@ def test_gate_step_is_bitwise_tensordot_of_gate_matrix():
         expect = _tensordot_reference(state.reshape((2,) * n), g, n).reshape(2 ** n)
         assert np.array_equal(apply_circuit(Circuit(n, [g]), state), expect), g
         expect = _tensordot_reference(tensor, g, n)
-        assert np.array_equal(_run(tensor.copy(), [_step(g, n, tensor.ndim)]), expect), g
+        assert np.array_equal(_simulated(Circuit(n, [g]), tensor), expect), g
 
 
 def _simulated(c, tensor):
     """c, global phase included, run on a copy of tensor through the
-    simulator's own steps; any axes past the first n ride along."""
-    return _run(tensor.copy(), _steps(c, tensor.ndim), c.global_phase)
+    simulator's own plan; any axes past the first n ride along."""
+    out = _run(_plan(c, tensor.ndim), tensor.copy())
+    return np.exp(1j * c.global_phase) * out if c.global_phase else out
 
 
 def _placed_cases(n):
@@ -309,8 +310,8 @@ def _placed_cases(n):
             if first < 0 or first == 0 and prior and n > 1:
                 continue
             qubits = (first,) + tuple(q for q in range(n) if q != first)[:arity - 1]
-            yield ([Gate("H", (q,)) for q in prior]
-                   + [Gate(kind, qubits, 0.83 if kind == "Rz" else None)])
+            for angle in (0.83, 0.0, -0.0) if kind == "Rz" else (None,):
+                yield [Gate("H", (q,)) for q in prior] + [Gate(kind, qubits, angle)]
 
 
 @pytest.mark.parametrize("n", range(1, 14))
@@ -349,6 +350,26 @@ def test_apply_circuit_leaves_its_input_unchanged():
         assert not np.shares_memory(out, state)
         assert np.array_equal(state, kept)
     assert np.array_equal(apply_circuit(Circuit(3), state), kept)
+
+
+def test_each_rz_keeps_the_sign_of_its_zero_angle():
+    # Rz(0.0) == Rz(-0.0) as Gates, but their matrices differ in the sign
+    # of a zero.  The two-column dots of a two-qubit state can carry it to
+    # the output: Rz(0.0) after Rz(-0.0) on qubit 1 of this state does.
+    state = np.array([-0.0 - 0.0j, 0.5 - 0.0j, -1 - 1j, -1 + 1j])
+    for q, first in itertools.product((1, 0), (-0.0, 0.0)):
+        gates = [Gate("Rz", (q,), first), Gate("Rz", (q,), -first)]
+        expect = state.reshape(2, 2)
+        for g in gates:
+            expect = _tensordot_reference(expect, g, 2)
+        assert apply_circuit(Circuit(2, gates), state).tobytes() == expect.tobytes(), gates
+
+
+def test_apply_circuit_takes_a_list_state():
+    c = Circuit(1, [Gate("X", (0,))])
+    assert apply_circuit(c, [1, 0]).tobytes() == apply_circuit(c, basis_state(1, 0)).tobytes()
+    with pytest.raises(ValueError, match=r"state has shape \(3,\), expected \(2,\)"):
+        apply_circuit(c, [1, 0, 0])
 
 
 _PERMUTATION_KINDS = {"X", "CNOT", "SWAP", "CSWAP"}
@@ -441,7 +462,8 @@ _RUN = [Gate("CSWAP", (9, 2, 5)), Gate("X", (0,)), Gate("SWAP", (9, 1)), Gate("C
                  0.3))
 @example(Circuit(10, _RUN + [Gate("H", (0,))] + _RUN + [Gate("Rz", (0,), 0.4)] + _RUN
                  + [Gate("S", (4,))] + _RUN))
-# The signed zeros of Rz(0.0) and Rz(-0.0) on the first two axes.
+# Rz(0.0) and Rz(-0.0) on the first two axes, where 10 qubits take dots
+# in place.
 @example(Circuit(2, [Gate("H", (0,)), Gate("Rz", (1,), 0.0), Gate("Rz", (0,), -0.0),
                      Gate("Rz", (1,), -0.0), Gate("Rz", (0,), 0.0)]))
 @example(Circuit(10, [Gate("H", (8,)), Gate("Rz", (9,), -0.0), Gate("Rz", (8,), 0.0),
