@@ -15,10 +15,10 @@ A one-qubit gate on the first two physical axes needs no relayout copy: it
 is np.dot on contiguous halves (deeper in-place dots were no faster).  A
 fixed gate's step and next layout are memoized; each Rz gets its own, as
 Rz(0.0) == Rz(-0.0) while their matrices differ in the sign of a zero.  All
-panels of a unitary share its plan, so there a run of permutation gates is
-one row gather.  A statevector's plan is made per call, and a gather's
-sources would cost it more than they save.  The floor is the dot: 36 us
-for (2,2) by (2,8192), where a copy of its 256 KiB takes 7 us.
+panels of a unitary share its plan, so there a run of two or more
+permutation gates is one row gather; a statevector's plan, made per call,
+keeps slice swaps.  The floor is the dot: 36 us for (2,2) by (2,8192),
+where a copy of its 256 KiB takes 7 us.
 Dense unitaries are capped at 14 qubits; statevector application works
 beyond that (it is used for unary conversion circuits on up to 16 + ancilla
 wires, where the state has 2^n amplitudes but a dense unitary would not fit).

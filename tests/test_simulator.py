@@ -299,9 +299,9 @@ def _simulated(c, tensor):
 
 
 def _placed_cases(n):
-    """Every gate kind that fits on n qubits, with its first qubit's axis
-    first, second, and deeper after a dot on qubit 0 has moved that axis
-    to the front, each after the dots that put it there."""
+    """Gate lists that put every gate kind fitting on n qubits with its
+    first qubit on physical axis 0 or 1, or, after an H on qubit 0 has
+    moved that qubit's axis to the front, on axis 1, 2 or 3."""
     for kind, arity in GATE_ARITY.items():
         if arity > n:
             continue
@@ -427,7 +427,8 @@ def _circuits(draw):
 
 def _permutation_runs(n, runs):
     """Runs of X, CNOT, SWAP and CSWAP gates on n qubits, one run per list
-    of first qubits, with an H on the run's first qubit and a T after it."""
+    of first qubits, each followed by an H on its first qubit and a T on
+    the next one."""
     gates = []
     for firsts in runs:
         for i, q in enumerate(firsts):
