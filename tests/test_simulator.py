@@ -14,6 +14,7 @@ from states import basis_state
 from qudenc import simulator
 from qudenc.circuits import (GATE_ARITY, Circuit, Gate, export_circuit,
                              import_circuit)
+from qudenc.converters import conversion_circuit
 from qudenc.encoder import encode_matrix
 from qudenc.encoding import BLOCK_UNARY, GRAY, SB, UNARY, EncodingSpec, num_qubits
 from qudenc.paulis import PauliSum, text_to_string
@@ -503,3 +504,52 @@ def test_unitary_memory_with_many_permutation_runs_stays_near_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * u.nbytes, peak / u.nbytes
+
+
+def _per_gate_state(c, state):
+    """c applied to a state gate by gate, every basis permutation as a
+    gather and every other gate as one tensordot, then its global phase."""
+    n = c.n_qubits
+    tensor = state.reshape((2,) * n)
+    for g in c.gates:
+        apply = _permuted_reference if g.kind in _PERMUTATION_KINDS else _tensordot_reference
+        tensor = apply(tensor, g, n)
+    if c.global_phase:
+        tensor = np.exp(1j * c.global_phase) * tensor
+    return np.ascontiguousarray(tensor).reshape(2 ** n)
+
+
+@pytest.mark.ci
+@settings(deadline=None)
+@given(_circuits(), st.integers(0, 2 ** 32 - 1))
+@example(_every_kind_circuit(11, 0.0), 3)
+@example(Circuit(10, _RUN + [Gate("H", (0,))] + _RUN + [Gate("Rz", (0,), 0.4)] + _RUN), 4)
+# Long mixed permutation runs between dots, and runs with no dot after
+# them, on 12 and 16 qubits.
+@example(Circuit(12, _permutation_runs(12, [range(11, -1, -1), [3, 7, 1, 1, 8, 0, 5, 11],
+                                            [2, 2, 6, 10]]) + _RUN * 3, 0.3), 5)
+@example(Circuit(16, _permutation_runs(16, [range(15, -1, -1), [3, 7, 1, 13, 8, 0, 5, 14, 9]])
+                 + _RUN + [Gate("CSWAP", (15, 0, 12)), Gate("CNOT", (11, 4))]), 6)
+def test_apply_circuit_is_bitwise_the_per_gate_run(c, seed):
+    # States with signed zeros, applied twice in a row: the second call
+    # runs on whatever the first left behind for the same circuit.
+    rng = np.random.default_rng(seed)
+    size = 2 ** c.n_qubits
+    state = rng.normal(size=size) + 1j * rng.normal(size=size)
+    state.real[rng.random(size) < 0.2] = -0.0
+    state.imag[rng.random(size) < 0.2] = -0.0
+    expect = _per_gate_state(c, state).tobytes()
+    for _ in range(2):
+        assert apply_circuit(c, state).tobytes() == expect
+
+
+def test_statevector_memory_stays_near_its_state():
+    c = conversion_circuit("sb2unary", 16)
+    state = basis_state(c.n_qubits, 5)
+    tracemalloc.start()
+    try:
+        apply_circuit(c, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * state.nbytes, peak / state.nbytes
