@@ -14,14 +14,18 @@ their physical order; one transpose at the end restores the qubit order.
 A one-qubit gate on the first two physical axes needs no relayout copy: it
 is np.dot on contiguous halves (deeper in-place dots were no faster).  A
 fixed gate's step and next layout are memoized; each Rz gets its own, as
-Rz(0.0) == Rz(-0.0) while their matrices differ in the sign of a zero.  All
-panels of a unitary share its plan, so there a run of two or more
-permutation gates is one row gather; a statevector's plan, made per call,
-keeps slice swaps.  The floor is the dot: 36 us for (2,2) by (2,8192),
-where a copy of its 256 KiB takes 7 us.
-Dense unitaries are capped at 14 qubits; statevector application works
-beyond that (it is used for unary conversion circuits on up to 16 + ancilla
-wires, where the state has 2^n amplitudes but a dense unitary would not fit).
+Rz(0.0) == Rz(-0.0) while their matrices differ in the sign of a zero.  A
+run of two or more permutation gates is one row gather, with mode="clip":
+its sources permute the rows, so nothing clips, and numpy buffers the
+default mode="raise" (2.7x slower at 2^16 rows).  A unitary's panels share
+their plan's sources.  Statevector plans, made per call, keep theirs across
+calls in _KEPT, least recently used first, in mmap pages outside the malloc
+heap, and a plan that opens with a gather reads the caller's state, not a
+copy.  Heap arrays there pinned glibc's heap between 16 MiB unitaries: with
+that copy, verify's peak RSS read 12 MiB more.  The floor is the dot: 36 us
+for (2,2) by (2,8192), where a copy of its 256 KiB takes 7 us.  Dense
+unitaries are capped at 14 qubits; statevector application goes past it
+(unary conversion circuits on 16 wires and more).
 
 A dense unitary is built one panel of columns at a time, straight into
 its columns.  Column j of U is the circuit applied to basis state j and no
@@ -60,6 +64,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import mmap
 
 import numpy as np
 
@@ -71,6 +76,9 @@ from .qudit_ops import as_matrix
 
 MAX_DENSE_QUBITS = 14
 _PANEL_BYTES = 256 * 1024
+# Bytes of the pages that hold the gather sources kept in _KEPT.
+_SOURCE_BYTES = 4 * 1024 * 1024
+_KEPT: dict = {}
 # verify_encoding applies strings to codewords a block at a time; each
 # strings x codewords x 64-bit-words array of a block holds at most this,
 # or one string's worth where that is more.
@@ -134,6 +142,8 @@ def _place(kind: str, qubits: tuple[int, ...], n: int, layout: tuple[int, ...]) 
     two slices that trade places; ("dot", matrix, p), dots on the halves of
     physical axis p; ("move", matrix, order), the transpose that brings the
     gate's axes to the front, which the tensor then keeps."""
+    if max(qubits) >= n:
+        raise ValueError(f"{kind}{qubits} acts outside the {n}-qubit register")
     at = [layout.index(n - 1 - q) for q in qubits]
     if kind in _PERMUTATIONS:
         controls, (a, b) = _PERMUTATIONS[kind]
@@ -150,23 +160,42 @@ def _place(kind: str, qubits: tuple[int, ...], n: int, layout: tuple[int, ...]) 
     return ("move", mat, order), tuple(layout[p] for p in order)
 
 
+def _sources(key: tuple, n: int) -> np.ndarray:
+    """The rows a run's gather takes: its swaps applied to row numbers in its layout."""
+    swaps = [_place(kind, qubits, n, key[1])[0] for kind, qubits in key[0]]
+    return _run((swaps, tuple(range(n))), np.arange(2 ** n).reshape((2,) * n)).reshape(-1)
+
+
+def _kept(key: tuple, n: int) -> np.ndarray:
+    """A run's sources from _KEPT; made on a miss, and kept if they fit at all."""
+    if key not in _KEPT:
+        src = _sources(key, n)
+        size = -(-src.nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
+        if size > _SOURCE_BYTES:
+            return src
+        held = sum(kept.base.nbytes for kept in _KEPT.values()) + size
+        while held > _SOURCE_BYTES:
+            held -= _KEPT.pop(next(iter(_KEPT))).base.nbytes
+        _KEPT[key] = np.frombuffer(mmap.mmap(-1, size), np.intp, src.size)
+        _KEPT[key][:] = src
+        _KEPT[key].flags.writeable = False
+    _KEPT[key] = _KEPT.pop(key)
+    return _KEPT[key]
+
+
 def _plan(c: Circuit, ndim: int) -> tuple[list, tuple[int, ...]]:
     """The steps of c for tensors of ndim axes whose first n are qubit
     axes (trailing axes ride along, last), and the layout they leave.  A
-    panel plan (ndim > n) takes each run of two or more permutation gates as
-    one row gather, shared by the runs of the same gates in the same layout."""
+    run's gather shares its sources with the same run in the same layout:
+    within a panel plan (ndim > n), and across statevector plans in _KEPT."""
     n, layout, steps, gathers = c.n_qubits, tuple(range(c.n_qubits)), [], {}
     for moves, run in itertools.groupby(c.gates, lambda g: g.kind in _PERMUTATIONS):
         run = list(run)
-        if moves and ndim > n and len(run) > 1:
+        if moves and len(run) > 1:
             key = tuple((g.kind, g.qubits) for g in run), layout
-            if key not in gathers:
-                # The run's swaps, applied to row numbers in this layout,
-                # leave each row's source where the row ends up.
-                swaps = [_place(g.kind, g.qubits, n, layout)[0] for g in run]
-                rows = np.arange(2 ** n).reshape((2,) * n)
-                gathers[key] = ("take", _run((swaps, tuple(range(n))), rows).reshape(-1), None)
-            steps.append(gathers[key])
+            if ndim > n and key not in gathers:
+                gathers[key] = ("take", _sources(key, n), None)
+            steps.append(gathers[key] if ndim > n else ("take", _kept(key, n), None))
             continue
         for g in run:
             step, layout = _place(g.kind, g.qubits, n, layout)
@@ -185,7 +214,8 @@ def _run(plan: tuple, x: np.ndarray, spare: np.ndarray | None = None) -> np.ndar
             continue
         spare = np.empty_like(x) if spare is None else spare
         if op == "take":
-            np.take(x.reshape(len(a), -1), a, axis=0, out=spare.reshape(len(a), -1))
+            np.take(x.reshape(len(a), -1), a, axis=0, out=spare.reshape(len(a), -1),
+                    mode="clip")
             x, spare = spare, x
         elif op == "dot":
             rows, into = x.reshape(2 ** b, 2, -1), spare.reshape(2 ** b, 2, -1)
@@ -204,7 +234,12 @@ def apply_circuit(c: Circuit, state) -> np.ndarray:
     n, state = c.n_qubits, np.asarray(state)
     if state.shape != (2 ** n,):
         raise ValueError(f"state has shape {state.shape}, expected ({2**n},)")
-    out = _run(_plan(c, n), np.array(state, dtype=complex).reshape((2,) * n))
+    steps, layout = _plan(c, n)
+    if steps and steps[0][0] == "take":  # the gather reads the state, not a copy
+        x, steps = np.take(state.astype(complex, copy=False), steps[0][1], mode="clip"), steps[1:]
+    else:
+        x = np.array(state, dtype=complex)
+    out = _run((steps, layout), x.reshape((2,) * n))
     return (np.exp(1j * c.global_phase) * out if c.global_phase else out).reshape(2 ** n)
 
 

@@ -1,6 +1,8 @@
 """Reference simulator oracles: gate matrices, state application, exponentials."""
 
 import itertools
+import mmap
+import re
 import tracemalloc
 
 import numpy as np
@@ -543,7 +545,9 @@ def test_apply_circuit_is_bitwise_the_per_gate_run(c, seed):
         assert apply_circuit(c, state).tobytes() == expect
 
 
-def test_statevector_memory_stays_near_its_state():
+def test_statevector_memory_stays_near_its_state(monkeypatch):
+    # A cold cache: the run's sources are made in this call.
+    monkeypatch.setattr(simulator, "_KEPT", {})
     c = conversion_circuit("sb2unary", 16)
     state = basis_state(c.n_qubits, 5)
     tracemalloc.start()
@@ -553,3 +557,49 @@ def test_statevector_memory_stays_near_its_state():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * state.nbytes, peak / state.nbytes
+
+
+def _pages(n):
+    """Bytes of the whole pages that an n-qubit gather's sources take."""
+    return -(-8 * 2 ** n // mmap.PAGESIZE) * mmap.PAGESIZE
+
+
+def test_statevector_sources_stay_within_their_byte_bound(monkeypatch):
+    # Room for one 10-qubit run and one 9-qubit run, evicted least recently
+    # used first: the second 10-qubit run evicts the first, which on the
+    # second round evicts both.  13-qubit sources are made for their call
+    # and never kept.
+    bound = _pages(10) + _pages(9)
+    assert _pages(13) > bound
+    monkeypatch.setattr(simulator, "_SOURCE_BYTES", bound)
+    monkeypatch.setattr(simulator, "_KEPT", {})
+    rng = np.random.default_rng(8)
+    cases = [(n, [firsts]) for n, firsts in
+             ((10, [0, 4, 9, 2]), (9, [3, 1, 8]), (10, [5, 2, 7, 1, 0]), (13, [12, 0, 6]))]
+    for _ in range(2):
+        for n, runs in cases:
+            c = Circuit(n, _permutation_runs(n, runs))
+            state = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+            assert apply_circuit(c, state).tobytes() == _per_gate_state(c, state).tobytes()
+            assert sum(src.base.nbytes for src in simulator._KEPT.values()) <= bound
+            key = tuple((g.kind, g.qubits) for g in c.gates[:len(runs[0])]), tuple(range(n))
+            assert (key in simulator._KEPT) == (n < 13)
+            if n < 13:
+                assert list(simulator._KEPT)[-1] == key
+                assert not simulator._KEPT[key].flags.writeable
+        assert [len(layout) for _, layout in simulator._KEPT] == [9, 10]
+
+
+@pytest.mark.parametrize("gates", [
+    [Gate("X", (2,))],
+    [Gate("H", (0,)), Gate("CNOT", (0, 3))],
+    [Gate("X", (0,)), Gate("CSWAP", (1, 0, 2))],
+    [Gate("SWAP", (1, 0)), Gate("Rz", (5,), 0.5)],
+])
+def test_a_gate_outside_the_register_is_named(gates):
+    c, bad = Circuit(2, gates), gates[-1]
+    message = re.escape(f"{bad.kind}{bad.qubits} acts outside the 2-qubit register")
+    with pytest.raises(ValueError, match=message):
+        apply_circuit(c, basis_state(2, 0))
+    with pytest.raises(ValueError, match=message):
+        circuit_to_unitary(c)
