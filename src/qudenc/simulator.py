@@ -21,11 +21,11 @@ default mode="raise" (2.7x slower at 2^16 rows).  A unitary's panels share
 their plan's sources.  Statevector plans, made per call, keep theirs across
 calls in _KEPT, least recently used first, in mmap pages outside the malloc
 heap, and a plan that opens with a gather reads the caller's state, not a
-copy.  Heap arrays there pinned glibc's heap between 16 MiB unitaries: with
-that copy, verify's peak RSS read 12 MiB more.  The floor is the dot: 36 us
-for (2,2) by (2,8192), where a copy of its 256 KiB takes 7 us.  Dense
-unitaries are capped at 14 qubits; statevector application goes past it
-(unary conversion circuits on 16 wires and more).
+copy: with that copy, verify's peak RSS read 12 MiB higher (glibc's heap,
+pinned between 16 MiB unitaries), and heap-kept sources cost 1 MiB more
+than pages.  The floor is the dot: 36 us for (2,2) by (2,8192), where a
+copy of its 256 KiB takes 7 us.  Dense unitaries are capped at 14 qubits;
+statevectors go past it (unary conversion circuits on 16 wires and more).
 
 A dense unitary is built one panel of columns at a time, straight into
 its columns.  Column j of U is the circuit applied to basis state j and no
