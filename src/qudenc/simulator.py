@@ -17,7 +17,7 @@ fixed gate's step and next layout are memoized; each Rz gets its own, as
 Rz(0.0) == Rz(-0.0) while their matrices differ in the sign of a zero.  A
 run of two or more permutation gates is one row gather, with mode="clip":
 its sources permute the rows, so nothing clips, and numpy buffers the
-default mode="raise" (2.7x slower at 2^16 rows).  A unitary's panels share
+default mode="raise" (1.7x slower at 2^16 rows).  A unitary's panels share
 their plan's sources.  Statevector plans, made per call, keep theirs across
 calls in _KEPT, least recently used first, in mmap pages outside the malloc
 heap, and a plan that opens with a gather reads the caller's state, not a
