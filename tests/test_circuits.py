@@ -37,6 +37,20 @@ def test_gate_validation():
     assert Gate("Rz", (0,), angle=2).angle == 2
 
 
+def test_gate_qubits_must_be_integers():
+    # A float index once exported as "h q[0.5];".
+    with pytest.raises(ValueError, match="qubit index must be an integer, got 0.5"):
+        Circuit(2).add("H", 0.5)
+    with pytest.raises(ValueError, match="qubit index must be an integer, got 1.0"):
+        Gate("CNOT", (0, 1.0))
+    with pytest.raises(ValueError, match="qubit index must be an integer, got True"):
+        Gate("X", (True,))
+    with pytest.raises(ValueError, match=r"negative qubit index in \(0, -1\)"):
+        Gate("CNOT", (0, -1))
+    # numpy integers are integers.
+    assert Gate("CSWAP", (np.int64(2), np.intp(0), np.int32(1))).qubits == (2, 0, 1)
+
+
 def test_staircase_structure_weight_three():
     s = text_to_string("X0 Y1 Z2")
     c = trotter_term(s, 0.5, 0.2, 3)

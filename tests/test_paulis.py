@@ -150,6 +150,26 @@ def test_negative_qubit_index_is_rejected():
         PauliSum(2, {((2, "X"),): 1.0})
 
 
+def test_qubit_indices_and_widths_must_be_integers():
+    # 4 * 0.5 + 1 once packed as Z0's code, so a Trotter step of this sum
+    # was one Rz on qubit 0; a width of 2.5 synthesized gates on qubit 0.0.
+    with pytest.raises(ValueError, match="qubit index must be an integer, got 0.5"):
+        PauliSum(2, {((0.5, "X"),): 1.0})
+    with pytest.raises(ValueError, match="qubit index must be an integer, got True"):
+        PauliSum(2, {((True, "X"),): 1.0})
+    with pytest.raises(ValueError, match="qubit index must be an integer, got 1.0"):
+        string((1.0, "Z"))
+    with pytest.raises(ValueError, match="n_qubits must be an integer, got 2.5"):
+        PauliSum(2.5)
+    with pytest.raises(ValueError, match="n_qubits must be an integer, got False"):
+        PauliSum(False)
+    with pytest.raises(ValueError, match="n_qubits must be non-negative"):
+        PauliSum(-1)
+    # numpy integers are integers.
+    s = PauliSum(np.int64(3), {string((np.intp(2), "X"), (np.int32(0), "Z")): 1.0})
+    assert s.terms == {((0, "Z"), (2, "X")): 1.0}
+
+
 # Parts of a coefficient: the prune edge, values below it, signed zeros and
 # the smallest subnormal, then any finite double.
 _PARTS = st.one_of(st.sampled_from([0.0, -0.0, PRUNE_EPS, -PRUNE_EPS, PRUNE_EPS / 2,
