@@ -49,7 +49,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .paulis import _END, PackedSum, PauliString, PauliSum, _is_finite_real, _is_nonneg_int
+from .paulis import (_END, PackedSum, PauliString, PauliSum, _int_error, _is_finite_real,
+                     _is_nonneg_int)
 
 GATE_ARITY = {
     "X": 1, "H": 1, "BasisY": 1, "Rz": 1, "T": 1, "Tdg": 1,
@@ -79,8 +80,9 @@ class Gate:
                              f"got {self.qubits}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"repeated qubit in {self.kind}{self.qubits}")
-        if any(q < 0 for q in self.qubits):
-            raise ValueError(f"negative qubit index in {self.qubits}")
+        for q in self.qubits:
+            if not _is_nonneg_int(q):
+                raise _int_error(q, f"negative qubit index in {self.qubits}")
         if (self.kind == "Rz") != (self.angle is not None):
             raise ValueError("angle is required for Rz and forbidden otherwise")
         if self.angle is not None:

@@ -61,15 +61,26 @@ def string(*factors: tuple[int, str]) -> PauliString:
             raise ValueError(f"unknown Pauli letter {p!r}")
         if q in seen:
             raise ValueError(f"duplicate qubit {q}")
-        if q < 0:
-            raise ValueError(f"negative qubit index {q}")
+        if not _is_nonneg_int(q):
+            raise _int_error(q, f"negative qubit index {q}")
         seen[q] = p
     return tuple(sorted(seen.items()))
 
 
 # Input rules shared with circuits.py: widths and qubit indices, finite reals.
+_INT = (int, np.integer)
+
+
 def _is_nonneg_int(n) -> bool:
-    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
+    return isinstance(n, _INT) and not isinstance(n, bool) and n >= 0
+
+
+def _int_error(x, negative: str, what: str = "qubit index") -> ValueError:
+    """The error for an x that _is_nonneg_int refuses: the message negative
+    if x is a negative integer, else that x is not an integer."""
+    if isinstance(x, _INT) and not isinstance(x, bool):
+        return ValueError(negative)
+    return ValueError(f"{what} must be an integer, got {x!r}")
 
 
 def _is_finite_real(x) -> bool:
@@ -162,8 +173,8 @@ class PauliSum:
     __slots__ = ("n_qubits", "terms")
 
     def __init__(self, n_qubits: int, terms: Mapping[PauliString, complex] | None = None):
-        if n_qubits < 0:
-            raise ValueError("n_qubits must be non-negative")
+        if not _is_nonneg_int(n_qubits):
+            raise _int_error(n_qubits, "n_qubits must be non-negative", "n_qubits")
         self.n_qubits = n_qubits
         self.terms: dict[PauliString, complex] = {}
         if terms:
@@ -183,9 +194,9 @@ class PauliSum:
 
     def _accumulate(self, s: PauliString, c: complex) -> None:
         for q, _ in s:
-            if not 0 <= q < self.n_qubits:
-                if q < 0:
-                    raise ValueError(f"negative qubit index {q}")
+            if not (_is_nonneg_int(q) and q < self.n_qubits):
+                if not _is_nonneg_int(q):
+                    raise _int_error(q, f"negative qubit index {q}")
                 raise ValueError(f"qubit {q} outside register of {self.n_qubits}")
         self.terms[s] = self.terms.get(s, 0) + complex(c)
 
