@@ -10,8 +10,7 @@ small suite of model Hamiltonians.
 from .encoding import (BLOCK_UNARY, GRAY, SB, UNARY, EncodingSpec,
                        InvalidCodeword, bitmask_subset, decode, encode,
                        format_bits, hamming_distance, num_qubits, parse_bits)
-from .paulis import (PauliSum, act_on_bits, multiply_strings, string,
-                     string_to_text, text_to_string, weight)
+from .paulis import PauliSum, string, string_to_text, text_to_string, weight
 from .qudit_ops import (QuditMatrix, as_matrix, bosonic,
                         dense_hermitian_test_matrix, first_quantized_x, spin,
                         tridiag_test_matrix)

@@ -355,8 +355,8 @@ def _site_product(products, specs, offsets, n_qubits: int) -> PackedSum:
     """Sum of the products' tensor products, site j encoded under specs[j] from
     qubit offsets[j] up, unpruned and in canonical order.  Sites own disjoint
     qubits, so strings concatenate and coefficients multiply; partial
-    products below PRUNE_EPS drop as in multiply.  A matrix object met again
-    under the same spec is encoded once.
+    products below PRUNE_EPS drop as in tests/reference_paulis.multiply.  A
+    matrix object met again under the same spec is encoded once.
 
     Each product is an outer product over its sites in site order.  Its
     coefficients are CPython's complex products, taken as separate float

@@ -5,12 +5,11 @@ letter in {X, Y, Z}; qubits not listed carry the identity, so the empty
 tuple is the identity string.  A :class:`PauliSum` maps strings to complex
 coefficients over an explicit qubit count.
 
-Multiplication uses the single-qubit algebra (XY = iZ and cyclic, P^2 = I)
-and distributes over terms.  Simplification collects coefficients, prunes
-magnitudes below PRUNE_EPS, and orders terms pseudo-alphabetically: sort
-by acting qubits (lowest first), breaking ties X < Y < Z, with the identity
-first — so e.g. every term containing X0 precedes every term whose lowest
-qubit is 1.  That ordering is also the Trotter term order.
+Simplification collects coefficients, prunes magnitudes below PRUNE_EPS,
+and orders terms pseudo-alphabetically: sort by acting qubits (lowest
+first), breaking ties X < Y < Z, with the identity first — so e.g. every
+term containing X0 precedes every term whose lowest qubit is 1.  That
+ordering is also the Trotter term order.
 
 Coefficients are complex doubles.  Pruning (_kept) drops a modulus below
 PRUNE_EPS = 1e-12.  A sum is Hermitian (_real) if every |im| is at most
@@ -20,6 +19,10 @@ Pricing holds its sums packed (:class:`PackedSum`): every string is a row
 of integer codes 4 * qubit + letter, padded with _END, so that the site
 product and the Trotter staircase run in numpy.  ``PauliSum`` stays the
 public type.
+
+The library multiplies sums on disjoint qubits only, on packed rows, and
+applies strings to codewords on bit masks.  The tuple product (XY = iZ and
+cyclic) and a string on a basis state are the tests', tests/reference_paulis.py.
 """
 
 from __future__ import annotations
@@ -38,19 +41,6 @@ REAL_COEFF_TOL = 1e-12
 PauliString = tuple[tuple[int, str], ...]
 
 _RANK = {"X": 0, "Y": 1, "Z": 2}
-
-# (a, b) -> (phase, letter or None for identity), reading a.b as matrices.
-_PRODUCT: dict[tuple[str, str], tuple[complex, str | None]] = {
-    ("X", "X"): (1, None),
-    ("Y", "Y"): (1, None),
-    ("Z", "Z"): (1, None),
-    ("X", "Y"): (1j, "Z"),
-    ("Y", "X"): (-1j, "Z"),
-    ("Y", "Z"): (1j, "X"),
-    ("Z", "Y"): (-1j, "X"),
-    ("Z", "X"): (1j, "Y"),
-    ("X", "Z"): (-1j, "Y"),
-}
 
 
 def string(*factors: tuple[int, str]) -> PauliString:
@@ -108,46 +98,6 @@ def weight(s: PauliString) -> int:
     return len(s)
 
 
-def multiply_strings(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
-    """Matrix product a.b as (phase, string)."""
-    da, db = dict(a), dict(b)
-    phase: complex = 1
-    out = []
-    for q in sorted(set(da) | set(db)):
-        pa, pb = da.get(q), db.get(q)
-        if pa is None:
-            out.append((q, pb))
-        elif pb is None:
-            out.append((q, pa))
-        else:
-            ph, letter = _PRODUCT[(pa, pb)]
-            phase *= ph
-            if letter is not None:
-                out.append((q, letter))
-    return phase, tuple(out)
-
-
-def act_on_bits(s: PauliString, bits) -> tuple[complex, tuple[int, ...]]:
-    """Apply the string to a computational basis state |bits> (index = qubit).
-
-    Returns (phase, flipped bits): X flips, Z contributes (-1)^bit,
-    Y flips with phase i on |0> and -i on |1>.
-    """
-    phase: complex = 1
-    new = list(bits)
-    for q, p in s:
-        b = new[q]
-        if p == "Z":
-            if b:
-                phase = -phase
-        elif p == "X":
-            new[q] = 1 - b
-        else:  # Y
-            new[q] = 1 - b
-            phase *= 1j if b == 0 else -1j
-    return phase, tuple(new)
-
-
 def string_to_text(s: PauliString) -> str:
     """Token form "X0 Z2"; the identity string is the empty text."""
     return " ".join(f"{p}{q}" for q, p in s)
@@ -194,9 +144,9 @@ class PauliSum:
 
     def _accumulate(self, s: PauliString, c: complex) -> None:
         for q, _ in s:
-            if not (_is_nonneg_int(q) and q < self.n_qubits):
-                if not _is_nonneg_int(q):
-                    raise _int_error(q, f"negative qubit index {q}")
+            if not _is_nonneg_int(q):
+                raise _int_error(q, f"negative qubit index {q}")
+            if q >= self.n_qubits:
                 raise ValueError(f"qubit {q} outside register of {self.n_qubits}")
         self.terms[s] = self.terms.get(s, 0) + complex(c)
 
@@ -218,22 +168,6 @@ class PauliSum:
         out.terms = {s: scalar * c for s, c in self.terms.items()}
         return out
 
-    def __mul__(self, other):
-        if isinstance(other, PauliSum):
-            return self.multiply(other)
-        return other * self
-
-    def multiply(self, other: "PauliSum") -> "PauliSum":
-        """Operator product, distributed term by term and simplified."""
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("qubit-count mismatch in product")
-        out = PauliSum(self.n_qubits)
-        for sa, ca in self.terms.items():
-            for sb, cb in other.terms.items():
-                phase, s = multiply_strings(sa, sb)
-                out._accumulate(s, phase * ca * cb)
-        return out.simplify()
-
     def simplify(self) -> "PauliSum":
         """Collect, prune |coeff| < PRUNE_EPS, and order terms canonically."""
         out = PauliSum(self.n_qubits)
@@ -241,16 +175,6 @@ class PauliSum:
         items = sorted(self.terms.items(), key=itemgetter(0))
         coeffs = np.array([c for _, c in items], complex)
         out.terms = dict(compress(items, _kept(coeffs.real, coeffs.imag)))
-        return out
-
-    def tensor_shift(self, offset: int, total: int) -> "PauliSum":
-        """Embed into a larger register, shifting every qubit index by offset."""
-        if offset < 0 or offset + self.n_qubits > total:
-            raise ValueError(f"shift by {offset} overflows register of {total}")
-        out = PauliSum(total)
-        out.terms = {
-            tuple((q + offset, p) for q, p in s): c for s, c in self.terms.items()
-        }
         return out
 
     def is_hermitian(self) -> bool:
@@ -283,12 +207,6 @@ class PauliSum:
         if not isinstance(other, PauliSum):
             return NotImplemented
         return self.n_qubits == other.n_qubits and self.terms == other.terms
-
-    def allclose(self, other: "PauliSum", tol: float = 1e-10) -> bool:
-        if self.n_qubits != other.n_qubits:
-            return False
-        keys = set(self.terms) | set(other.terms)
-        return all(abs(self.terms.get(s, 0) - other.terms.get(s, 0)) <= tol for s in keys)
 
     # -- serialization --------------------------------------------------------
 

@@ -11,6 +11,7 @@ reference they are held to.
 
 from __future__ import annotations
 
+from reference_paulis import multiply, tensor_shift
 from qudenc.circuits import Circuit, trotter_step
 from qudenc.encoder import encode_matrix
 from qudenc.encoding import EncodingSpec, num_qubits
@@ -33,13 +34,13 @@ def boson_sampling_circuit(spec: ModelSpec, kind: str, g: int = 3):
     for term in terms:
         theta = term.coefficient
         if term.label.startswith("phase_shifter"):
-            h = n_sum.tensor_shift(term.sites[0] * nq, total)
+            h = tensor_shift(n_sum, term.sites[0] * nq, total)
         else:
             i, j = term.sites
-            h = (adag_sum.tensor_shift(i * nq, total)
-                 .multiply(a_sum.tensor_shift(j * nq, total))
-                 + a_sum.tensor_shift(i * nq, total)
-                 .multiply(adag_sum.tensor_shift(j * nq, total))).simplify()
+            h = (multiply(tensor_shift(adag_sum, i * nq, total),
+                          tensor_shift(a_sum, j * nq, total))
+                 + multiply(tensor_shift(a_sum, i * nq, total),
+                            tensor_shift(adag_sum, j * nq, total))).simplify()
         step = trotter_step(h, theta)
         circ.gates.extend(step.gates)
         circ.global_phase += step.global_phase

@@ -13,6 +13,7 @@ reference they are held to.
 
 from __future__ import annotations
 
+from reference_paulis import multiply, tensor_shift
 from qudenc import encoding as enc_mod
 from qudenc.encoder import EncodedOperator, augment_truncation
 from qudenc.encoding import EncodingSpec, bitmask_subset, encode, num_qubits
@@ -87,7 +88,7 @@ def encode_term(term, kind: str, g: int = 3, augment: bool = False) -> PauliSum:
     for product in matrices:
         acc: PauliSum | None = None
         for j, m in enumerate(product):
-            part = encode_matrix(specs[j], m).sum.tensor_shift(offsets[j], total)
-            acc = part if acc is None else acc.multiply(part)
+            part = tensor_shift(encode_matrix(specs[j], m).sum, offsets[j], total)
+            acc = part if acc is None else multiply(acc, part)
         out = out + acc
     return (term.coefficient * out).simplify()

@@ -16,6 +16,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from reference_paulis import tensor_shift
 from qudenc.encoder import augment_truncation, encode_matrix
 from qudenc.encoding import EncodingSpec, num_qubits
 from qudenc.models import COEFF_ZERO_TOL, LocalTerm, _identity_matrix, duschinsky_matrix
@@ -70,8 +71,9 @@ def franck_condon_terms(spec, omega_A=None, omega_B=None, k=None,
 def _site_product(products, specs, offsets, n_qubits: int) -> PauliSum:
     """Sum of the products' tensor products, site j encoded under specs[j] from
     qubit offsets[j] up.  Sites own disjoint qubits, so strings concatenate and
-    coefficients multiply; partial products below PRUNE_EPS drop as in multiply.
-    A matrix object met again under the same spec is encoded once."""
+    coefficients multiply; partial products below PRUNE_EPS drop as in
+    reference_paulis.multiply.  A matrix object met again under the same spec
+    is encoded once."""
     ascending = offsets == sorted(offsets)
     out = PauliSum(n_qubits)
     encoded: dict = {}
@@ -80,7 +82,7 @@ def _site_product(products, specs, offsets, n_qubits: int) -> PauliSum:
         for spec, offset, m in zip(specs, offsets, product):
             if (spec, id(m)) not in encoded:
                 encoded[spec, id(m)] = encode_matrix(spec, m).sum
-            part = encoded[spec, id(m)].tensor_shift(offset, n_qubits).terms.items()
+            part = tensor_shift(encoded[spec, id(m)], offset, n_qubits).terms.items()
             acc = [(sa + sb, c) for sa, ca in acc for sb, cb in part
                    if abs(c := ca * cb) >= PRUNE_EPS]
         for s, c in acc:

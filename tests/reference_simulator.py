@@ -10,9 +10,10 @@ follow later simulator changes: it is the reference they are held to.
 
 from __future__ import annotations
 
+from reference_paulis import act_on_bits
 from qudenc import encoder
 from qudenc.encoding import EncodingSpec, encode
-from qudenc.paulis import PauliSum, act_on_bits
+from qudenc.paulis import PauliSum
 from qudenc.qudit_ops import as_matrix
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from reference_exponential import matrix_exponential
+from reference_paulis import multiply
 from states import basis_state
 from qudenc.bounds import (BoundQuery, closed_form_cnot_upper_bound,
                            cnot_upper_bound, pauli_length_distribution,
@@ -81,7 +82,7 @@ def test_one_hot_number_operator_golden_sums():
 def test_square_after_encoding_vs_encode_after_squaring():
     u3 = EncodingSpec(UNARY, 3)
     s_n = encode_matrix(u3, bosonic(3, "n")).sum
-    squared = s_n.multiply(s_n).simplify()
+    squared = multiply(s_n, s_n).simplify()
     assert _terms(squared) == {"": 3.5, "Z1": -1.5, "Z1 Z2": 1.0, "Z2": -3.0}
     direct = encode_matrix(u3, bosonic(3, "n2")).sum
     assert len(squared.terms) == 4 and len(direct.terms) == 3
