@@ -20,9 +20,9 @@ of integer codes 4 * qubit + letter, padded with _END, so that the site
 product and the Trotter staircase run in numpy.  ``PauliSum`` stays the
 public type.
 
-The library multiplies sums on disjoint qubits only, on packed rows, and
-applies strings to codewords on bit masks.  The tuple product (XY = iZ and
-cyclic) and a string on a basis state are the tests', tests/reference_paulis.py.
+The library multiplies sums only on disjoint qubits, on packed rows, and
+applies strings on bit masks; the general product (XY = iZ and cyclic) and a
+string on a basis state are the tests' reference, tests/reference_paulis.py.
 """
 
 from __future__ import annotations
