@@ -51,6 +51,31 @@ def test_gate_qubits_must_be_integers():
     assert Gate("CSWAP", (np.int64(2), np.intp(0), np.int32(1))).qubits == (2, 0, 1)
 
 
+def test_trotter_term_qubit_indices_must_be_integers():
+    # A packed float index once read 4 * 0.5 + 1 = 3, an Rz on qubit 0, and
+    # True read as qubit 1.
+    with pytest.raises(ValueError, match="qubit index must be an integer, got 0.5"):
+        trotter_term(((0.5, "X"),), 1.0, 0.1, 2)
+    with pytest.raises(ValueError, match="qubit index must be an integer, got True"):
+        trotter_term(((True, "X"),), 1.0, 0.1, 2)
+    with pytest.raises(ValueError, match="negative qubit index -1"):
+        trotter_term(((-1, "X"),), 1.0, 0.1, 2)
+    # numpy integers are integers.
+    assert trotter_term(((np.int64(1), "X"),), 1.0, 0.1, 2).gates == \
+        trotter_term(((1, "X"),), 1.0, 0.1, 2).gates
+
+
+def test_circuit_width_must_be_an_integer():
+    # A float width once exported as "qreg q[2.5];".
+    with pytest.raises(ValueError, match="n_qubits must be an integer, got 2.5"):
+        Circuit(2.5)
+    with pytest.raises(ValueError, match="n_qubits must be an integer, got True"):
+        Circuit(True)
+    with pytest.raises(ValueError, match="n_qubits must be non-negative"):
+        Circuit(-1)
+    assert Circuit(np.int64(2)).add("H", 1).n_qubits == 2
+
+
 def test_staircase_structure_weight_three():
     s = text_to_string("X0 Y1 Z2")
     c = trotter_term(s, 0.5, 0.2, 3)
