@@ -49,8 +49,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .paulis import (_END, PackedSum, PauliString, PauliSum, _int_error, _is_finite_real,
-                     _is_nonneg_int)
+from .paulis import (_END, PackedSum, PauliString, PauliSum, _check_index, _int_error,
+                     _is_finite_real, _is_nonneg_int)
 
 GATE_ARITY = {
     "X": 1, "H": 1, "BasisY": 1, "Rz": 1, "T": 1, "Tdg": 1,
@@ -105,6 +105,10 @@ class Circuit:
     n_qubits: int
     gates: list[Gate] = field(default_factory=list)
     global_phase: float = 0.0
+
+    def __post_init__(self):
+        if not _is_nonneg_int(self.n_qubits):
+            raise _int_error(self.n_qubits, "n_qubits must be non-negative", "n_qubits")
 
     def add(self, kind: str, *qubits: int, angle: float | None = None) -> "Circuit":
         g = Gate(kind, tuple(qubits), angle)
@@ -216,6 +220,8 @@ def _circuit(h: PackedSum, theta: float) -> Circuit:
 
 def trotter_term(p: PauliString, coeff: complex, theta: float, n_qubits: int) -> Circuit:
     """Circuit for exp(-i theta coeff P); coeff must be real (Hermitian term)."""
+    for q, _ in p:
+        _check_index(q)
     return _circuit(PackedSum.pack([(p, coeff)], n_qubits), theta)
 
 

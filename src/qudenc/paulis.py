@@ -51,8 +51,7 @@ def string(*factors: tuple[int, str]) -> PauliString:
             raise ValueError(f"unknown Pauli letter {p!r}")
         if q in seen:
             raise ValueError(f"duplicate qubit {q}")
-        if not _is_nonneg_int(q):
-            raise _int_error(q, f"negative qubit index {q}")
+        _check_index(q)
         seen[q] = p
     return tuple(sorted(seen.items()))
 
@@ -71,6 +70,12 @@ def _int_error(x, negative: str, what: str = "qubit index") -> ValueError:
     if isinstance(x, _INT) and not isinstance(x, bool):
         return ValueError(negative)
     return ValueError(f"{what} must be an integer, got {x!r}")
+
+
+def _check_index(q) -> None:
+    """A qubit index must be an integer >= 0."""
+    if not _is_nonneg_int(q):
+        raise _int_error(q, f"negative qubit index {q}")
 
 
 def _is_finite_real(x) -> bool:
@@ -144,8 +149,7 @@ class PauliSum:
 
     def _accumulate(self, s: PauliString, c: complex) -> None:
         for q, _ in s:
-            if not _is_nonneg_int(q):
-                raise _int_error(q, f"negative qubit index {q}")
+            _check_index(q)
             if q >= self.n_qubits:
                 raise ValueError(f"qubit {q} outside register of {self.n_qubits}")
         self.terms[s] = self.terms.get(s, 0) + complex(c)
