@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import reference_circuits
 from reference_exponential import matrix_exponential
+from qudenc import circuits
 from qudenc.circuits import (GATE_ARITY, Circuit, Gate, _trotter_ids, count_resources,
                              cswap_clifford_t, export_circuit, import_circuit, import_qasm,
                              swap_as_cnots, toffoli_gates, toffoli_via_cswap, trotter_step,
@@ -89,6 +90,27 @@ def test_staircase_structure_weight_three():
     ]
     rz = [g for g in c.gates if g.kind == "Rz"][0]
     assert abs(rz.angle - 2 * 0.2 * 0.5) < 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 13, 70])
+def test_staircase_numbers_keys_as_np_unique_on_both_sides_of_the_width_cutoff(n, monkeypatch):
+    # At or below the cutoff the keys are numbered by a presence mask, above
+    # it by np.unique: the same gate ids, ids and everything else.
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        items = {}
+        for _ in range(int(rng.integers(1, 30))):
+            qubits = np.flatnonzero(rng.random(n) < min(1.0, 4 / n)).tolist()
+            items[tuple((q, "XYZ"[rng.integers(3)]) for q in qubits)] = float(rng.normal())
+        h = PackedSum.pack(sorted(items.items()), n)
+        outputs = []
+        for cutoff in (n, n - 1):
+            monkeypatch.setattr(circuits, "_DENSE_KEYS_MAX", cutoff)
+            outputs.append(circuits._staircase(h, 0.3))
+        (gid, ids, rz, angles, phase), want = outputs
+        assert gid.dtype == want[0].dtype and np.array_equal(gid, want[0])
+        assert list(ids.items()) == list(want[1].items())
+        assert np.array_equal(rz, want[2]) and (angles, phase) == want[3:]
 
 
 def test_staircase_matches_exponential():
