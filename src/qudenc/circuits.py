@@ -142,6 +142,13 @@ def _staircase_gate(kind: str, qubits: tuple[int, ...]) -> Gate:
 
 
 _KINDS = ("H", "BasisY", "CNOT", "Rz")  # a layout gate's kind is _KINDS[key & 3]
+# Up to this register width _staircase numbers its keys, all below 4 n^2,
+# by a mask of the keys present and its running count; above it by
+# np.unique's sort, as the mask grows with n^2 and a string's gates with n.
+# On random sums of weight-4 strings, the mask took 0.55 ms against the
+# sort's 0.65 ms for 500 strings on 64 qubits (0.16 against 0.12 ms for
+# 20), and lost at 128 qubits for both sizes.
+_DENSE_KEYS_MAX = 64
 
 
 def _staircase(h: PackedSum, theta: float) -> tuple[np.ndarray, dict, np.ndarray, list, float]:
@@ -196,7 +203,13 @@ def _staircase(h: PackedSum, theta: float) -> tuple[np.ndarray, dict, np.ndarray
     rz = at + nb + p - 1
     key[rz] = single[last] + 3
     del live, codes, q, letter, basis, rank, string, ladder, twice, single, e, r, j
-    uniq, gid = np.unique(key, return_inverse=True)
+    if n <= _DENSE_KEYS_MAX:
+        seen = np.zeros(4 * n * n, bool)
+        seen[key] = True
+        gid = np.cumsum(seen, dtype=np.intc).take(key) - 1
+        uniq = np.flatnonzero(seen)
+    else:
+        uniq, gid = np.unique(key, return_inverse=True)
     del key
     ids = {}
     for k in uniq.tolist():

@@ -46,6 +46,7 @@ compacting is not worthwhile.
 
 from __future__ import annotations
 
+import hashlib
 import sys
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate
@@ -60,7 +61,7 @@ from .encoder import augment_truncation, can_augment, encode_matrix
 # optimize, trotter_step and count_resources are no longer called here, but
 # stay names of this module: the benchmark's traced run (perfbench/spans.py)
 # wraps them here.
-from .optimizer import MAX_SWEEPS, _link, _of_kind, _optimize_ids, optimize
+from .optimizer import MAX_SWEEPS, _link, _loose, _of_kind, _optimize_ids, _replay, optimize
 from .paulis import _END, PackedSum, PauliSum, _kept
 from .qudit_ops import BOSONIC, SPIN, QuditMatrix, bosonic, matrix_digest, spin, spin_levels
 
@@ -437,10 +438,14 @@ def encode_term(term: LocalTerm, kind: str, g: int = 3,
 
 
 _PRICE_CACHE: dict = {}
+# digest of (n_qubits, rows) -> (loose gates, merge log, count) of the
+# optimizer core's last full run on that Trotter-step structure
+_STEP_MEMO: dict = {}
 
 
 def clear_price_cache() -> None:
     _PRICE_CACHE.clear()
+    _STEP_MEMO.clear()
 
 
 def _term_cache_key(term: LocalTerm, kind: str, augment: bool):
@@ -458,11 +463,34 @@ def term_entangling_cost(term: LocalTerm, kind: str, augment: bool = False) -> i
     if abs(term.coefficient) < COEFF_ZERO_TOL:
         cost = 0
     else:
-        gid, ids, _, dead, _ = _optimized_step(_term_sum(term, kind, augment=augment),
-                                               PRICING_THETA)
-        live = _of_kind(gid, ids, ENTANGLING_KINDS) > np.frombuffer(dead, bool)[:-1]
-        cost = int(np.count_nonzero(live))
+        cost = _step_cost(_term_sum(term, kind, augment=augment))
     _PRICE_CACHE[key] = cost
+    return cost
+
+
+def _step_cost(h: PackedSum) -> int:
+    """Entangling gates left by optimize(trotter_step(h, PRICING_THETA)),
+    h's strings being in Trotter order.
+
+    The gates, chains and ids of a step depend only on h's register and
+    rows, and its angles only on its coefficients.  So the optimizer core
+    runs once per structure until clear_price_cache(): a later sum with the
+    same rows and the same loose gates gets the stored count if the stored
+    merge log replays on its angles to the same outcomes (_replay), and
+    runs the core again, replacing the entry, if not."""
+    gid, ids, angles = _trotter_ids(h, PRICING_THETA)
+    loose = _loose(angles, np.flatnonzero(_of_kind(gid, ids, ("Rz",))))
+    digest = hashlib.blake2b(f"{h.n_qubits} {h.rows.shape}".encode(), digest_size=16)
+    digest.update(np.ascontiguousarray(h.rows))
+    key = digest.digest()
+    entry = _STEP_MEMO.get(key)
+    if entry is not None and np.array_equal(entry[0], loose) and _replay(entry[1], angles):
+        return entry[2]
+    log: list = []
+    dead, _ = _optimize_ids(*_link(gid, ids), gid, ids, angles, 0.0, MAX_SWEEPS, log)
+    live = _of_kind(gid, ids, ENTANGLING_KINDS) > np.frombuffer(dead, bool)[:-1]
+    cost = int(np.count_nonzero(live))
+    _STEP_MEMO[key] = loose, log, cost
     return cost
 
 
