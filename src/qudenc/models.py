@@ -32,7 +32,11 @@ Pricing holds each term's Pauli sum packed (``paulis.PackedSum``, a padded
 row of codes per string): the site product builds those rows in numpy and
 hands them as they are to the staircase layout and the optimizer's core,
 with no PauliSum and no tuple per string.  ``encode_term`` unpacks the
-same sum into a PauliSum.
+same sum into a PauliSum.  Terms of one report often share their rows
+(a plain and an augmented term under SB or Gray, distinct shifted-QHO
+and Franck-Condon terms), so the core runs once per (register, rows)
+until ``clear_price_cache``: a later term with those rows replays only
+the angle arithmetic of the stored run (``_step_cost``).
 
 The boson-sampling circuit layer reuses the same site product: each gate
 is one model term, tensored straight onto its modes' qubits (mode m owns
@@ -76,7 +80,9 @@ BOSON_SAMPLING = "boson_sampling"
 _SCHEME_CODES = {"sb_only": (SB,), "gray_only": (GRAY,), "unary_only": (UNARY,),
                  "sb_and_gray": (SB, GRAY), "all_with_compacting": (SB, GRAY, UNARY)}
 SCHEME_NAMES = tuple(_SCHEME_CODES)
-PRICING_THETA = 0.37  # arbitrary fixed nonzero angle; counts are angle-blind
+# A fixed nonzero angle.  A count depends on the angles only through the
+# merges' drops, which _step_cost's memo replays.
+PRICING_THETA = 0.37
 COEFF_ZERO_TOL = 1e-12
 
 

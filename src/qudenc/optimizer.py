@@ -45,6 +45,15 @@ what the scans leave.  optimize() numbers a Circuit's gates (_wire_chains)
 and builds a Gate only for merged Rz gates and rewritten CNOTs; pricing
 synthesizes straight into ids (circuits._trotter_ids).
 
+The core reads angles in three places only: loose, each merge walk's sum
+and the drop test at the walk's end (_dropped).  Cancel, the triple pass,
+the scans and _due read ids and chains.  The merge runs log, in order,
+each merge and each end of a walk that merged or dropped; _replay redoes
+a log's additions on other angles and says whether every end comes out
+the same, in which case a run on the same gates with the same loose
+gates drops the same gates.  Pricing (models._step_cost) uses it to run
+the core once per Trotter-step structure.
+
 README.md, section Optimizer, argues once why each of these shortcuts gives
 exactly the gates of a scan over the whole list, and gives the measurements
 behind _SCAN_MIN.
