@@ -385,6 +385,29 @@ def test_report_config_must_be_an_object(tmp_path, capsys):
     _assert_one_line_error(code, err)
 
 
+_NOT_JSON = '{"n_qubits": 1,\n"gates": [}\n'
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--config", ["report", "--model", "bose-hubbard", "--d", "4", "--N", "1",
+                  "--config", "bad.json"]),
+    ("--pauli", ["simulate-check", "--pauli", "bad.json", "--circuit", "c.json"]),
+    ("--circuit", ["simulate-check", "--pauli", "h.json", "--circuit", "bad.json"]),
+    ("--circuit", ["optimize", "--circuit", "bad.json"]),
+    ("--circuit", ["export-qasm", "--circuit", "bad.json"]),
+])
+def test_a_file_that_is_not_json_names_its_flag_and_path(tmp_path, capsys, monkeypatch,
+                                                         flag, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, text in {**_ZERO_DISTANCE, "bad.json": _NOT_JSON}.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run(capsys, *argv)
+    _assert_one_line_error(code, err)
+    assert err.startswith(f"error: {flag} bad.json is not valid JSON: Expecting value: "
+                          "line 2 column 11")
+    assert out == ""
+
+
 @pytest.mark.parametrize("model, config, needle", [
     ("boson-sampling", {"gates": [{"kind": "beamsplitter", "modes": [0, 1]}]}, "'gates'"),
     ("boson-sampling", {"gates": [{"kind": "beamsplitter", "modes": [0, "1"],

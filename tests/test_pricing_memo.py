@@ -1,11 +1,11 @@
 """Pricing's memo of Trotter-step structures (models._step_cost).
 
 The optimizer core runs once per (register, packed rows) until
-clear_price_cache(); a later sum with the same rows is served the stored
-count when its loose gates are the stored ones and the stored merge log
-replays on its angles to the same outcomes (optimizer._replay).  Whenever
-a replay is accepted, a cold full run must drop the same gates and leave
-the same count; and whatever the memo holds, the served count must be the
+clear_price_cache().  A run's count is stored only when the run dropped no
+Rz gate, and it is served only to a later sum with the same rows and no
+loose gate (one whose own angle drops it, optimizer._loose).  Whenever the
+memo would serve, a cold full run must drop the same gates and leave the
+same count; and whatever the memo holds, the served count must be the
 public path's, count_resources(optimize(...)).
 
 Distinct strings in a Trotter step seldom bring two Rz gates together (no
@@ -38,7 +38,7 @@ def _two_sums(rng: random.Random) -> tuple[PackedSum, PackedSum]:
     """Two sums on one to four qubits with the same rows: up to 12 strings
     drawn from a pool of up to four.  The second sum's coefficient on a
     string is mostly one of the same kind as the first's (loose or kept),
-    so that the loose gates often agree and the replay decides."""
+    so that a stored first run often meets a second sum with no loose gate."""
     n = rng.randint(1, 4)
     pool = [tuple((q, rng.choice("XYZ")) for q in range(n) if rng.random() < 0.6)
             for _ in range(rng.randint(1, 4))]
@@ -50,15 +50,16 @@ def _two_sums(rng: random.Random) -> tuple[PackedSum, PackedSum]:
 
 
 def _full_run(h: PackedSum) -> tuple:
-    """A cold run of the core on h's step: its angles as synthesized, its
-    loose gates, merge log and dead mask, and the public path's count."""
+    """A cold run of the core on h's step: its loose gates, its dead mask,
+    whether it dropped an Rz gate, and the public path's count."""
     gid, ids, angles = _trotter_ids(h, _THETA)
-    loose = optimizer._loose(angles, np.flatnonzero(optimizer._of_kind(gid, ids, ("Rz",))))
-    log = []
+    rz = np.flatnonzero(optimizer._of_kind(gid, ids, ("Rz",)))
+    loose = optimizer._loose(angles, rz)
     dead, _ = optimizer._optimize_ids(*optimizer._link(gid, ids), gid, ids, list(angles),
-                                      0.0, optimizer.MAX_SWEEPS, log)
+                                      0.0, optimizer.MAX_SWEEPS)
+    dropped_rz = bool(np.frombuffer(dead, bool)[rz].any())
     cost = count_resources(optimizer.optimize(_circuit(h, _THETA))).entangling_total
-    return angles, loose, log, dead, cost
+    return loose, dead, dropped_rz, cost
 
 
 def _served(first: PackedSum, second: PackedSum) -> int:
@@ -74,32 +75,29 @@ def _served(first: PackedSum, second: PackedSum) -> int:
 @pytest.mark.ci
 @_examples(200)
 @given(st.randoms(use_true_random=False))
-def test_property_an_accepted_replay_gives_the_full_runs_dead_mask(rng):
+def test_property_a_served_count_is_a_cold_runs(rng):
     first, second = _two_sums(rng)
-    _, loose, log, dead, cost = _full_run(first)
-    angles, s_loose, _, s_dead, s_cost = _full_run(second)
-    if np.array_equal(loose, s_loose) and optimizer._replay(log, angles):
+    _, dead, dropped_rz, cost = _full_run(first)
+    s_loose, s_dead, _, s_cost = _full_run(second)
+    if not dropped_rz and not len(s_loose):
         assert s_dead == dead
         assert s_cost == cost
     assert _served(first, second) == s_cost
 
 
-def test_the_sums_meet_merges_accepted_replays_and_refusals():
-    # The property above sees every case: logged merges, replays of them
-    # accepted, and replays refused.
-    merged = accepted = refused = 0
+def test_the_sums_meet_stored_structures_hits_and_runs_that_drop_an_rz():
+    # The property above sees every case: first runs stored, hits on them
+    # (which need a second sum with no loose gate), and first runs that drop
+    # an Rz gate and so are not stored.
+    stored = hits = dropped = 0
     for seed in range(300):
         first, second = _two_sums(random.Random(seed))
-        _, loose, log, _, _ = _full_run(first)
-        angles, s_loose, *_ = _full_run(second)
-        merges = sum(j >= 0 for _, j in log)
-        merged += merges
-        if np.array_equal(loose, s_loose):
-            if optimizer._replay(log, angles):
-                accepted += merges > 0
-            else:
-                refused += 1
-    assert merged > 300 and accepted > 20 and refused > 20, (merged, accepted, refused)
+        _, _, dropped_rz, _ = _full_run(first)
+        s_loose, *_ = _full_run(second)
+        dropped += dropped_rz
+        stored += not dropped_rz
+        hits += not dropped_rz and not len(s_loose)
+    assert stored > 30 and hits > 30 and dropped > 100, (stored, hits, dropped)
 
 
 def _z0z1_twice(a: float, b: float) -> PackedSum:
@@ -109,24 +107,35 @@ def _z0z1_twice(a: float, b: float) -> PackedSum:
     return PackedSum.pack([(z0z1, a), (z0z1, b)], 2)
 
 
-def test_a_replay_whose_merged_sum_drops_is_refused():
+def _z0z1_x0x1(a: float, b: float) -> PackedSum:
+    # Z0Z1 then X0X1: two Rz gates on different wires (Z1, and Z0 between
+    # Hadamards), which never merge.
+    return PackedSum.pack([(((0, "Z"), (1, "Z")), a), (((0, "X"), (1, "X")), b)], 2)
+
+
+def test_a_run_that_merges_is_not_stored():
     first, second = _z0z1_twice(0.3, 0.5), _z0z1_twice(0.3, -0.3)
-    _, _, log, _, cost = _full_run(first)
-    angles, *_, s_cost = _full_run(second)
+    *_, cost = _full_run(first)
+    s_loose, *_, s_cost = _full_run(second)
     assert (cost, s_cost) == (2, 0)
-    assert log == [(1, 4), (1, ~optimizer._KEEP)]
-    assert not optimizer._replay(log, angles)
+    assert not len(s_loose)  # only the merged sum drops
+    models.clear_price_cache()
+    try:
+        assert models._step_cost(first) == 2
+        assert not models._STEP_MEMO
+    finally:
+        models.clear_price_cache()
     assert _served(first, second) == 0
 
 
 def test_a_sum_with_other_loose_gates_is_priced_afresh():
     # The same single string, its Rz kept and then dropped alone at 2pi: the
-    # kept run logs nothing, so only the loose gates tell the two apart.
+    # kept run is stored, and only the loose gate tells the two apart.
     z0z1 = ((0, "Z"), (1, "Z"))
     first = PackedSum.pack([(z0z1, 0.3)], 2)
     second = PackedSum.pack([(z0z1, math.pi / _THETA)], 2)
-    assert _full_run(first)[2] == []
-    assert _served(first, second) == _full_run(second)[4] == 0
+    assert not _full_run(first)[2]
+    assert _served(first, second) == _full_run(second)[3] == 0
 
 
 def test_rows_with_the_same_bytes_and_another_shape_are_another_structure():
@@ -135,8 +144,8 @@ def test_rows_with_the_same_bytes_and_another_shape_are_another_structure():
     one = PackedSum(4, np.array([[1, 5, 9, 13]], np.intc), np.ones(1), np.zeros(1))
     two = PackedSum(4, np.array([[1, 5], [9, 13]], np.intc), np.ones(2), np.zeros(2))
     assert one.rows.tobytes() == two.rows.tobytes()
-    assert _served(one, two) == _full_run(two)[4] == 4
-    assert _served(two, one) == _full_run(one)[4] == 6
+    assert _served(one, two) == _full_run(two)[3] == 4
+    assert _served(two, one) == _full_run(one)[3] == 6
 
 
 def test_a_hit_skips_the_core_and_the_public_paths_never_read_the_memo(monkeypatch):
@@ -148,31 +157,79 @@ def test_a_hit_skips_the_core_and_the_public_paths_never_read_the_memo(monkeypat
         return core(*args)
 
     monkeypatch.setattr(models, "_optimize_ids", counted)
-    first, second = _z0z1_twice(0.3, 0.5), _z0z1_twice(0.7, 1.1)
+    first, second = _z0z1_x0x1(0.3, 0.5), _z0z1_x0x1(0.7, 1.1)
     models.clear_price_cache()
     try:
-        assert models._step_cost(first) == models._step_cost(second) == 2
-        assert runs == [6]  # the second sum replayed its log
+        assert models._step_cost(first) == models._step_cost(second) == 4
+        assert runs == [10]  # the second sum was served the stored count
         models._optimized_step(second, _THETA)
-        assert runs == [6, 6]
+        assert runs == [10, 10]
     finally:
         models.clear_price_cache()
 
 
+@pytest.mark.parametrize("spec, priced, core_runs", [
+    (models.ModelSpec(models.BOSE_HUBBARD, N=2, d=6), 10, 7),
+    (models.ModelSpec(models.SHIFTED_QHO, N=1, d=5), 18, 8),
+], ids=["bose_hubbard-N2-d6", "shifted_qho-d5"])
+def test_a_cold_report_runs_the_core_once_per_structure(monkeypatch, spec, priced, core_runs):
+    steps, runs = [], []
+    step_cost, core = models._step_cost, optimizer._optimize_ids
+
+    def priced_step(h):
+        steps.append(h)
+        return step_cost(h)
+
+    def counted(*args):
+        runs.append(len(args[3]))
+        return core(*args)
+
+    monkeypatch.setattr(models, "_step_cost", priced_step)
+    monkeypatch.setattr(models, "_optimize_ids", counted)
+    models.clear_price_cache()
+    try:
+        models.compute_scheme_report(spec)
+    finally:
+        models.clear_price_cache()
+    assert (len(steps), len(runs)) == (priced, core_runs)
+
+
 def test_clear_price_cache_empties_the_memo():
     models.clear_price_cache()
-    models._step_cost(_z0z1_twice(0.3, 0.5))
+    models._step_cost(_z0z1_x0x1(0.3, 0.5))
     assert len(models._STEP_MEMO) == 1
     models.clear_price_cache()
     assert not models._STEP_MEMO
 
 
-def test_replay_redoes_each_addition_with_the_walks_check():
-    # A logged sum that overflows raises where the walk raised.
-    with pytest.raises(ValueError, match="finite real"):
-        optimizer._replay([(0, 1), (0, ~optimizer._KEEP)], [1.7e308, 1.7e308])
-    # Each walk's end is tested on its own sum, merges in order.
-    log = [(0, 1), (0, ~optimizer._AT_2PI), (2, ~optimizer._AT_0)]
-    assert optimizer._replay(log, [math.pi, math.pi, 4 * math.pi])
-    assert not optimizer._replay(log, [math.pi, math.pi, 2 * math.pi])
-    assert not optimizer._replay(log, [math.pi, 0.5, 4 * math.pi])
+def _near_drops() -> list[float]:
+    """Angles within a few ANGLE_EPS of 0, +-2pi, +-4pi and 6pi, with the
+    floats a few ulps either side of each, so that some land on the test's
+    boundary exactly; -0.0; and large multiples of 2pi, where the remainder
+    mod 4pi carries rounding error."""
+    eps = optimizer.ANGLE_EPS
+    centres = [k * optimizer.TWO_PI for k in (0, 1, -1, 2, -2, 3)]
+    centres += [k * optimizer.TWO_PI for k in (10 ** 3, -10 ** 3, 10 ** 6, 2 ** 40, -(2 ** 40))]
+    angles = [-0.0]
+    for centre in centres:
+        for off in (-3, -2, -1, -0.5, 0, 0.5, 1, 2, 3):
+            lo = hi = centre + off * eps
+            angles.append(lo)
+            for _ in range(4):
+                lo, hi = np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf)
+                angles += [float(lo), float(hi)]
+    return angles
+
+
+def test_loose_agrees_with_the_walks_drop_rule():
+    # The merge scan leaves exactly the loose gates' walks to the per-gate
+    # loop, and the memo serves only sums without one: both rest on _loose
+    # (the vector form) agreeing with _dropped (the walk's end).
+    angles = _near_drops()
+    merge = np.arange(len(angles))
+    want = [i for i, a in enumerate(angles) if optimizer._dropped(a) != optimizer._KEEP]
+    assert optimizer._loose(angles, merge).tolist() == want
+    assert 0 < len(want) < len(angles)
+    # and in another order, on a subset
+    picked = merge[::-3]
+    assert optimizer._loose(angles, picked).tolist() == [i for i in picked.tolist() if i in want]
