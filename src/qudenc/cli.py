@@ -106,9 +106,14 @@ def _spec_and_operator(args):
     return spec, test_matrix(args.d, seed)
 
 
-def _read_circuit(path: str) -> Circuit:
+def _read(flag: str, path: str, parse=json.loads):
+    """The file that flag names, parsed; a JSON error names flag and path."""
     with open(path) as fh:
-        return import_circuit(fh.read())
+        text = fh.read()
+    try:
+        return parse(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{flag} {path} is not valid JSON: {exc}") from None
 
 
 # What each report axis reads, and the forms its flag takes.
@@ -188,7 +193,7 @@ def _cmd_trotter(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    circ = _read_circuit(args.circuit)
+    circ = _read("--circuit", args.circuit, import_circuit)
     before = count_resources(circ)
     opt = optimize(circ, args.max_sweeps)
     after = count_resources(opt)
@@ -254,8 +259,7 @@ def _cmd_report(args) -> int:
         raise ValueError(f"unknown model {args.model!r}")
     config = {}
     if args.config:
-        with open(args.config) as fh:
-            config = json.load(fh)
+        config = _read("--config", args.config)
         if not isinstance(config, dict):
             raise ValueError(f"--config {args.config} must hold a JSON object")
     seed = _resolve_seed(args, config)
@@ -292,9 +296,8 @@ def _cmd_report(args) -> int:
 def _cmd_simulate_check(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
-    with open(args.pauli) as fh:
-        h = PauliSum.from_json_dict(json.load(fh))
-    circ = _read_circuit(args.circuit)
+    h = PauliSum.from_json_dict(_read("--pauli", args.pauli))
+    circ = _read("--circuit", args.circuit, import_circuit)
     if h.n_qubits != circ.n_qubits:
         raise ValueError(f"the Pauli sum acts on {h.n_qubits} qubits but the "
                          f"circuit on {circ.n_qubits}")
@@ -307,7 +310,7 @@ def _cmd_simulate_check(args) -> int:
 
 
 def _cmd_export_qasm(args) -> int:
-    text = export_circuit(_read_circuit(args.circuit), "qasm2")
+    text = export_circuit(_read("--circuit", args.circuit, import_circuit), "qasm2")
     if not args.out:
         sys.stdout.write(text)
     _write(args, text)

@@ -35,8 +35,9 @@ with no PauliSum and no tuple per string.  ``encode_term`` unpacks the
 same sum into a PauliSum.  Terms of one report often share their rows
 (a plain and an augmented term under SB or Gray, distinct shifted-QHO
 and Franck-Condon terms), so the core runs once per (register, rows)
-until ``clear_price_cache``: a later term with those rows replays only
-the angle arithmetic of the stored run (``_step_cost``).
+until ``clear_price_cache``: the count of a run that drops no Rz gate
+serves later terms with those rows whose angles drop no gate alone
+(``_step_cost``).
 
 The boson-sampling circuit layer reuses the same site product: each gate
 is one model term, tensored straight onto its modes' qubits (mode m owns
@@ -65,7 +66,7 @@ from .encoder import augment_truncation, can_augment, encode_matrix
 # optimize, trotter_step and count_resources are no longer called here, but
 # stay names of this module: the benchmark's traced run (perfbench/spans.py)
 # wraps them here.
-from .optimizer import MAX_SWEEPS, _link, _loose, _of_kind, _optimize_ids, _replay, optimize
+from .optimizer import MAX_SWEEPS, _link, _loose, _of_kind, _optimize_ids, optimize
 from .paulis import _END, PackedSum, PauliSum, _kept
 from .qudit_ops import BOSONIC, SPIN, QuditMatrix, bosonic, matrix_digest, spin, spin_levels
 
@@ -81,7 +82,7 @@ _SCHEME_CODES = {"sb_only": (SB,), "gray_only": (GRAY,), "unary_only": (UNARY,),
                  "sb_and_gray": (SB, GRAY), "all_with_compacting": (SB, GRAY, UNARY)}
 SCHEME_NAMES = tuple(_SCHEME_CODES)
 # A fixed nonzero angle.  A count depends on the angles only through the
-# merges' drops, which _step_cost's memo replays.
+# merges' drops: _step_cost's memo serves a count only where none happens.
 PRICING_THETA = 0.37
 COEFF_ZERO_TOL = 1e-12
 
@@ -444,8 +445,8 @@ def encode_term(term: LocalTerm, kind: str, g: int = 3,
 
 
 _PRICE_CACHE: dict = {}
-# digest of (n_qubits, rows) -> (loose gates, merge log, count) of the
-# optimizer core's last full run on that Trotter-step structure
+# digest of (n_qubits, rows) -> count of the optimizer core's run on that
+# Trotter-step structure, stored only when the run dropped no Rz gate
 _STEP_MEMO: dict = {}
 
 
@@ -478,25 +479,26 @@ def _step_cost(h: PackedSum) -> int:
     """Entangling gates left by optimize(trotter_step(h, PRICING_THETA)),
     h's strings being in Trotter order.
 
-    The gates, chains and ids of a step depend only on h's register and
-    rows, and its angles only on its coefficients.  So the optimizer core
-    runs once per structure until clear_price_cache(): a later sum with the
-    same rows and the same loose gates gets the stored count if the stored
-    merge log replays on its angles to the same outcomes (_replay), and
-    runs the core again, replacing the entry, if not."""
+    A step's gates, chains and ids depend only on h's register and rows.
+    Cancel and the triple pass never drop an Rz gate and a merge drops the
+    one it absorbs, so a run that dropped none summed no angle and had no
+    loose gate, and a sum with the same rows and no loose gate takes the
+    same walks.  So the core runs once per structure until
+    clear_price_cache(): a count is stored when its run dropped no Rz gate,
+    and served to a later sum with the same rows and no loose gate."""
     gid, ids, angles = _trotter_ids(h, PRICING_THETA)
-    loose = _loose(angles, np.flatnonzero(_of_kind(gid, ids, ("Rz",))))
+    rz = np.flatnonzero(_of_kind(gid, ids, ("Rz",)))
     digest = hashlib.blake2b(f"{h.n_qubits} {h.rows.shape}".encode(), digest_size=16)
     digest.update(np.ascontiguousarray(h.rows))
     key = digest.digest()
-    entry = _STEP_MEMO.get(key)
-    if entry is not None and np.array_equal(entry[0], loose) and _replay(entry[1], angles):
-        return entry[2]
-    log: list = []
-    dead, _ = _optimize_ids(*_link(gid, ids), gid, ids, angles, 0.0, MAX_SWEEPS, log)
-    live = _of_kind(gid, ids, ENTANGLING_KINDS) > np.frombuffer(dead, bool)[:-1]
-    cost = int(np.count_nonzero(live))
-    _STEP_MEMO[key] = loose, log, cost
+    cost = _STEP_MEMO.get(key)
+    if cost is not None and not len(_loose(angles, rz)):
+        return cost
+    dead, _ = _optimize_ids(*_link(gid, ids), gid, ids, angles, 0.0, MAX_SWEEPS)
+    gone = np.frombuffer(dead, bool)[:-1]
+    cost = int(np.count_nonzero(_of_kind(gid, ids, ENTANGLING_KINDS) > gone))
+    if not gone[rz].any():
+        _STEP_MEMO[key] = cost
     return cost
 
 

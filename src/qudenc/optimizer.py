@@ -47,12 +47,9 @@ synthesizes straight into ids (circuits._trotter_ids).
 
 The core reads angles in three places only: loose, each merge walk's sum
 and the drop test at the walk's end (_dropped).  Cancel, the triple pass,
-the scans and _due read ids and chains.  The merge runs log, in order,
-each merge and each end of a walk that merged or dropped; _replay redoes
-a log's additions on other angles and says whether every end comes out
-the same, in which case a run on the same gates with the same loose
-gates drops the same gates.  Pricing (models._step_cost) uses it to run
-the core once per Trotter-step structure.
+the scans and _due read ids and chains.  So a run that drops no Rz gate
+drops the same gates on any angles with no loose gate, which lets pricing
+(models._step_cost) run the core once per Trotter-step structure.
 
 README.md, section Optimizer, argues once why each of these shortcuts gives
 exactly the gates of a scan over the whole list, and gives the measurements
@@ -475,41 +472,15 @@ def _loose(angles: list[float], merge: np.ndarray) -> np.ndarray:
     return merge[(np.minimum(r, 2.0 * TWO_PI - r) < ANGLE_EPS) | (abs(r - TWO_PI) < ANGLE_EPS)]
 
 
-def _replay(log: list, angles: list[float]) -> bool:
-    """Whether a run whose merge runs logged log (see _pass_merge) drops the
-    same gates when its Rz angles are angles.  Redoes each logged addition,
-    in order and with the walk's check, on a copy of the angles it changes,
-    and returns False at the first walk's end whose outcome differs.
-
-    The core reads angles only in its loose mask, in the merge walks' sums
-    and at their ends.  A run with the same gates, chains and loose mask
-    therefore takes the same walks, merges the same gates and drops the
-    same gates while the logged outcomes agree; a walk that neither merged
-    nor dropped keeps a loose-free angle or one a logged end kept."""
-    summed: dict[int, float] = {}
-    for i, j in log:
-        if j >= 0:
-            angle = summed.get(i, angles[i]) + summed.get(j, angles[j])
-            _check_angle(angle)
-            summed[i] = angle
-        elif _dropped(summed.get(i, angles[i])) != ~j:
-            return False
-    return True
-
-
 def _pass_merge(todo: np.ndarray, nxt: array, prv: array, gid: array, keys: list,
                 memo: dict, stop: array, dead: bytearray, is_rz: bytes,
-                angles: list[float], loose: np.ndarray, log: list,
+                angles: list[float], loose: np.ndarray,
                 views: tuple) -> tuple[bool, float]:
     """One merge run over the Rz gates of todo; is_rz[i] marks the Rz
     gates.  Each gate's angle is angles[i].  A run of at least _SCAN_MIN
     gates is first scanned (views are _cancel_scan's arguments): a walk
     stopped at its first neighbour, or with none, is settled there unless
-    loose marks its gate.
-
-    Appends to log, in the order they happen, each merge of gate j into the
-    walk of gate i as (i, j), and the end of each walk that merged or
-    dropped its gate as (i, ~outcome), outcome being _dropped's."""
+    loose marks its gate."""
     if len(todo) >= _SCAN_MIN:
         go = [_cancel_scan(todo[pos:pos + _SCAN_BLOCK], *views)[0]
               for pos in range(0, len(todo), _SCAN_BLOCK)]
@@ -533,7 +504,6 @@ def _pass_merge(todo: np.ndarray, nxt: array, prv: array, gid: array, keys: list
                 angle += angles[j]
                 _check_angle(angle)
                 _drop(nxt, prv, dead, j, 1)
-                log.append((i, j))
                 changed = True
             else:
                 key = row | gid[j]
@@ -544,8 +514,6 @@ def _pass_merge(todo: np.ndarray, nxt: array, prv: array, gid: array, keys: list
                     stop[i] = j
                     break
         out = _dropped(angle)
-        if out or angle is not angles[i]:  # a sum is a new float
-            log.append((i, ~out))
         angles[i] = angle
         if out:
             _drop(nxt, prv, dead, i, 1)
@@ -637,17 +605,15 @@ def _pass_cnot_triple(due: np.ndarray, nxt: array, prv: array, gid: array, ids: 
 
 
 def _optimize_ids(nxt: array, prv: array, wires: np.ndarray, gid: array, ids: dict,
-                  angles: list[float], phase: float, max_sweeps: int,
-                  log: list | None = None) -> tuple[bytearray, float]:
+                  angles: list[float], phase: float, max_sweeps: int) -> tuple[bytearray, float]:
     """The optimizer core: run cancel, merge and the CNOT-triple rewrite, in
     that order, until a sweep changes nothing or max_sweeps sweeps have run.
 
     gid[i] numbers gate i's (kind, qubits) in ids, and gate i's Rz angle is
     angles[i].  nxt, prv and wires are _link's chains and wire table.
     Merges update angles and rewrites gid (a new (kind, qubits) is added to
-    ids), and the merge runs append what _replay redoes to log.  Returns
-    the dead mask (dead[i]: gate i was dropped, n + 1 bytes) and phase plus
-    the global phase the merges gained."""
+    ids).  Returns the dead mask (dead[i]: gate i was dropped, n + 1 bytes)
+    and phase plus the global phase the merges gained."""
     keys = list(ids)
     n = len(gid)
     rz = _of_kind(gid, ids, ("Rz",))
@@ -659,8 +625,6 @@ def _optimize_ids(nxt: array, prv: array, wires: np.ndarray, gid: array, ids: di
     # does not drop it, so later sweeps need no such test.
     loose = np.zeros(n, bool)
     loose[_loose(angles, merge)] = True
-    if log is None:
-        log = []
     memo: dict[int, int] = {}
     # Where each gate's last walk stopped (n: nowhere).  Cancel walks only
     # non-Rz gates and merge only Rz gates, so they share stop.
@@ -682,7 +646,7 @@ def _optimize_ids(nxt: array, prv: array, wires: np.ndarray, gid: array, ids: di
                                  scan_cancel)
         due = _due(merge, gone, full, at_stop)
         merged, dphase = _pass_merge(due, nxt, prv, gid, keys, memo, stop, dead, is_rz,
-                                     angles, loose, log, scan_merge)
+                                     angles, loose, scan_merge)
         phase += dphase
         full = _pass_cnot_triple(triple, nxt, prv, gid, ids, keys, dead, scan_triple)
         if len(keys) > len(wires):
