@@ -474,8 +474,7 @@ def _loose(angles: list[float], merge: np.ndarray) -> np.ndarray:
 
 def _pass_merge(todo: np.ndarray, nxt: array, prv: array, gid: array, keys: list,
                 memo: dict, stop: array, dead: bytearray, is_rz: bytes,
-                angles: list[float], loose: np.ndarray,
-                views: tuple) -> tuple[bool, float]:
+                angles: list[float], loose: np.ndarray, views: tuple) -> tuple[bool, float]:
     """One merge run over the Rz gates of todo; is_rz[i] marks the Rz
     gates.  Each gate's angle is angles[i].  A run of at least _SCAN_MIN
     gates is first scanned (views are _cancel_scan's arguments): a walk

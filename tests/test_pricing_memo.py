@@ -108,8 +108,8 @@ def _z0z1_twice(a: float, b: float) -> PackedSum:
 
 
 def _z0z1_x0x1(a: float, b: float) -> PackedSum:
-    # Z0Z1 then X0X1: two Rz gates on different wires (Z1, and Z0 between
-    # Hadamards), which never merge.
+    # CNOT01 Rz1(a) CNOT01 H0 H1 CNOT01 Rz1(b) CNOT01 H0 H1: the Hadamards
+    # keep the CNOTs and the Rz gates apart, so nothing merges or cancels.
     return PackedSum.pack([(((0, "Z"), (1, "Z")), a), (((0, "X"), (1, "X")), b)], 2)
 
 
