@@ -10,6 +10,10 @@ The site product one Python tuple at a time (``_site_product`` and
 moved onto packed numpy arrays): ``qudenc.models.encode_term`` must give
 the same strings, in the same order, with the same coefficients.  Do not
 edit these two to follow later changes: they are the reference.
+
+``_optimized_step``, optimize(trotter_step(...)) in the optimizer core's
+packed form, moved here verbatim from the library, which no longer calls
+it: pricing runs the core with no merge pass.
 """
 
 from itertools import accumulate
@@ -17,10 +21,12 @@ from itertools import accumulate
 import numpy as np
 
 from reference_paulis import tensor_shift
+from qudenc.circuits import _trotter_ids
 from qudenc.encoder import augment_truncation, encode_matrix
 from qudenc.encoding import EncodingSpec, num_qubits
 from qudenc.models import COEFF_ZERO_TOL, LocalTerm, _identity_matrix, duschinsky_matrix
-from qudenc.paulis import PRUNE_EPS, PauliSum
+from qudenc.optimizer import MAX_SWEEPS, _link, _optimize_ids
+from qudenc.paulis import PRUNE_EPS, PackedSum, PauliSum
 from qudenc.qudit_ops import bosonic
 
 
@@ -100,3 +106,14 @@ def encode_term(term: LocalTerm, kind: str, g: int = 3,
     specs = [EncodingSpec(kind, m.d, g=g) for m in products[0]]
     offsets = list(accumulate((num_qubits(sp) for sp in specs), initial=0))
     return (term.coefficient * _site_product(products, specs, offsets, offsets[-1])).simplify()
+
+
+def _optimized_step(h: PackedSum, theta: float, phase: float = 0.0,
+                    max_sweeps: int = MAX_SWEEPS) -> tuple:
+    """optimize(trotter_step(h, theta), max_sweeps) in the optimizer core's
+    packed form, h's strings being in Trotter order, with no Gate at all.
+    Returns the core's gid, ids, angles, dead mask and phase, phase being
+    the start phase plus what the merges gained."""
+    gid, ids, angles = _trotter_ids(h, theta)
+    dead, phase = _optimize_ids(*_link(gid, ids), gid, ids, angles, phase, max_sweeps)
+    return gid, ids, angles, dead, phase

@@ -408,6 +408,32 @@ def test_a_file_that_is_not_json_names_its_flag_and_path(tmp_path, capsys, monke
     assert out == ""
 
 
+@pytest.mark.parametrize("flag, argv", [
+    ("--config", ["report", "--model", "bose-hubbard", "--d", "4", "--N", "1",
+                  "--config", "bad.json"]),
+    ("--pauli", ["simulate-check", "--pauli", "bad.json", "--circuit", "c.json"]),
+    ("--circuit", ["simulate-check", "--pauli", "h.json", "--circuit", "bad.json"]),
+], ids=["config", "pauli", "circuit"])
+@pytest.mark.parametrize("bad, reason", [
+    ("latin-1", "is not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in position 7"),
+    ("missing", "cannot be read: No such file or directory"),
+    ("directory", "cannot be read: Is a directory"),
+], ids=["latin-1", "missing", "directory"])
+def test_a_file_that_cannot_be_read_names_its_flag_and_path(tmp_path, capsys, monkeypatch,
+                                                            flag, argv, bad, reason):
+    monkeypatch.chdir(tmp_path)
+    for name, text in _ZERO_DISTANCE.items():
+        (tmp_path / name).write_text(text)
+    if bad == "latin-1":
+        (tmp_path / "bad.json").write_bytes('{"t": "\u00e9"}'.encode("latin-1"))
+    elif bad == "directory":
+        (tmp_path / "bad.json").mkdir()
+    code, out, err = run(capsys, *argv)
+    _assert_one_line_error(code, err)
+    assert err.startswith(f"error: {flag} bad.json {reason}")
+    assert out == ""
+
+
 @pytest.mark.parametrize("model, config, needle", [
     ("boson-sampling", {"gates": [{"kind": "beamsplitter", "modes": [0, 1]}]}, "'gates'"),
     ("boson-sampling", {"gates": [{"kind": "beamsplitter", "modes": [0, "1"],

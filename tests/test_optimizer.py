@@ -124,8 +124,8 @@ def test_merge_past_the_float_range_raises_like_gate():
     with pytest.raises(ValueError) as err:
         optimize(c)
     assert str(err.value) == "Rz angle must be a finite real number, got inf"
-    # Pricing runs the core on ids and angles and builds no Gate from the
-    # merged angle, so the merge itself must raise.
+    # The core runs on ids and angles and builds no Gate from the merged
+    # angle, so the merge itself must raise.
     gid, ids = array("i", [0, 0]), {("Rz", (0,)): 0}
     with pytest.raises(ValueError) as err:
         optimizer._optimize_ids(*optimizer._link(gid, ids), gid, ids, [1e308, 1e308], 0.0, 1)

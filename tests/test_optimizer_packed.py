@@ -4,8 +4,8 @@ Every Trotter step is laid out by one numpy function (circuits._staircase).
 trotter_step builds Gates from it; it must give the staircase that
 Circuit.add builds one string at a time (_staircase_via_add), gate for gate
 and with the same global phase.  Pricing synthesizes a packed Pauli sum
-straight into gate ids and Rz angles (circuits._trotter_ids) and runs the
-optimizer core on them (models._optimized_step), with no Gate at all.
+straight into gate ids and Rz angles (circuits._trotter_ids), and the
+optimizer core runs on them (reference_models._optimized_step) with no Gate.
 Rebuilt into Gates, the core's survivors must equal
 optimize(trotter_step(h)) exactly: the same gates, the same angles and the
 same global phase, float for float.  The core reads a gate id only as a
@@ -19,10 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qudenc import models
 from qudenc.circuits import Gate, _trotter_ids, trotter_step
 from qudenc.optimizer import _link, _optimize_ids, optimize
 from qudenc.paulis import PackedSum, PauliSum
+from reference_models import _optimized_step
 from test_optimizer_pair_answers import _staircase_via_add
 
 pytestmark = pytest.mark.ci
@@ -70,8 +70,8 @@ def _packed(h: PauliSum, max_sweeps: int) -> tuple[list[Gate], float]:
     """The core's survivors on the packed form of trotter_step(h), and the
     global phase, started from trotter_step's."""
     phase = trotter_step(h, _THETA).global_phase
-    gid, ids, angles, dead, phase = models._optimized_step(_in_trotter_order(h), _THETA,
-                                                           phase, max_sweeps)
+    gid, ids, angles, dead, phase = _optimized_step(_in_trotter_order(h), _THETA,
+                                                    phase, max_sweeps)
     return _rebuilt(gid, ids, angles, dead), phase
 
 

@@ -1,19 +1,21 @@
-"""Pricing's memo of Trotter-step structures (models._step_cost).
+"""Pricing counts a Trotter step's structure (models._step_cost).
 
-The optimizer core runs once per (register, packed rows) until
-clear_price_cache().  A run's count is stored only when the run dropped no
-Rz gate, and it is served only to a later sum with the same rows and no
-loose gate (one whose own angle drops it, optimizer._loose).  Whenever the
-memo would serve, a cold full run must drop the same gates and leave the
-same count; and whatever the memo holds, the served count must be the
-public path's, count_resources(optimize(...)).
+A price is the count that optimize(trotter_step(h, theta)) leaves at a
+generic theta.  On a pruned sum in canonical order whose strings are
+distinct, as _term_sum returns it, no merge walk merges (README, section
+Optimizer).  So pricing runs the optimizer core with no merge pass, once
+per (register, packed rows) until clear_price_cache(), and serves that
+count to every later sum with those rows.  A count does not move when
+theta times a coefficient puts one string's angle at 0 or 2pi mod 4pi,
+where optimize() drops that Rz gate.
 
-Distinct strings in a Trotter step seldom bring two Rz gates together (no
-merge in 1,000 seeded random sums of up to 12 distinct strings on up to 4
-qubits), so the sums here repeat strings: the core takes packed rows in
-any order, repeats included, and the memo must be exact on all of them.
+The memo's sums repeat strings: the core takes packed rows in any order,
+repeats included, and a served count must be a cold run's on all of them.
+Where the public path, count_resources(optimize(...)), drops no Rz gate,
+the served count must also be the public path's.
 """
 
+import dataclasses
 import math
 import random
 
@@ -23,7 +25,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qudenc import models, optimizer
-from qudenc.circuits import _circuit, _trotter_ids, count_resources
+from qudenc.circuits import _circuit, count_resources, trotter_step
 from qudenc.paulis import PackedSum
 from test_optimizer_reference import _examples
 
@@ -38,7 +40,8 @@ def _two_sums(rng: random.Random) -> tuple[PackedSum, PackedSum]:
     """Two sums on one to four qubits with the same rows: up to 12 strings
     drawn from a pool of up to four.  The second sum's coefficient on a
     string is mostly one of the same kind as the first's (loose or kept),
-    so that a stored first run often meets a second sum with no loose gate."""
+    so that the public path drops an Rz gate on some sums and on others
+    none."""
     n = rng.randint(1, 4)
     pool = [tuple((q, rng.choice("XYZ")) for q in range(n) if rng.random() < 0.6)
             for _ in range(rng.randint(1, 4))]
@@ -49,17 +52,16 @@ def _two_sums(rng: random.Random) -> tuple[PackedSum, PackedSum]:
     return tuple(PackedSum.pack(list(zip(strings, c)), n) for c in (first, second))
 
 
-def _full_run(h: PackedSum) -> tuple:
-    """A cold run of the core on h's step: its loose gates, its dead mask,
-    whether it dropped an Rz gate, and the public path's count."""
-    gid, ids, angles = _trotter_ids(h, _THETA)
-    rz = np.flatnonzero(optimizer._of_kind(gid, ids, ("Rz",)))
-    loose = optimizer._loose(angles, rz)
-    dead, _ = optimizer._optimize_ids(*optimizer._link(gid, ids), gid, ids, list(angles),
-                                      0.0, optimizer.MAX_SWEEPS)
-    dropped_rz = bool(np.frombuffer(dead, bool)[rz].any())
-    cost = count_resources(optimizer.optimize(_circuit(h, _THETA))).entangling_total
-    return loose, dead, dropped_rz, cost
+def _rz_gates(c) -> int:
+    return sum(g.kind == "Rz" for g in c.gates)
+
+
+def _full_run(h: PackedSum) -> tuple[bool, int]:
+    """The public path on h's step at PRICING_THETA: whether it dropped an
+    Rz gate, and its count."""
+    step = _circuit(h, _THETA)
+    out = optimizer.optimize(step)
+    return _rz_gates(out) < _rz_gates(step), count_resources(out).entangling_total
 
 
 def _served(first: PackedSum, second: PackedSum) -> int:
@@ -72,32 +74,40 @@ def _served(first: PackedSum, second: PackedSum) -> int:
         models.clear_price_cache()
 
 
+def _cold(h: PackedSum) -> int:
+    """The count that pricing gives h under an empty memo."""
+    models.clear_price_cache()
+    try:
+        return models._step_cost(h)
+    finally:
+        models.clear_price_cache()
+
+
 @pytest.mark.ci
 @_examples(200)
 @given(st.randoms(use_true_random=False))
 def test_property_a_served_count_is_a_cold_runs(rng):
     first, second = _two_sums(rng)
-    _, dead, dropped_rz, cost = _full_run(first)
-    s_loose, s_dead, _, s_cost = _full_run(second)
-    if not dropped_rz and not len(s_loose):
-        assert s_dead == dead
-        assert s_cost == cost
-    assert _served(first, second) == s_cost
+    cost = _cold(first)
+    assert _served(first, second) == _cold(second) == cost
+    for h in (first, second):
+        dropped_rz, public = _full_run(h)
+        if not dropped_rz:
+            assert public == cost
 
 
-def test_the_sums_meet_stored_structures_hits_and_runs_that_drop_an_rz():
-    # The property above sees every case: first runs stored, hits on them
-    # (which need a second sum with no loose gate), and first runs that drop
-    # an Rz gate and so are not stored.
-    stored = hits = dropped = 0
+def test_the_sums_meet_runs_that_drop_an_rz_and_runs_that_keep_them():
+    # The property above sees both: sums whose public run drops no Rz gate,
+    # where the served count must be the public one, and sums whose public
+    # run drops one, often to a count below the structure's.
+    kept = dropped = below = 0
     for seed in range(300):
-        first, second = _two_sums(random.Random(seed))
-        _, _, dropped_rz, _ = _full_run(first)
-        s_loose, *_ = _full_run(second)
-        dropped += dropped_rz
-        stored += not dropped_rz
-        hits += not dropped_rz and not len(s_loose)
-    assert stored > 30 and hits > 30 and dropped > 100, (stored, hits, dropped)
+        for h in _two_sums(random.Random(seed)):
+            dropped_rz, public = _full_run(h)
+            kept += not dropped_rz
+            dropped += dropped_rz
+            below += public < _cold(h)
+    assert kept > 50 and dropped > 250 and below > 100, (kept, dropped, below)
 
 
 def _z0z1_twice(a: float, b: float) -> PackedSum:
@@ -113,29 +123,78 @@ def _z0z1_x0x1(a: float, b: float) -> PackedSum:
     return PackedSum.pack([(((0, "Z"), (1, "Z")), a), (((0, "X"), (1, "X")), b)], 2)
 
 
-def test_a_run_that_merges_is_not_stored():
+def test_a_sum_that_repeats_a_string_is_priced_unmerged():
+    # Outside _step_cost's precondition: the public path merges the two Rz
+    # gates, and cancels the outer CNOTs too when their sum drops.  Pricing
+    # counts the structure, the two outer CNOTs, either way.
     first, second = _z0z1_twice(0.3, 0.5), _z0z1_twice(0.3, -0.3)
-    *_, cost = _full_run(first)
-    s_loose, *_, s_cost = _full_run(second)
-    assert (cost, s_cost) == (2, 0)
-    assert not len(s_loose)  # only the merged sum drops
-    models.clear_price_cache()
-    try:
-        assert models._step_cost(first) == 2
-        assert not models._STEP_MEMO
-    finally:
-        models.clear_price_cache()
-    assert _served(first, second) == 0
+    assert (_full_run(first), _full_run(second)) == ((True, 2), (True, 0))
+    assert _cold(first) == _cold(second) == _served(first, second) == 2
 
 
-def test_a_sum_with_other_loose_gates_is_priced_afresh():
-    # The same single string, its Rz kept and then dropped alone at 2pi: the
-    # kept run is stored, and only the loose gate tells the two apart.
+def test_a_loose_gate_leaves_the_count():
+    # The same single string, its Rz kept and then dropped alone at 2pi by
+    # the public path: pricing gives both the count of the kept one.
     z0z1 = ((0, "Z"), (1, "Z"))
     first = PackedSum.pack([(z0z1, 0.3)], 2)
     second = PackedSum.pack([(z0z1, math.pi / _THETA)], 2)
-    assert not _full_run(first)[2]
-    assert _served(first, second) == _full_run(second)[3] == 0
+    assert (_full_run(first), _full_run(second)) == ((False, 2), (True, 0))
+    assert _cold(second) == _served(first, second) == _served(second, first) == 2
+
+
+def _distinct_sum(rng: random.Random) -> PackedSum:
+    """A pruned sum in canonical order with distinct strings, as _term_sum
+    returns it: up to 12 strings on one to five qubits, the identity among
+    them at times, with real coefficients whose angles at PRICING_THETA,
+    2 theta |c| <= 2.22, drop no gate."""
+    n = rng.randint(1, 5)
+    strings = {tuple((q, rng.choice("XYZ")) for q in range(n) if rng.random() < 0.5)
+               for _ in range(rng.randint(1, 12))}
+    coeffs = [rng.choice((-1, 1)) * rng.uniform(0.1, 3.0) for _ in strings]
+    return PackedSum.pack(sorted(zip(strings, coeffs)), n).pruned()
+
+
+@pytest.mark.ci
+@_examples(100)
+@given(st.randoms(use_true_random=False))
+def test_property_distinct_strings_never_merge(rng):
+    h = _distinct_sum(rng)
+    step = trotter_step(h.unpack(), _THETA)
+    out = optimizer.optimize(step)
+    assert _rz_gates(out) == _rz_gates(step)  # no merge, no drop
+    cost = _cold(h)
+    assert count_resources(out).entangling_total == cost
+    # One string's angle at 0 or 2pi mod 4pi, which optimize() drops alone.
+    k = rng.randrange(len(h.re))
+    re = h.re.copy()
+    re[k] = rng.choice(_LOOSE)
+    assert _cold(h._replace(re=re)) == cost
+
+
+_HEISENBERG = models.ModelSpec(models.HEISENBERG, N=3, s=0.5)
+_BOSE_HUBBARD = models.ModelSpec(models.BOSE_HUBBARD, N=2, d=2)
+
+
+def _report(spec: models.ModelSpec, **params) -> models.SchemeReport:
+    models.clear_price_cache()
+    try:
+        return models.compute_scheme_report(dataclasses.replace(spec, params=params))
+    finally:
+        models.clear_price_cache()
+
+
+@pytest.mark.parametrize("spec, name, value", [
+    (_HEISENBERG, "J", -4 * math.pi / _THETA),
+    (_HEISENBERG, "J", -8 * math.pi / _THETA),
+    (_BOSE_HUBBARD, "t", 2 * math.pi / _THETA),
+    (_BOSE_HUBBARD, "t", 4 * math.pi / _THETA),
+], ids=["heisenberg-J-4pi", "heisenberg-J-8pi", "bose_hubbard-t-2pi", "bose_hubbard-t-4pi"])
+def test_an_energy_scale_that_puts_an_angle_at_a_drop_leaves_the_report(spec, name, value):
+    # theta c lands a string's angle on 0 or 2pi mod 4pi, where optimize()
+    # drops its Rz gate; the price is still the count at a generic theta.
+    want, got = _report(spec, **{name: 1.0}), _report(spec, **{name: value})
+    assert got.counts == want.counts
+    assert got.scenario == want.scenario
 
 
 def test_rows_with_the_same_bytes_and_another_shape_are_another_structure():
@@ -144,8 +203,8 @@ def test_rows_with_the_same_bytes_and_another_shape_are_another_structure():
     one = PackedSum(4, np.array([[1, 5, 9, 13]], np.intc), np.ones(1), np.zeros(1))
     two = PackedSum(4, np.array([[1, 5], [9, 13]], np.intc), np.ones(2), np.zeros(2))
     assert one.rows.tobytes() == two.rows.tobytes()
-    assert _served(one, two) == _full_run(two)[3] == 4
-    assert _served(two, one) == _full_run(one)[3] == 6
+    assert _served(one, two) == _full_run(two)[1] == 4
+    assert _served(two, one) == _full_run(one)[1] == 6
 
 
 def test_a_hit_skips_the_core_and_the_public_paths_never_read_the_memo(monkeypatch):
@@ -153,17 +212,18 @@ def test_a_hit_skips_the_core_and_the_public_paths_never_read_the_memo(monkeypat
     core = optimizer._optimize_ids
 
     def counted(*args):
-        runs.append(len(args[3]))
+        runs.append((len(args[3]), args[5] is None))  # gates, and a structure-only run
         return core(*args)
 
     monkeypatch.setattr(models, "_optimize_ids", counted)
+    monkeypatch.setattr(optimizer, "_optimize_ids", counted)
     first, second = _z0z1_x0x1(0.3, 0.5), _z0z1_x0x1(0.7, 1.1)
     models.clear_price_cache()
     try:
         assert models._step_cost(first) == models._step_cost(second) == 4
-        assert runs == [10]  # the second sum was served the stored count
-        models._optimized_step(second, _THETA)
-        assert runs == [10, 10]
+        assert runs == [(10, True)]  # the second sum was served the stored count
+        assert count_resources(optimizer.optimize(_circuit(second, _THETA))).entangling_total == 4
+        assert runs == [(10, True), (10, False)]
     finally:
         models.clear_price_cache()
 
@@ -223,8 +283,8 @@ def _near_drops() -> list[float]:
 
 def test_loose_agrees_with_the_walks_drop_rule():
     # The merge scan leaves exactly the loose gates' walks to the per-gate
-    # loop, and the memo serves only sums without one: both rest on _loose
-    # (the vector form) agreeing with _dropped (the walk's end).
+    # loop: it rests on _loose (the vector form) agreeing with _dropped (the
+    # walk's end).
     angles = _near_drops()
     merge = np.arange(len(angles))
     want = [i for i, a in enumerate(angles) if optimizer._dropped(a) != optimizer._KEEP]

@@ -12,7 +12,7 @@ are.  Each test states its own inputs:
   through optimize(trotter_step(...)) at sweep caps 50, 2 and 3.  The
   sha256 covers every surviving gate's kind, qubits and angle repr, and
   each circuit's global-phase repr.  The same gates must come out of
-  pricing's packed path (models._optimized_step), which drops the
+  the core's packed path (reference_models._optimized_step), which drops the
   identity string's phase, so the phase is compared on the optimize path
   only.
 - the block-unary conversion circuit at d = 12 through optimize.  Every
@@ -41,6 +41,7 @@ from qudenc.converters import conversion_circuit
 from qudenc.models import LocalTerm, ModelSpec, compute_scheme_report
 from qudenc.optimizer import optimize
 from qudenc.qudit_ops import bosonic
+from reference_models import _optimized_step
 
 CAPS = (50, 2, 3)
 
@@ -170,8 +171,8 @@ def _compile_wide_sums() -> list:
 
 
 def _packed_gates(h, theta: float, cap: int):
-    """(kind, qubits, angle) of each gate that pricing's packed path keeps."""
-    gid, ids, angles, dead, _ = models._optimized_step(h, theta, 0.0, cap)
+    """(kind, qubits, angle) of each gate that the core's packed path keeps."""
+    gid, ids, angles, dead, _ = _optimized_step(h, theta, 0.0, cap)
     keys = list(ids)
     for i, (kind, qubits) in enumerate(map(keys.__getitem__, gid)):
         if not dead[i]:
