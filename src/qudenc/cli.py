@@ -107,9 +107,14 @@ def _spec_and_operator(args):
 
 
 def _read(flag: str, path: str, parse=json.loads):
-    """The file that flag names, parsed; a JSON error names flag and path."""
-    with open(path) as fh:
-        text = fh.read()
+    """The file that flag names, parsed; an error reading or parsing it names flag and path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValueError(f"{flag} {path} cannot be read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{flag} {path} is not UTF-8 text: {exc}") from None
     try:
         return parse(text)
     except json.JSONDecodeError as exc:

@@ -35,9 +35,8 @@ with no PauliSum and no tuple per string.  ``encode_term`` unpacks the
 same sum into a PauliSum.  Terms of one report often share their rows
 (a plain and an augmented term under SB or Gray, distinct shifted-QHO
 and Franck-Condon terms), so the core runs once per (register, rows)
-until ``clear_price_cache``: the count of a run that drops no Rz gate
-serves later terms with those rows whose angles drop no gate alone
-(``_step_cost``).
+until ``clear_price_cache``, and its count serves every later term with
+those rows (``_step_cost``).
 
 The boson-sampling circuit layer reuses the same site product: each gate
 is one model term, tensored straight onto its modes' qubits (mode m owns
@@ -66,7 +65,7 @@ from .encoder import augment_truncation, can_augment, encode_matrix
 # optimize, trotter_step and count_resources are no longer called here, but
 # stay names of this module: the benchmark's traced run (perfbench/spans.py)
 # wraps them here.
-from .optimizer import MAX_SWEEPS, _link, _loose, _of_kind, _optimize_ids, optimize
+from .optimizer import MAX_SWEEPS, _link, _of_kind, _optimize_ids, optimize
 from .paulis import _END, PackedSum, PauliSum, _kept
 from .qudit_ops import BOSONIC, SPIN, QuditMatrix, bosonic, matrix_digest, spin, spin_levels
 
@@ -81,8 +80,7 @@ BOSON_SAMPLING = "boson_sampling"
 _SCHEME_CODES = {"sb_only": (SB,), "gray_only": (GRAY,), "unary_only": (UNARY,),
                  "sb_and_gray": (SB, GRAY), "all_with_compacting": (SB, GRAY, UNARY)}
 SCHEME_NAMES = tuple(_SCHEME_CODES)
-# A fixed nonzero angle.  A count depends on the angles only through the
-# merges' drops: _step_cost's memo serves a count only where none happens.
+# _step_cost checks each term's Trotter step at this angle; no count depends on it.
 PRICING_THETA = 0.37
 COEFF_ZERO_TOL = 1e-12
 
@@ -445,8 +443,7 @@ def encode_term(term: LocalTerm, kind: str, g: int = 3,
 
 
 _PRICE_CACHE: dict = {}
-# digest of (n_qubits, rows) -> count of the optimizer core's run on that
-# Trotter-step structure, stored only when the run dropped no Rz gate
+# digest of (n_qubits, rows) -> the optimizer core's count on that Trotter-step structure
 _STEP_MEMO: dict = {}
 
 
@@ -476,41 +473,21 @@ def term_entangling_cost(term: LocalTerm, kind: str, augment: bool = False) -> i
 
 
 def _step_cost(h: PackedSum) -> int:
-    """Entangling gates left by optimize(trotter_step(h, PRICING_THETA)),
-    h's strings being in Trotter order.
-
-    A step's gates, chains and ids depend only on h's register and rows.
-    Cancel and the triple pass never drop an Rz gate and a merge drops the
-    one it absorbs, so a run that dropped none summed no angle and had no
-    loose gate, and a sum with the same rows and no loose gate takes the
-    same walks.  So the core runs once per structure until
-    clear_price_cache(): a count is stored when its run dropped no Rz gate,
-    and served to a later sum with the same rows and no loose gate."""
-    gid, ids, angles = _trotter_ids(h, PRICING_THETA)
-    rz = np.flatnonzero(_of_kind(gid, ids, ("Rz",)))
+    """Entangling gates left by optimize(trotter_step(h, theta)) at a generic
+    theta.  h must be pruned, with distinct strings in canonical order, as
+    _term_sum returns it: then no merge walk merges (README, section
+    Optimizer), so the core runs with no merge pass, once per (register,
+    rows) until clear_price_cache().  _trotter_ids checks every h."""
+    gid, ids, _ = _trotter_ids(h, PRICING_THETA)
     digest = hashlib.blake2b(f"{h.n_qubits} {h.rows.shape}".encode(), digest_size=16)
     digest.update(np.ascontiguousarray(h.rows))
     key = digest.digest()
     cost = _STEP_MEMO.get(key)
-    if cost is not None and not len(_loose(angles, rz)):
-        return cost
-    dead, _ = _optimize_ids(*_link(gid, ids), gid, ids, angles, 0.0, MAX_SWEEPS)
-    gone = np.frombuffer(dead, bool)[:-1]
-    cost = int(np.count_nonzero(_of_kind(gid, ids, ENTANGLING_KINDS) > gone))
-    if not gone[rz].any():
-        _STEP_MEMO[key] = cost
+    if cost is None:
+        dead, _ = _optimize_ids(*_link(gid, ids), gid, ids, None, 0.0, MAX_SWEEPS)
+        gone = np.frombuffer(dead, bool)[:-1]
+        cost = _STEP_MEMO[key] = int(np.count_nonzero(_of_kind(gid, ids, ENTANGLING_KINDS) > gone))
     return cost
-
-
-def _optimized_step(h: PackedSum, theta: float, phase: float = 0.0,
-                    max_sweeps: int = MAX_SWEEPS) -> tuple:
-    """optimize(trotter_step(h, theta), max_sweeps) in the optimizer core's
-    packed form, h's strings being in Trotter order, with no Gate at all.
-    Returns the core's gid, ids, angles, dead mask and phase, phase being
-    the start phase plus what the merges gained."""
-    gid, ids, angles = _trotter_ids(h, theta)
-    dead, phase = _optimize_ids(*_link(gid, ids), gid, ids, angles, phase, max_sweeps)
-    return gid, ids, angles, dead, phase
 
 
 def _priced(term: LocalTerm, kind: str, d: int) -> int:

@@ -45,11 +45,9 @@ what the scans leave.  optimize() numbers a Circuit's gates (_wire_chains)
 and builds a Gate only for merged Rz gates and rewritten CNOTs; pricing
 synthesizes straight into ids (circuits._trotter_ids).
 
-The core reads angles in three places only: loose, each merge walk's sum
-and the drop test at the walk's end (_dropped).  Cancel, the triple pass,
-the scans and _due read ids and chains.  So a run that drops no Rz gate
-drops the same gates on any angles with no loose gate, which lets pricing
-(models._step_cost) run the core once per Trotter-step structure.
+The core reads angles only in the merge pass and loose; cancel, the
+triple pass, the scans and _due read ids and chains.  Pricing needs only
+a count, and runs the core with angles None, which skips the merge pass.
 
 README.md, section Optimizer, argues once why each of these shortcuts gives
 exactly the gates of a scan over the whole list, and gives the measurements
@@ -604,15 +602,16 @@ def _pass_cnot_triple(due: np.ndarray, nxt: array, prv: array, gid: array, ids: 
 
 
 def _optimize_ids(nxt: array, prv: array, wires: np.ndarray, gid: array, ids: dict,
-                  angles: list[float], phase: float, max_sweeps: int) -> tuple[bytearray, float]:
+                  angles: list[float] | None, phase: float,
+                  max_sweeps: int) -> tuple[bytearray, float]:
     """The optimizer core: run cancel, merge and the CNOT-triple rewrite, in
     that order, until a sweep changes nothing or max_sweeps sweeps have run.
 
     gid[i] numbers gate i's (kind, qubits) in ids, and gate i's Rz angle is
-    angles[i].  nxt, prv and wires are _link's chains and wire table.
-    Merges update angles and rewrites gid (a new (kind, qubits) is added to
-    ids).  Returns the dead mask (dead[i]: gate i was dropped, n + 1 bytes)
-    and phase plus the global phase the merges gained."""
+    angles[i] (None: skip the merge pass).  nxt, prv and wires are _link's
+    chains and wire table.  Merges update angles and rewrites gid (a new
+    (kind, qubits) is added to ids).  Returns the dead mask (dead[i]: gate
+    i was dropped, n + 1 bytes) and phase plus what the merges gained."""
     keys = list(ids)
     n = len(gid)
     rz = _of_kind(gid, ids, ("Rz",))
@@ -623,7 +622,10 @@ def _optimize_ids(nxt: array, prv: array, wires: np.ndarray, gid: array, ids: di
     # settles their walks.  A gate that a walk leaves live has an angle that
     # does not drop it, so later sweeps need no such test.
     loose = np.zeros(n, bool)
-    loose[_loose(angles, merge)] = True
+    if angles is None:
+        merge = merge[:0]  # a count only: no merge pass
+    else:
+        loose[_loose(angles, merge)] = True
     memo: dict[int, int] = {}
     # Where each gate's last walk stopped (n: nowhere).  Cancel walks only
     # non-Rz gates and merge only Rz gates, so they share stop.
