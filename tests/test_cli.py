@@ -434,6 +434,24 @@ def test_a_file_that_cannot_be_read_names_its_flag_and_path(tmp_path, capsys, mo
     assert out == ""
 
 
+@pytest.mark.parametrize("out, reason", [
+    ("somedir", "Is a directory"),
+    ("missing/x.json", "No such file or directory"),
+], ids=["directory", "missing-parent"])
+def test_an_out_path_that_cannot_be_written_names_the_flag_and_path(tmp_path, capsys,
+                                                                    monkeypatch, out, reason):
+    # The result is printed first; then one line names --out, the path and why.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "somedir").mkdir()
+    code, stdout, err = run(capsys, "map-op", "--enc", "sb", "--d", "4", "--op", "n",
+                            "--out", out)
+    _assert_one_line_error(code, err)
+    assert err == f"error: --out {out} cannot be written: {reason}\n"
+    assert stdout.startswith("n at d=4 under sb(d=4)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["somedir"]
+    assert not any((tmp_path / "somedir").iterdir())
+
+
 @pytest.mark.parametrize("model, config, needle", [
     ("boson-sampling", {"gates": [{"kind": "beamsplitter", "modes": [0, 1]}]}, "'gates'"),
     ("boson-sampling", {"gates": [{"kind": "beamsplitter", "modes": [0, "1"],

@@ -19,11 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qudenc.circuits import Gate, _trotter_ids, trotter_step
+from qudenc.circuits import Gate, _trotter_ids, trotter_step, trotter_term
 from qudenc.optimizer import _link, _optimize_ids, optimize
 from qudenc.paulis import PackedSum, PauliSum
 from reference_models import _optimized_step
 from test_optimizer_pair_answers import _staircase_via_add
+from test_optimizer_reference import _assert_checked
 
 pytestmark = pytest.mark.ci
 
@@ -117,6 +118,17 @@ def test_property_the_core_reads_gate_ids_only_as_labels(h, data):
         assert repr(got_phase) == repr(phase)
 
 
+@settings(max_examples=max(200, settings().max_examples), deadline=None)
+@given(_ANY_SUM, st.sampled_from((_THETA, -1.3, 2.0 ** -40)))
+def test_property_placed_gates_are_the_gates_gate_builds(h, theta):
+    # Each Rz is placed from the layout's checked angle and the shared
+    # gate's checked qubits, with no check of its own: every gate must
+    # still be the Gate that its fields give, with Python types.
+    _assert_checked(trotter_step(h, theta).gates)
+    for string, coeff in h.terms.items():
+        _assert_checked(trotter_term(string, coeff, theta, h.n_qubits).gates)
+
+
 @pytest.mark.parametrize("terms, match", [
     ({((0, "X"),): 1j}, "Hermitian"),
     ({((0, "X"),): 1j, ((3, "Z"),): 1.0}, "Hermitian"),
@@ -142,16 +154,28 @@ def test_packed_synthesis_makes_the_checks_of_trotter_step(terms, match):
      "Rz angle must be a finite real number, got -inf"),
     ({((0, "X"), (3, "Z")): 1.0, ((0, "Y"), (1, "Z"), (2, "X")): math.nan},
      "outside the register"),
+    ({((0, "X"),): 1.0, ((0, "Y"),): -2.0, ((1, "Z"),): math.inf, ((2, "Z"),): math.nan},
+     "Rz angle must be a finite real number, got inf"),
+    ({((0, "X"),): 1.0, ((1, "Y"),): 2.0, ((2, "X"), (4, "Y")): 1.0, ((2, "Z"),): math.inf},
+     "outside the register"),
 ], ids=["nan-then-outside", "outside-then-nan", "identity-inf-then-angle",
-        "short-row-outside"])
+        "short-row-outside", "good-then-inf-then-nan", "good-then-outside-then-inf"])
 def test_the_first_offending_string_in_trotter_order_raises(terms, match):
     # The layout checks every string at once, but raises what the string
-    # first in Trotter order would raise.  An identity string has no Rz,
-    # so its coefficient is not checked.  A string shorter than the widest
-    # one ends in padding, which must neither hide nor fake its own qubits.
+    # first in Trotter order would raise: for an angle, the text of that
+    # string's own Rz Gate, as no placed Rz checks its angle again.  An
+    # identity string has no Rz, so its coefficient is not checked.  A
+    # string shorter than the widest one ends in padding, which must
+    # neither hide nor fake its own qubits.
     h = PauliSum(3)
     h.terms = dict(terms)
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=match) as err:
         trotter_step(h, 0.5)
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=match) as packed:
         _trotter_ids(_in_trotter_order(h), 0.5)
+    assert str(err.value) == str(packed.value)
+    first = next(c for s, c in sorted(h.terms.items()) if s and not math.isfinite(c))
+    if "angle" in match:
+        with pytest.raises(ValueError) as gate:
+            Gate("Rz", (0,), 2 * 0.5 * first)
+        assert str(err.value) == str(gate.value)

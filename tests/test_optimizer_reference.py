@@ -774,6 +774,92 @@ def test_property_optimize_matches_reference(gates):
     _assert_same(Circuit(6, gates))
 
 
+def _assert_checked(gates: list[Gate]) -> None:
+    """Each gate is what Gate() builds from its fields, of Python types:
+    qubits a tuple of int, angle a float on an Rz and None elsewhere."""
+    for g in gates:
+        assert type(g) is Gate and g == Gate(g.kind, g.qubits, g.angle)
+        assert type(g.qubits) is tuple and all(type(q) is int for q in g.qubits)
+        assert type(g.angle) is (float if g.kind == "Rz" else type(None))
+
+
+def _triple(a: int, b: int, c: int) -> list[Gate]:
+    return [Gate("CNOT", (a, b)), Gate("CNOT", (b, c)), Gate("CNOT", (a, b))]
+
+
+@st.composite
+def _rz_and_triples(draw) -> Circuit:
+    """Rz gates at the edge angles among CNOT triples on five wires, some
+    with an Rz or an H inside, some interleaved with another triple whose
+    rewrite moves a CNOT off their third wire, and stray CNOTs and H
+    gates: merges that drop gates and rewrites that open or close other
+    triples, sweep after sweep."""
+    gates = []
+    for _ in range(draw(st.integers(1, 12))):
+        a, b, c, d, e = draw(st.permutations(range(5)))
+        shape = draw(st.integers(0, 5))
+        if shape <= 1:
+            gates.append(Gate("Rz", (a,), draw(st.sampled_from(_EDGE_ANGLES))))
+        elif shape == 2:
+            inside = draw(st.sampled_from((None, Gate("Rz", (a,), math.pi),
+                                           Gate("Rz", (c,), 2 * math.pi), Gate("H", (c,)))))
+            at = draw(st.integers(1, 2))
+            gates += _triple(a, b, c)[:at] + [inside] * (inside is not None) + _triple(a, b, c)[at:]
+        elif shape == 3:
+            pair = [_triple(a, b, c), _triple(d, c, e)]
+            gates += [pair[t].pop(0) for t in draw(st.permutations((0, 0, 0, 1, 1, 1)))]
+        else:
+            gates.append(Gate("CNOT", (a, b)) if shape == 4 else Gate("H", (a,)))
+    return Circuit(5, gates)
+
+
+@_examples(200)
+@given(_rz_and_triples())
+def test_property_edge_angles_among_triples_match_reference_at_every_cap(c):
+    # A merge walk tests its gate's angle only when it merged or the gate's
+    # own angle drops it, and a sweep whose cancel and merge changed nothing
+    # after a triple run that rewrote nothing stops before the triple pass:
+    # neither may change a gate, an angle or the phase at any cap.
+    for cap in (1, 2, 3, 4):
+        _assert_checked(_assert_same(c, cap).gates)
+
+
+def _triple_sweeps(c: Circuit, cap: int) -> list[int]:
+    """The sweeps (from 1) in which optimize(c, cap) ran the triple pass."""
+    with _triple_runs_checked(optimizer._SCAN_MIN) as runs:
+        _assert_same(c, cap)
+    return [r["sweep"] for r in runs]
+
+
+def test_a_cancel_after_a_quiet_triple_run_ends_before_the_next_triple_run():
+    # Sweep 1 cancels the H pair and its triple run rewrites nothing; sweep
+    # 2 cancels the X pair that the H pair kept apart, the last change, and
+    # its triple run rewrites nothing.  Sweep 3 changes nothing in cancel
+    # or merge, so it stops before its triple run: the chains are those the
+    # last one scanned.
+    c = Circuit(3, [Gate("X", (0,)), Gate("CNOT", (1, 2)), Gate("H", (0,)), Gate("H", (0,)),
+                    Gate("X", (0,)), Gate("Rz", (2,), 0.5), Gate("CNOT", (1, 2))])
+    for cap in (1, 2, 3, 4, MAX_SWEEPS):
+        assert _triple_sweeps(c, cap) == [1, 2][:cap]
+    assert optimize(c).gates == [Gate("CNOT", (1, 2)), Gate("Rz", (2,), 0.5),
+                                 Gate("CNOT", (1, 2))]
+
+
+def test_a_rewrite_that_frees_an_earlier_triple_gets_a_triple_run_in_the_next_sweep():
+    # CNOT(3, 2) on wire 2 keeps the first CNOT(0, 1) from its triple.  Sweep
+    # 1 rewrites CNOT(3, 2)'s own triple, which moves it onto wire 4.  Sweep
+    # 2 cancels and merges nothing, but follows a rewrite, so its triple run
+    # rewrites the freed triple.
+    c = Circuit(5, [Gate("CNOT", (0, 1)), Gate("CNOT", (1, 2)), Gate("CNOT", (3, 2)),
+                    Gate("CNOT", (0, 1)), Gate("CNOT", (2, 4)), Gate("CNOT", (3, 2))])
+    assert _triple_sweeps(c, MAX_SWEEPS) == [1, 2, 3]
+    assert [g.qubits for g in _assert_same(c, 1).gates] == [(0, 1), (1, 2), (3, 4), (0, 1),
+                                                            (2, 4)]
+    got = _assert_same(c, 2)
+    assert [g.qubits for g in got.gates] == [(0, 2), (1, 2), (3, 4), (2, 4)]
+    _assert_checked(got.gates)
+
+
 def record() -> None:
     recorded = {}
     for spec in _PRICED_MODELS:

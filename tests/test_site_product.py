@@ -65,6 +65,27 @@ def test_encode_term_matches_the_tuple_product(spec, kind):
                     == _bits(ref.encode_term(term, kind, augment=True)))
 
 
+@pytest.mark.parametrize("kind", (SB, GRAY))
+def test_an_augmented_term_encodes_each_matrix_once(kind):
+    # Bose-Hubbard hopping at d = 6 is adag a + a adag.  Augmented, each of
+    # its two matrices is rebuilt at d = 8 once, so the site product encodes
+    # each once, as it does the plain term's at d = 6.
+    spec = models.ModelSpec(models.BOSE_HUBBARD, N=2, d=6, params=_HOPPING_ONLY)
+    term = models.build_model(spec)[0]
+    encode, calls = models.encode_matrix, []
+
+    def counted(enc, m):
+        calls.append((m.name, m.d, enc.d))
+        return encode(enc, m)
+
+    with mock.patch.object(models, "encode_matrix", counted):
+        for augment, d in ((False, 6), (True, 8)):
+            calls.clear()
+            got = models.encode_term(term, kind, augment=augment)
+            assert sorted(calls) == [("a", d, d), ("adag", d, d)]
+            assert _bits(got) == _bits(ref.encode_term(term, kind, augment=augment))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("modes", [(1, 0), (2, 0), (0, 2), (2, 1, 0)])
 def test_site_product_on_descending_sites(kind, modes):
