@@ -26,7 +26,8 @@ phase.  Its register and finite-angle checks run on whole arrays, but
 raise for the first offending string in term order, with the text each
 string's own Gate would give.  Gate is immutable, so trotter_step and
 trotter_term put one validated Gate per id (_staircase_gate) at each of
-its positions and build per term only the Rz, which carries its angle.
+its positions and place per term only the Rz, from those checked fields
+with no second check (_placed, for _circuit and optimizer.optimize only).
 Pricing needs no Gate per gate: _trotter_ids hands the optimizer's core
 the ids and the Rz angles.  Every angle and phase is a Python float.
 
@@ -90,6 +91,15 @@ class Gate:
 
     def support(self) -> frozenset[int]:
         return frozenset(self.qubits)
+
+
+def _placed(kind: str, qubits: tuple[int, ...], angle: float | None = None) -> Gate:
+    """Gate(kind, qubits, angle) of fields checked already, without its checks."""
+    g = object.__new__(Gate)
+    object.__setattr__(g, "kind", kind)  # as the frozen dataclass's __init__ does
+    object.__setattr__(g, "qubits", qubits)
+    object.__setattr__(g, "angle", angle)
+    return g
 
 
 def _check_angle(angle) -> None:
@@ -220,14 +230,14 @@ def _staircase(h: PackedSum, theta: float) -> tuple[np.ndarray, dict, np.ndarray
 
 def _circuit(h: PackedSum, theta: float) -> Circuit:
     """The staircase circuit of h: the one Gate of each id at every gate of
-    that id, and a validated Gate per Rz."""
+    that id, and per Rz a Gate placed from _staircase's checked angle."""
     gid, ids, rz, angles, phase = _staircase(h, theta)
     shared = np.empty(len(ids), object)
     shared[:] = [_staircase_gate(kind, qubits) for kind, qubits in ids]
     gates = shared[gid].tolist()
     del gid, shared
     for i, angle in zip(rz.tolist(), angles):
-        gates[i] = Gate("Rz", gates[i].qubits, angle)
+        gates[i] = _placed("Rz", gates[i].qubits, angle)
     return Circuit(h.n_qubits, gates, phase)
 
 

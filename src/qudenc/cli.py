@@ -58,8 +58,11 @@ def _write(args, payload) -> None:
         payload = json.dumps(payload, indent=2)
     elif isinstance(payload, Circuit):
         payload = export_circuit(payload, "json")
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write(payload)
+    try:
+        with open(args.out, "w", newline="\n") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise ValueError(f"--out {args.out} cannot be written: {exc.strerror or exc}") from None
 
 
 def _resolve_seed(args, config: dict | None = None) -> int:

@@ -424,8 +424,10 @@ def _site_product(products, specs, offsets, n_qubits: int) -> PackedSum:
 def _term_sum(term: LocalTerm, kind: str, g: int = 3, augment: bool = False) -> PackedSum:
     """encode_term, packed: the term's coefficient times the site product,
     pruned, in canonical order."""
-    products = (tuple(tuple(map(augment_truncation, product)) for product in term.factors)
-                if augment else term.factors)
+    built = {id(m): m for product in term.factors for m in product}
+    if augment:  # each distinct matrix rebuilt once, so that _site_product encodes it once
+        built = {k: augment_truncation(m) for k, m in built.items()}
+    products = [tuple(built[id(m)] for m in product) for product in term.factors]
     specs = [EncodingSpec(kind, m.d, g=g) for m in products[0]]
     offsets = list(accumulate((num_qubits(sp) for sp in specs), initial=0))
     h = _site_product(products, specs, offsets, offsets[-1])

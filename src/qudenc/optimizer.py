@@ -63,7 +63,7 @@ from array import array
 
 import numpy as np
 
-from .circuits import GATE_ARITY, Circuit, Gate, _check_angle, _staircase_gate
+from .circuits import GATE_ARITY, Circuit, Gate, _check_angle, _placed, _staircase_gate
 
 _DIAGONAL_1Q = frozenset(("Rz", "T", "Tdg", "S", "Sdg"))
 # kind -> kind of its inverse; Rz has none (rotations merge instead)
@@ -472,16 +472,16 @@ def _loose(angles: list[float], merge: np.ndarray) -> np.ndarray:
 
 def _pass_merge(todo: np.ndarray, nxt: array, prv: array, gid: array, keys: list,
                 memo: dict, stop: array, dead: bytearray, is_rz: bytes,
-                angles: list[float], loose: np.ndarray, views: tuple) -> tuple[bool, float]:
+                angles: list[float], loose: bytearray, views: tuple) -> tuple[bool, float]:
     """One merge run over the Rz gates of todo; is_rz[i] marks the Rz
     gates.  Each gate's angle is angles[i].  A run of at least _SCAN_MIN
     gates is first scanned (views are _cancel_scan's arguments): a walk
     stopped at its first neighbour, or with none, is settled there unless
-    loose marks its gate."""
+    loose[i] marks its gate."""
     if len(todo) >= _SCAN_MIN:
         go = [_cancel_scan(todo[pos:pos + _SCAN_BLOCK], *views)[0]
               for pos in range(0, len(todo), _SCAN_BLOCK)]
-        todo = np.unique(np.concatenate((todo[loose.take(todo)], *go)))
+        todo = np.unique(np.concatenate((todo[np.frombuffer(loose, bool).take(todo)], *go)))
     table = _answer_table()[1]
     changed = False
     phase = 0.0
@@ -494,6 +494,7 @@ def _pass_merge(todo: np.ndarray, nxt: array, prv: array, gid: array, keys: list
         x = nxt[3 * i]
         stop[i] = n
         angle = angles[i]
+        test = loose[i]  # a walk that merges nothing tests only a loose gate's angle
         while x < end:
             j = x // 3
             x = nxt[x]
@@ -501,7 +502,7 @@ def _pass_merge(todo: np.ndarray, nxt: array, prv: array, gid: array, keys: list
                 angle += angles[j]
                 _check_angle(angle)
                 _drop(nxt, prv, dead, j, 1)
-                changed = True
+                changed = test = True
             else:
                 key = row | gid[j]
                 r = memo.get(key)
@@ -510,7 +511,7 @@ def _pass_merge(todo: np.ndarray, nxt: array, prv: array, gid: array, keys: list
                 if r:
                     stop[i] = j
                     break
-        out = _dropped(angle)
+        out = _dropped(angle) if test else _KEEP
         angles[i] = angle
         if out:
             _drop(nxt, prv, dead, i, 1)
@@ -620,12 +621,12 @@ def _optimize_ids(nxt: array, prv: array, wires: np.ndarray, gid: array, ids: di
     is_rz = rz.tobytes()
     # The Rz gates whose angle alone drops them: the merge scan never
     # settles their walks.  A gate that a walk leaves live has an angle that
-    # does not drop it, so later sweeps need no such test.
-    loose = np.zeros(n, bool)
+    # does not drop it, so no later walk that merges nothing tests it.
+    loose = bytearray(n)
     if angles is None:
         merge = merge[:0]  # a count only: no merge pass
     else:
-        loose[_loose(angles, merge)] = True
+        np.frombuffer(loose, bool)[_loose(angles, merge)] = True
     memo: dict[int, int] = {}
     # Where each gate's last walk stopped (n: nowhere).  Cancel walks only
     # non-Rz gates and merge only Rz gates, so they share stop.
@@ -649,6 +650,8 @@ def _optimize_ids(nxt: array, prv: array, wires: np.ndarray, gid: array, ids: di
         merged, dphase = _pass_merge(due, nxt, prv, gid, keys, memo, stop, dead, is_rz,
                                      angles, loose, scan_merge)
         phase += dphase
+        if not (cancelled or merged or full):
+            break  # the chains are those the last triple run left as they were
         full = _pass_cnot_triple(triple, nxt, prv, gid, ids, keys, dead, scan_triple)
         if len(keys) > len(wires):
             wires = _grown(wires, keys)
@@ -676,9 +679,9 @@ def optimize(c: Circuit, max_sweeps: int = MAX_SWEEPS) -> Circuit:
     out = list(gates)
     keys = list(ids)
     for i in np.flatnonzero(np.frombuffer(gid, np.intc) != was).tolist():
-        out[i] = Gate(*keys[gid[i]])  # rewritten
+        out[i] = _placed(*keys[gid[i]])  # rewritten, on a checked gate's wires
     for i in rz:
-        if angles[i] is not gates[i].angle and not dead[i]:  # merged
-            out[i] = Gate("Rz", gates[i].qubits, angles[i])
+        if angles[i] is not gates[i].angle and not dead[i]:  # merged, each sum checked
+            out[i] = _placed("Rz", gates[i].qubits, angles[i])
     live = (~np.frombuffer(dead, bool)[:-1]).tobytes()
     return Circuit(c.n_qubits, list(itertools.compress(out, live)), phase)
