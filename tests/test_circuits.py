@@ -326,6 +326,21 @@ def test_qasm_register_of_any_name_reads_back_as_q():
     assert export_circuit(c, "qasm2").splitlines()[-2:] == ["x q[0];", "cx q[1],q[0];"]
 
 
+@pytest.mark.parametrize("fmt", ["json", "qasm2"])
+@pytest.mark.parametrize("gates, named", [
+    ([Gate("H", (5,))], "gate 0 H(5,)"),
+    ([Gate("X", (0,)), Gate("CNOT", (1, 2))], "gate 1 CNOT(1, 2)"),
+    ([Gate("Rz", (0,), 0.5), Gate("CSWAP", (0, 1, 9)), Gate("H", (7,))], "gate 1 CSWAP(0, 1, 9)"),
+], ids=["one-qubit", "cnot", "cswap-before-h"])
+def test_export_refuses_a_gate_outside_the_register(fmt, gates, named):
+    # The file would name a qubit beyond its own qreg or n_qubits, which
+    # import_circuit refuses: export must not write what cannot be read back.
+    c = Circuit(2, gates)
+    with pytest.raises(ValueError) as err:
+        export_circuit(c, fmt)
+    assert str(err.value) == f"{named} acts outside the 2-qubit register"
+
+
 def test_qasm_import_rejects_unknown_gate():
     with pytest.raises(ValueError):
         import_circuit('OPENQASM 2.0;\nqreg q[1];\nfoo q[0];')

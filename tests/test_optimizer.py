@@ -187,9 +187,22 @@ def test_pass_config_validation():
     c.add("Rz", 0, angle=0.2)
     c.add("Rz", 0, angle=0.2)
     for max_sweeps in (0, -1):
-        with pytest.raises(ValueError, match="max_sweeps must be >= 1"):
+        with pytest.raises(ValueError, match="max_sweeps must be an integer >= 1"):
             optimize(c, max_sweeps)
     assert len(optimize(c, 1).gates) == 1
+
+
+@pytest.mark.parametrize("max_sweeps, shown", [
+    (1.5, "1.5"), ("3", "'3'"), (True, "True"), (False, "False"), (2.0, "2.0"), (None, "None"),
+    (0, "0"), (-1, "-1")],
+    ids=["float", "str", "true", "false", "integral-float", "none", "zero", "negative"])
+def test_max_sweeps_must_be_an_integer_of_at_least_one(max_sweeps, shown):
+    # A bool is not a sweep count, though Python counts True as 1.
+    c = Circuit(1, [Gate("Rz", (0,), 0.2), Gate("Rz", (0,), 0.2)])
+    with pytest.raises(ValueError) as err:
+        optimize(c, max_sweeps)
+    assert str(err.value) == f"max_sweeps must be an integer >= 1, got {shown}"
+    assert len(optimize(c, np.int64(1)).gates) == 1
 
 
 def test_optimizer_reduces_entangling_on_structured_input():
