@@ -383,11 +383,16 @@ def export_circuit(c: Circuit, fmt: str = "json") -> str:
 
     QASM has no global-phase statement, so the phase is recorded as a
     comment; BasisY becomes sdg,h,s and CSWAP is expanded to Clifford+T.
+    A gate outside the register raises: import_circuit would refuse it.
     """
+    if fmt not in ("json", "qasm2"):
+        raise ValueError(f"unknown format {fmt!r}")
+    for pos, g in enumerate(c.gates):
+        if max(g.qubits) >= c.n_qubits:
+            raise ValueError(f"gate {pos} {g.kind}{g.qubits} acts outside the "
+                             f"{c.n_qubits}-qubit register")
     if fmt == "json":
         return json.dumps(_circuit_to_dict(c), indent=2)
-    if fmt != "qasm2":
-        raise ValueError(f"unknown format {fmt!r}")
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{c.n_qubits}];"]
     if c.global_phase:
         lines.insert(2, f"// global phase: {c.global_phase!r}")

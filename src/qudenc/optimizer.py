@@ -64,6 +64,7 @@ from array import array
 import numpy as np
 
 from .circuits import GATE_ARITY, Circuit, Gate, _check_angle, _placed, _staircase_gate
+from .paulis import _is_nonneg_int
 
 _DIAGONAL_1Q = frozenset(("Rz", "T", "Tdg", "S", "Sdg"))
 # kind -> kind of its inverse; Rz has none (rotations merge instead)
@@ -666,8 +667,8 @@ def optimize(c: Circuit, max_sweeps: int = MAX_SWEEPS) -> Circuit:
     """Run cancel, merge and the CNOT-triple rewrite, in that order, until a
     sweep changes nothing or max_sweeps sweeps have run; never grows the
     circuit."""
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be >= 1")
+    if not (_is_nonneg_int(max_sweeps) and max_sweeps >= 1):
+        raise ValueError(f"max_sweeps must be an integer >= 1, got {max_sweeps!r}")
     gates = c.gates
     nxt, prv, wires, gid, ids = _wire_chains(gates)
     was = np.frombuffer(gid, np.intc).copy()
