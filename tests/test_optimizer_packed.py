@@ -10,16 +10,26 @@ Rebuilt into Gates, the core's survivors must equal
 optimize(trotter_step(h)) exactly: the same gates, the same angles and the
 same global phase, float for float.  The core reads a gate id only as a
 label: renumbering the ids changes none of its output.
+
+A synthesized circuit keeps the record of its placement (Circuit's
+_synthesis), and optimize() numbers its gates from it while each gate is
+still the object synthesis placed.  Any edit sends the circuit down the
+path that numbers its gates afresh (optimizer._wire_chains); either path
+must give the gates that a circuit read back from JSON, with no record,
+gives.
 """
 
 import math
 from array import array
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qudenc.circuits import Gate, _trotter_ids, trotter_step, trotter_term
+from qudenc import optimizer
+from qudenc.circuits import (Circuit, Gate, _trotter_ids, export_circuit, import_circuit,
+                             trotter_step, trotter_term)
 from qudenc.optimizer import _link, _optimize_ids, optimize
 from qudenc.paulis import PackedSum, PauliSum
 from reference_models import _optimized_step
@@ -179,3 +189,135 @@ def test_the_first_offending_string_in_trotter_order_raises(terms, match):
         with pytest.raises(ValueError) as gate:
             Gate("Rz", (0,), 2 * 0.5 * first)
         assert str(err.value) == str(gate.value)
+
+
+def _same(got: Circuit, want: Circuit) -> None:
+    """Gate for gate, each angle and the phase float for float."""
+    assert got.n_qubits == want.n_qubits
+    assert got.gates == want.gates
+    assert [repr(g.angle) for g in got.gates] == [repr(g.angle) for g in want.gates]
+    assert repr(got.global_phase) == repr(want.global_phase)
+
+
+def _unrecorded(c: Circuit) -> Circuit:
+    """c with no synthesis record: the same gates in a new list."""
+    return Circuit(c.n_qubits, list(c.gates), c.global_phase)
+
+
+def _record(c: Circuit) -> tuple:
+    """Every value in c's synthesis record, as plain data."""
+    r = c._synthesis
+    return (r.shared.tolist(), r.gid.tobytes(), list(r.ids.items()), r.rz.tolist(),
+            r.rz_gates.tolist(), [repr(g.angle) for g in r.rz_gates])
+
+
+def _step() -> Circuit:
+    """Five strings on three qubits: the first two staircases share H on
+    qubit 0, at positions 4 and 5, which cancel."""
+    h = PauliSum(3)
+    for string, coeff in ((((0, "X"), (1, "Z")), 0.3), (((0, "X"), (2, "Z")), -0.7),
+                          (((1, "Z"), (2, "Z")), 1.1), (((1, "Y"),), 0.4),
+                          (((0, "Z"), (1, "Z"), (2, "Z")), 0.9)):
+        h._accumulate(string, coeff)
+    c = trotter_step(h, _THETA)
+    assert c.gates[4] == c.gates[5] == Gate("H", (0,))
+    return c
+
+
+def _edit_copy(c):
+    c.gates = list(c.gates)
+
+
+def _edit_equal(c):
+    g = c.gates[4]
+    c.gates[4] = Gate(g.kind, g.qubits)  # equal, but not the placed object
+
+
+def _edit_other(c):
+    c.gates[4] = Gate("X", (0,))  # no longer cancels with the H after it
+
+
+def _edit_angle(c):
+    i = next(i for i, g in enumerate(c.gates) if g.kind == "Rz")
+    c.gates[i] = Gate("Rz", c.gates[i].qubits, c.gates[i].angle + 1.0)
+
+
+def _edit_append(c):
+    c.gates.append(Gate("H", (0,)))
+
+
+def _edit_delete(c):
+    del c.gates[5]
+
+
+def _edit_delete_last(c):
+    del c.gates[-1]
+
+
+@pytest.mark.parametrize("edit", [_edit_copy, _edit_equal, _edit_other, _edit_angle,
+                                  _edit_append, _edit_delete, _edit_delete_last],
+                         ids=["list-copied", "equal-gate", "other-gate", "other-angle",
+                              "appended", "deleted", "last-deleted"])
+@pytest.mark.parametrize("cap", [1, 2, 50])
+def test_an_edited_synthesized_circuit_optimizes_as_its_json_round_trip(edit, cap):
+    c = _step()
+    edit(c)
+    back = import_circuit(export_circuit(c, "json"))
+    assert back._synthesis is None
+    _same(optimize(c, cap), optimize(back, cap))
+
+
+def test_optimize_numbers_an_unedited_synthesized_circuit_from_its_record():
+    terms = [trotter_term(string, coeff, _THETA, 3)
+             for string, coeff in ((((0, "X"), (2, "Y")), 0.3), ((), 1.0))]
+    circuits = [_step(), _step(), *terms]
+    _edit_copy(circuits[1])
+    want = [optimize(_unrecorded(c)) for c in circuits]
+    edited = _step()
+    _edit_equal(edited)
+    with mock.patch.object(optimizer, "_wire_chains", side_effect=AssertionError):
+        for c, w in zip(circuits, want):
+            _same(optimize(c), w)
+        with pytest.raises(AssertionError):
+            optimize(edited)
+
+
+def test_the_record_takes_no_part_in_equality_or_repr():
+    c = _step()
+    plain = _unrecorded(c)
+    assert c == plain and repr(c) == repr(plain)
+    assert c._synthesis is not None and plain._synthesis is None
+
+
+def test_optimizing_twice_leaves_the_record_as_synthesis_made_it():
+    # The core writes into the gid and ids that it is handed: a CNOT-triple
+    # rewrite gives gate i a new id and adds that id's key.  Staircases are
+    # palindromes, and on none of the Trotter steps searched did the triple
+    # pass rewrite anything, so here the core is followed by such a write on
+    # a dropped gate, which changes no output.  The record must not see it.
+    core = optimizer._optimize_ids
+
+    def rewriting(nxt, prv, wires, gid, ids, *rest):
+        dead, phase = core(nxt, prv, wires, gid, ids, *rest)
+        gid[dead.index(1)] = ids.setdefault(("CNOT", (2, 0)), len(ids))  # a new key
+        return dead, phase
+
+    c = _step()
+    before = _record(c)
+    with mock.patch.object(optimizer, "_optimize_ids", rewriting):
+        once = optimize(c)
+        twice = optimize(c)
+    _same(twice, once)
+    _same(once, optimize(_unrecorded(c)))
+    assert _record(c) == before
+
+
+@settings(max_examples=max(100, settings().max_examples), deadline=None)
+@given(_ANY_SUM)
+def test_property_the_record_path_gives_the_gates_of_the_numbering_path(h):
+    step = trotter_step(h, _THETA)
+    terms = [trotter_term(string, coeff, _THETA, h.n_qubits)
+             for string, coeff in h.terms.items()]
+    for c in (step, *terms):
+        for cap in (1, 2, 3, 4, 50):
+            _same(optimize(c, cap), optimize(_unrecorded(c), cap))
