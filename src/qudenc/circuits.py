@@ -28,6 +28,9 @@ string's own Gate would give.  Gate is immutable, so trotter_step and
 trotter_term put one validated Gate per id (_staircase_gate) at each of
 its positions and place per term only the Rz, from those checked fields
 with no second check (_placed, for _circuit and optimizer.optimize only).
+The circuit keeps that placement, ids and id table included, as a
+private record (_Synthesis), from which optimizer.optimize takes the ids
+instead of numbering the gates again while they are the ones placed.
 Pricing needs no Gate per gate: _trotter_ids hands the optimizer's core
 the ids and the Rz angles.  Every angle and phase is a Python float.
 
@@ -46,7 +49,8 @@ import re
 from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from operator import itemgetter
+from operator import is_, itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,14 +111,45 @@ def _check_angle(angle) -> None:
         raise ValueError(f"Rz angle must be a finite real number, got {angle!r}")
 
 
+class _Synthesis(NamedTuple):
+    """How _circuit placed a circuit's gates: gate i is shared[gid[i]]
+    except at the Rz positions rz, where it is the matching entry of
+    rz_gates; ids numbers each (kind, qubits) as _staircase did."""
+
+    shared: np.ndarray  # one Gate per id, an object array
+    gid: array
+    ids: dict
+    rz: np.ndarray
+    rz_gates: np.ndarray  # an object array
+
+    def placed(self) -> list[Gate]:
+        """The gates as _circuit placed them, in one numpy gather."""
+        gates = self.shared[np.frombuffer(self.gid, np.intc)]
+        gates[self.rz] = self.rz_gates
+        return gates.tolist()
+
+    def holds(self, gates: list[Gate]) -> bool:
+        """Whether gates are, object for object, the gates placed."""
+        placed = self.placed()
+        return len(placed) == len(gates) and all(map(is_, gates, placed))
+
+
 @dataclass
 class Circuit:
     """Gate list applied left to right, plus an accumulated global phase
-    (the circuit's unitary is exp(i * global_phase) times the gate product)."""
+    (the circuit's unitary is exp(i * global_phase) times the gate product).
+
+    A circuit from trotter_step or trotter_term also keeps, privately, the
+    record of how it was synthesized (_Synthesis).  optimize() numbers the
+    gates from it, instead of once more, while every gate in gates is still
+    the object synthesis placed there; any other circuit, or one whose
+    gates have since been replaced, added or removed, is numbered afresh.
+    The record takes no part in init, repr or ==."""
 
     n_qubits: int
     gates: list[Gate] = field(default_factory=list)
     global_phase: float = 0.0
+    _synthesis: _Synthesis | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not _is_nonneg_int(self.n_qubits):
@@ -230,15 +265,19 @@ def _staircase(h: PackedSum, theta: float) -> tuple[np.ndarray, dict, np.ndarray
 
 def _circuit(h: PackedSum, theta: float) -> Circuit:
     """The staircase circuit of h: the one Gate of each id at every gate of
-    that id, and per Rz a Gate placed from _staircase's checked angle."""
+    that id, and per Rz a Gate placed from _staircase's checked angle.  The
+    circuit keeps this placement as its _Synthesis record."""
     gid, ids, rz, angles, phase = _staircase(h, theta)
     shared = np.empty(len(ids), object)
     shared[:] = [_staircase_gate(kind, qubits) for kind, qubits in ids]
-    gates = shared[gid].tolist()
-    del gid, shared
-    for i, angle in zip(rz.tolist(), angles):
-        gates[i] = _placed("Rz", gates[i].qubits, angle)
-    return Circuit(h.n_qubits, gates, phase)
+    rz_gates = np.empty(len(rz), object)
+    rz_gates[:] = [_placed("Rz", g.qubits, angle)
+                   for g, angle in zip(shared[gid[rz]].tolist(), angles)]
+    record = _Synthesis(shared, array("i", gid.tobytes()), ids, rz, rz_gates)
+    del gid
+    c = Circuit(h.n_qubits, record.placed(), phase)
+    c._synthesis = record
+    return c
 
 
 def trotter_term(p: PauliString, coeff: complex, theta: float, n_qubits: int) -> Circuit:

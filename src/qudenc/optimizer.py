@@ -41,9 +41,11 @@ Each pass walks its own index list.  A run of at least _SCAN_MIN gates is
 first scanned in numpy, _SCAN_BLOCK gates at a time: _cancel_scan takes
 every cancel or merge walk's first step, and _triple_scan makes every test
 of the triple loop up to the first rewrite.  The per-gate loops walk
-what the scans leave.  optimize() numbers a Circuit's gates (_wire_chains)
-and builds a Gate only for merged Rz gates and rewritten CNOTs; pricing
-synthesizes straight into ids (circuits._trotter_ids).
+what the scans leave.  optimize() takes the ids of a synthesized Circuit
+from its record (circuits._Synthesis) while its gates are the ones placed,
+numbers any other Circuit's gates (_wire_chains), and builds a Gate only
+for merged Rz gates and rewritten CNOTs; pricing synthesizes straight into
+ids (circuits._trotter_ids).
 
 The core reads angles only in the merge pass and loose; cancel, the
 triple pass, the scans and _due read ids and chains.  Pricing needs only
@@ -665,12 +667,17 @@ def _optimize_ids(nxt: array, prv: array, wires: np.ndarray, gid: array, ids: di
 
 def optimize(c: Circuit, max_sweeps: int = MAX_SWEEPS) -> Circuit:
     """Run cancel, merge and the CNOT-triple rewrite, in that order, until a
-    sweep changes nothing or max_sweeps sweeps have run; never grows the
-    circuit."""
+    sweep changes nothing or max_sweeps sweeps (an integer >= 1) have run;
+    never grows the circuit."""
     if not (_is_nonneg_int(max_sweeps) and max_sweeps >= 1):
         raise ValueError(f"max_sweeps must be an integer >= 1, got {max_sweeps!r}")
     gates = c.gates
-    nxt, prv, wires, gid, ids = _wire_chains(gates)
+    record = c._synthesis
+    if record is not None and record.holds(gates):
+        gid, ids = array("i", record.gid), dict(record.ids)  # the core rewrites both
+        nxt, prv, wires = _link(gid, ids)
+    else:
+        nxt, prv, wires, gid, ids = _wire_chains(gates)
     was = np.frombuffer(gid, np.intc).copy()
     rz = np.flatnonzero(_of_kind(gid, ids, ("Rz",))).tolist()
     angles = [0.0] * len(gates)
